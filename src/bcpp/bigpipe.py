@@ -24,8 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import BarChart, Instance, Placement, assemble_placement
-from .matching import (WeightedGraph, build_union_graph,
-                       max_cardinality_matching, merge_matched)
+from .matching import (build_union_graph, chart_rows, max_cardinality_matching,
+                       merge_matched)
 from .unions import merge_union
 
 
@@ -89,22 +89,22 @@ def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
     """Merge 2-union pairs via exact max-cardinality matchings until none remain."""
     current = list(charts)
     while True:
-        graph = build_union_graph(current)
-        two_unions = [e for e in graph.edges if e.weight == 2]
-        if not two_unions:
+        graph = build_union_graph(current, two_unions_only=True)
+        if not graph.edges:
             return tuple(current)
-        restricted = WeightedGraph(vertices=graph.vertices, edges=tuple(two_unions))
-        matching = max_cardinality_matching(restricted)
+        matching = max_cardinality_matching(graph)
         current = merge_matched(current, matching)
 
 
 def build_arc_digraph(charts: list[BarChart] | tuple[BarChart, ...]) -> ArcDigraph:
     """Arc (i, j) iff the 1-union with i on the left is feasible."""
-    ordered = sorted(charts, key=lambda c: c.id)
-    arcs = [(i.id, j.id)
-            for i in ordered for j in ordered
-            if i.id != j.id and i.last_bar + j.first_bar <= i.den]
-    return ArcDigraph(vertices=tuple(c.id for c in ordered), arcs=tuple(sorted(arcs)))
+    rows, den = chart_rows(charts)
+    firsts = [(row[0], row[1]) for row in rows]
+    arcs = []
+    for u, _, _, _, last in rows:
+        cap = den - last
+        arcs += [(u, v) for v, first in firsts if first <= cap and v != u]
+    return ArcDigraph(vertices=tuple(v for v, _ in firsts), arcs=tuple(arcs))
 
 
 def dump_digraph(g: ArcDigraph) -> str:

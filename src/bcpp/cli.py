@@ -15,13 +15,11 @@ import sys
 from . import __version__
 from .bigpipe import solve_big_pipeline
 from .blp import build_blp, export_lp, solve_exact
-from .generators import gen_random, parse_bpp, transform_bpp
+from .generators import FAMILIES, gen_random, parse_bpp, transform_bpp
 from .harness import (ALGORITHMS, format_records_csv, format_summary_csv,
                       parse_config, run_algorithm, run_suite)
 from .matching import solve_mw
 from .model import format_instance, format_placement, parse_instance
-
-FAMILY_CHOICES = ("arbitrary", "big", "big_nonincreasing")
 
 
 def _cmd_gen(args) -> int:
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write random instance files")
-    gen.add_argument("--family", choices=FAMILY_CHOICES, default="arbitrary")
+    gen.add_argument("--family", choices=FAMILIES, default="arbitrary")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)

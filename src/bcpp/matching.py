@@ -5,20 +5,28 @@ pair admits together with the orientation that realizes it.  Matchings are
 computed exactly with the blossom algorithm from networkx; graphs are always
 handed over in canonical sorted order so equal-weight ties resolve the same
 way on every run.
+
+Pair classification reads only the first two and the last two bars of each
+chart.  A t-union overlaps the last t bars of the left chart with the first
+t bars of the right chart, and only t <= 2 is ever tried, so no other bar
+can decide a pair.  Each chart becomes one flat row ``(id, bars[0], bars[1],
+bars[-2], bars[-1])`` and each pair costs a few exact integer comparisons
+against ``den - bar`` capacities; ``unions.pair_weight`` is the per-pair
+definition the rows reproduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import networkx as nx
 
 from .model import BarChart, Instance, Placement, assemble_placement
-from .unions import merge_union, pair_weight
+from .unions import merge_union
 
 
-@dataclass(frozen=True)
-class UnionEdge:
+class UnionEdge(NamedTuple):
     """Edge (u, v) with u < v; ``left``/``right`` orient the stored t-union."""
 
     u: int
@@ -63,30 +71,69 @@ class MwResult:
     union_trace: tuple[UnionRecord, ...]
 
 
-def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...]) -> WeightedGraph:
-    """Graph over the given charts with one edge per pair that can unite."""
-    ordered = sorted(charts, key=lambda c: c.id)
+# (id, bars[0], bars[1], bars[-2], bars[-1]) of one chart
+ChartRow = tuple[int, int, int, int, int]
+
+
+def chart_rows(charts: list[BarChart] | tuple[BarChart, ...],
+               ) -> tuple[list[ChartRow], int]:
+    """Charts in id order as flat rows, plus their shared denominator.
+
+    A width-1 chart has no second bar: its ``bars[1]`` and ``bars[-2]``
+    slots hold ``den + 1``, so every 2-union test involving it fails.
+    """
+    dens = {c.den for c in charts}
+    if len(dens) > 1:
+        raise ValueError("charts must share one denominator")
+    den = dens.pop() if dens else 1
+    rows = []
+    for c in sorted(charts, key=lambda c: c.id):
+        bars = c.bars
+        if len(bars) > 1:
+            rows.append((c.id, bars[0], bars[1], bars[-2], bars[-1]))
+        else:
+            rows.append((c.id, bars[0], den + 1, den + 1, bars[0]))
+    return rows, den
+
+
+def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
+                      two_unions_only: bool = False) -> WeightedGraph:
+    """Graph over the given charts with one edge per pair that can unite.
+
+    Edges match ``pair_weight`` on every pair, in (u, v) order.  With
+    ``two_unions_only`` only the weight-2 edges are built, as A2's
+    formation rounds need.
+    """
+    rows, den = chart_rows(charts)
     edges = []
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            pw = pair_weight(ordered[a], ordered[b])
-            if pw.weight > 0:
-                edges.append(UnionEdge(u=ordered[a].id, v=ordered[b].id,
-                                       weight=pw.weight, left=pw.left,
-                                       right=pw.right, t=pw.t))
-    return WeightedGraph(vertices=tuple(c.id for c in ordered), edges=tuple(edges))
+    add = edges.append
+    for k, (u, f0, f1, l2, l1) in enumerate(rows):
+        cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
+        for v, g0, g1, m2, m1 in rows[k + 1:]:
+            if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, u left
+                add(UnionEdge(u, v, 2, u, v, 2))
+            elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, v left
+                add(UnionEdge(u, v, 2, v, u, 2))
+            elif two_unions_only:
+                continue
+            elif g0 <= cap_l1:                     # 1-union, u left
+                add(UnionEdge(u, v, 1, u, v, 1))
+            elif m1 <= cap_f0:                     # 1-union, v left
+                add(UnionEdge(u, v, 1, v, u, 1))
+    return WeightedGraph(vertices=tuple(r[0] for r in rows), edges=tuple(edges))
 
 
 def _solve_matching(g: WeightedGraph, cardinality: bool) -> Matching:
+    # an edge tuple starts with (u, v) and a graph has one edge per pair, so
+    # tuple order is (u, v) order; on a built graph this sort is one pass
+    edges = sorted(g.edges)
     nxg = nx.Graph()
     nxg.add_nodes_from(sorted(g.vertices))
-    by_pair = {}
-    for e in sorted(g.edges, key=lambda e: (e.u, e.v)):
-        nxg.add_edge(e.u, e.v, weight=1 if cardinality else e.weight)
-        by_pair[(e.u, e.v)] = e
+    nxg.add_weighted_edges_from((e.u, e.v, 1 if cardinality else e.weight)
+                                for e in edges)
+    by_pair = {(e.u, e.v): e for e in edges}
     mate = nx.max_weight_matching(nxg)
-    chosen = sorted((by_pair[(min(a, b), max(a, b))] for a, b in mate),
-                    key=lambda e: (e.u, e.v))
+    chosen = sorted(by_pair[(min(a, b), max(a, b))] for a, b in mate)
     return Matching(edges=tuple(chosen), total_weight=sum(e.weight for e in chosen))
 
 

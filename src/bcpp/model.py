@@ -63,14 +63,6 @@ class BarChart:
         """True when some bar is strictly higher than 1/2."""
         return any(2 * h > self.den for h in self.bars)
 
-    @property
-    def first_bar(self) -> int:
-        return self.bars[0]
-
-    @property
-    def last_bar(self) -> int:
-        return self.bars[-1]
-
 
 @dataclass(frozen=True)
 class Instance:

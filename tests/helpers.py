@@ -6,6 +6,7 @@ search/pruning code so tests compare two genuinely different routes.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from bcpp import BarChart, Instance, evaluate_packing, lex_order
@@ -18,6 +19,25 @@ def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
 def inst(*bars: tuple[int, int], den: int = 10, **kwargs) -> Instance:
     charts = tuple(mk(i + 1, a, b, den) for i, (a, b) in enumerate(bars))
     return Instance(charts=charts, den=den, **kwargs)
+
+
+def random_charts(rng: random.Random, n: int, den: int) -> list[BarChart]:
+    """Charts of widths 1 to 4 with shuffled, gapped ids, as unions leave them.
+
+    Bars are often exactly ``den`` or at most ``den / 2``, and about one chart
+    in six repeats the bars of an earlier one.
+    """
+    charts = []
+    for k in range(n):
+        if charts and rng.random() < 0.15:
+            bars = rng.choice(charts).bars
+        else:
+            bars = tuple(rng.choice((den, rng.randint(1, den),
+                                     rng.randint(1, max(1, den // 2))))
+                         for _ in range(rng.randint(1, 4)))
+        charts.append(BarChart(id=3 * k + 1, bars=bars, den=den))
+    rng.shuffle(charts)
+    return charts
 
 
 def literal_opt(instance: Instance) -> int:

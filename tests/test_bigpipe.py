@@ -1,10 +1,13 @@
 import random
 
-from bcpp import (ArcDigraph, build_arc_digraph, evaluate_packing,
+import pytest
+
+from bcpp import (ArcDigraph, BarChart, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
 from bcpp.bigpipe import check_path_cover, dump_digraph
-from helpers import brute_force_matching, brute_force_path_cover_arcs, inst
+from helpers import (brute_force_matching, brute_force_path_cover_arcs, inst,
+                     random_charts)
 
 
 def test_scan_merges_smalls_into_big():
@@ -74,6 +77,28 @@ def test_arc_digraph_examples():
     g = build_arc_digraph(inst((9, 2), (7, 6), (8, 3)).charts)
     assert g.arcs == ((1, 2), (1, 3), (3, 2))
     assert dump_digraph(g) == "1 2\n1 3\n3 2\n"
+
+
+def test_arc_digraph_matches_definition():
+    rng = random.Random(45)
+    for _ in range(150):
+        den = rng.choice([2, 10, 20, 100])
+        charts = random_charts(rng, rng.randint(0, 16), den)
+        ids = sorted(c.id for c in charts)
+        by_id = {c.id: c for c in charts}
+        expected = tuple((i, j) for i in ids for j in ids
+                         if i != j and by_id[i].bars[-1] + by_id[j].bars[0] <= den)
+        g = build_arc_digraph(charts)
+        assert g.vertices == tuple(ids)
+        assert g.arcs == expected
+
+
+def test_arc_digraph_rejects_mixed_denominators():
+    # 50/100 + 9/10 > 1, although the numerators sum to 59 <= 100
+    charts = [BarChart(id=1, bars=(9, 9), den=10),
+              BarChart(id=2, bars=(50, 50), den=100)]
+    with pytest.raises(ValueError, match="share one denominator"):
+        build_arc_digraph(charts)
 
 
 def test_path_cover_chain():

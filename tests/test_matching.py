@@ -1,9 +1,12 @@
 import random
 
-from bcpp import (UnionEdge, WeightedGraph, build_union_graph, dump_graph,
-                  evaluate_packing, gen_random, max_cardinality_matching,
-                  max_weight_matching, oracle_opt, solve_m1w, solve_mw)
-from helpers import brute_force_matching, inst
+import pytest
+
+from bcpp import (BarChart, UnionEdge, WeightedGraph, build_union_graph,
+                  dump_graph, evaluate_packing, gen_random,
+                  max_cardinality_matching, max_weight_matching, oracle_opt,
+                  pair_weight, solve_m1w, solve_mw)
+from helpers import brute_force_matching, inst, random_charts
 
 
 def edge(u, v, w):
@@ -91,6 +94,34 @@ def test_union_graph_edgeless_when_everything_collides():
 def test_union_graph_mixed_weights():
     g = build_union_graph(inst((3, 4), (5, 5), (6, 8)).charts)
     assert [(e.u, e.v, e.weight) for e in g.edges] == [(1, 2, 2), (1, 3, 1)]
+
+
+def test_union_graph_matches_pair_weight_on_every_pair():
+    rng = random.Random(24)
+    for _ in range(150):
+        den = rng.choice([2, 10, 20, 100])
+        charts = random_charts(rng, rng.randint(0, 16), den)
+        ordered = sorted(charts, key=lambda c: c.id)
+        expected = []
+        for a, i in enumerate(ordered):
+            for j in ordered[a + 1:]:
+                pw = pair_weight(i, j)
+                if pw.weight:
+                    expected.append((i.id, j.id, pw.weight, pw.left, pw.right, pw.t))
+        g = build_union_graph(charts)
+        assert g.vertices == tuple(c.id for c in ordered)
+        assert [(e.u, e.v, e.weight, e.left, e.right, e.t) for e in g.edges] == expected
+        two = build_union_graph(charts, two_unions_only=True)
+        assert two.vertices == g.vertices
+        assert two.edges == tuple(e for e in g.edges if e.weight == 2)
+
+
+def test_union_graph_rejects_mixed_denominators():
+    charts = [BarChart(id=1, bars=(9, 9), den=10),
+              BarChart(id=2, bars=(50, 50), den=100)]
+    for two_unions_only in (False, True):
+        with pytest.raises(ValueError, match="share one denominator"):
+            build_union_graph(charts, two_unions_only=two_unions_only)
 
 
 def test_dump_graph_format():
