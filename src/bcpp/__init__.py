@@ -3,24 +3,23 @@
 __version__ = "0.1.0"
 
 from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
-                    Placement, assemble_placement, compact, evaluate_packing,
-                    format_instance, format_placement, lower_bounds,
-                    parse_instance, parse_placement)
+                    Placement, Solved, UnionRecord, assemble_placement, compact,
+                    evaluate_packing, format_instance, format_placement,
+                    lower_bounds, parse_instance, parse_placement)
 from .unions import PairWeight, UnionInfeasibleError, merge_union, pair_weight, union_feasible
-from .greedy import GreedyResult, ga_lo, lex_order
-from .matching import (Matching, MatchResult, MwResult, UnionEdge, UnionRecord,
-                       WeightedGraph, build_union_graph, dump_graph,
-                       max_cardinality_matching, max_weight_matching,
-                       solve_m1w, solve_mw)
-from .bigpipe import (ArcDigraph, PathCover, PipelineResult, ScanResult,
-                      build_arc_digraph, dump_digraph, form_big_matchings,
-                      form_big_scan, path_cover, solve_big_pipeline)
+from .greedy import ga_lo, lex_order
+from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
+                       dump_graph, max_cardinality_matching,
+                       max_weight_matching, solve_mw)
+from .bigpipe import (ArcDigraph, PathCover, ScanResult, build_arc_digraph,
+                      dump_digraph, form_big_matchings, form_big_scan,
+                      path_cover, solve_big_pipeline)
 from .blp import BlpModel, ExactResult, build_blp, export_lp, oracle_opt, solve_exact
 from .generators import (BppInstance, BppSolution, bpp_witness_placement,
                          ffd_bpp, ffd_certified_optimal, format_bpp_instance,
                          format_bpp_solution, gen_bpp_fullbins, gen_random,
                          parse_bpp, parse_bpp_instance, parse_bpp_solution,
                          transform_bpp)
-from .harness import (RunRecord, SuiteConfig, SummaryRow, format_records_csv,
-                      format_summary_csv, parse_config, run_algorithm,
-                      run_suite, summarize)
+from .harness import (SOLVERS, RunRecord, SuiteConfig, SummaryRow,
+                      format_records_csv, format_summary_csv, parse_config,
+                      run_algorithm, run_suite, summarize)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import BarChart, Instance, Placement, assemble_placement
+from .model import BarChart, Instance, Solved, assemble_placement
 from .matching import (build_union_graph, chart_rows, max_cardinality_matching,
                        merge_matched)
 from .unions import merge_union
@@ -48,21 +48,6 @@ class PathCover:
 class ScanResult:
     big_charts: tuple[BarChart, ...]
     leftover: BarChart | None
-
-
-@dataclass(frozen=True)
-class PipelineStats:
-    formation_unions: int
-    formed_charts: int
-    arc_count: int
-    cycles_broken: int
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    placement: Placement
-    length: int
-    stats: PipelineStats
 
 
 def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...]) -> ScanResult:
@@ -243,9 +228,12 @@ def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
         raise AssertionError("arc_count disagrees with the stored paths")
 
 
-def solve_big_pipeline(instance: Instance, variant: str,
-                       digraph_sink=None) -> PipelineResult:
-    """Run formation stage ``variant`` ('A1' or 'A2'), then the 1-union chain."""
+def solve_big_pipeline(instance: Instance, variant: str, dump=None) -> Solved:
+    """Run formation stage ``variant`` ('A1' or 'A2'), then the 1-union chain.
+
+    When ``dump`` is given, the arc list is passed to it as
+    ``("digraph", text)``.
+    """
     if variant == "A1":
         scan = form_big_scan(instance.charts)
         formed = list(scan.big_charts)
@@ -257,8 +245,8 @@ def solve_big_pipeline(instance: Instance, variant: str,
         raise ValueError(f"unknown variant {variant!r}")
 
     digraph = build_arc_digraph(formed)
-    if digraph_sink is not None:
-        digraph_sink(dump_digraph(digraph))
+    if dump is not None:
+        dump("digraph", dump_digraph(digraph))
     cover = path_cover(digraph)
 
     by_id = {c.id: c for c in formed}
@@ -269,10 +257,5 @@ def solve_big_pipeline(instance: Instance, variant: str,
             chart = merge_union(chart, by_id[nxt], 1)
         final.append(chart)
 
-    placement = assemble_placement(final)
-    stats = PipelineStats(formation_unions=instance.n - len(formed),
-                          formed_charts=len(formed),
-                          arc_count=cover.arc_count,
-                          cycles_broken=cover.cycles_broken)
-    return PipelineResult(placement=placement,
-                          length=sum(c.width for c in final), stats=stats)
+    return Solved(placement=assemble_placement(final),
+                  length=sum(c.width for c in final))

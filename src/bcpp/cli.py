@@ -13,12 +13,10 @@ import os
 import sys
 
 from . import __version__
-from .bigpipe import solve_big_pipeline
 from .blp import build_blp, export_lp, solve_exact
 from .generators import FAMILIES, gen_random, parse_bpp, transform_bpp
-from .harness import (ALGORITHMS, format_records_csv, format_summary_csv,
-                      parse_config, run_algorithm, run_suite)
-from .matching import solve_mw
+from .harness import (ALGORITHMS, SOLVERS, format_records_csv,
+                      format_summary_csv, parse_config, run_suite)
 from .model import format_instance, format_placement, parse_instance
 
 
@@ -50,33 +48,21 @@ def _cmd_solve(args) -> int:
         os.makedirs(dump_dir, exist_ok=True)
 
     def dump(name: str, text: str) -> None:
-        with open(os.path.join(dump_dir, name), "w") as fh:
+        with open(os.path.join(dump_dir, f"{label}-{name}.txt"), "w") as fh:
             fh.write(text)
 
     if args.algorithm == "EXACT":
         res = solve_exact(inst, time_limit=args.time_limit,
                           node_limit=args.node_limit)
         print(res.report_line())
-        placement = res.placement
-    elif args.algorithm == "Mw":
-        sink = ((lambda r, text: dump(f"{label}-round{r}.txt", text))
-                if dump_dir else None)
-        mw = solve_mw(inst, graph_sink=sink)
-        print(f"Mw {mw.length} rounds={mw.rounds}")
-        placement = mw.placement
-    elif args.algorithm in ("A1", "A2"):
-        sink = ((lambda text: dump(f"{label}-digraph.txt", text))
-                if dump_dir else None)
-        pipe = solve_big_pipeline(inst, args.algorithm, digraph_sink=sink)
-        print(f"{args.algorithm} {pipe.length}")
-        placement = pipe.placement
     else:
-        length, placement, _ = run_algorithm(inst, args.algorithm)
-        print(f"{args.algorithm} {length}")
+        res = SOLVERS[args.algorithm](inst, dump=dump if dump_dir else None)
+        rounds = "" if res.rounds is None else f" rounds={res.rounds}"
+        print(f"{args.algorithm} {res.length}{rounds}")
 
     if args.write_placement:
         with open(args.write_placement, "w") as fh:
-            fh.write(format_placement(placement))
+            fh.write(format_placement(res.placement))
     return 0
 
 
@@ -156,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--horizon", type=int, default=None,
                        help="cell horizon for --lp-export")
     solve.add_argument("--dump-graphs", metavar="DIR",
-                       help="dump per-round union graphs / the 1-union digraph")
+                       help="dump per-round union graphs (M1w, Mw) / the 1-union "
+                       "digraph (A1, A2)")
     solve.add_argument("--write-placement", metavar="PATH")
     solve.set_defaults(func=_cmd_solve)
 

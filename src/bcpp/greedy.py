@@ -19,18 +19,8 @@ number of feasibility probes O(n^2).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
-from .model import Evaluation, Instance, Placement, evaluate_packing
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    placement: Placement
-    length: int
-    evaluation: Evaluation
-    order: tuple[int, ...]
-    probes: int
+from .model import Instance, Placement, Solved, evaluate_packing
 
 
 def lex_order(instance: Instance) -> tuple[int, ...]:
@@ -39,7 +29,7 @@ def lex_order(instance: Instance) -> tuple[int, ...]:
         instance.charts, key=lambda c: (-c.bars[0], -c.bars[1], c.id)))
 
 
-def ga_lo(instance: Instance) -> GreedyResult:
+def ga_lo(instance: Instance) -> Solved:
     den = instance.den
     order = lex_order(instance)
     bars = {ch.id: ch.bars for ch in instance.charts}
@@ -85,6 +75,6 @@ def ga_lo(instance: Instance) -> GreedyResult:
         else:
             heapq.heappush(heap, (cell, pos, cid))
 
-    evaluation = evaluate_packing(instance, placement)
-    return GreedyResult(placement=placement, length=evaluation.length,
-                        evaluation=evaluation, order=order, probes=probes)
+    return Solved(placement=placement,
+                  length=evaluate_packing(instance, placement).length,
+                  probes=probes)

@@ -7,14 +7,12 @@ the packing length, the reference value (known optimum when recorded, else
 an exact solve when enabled and it finishes, else the combined lower bound),
 the ratio R = length/reference and the absolute error length - reference.
 
-Records are computed in a bounded worker pool, then merged in (label,
-algorithm) order, so a rerun with the same seeds writes byte-identical CSV
-as long as timing output stays disabled.
+Records are sorted by (label, algorithm), so a rerun with the same seeds
+writes byte-identical CSV as long as timing output stays disabled.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import glob
 import os
 import time
@@ -25,7 +23,20 @@ from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
 from .model import Instance, Placement, evaluate_packing, lower_bounds, parse_instance
 
-ALGORITHMS = ("GA_LO", "M1w", "Mw", "A1", "A2", "EXACT")
+# The heuristics by name, each called as solver(instance, dump=None) -> Solved.
+# Every entry looks its solver up in its module when called, so a rebound
+# module attribute (a tracer's wrapper, a test's double) sees every call.
+SOLVERS = {
+    "GA_LO": lambda inst, dump=None: greedy.ga_lo(inst),
+    # the CSV rounds column holds Mw's rounds; M1w's cell stays blank
+    "M1w": lambda inst, dump=None: replace(
+        matching.solve_mw(inst, max_rounds=1, dump=dump), rounds=None),
+    "Mw": lambda inst, dump=None: matching.solve_mw(inst, dump=dump),
+    "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(inst, "A1", dump=dump),
+    "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(inst, "A2", dump=dump),
+}
+
+ALGORITHMS = (*SOLVERS, "EXACT")
 
 CSV_COLUMNS = ("label", "n", "family", "algorithm", "length", "reference",
                "ref_kind", "R", "abs_error", "elapsed_ms", "rounds")
@@ -89,7 +100,6 @@ class SuiteConfig:
     bpp_reference: str = "recorded"  # recorded | witness
     exact_nodes: int = 0             # 0 disables exact solves for references
     exact_time: float = 0.0          # seconds; 0 disables the time limit
-    workers: int = 1
     timing: bool = False
     output: str = "results.csv"
     summary: str = ""
@@ -125,11 +135,9 @@ def parse_config(text: str) -> SuiteConfig:
                                  "recorded or witness")
             cfg.bpp_reference = value
         elif key == "exact_nodes":
-            cfg.exact_nodes = int(value)
+            cfg.exact_nodes = _number(value, no, key, least=0)
         elif key == "exact_time":
-            cfg.exact_time = float(value)
-        elif key == "workers":
-            cfg.workers = max(1, int(value))
+            cfg.exact_time = _number(value, no, key, kind=float, least=0)
         elif key in ("timing", "strict"):
             if value not in ("on", "off"):
                 raise ValueError(f"config line {no}: {key} must be on or off")
@@ -143,6 +151,18 @@ def parse_config(text: str) -> SuiteConfig:
     return cfg
 
 
+def _number(value: str, line_no: int, key: str, kind=int,
+            least: int | None = None):
+    try:
+        number = kind(value)
+    except ValueError:
+        raise ValueError(f"config line {line_no}: {key} must be a number, "
+                         f"got {value!r}") from None
+    if least is not None and not number >= least:
+        raise ValueError(f"config line {line_no}: {key} must be at least {least}")
+    return number
+
+
 def _parse_genspec(value: str, line_no: int) -> GenSpec:
     fields = {}
     for token in value.split():
@@ -152,10 +172,13 @@ def _parse_genspec(value: str, line_no: int) -> GenSpec:
         fields[k] = v
     try:
         family = fields.pop("family")
-        spec = GenSpec(family=family, n=int(fields.pop("n")),
-                       count=int(fields.pop("count", "1")),
-                       seed=int(fields.pop("seed", "0")),
-                       den=int(fields.pop("D", str(10 ** 6))))
+        spec = GenSpec(family=family,
+                       n=_number(fields.pop("n"), line_no, "n", least=1),
+                       count=_number(fields.pop("count", "1"), line_no, "count",
+                                     least=1),
+                       seed=_number(fields.pop("seed", "0"), line_no, "seed"),
+                       den=_number(fields.pop("D", str(10 ** 6)), line_no, "D",
+                                   least=2))
     except KeyError as exc:
         raise ValueError(f"config line {line_no}: generator needs {exc}") from None
     if fields:
@@ -196,24 +219,15 @@ def load_instances(cfg: SuiteConfig, base_dir: str = ".",
 def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
                   exact_time: float = 0.0) -> tuple[int, Placement, int | None]:
     """Run one algorithm; returns (length, placement, rounds-or-nodes)."""
-    if name == "GA_LO":
-        res = greedy.ga_lo(instance)
-        return res.length, res.placement, None
-    if name == "M1w":
-        res = matching.solve_m1w(instance)
-        return res.length, res.placement, None
-    if name == "Mw":
-        res = matching.solve_mw(instance)
-        return res.length, res.placement, res.rounds
-    if name in ("A1", "A2"):
-        res = bigpipe.solve_big_pipeline(instance, name)
-        return res.length, res.placement, None
     if name == "EXACT":
         res = blp.solve_exact(instance,
                               time_limit=exact_time or None,
                               node_limit=exact_nodes or None)
         return res.best_length, res.placement, res.node_count
-    raise ValueError(f"unknown algorithm {name!r}")
+    if name not in SOLVERS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    solved = SOLVERS[name](instance)
+    return solved.length, solved.placement, solved.rounds
 
 
 def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
@@ -266,14 +280,8 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
               ) -> tuple[list[RunRecord], list[SummaryRow], list[ErrorRecord]]:
     instances, errors = load_instances(cfg, base_dir)
     records: list[RunRecord] = []
-    if cfg.workers > 1 and len(instances) > 1:
-        with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
-            batches = pool.map(lambda inst: _run_one_instance(inst, cfg), instances)
-            results = list(batches)
-    else:
-        results = [_run_one_instance(inst, cfg) for inst in instances]
-    for batch in results:
-        for item in batch:
+    for instance in instances:
+        for item in _run_one_instance(instance, cfg):
             if isinstance(item, RunRecord):
                 records.append(item)
             else:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from .model import BarChart, Instance, Placement, assemble_placement
+from .model import BarChart, Instance, Solved, UnionRecord, assemble_placement
 from .unions import merge_union
 
 
@@ -47,28 +47,6 @@ class WeightedGraph:
 class Matching:
     edges: tuple[UnionEdge, ...]
     total_weight: int
-
-
-@dataclass(frozen=True)
-class UnionRecord:
-    round: int
-    left: int
-    right: int
-    t: int
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    placement: Placement
-    length: int
-
-
-@dataclass(frozen=True)
-class MwResult:
-    placement: Placement
-    length: int
-    rounds: int
-    union_trace: tuple[UnionRecord, ...]
 
 
 # (id, bars[0], bars[1], bars[-2], bars[-1]) of one chart
@@ -144,8 +122,7 @@ def max_weight_matching(g: WeightedGraph) -> Matching:
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-cardinality matching; total_weight still sums edge weights."""
-    matching = _solve_matching(g, cardinality=True)
-    return matching
+    return _solve_matching(g, cardinality=True)
 
 
 def dump_graph(g: WeightedGraph) -> str:
@@ -167,40 +144,30 @@ def merge_matched(charts: list[BarChart] | tuple[BarChart, ...],
     return sorted(merged + rest, key=lambda c: c.id)
 
 
-def solve_m1w(instance: Instance) -> MatchResult:
-    """One maximum-weight matching on the raw charts, then concatenate."""
-    graph = build_union_graph(instance.charts)
-    matching = max_weight_matching(graph)
-    charts = merge_matched(instance.charts, matching)
-    placement = assemble_placement(charts)
-    return MatchResult(placement=placement,
-                       length=sum(c.width for c in charts))
-
-
-def solve_mw(instance: Instance,
-             graph_sink=None) -> MwResult:
+def solve_mw(instance: Instance, max_rounds: int | None = None,
+             dump=None) -> Solved:
     """Iterate maximum-weight matchings, merging pairs, until no pair unites.
 
-    ``rounds`` counts built graphs including the final edgeless one.  When
-    ``graph_sink`` is given, each round's graph dump is passed to it as
-    ``(round_index, text)``.
+    M1w is ``max_rounds=1``: one matching on the raw charts.  ``rounds``
+    counts built graphs including a final edgeless one.  When ``dump`` is
+    given, each round's graph dump is passed to it as ``("round<k>", text)``.
     """
     charts: list[BarChart] = list(instance.charts)
-    trace: list[UnionRecord] = []
+    unions: list[UnionRecord] = []
     rounds = 0
-    while True:
+    while max_rounds is None or rounds < max_rounds:
         graph = build_union_graph(charts)
         rounds += 1
-        if graph_sink is not None:
-            graph_sink(rounds, dump_graph(graph))
+        if dump is not None:
+            dump(f"round{rounds}", dump_graph(graph))
         if not graph.edges:
             break
         matching = max_weight_matching(graph)
         for e in matching.edges:
             if e.t not in (1, 2):
                 raise AssertionError(f"union with overlap t={e.t} constructed")
-            trace.append(UnionRecord(round=rounds, left=e.left, right=e.right, t=e.t))
+            unions.append(UnionRecord(round=rounds, left=e.left, right=e.right, t=e.t))
         charts = merge_matched(charts, matching)
-    placement = assemble_placement(charts)
-    return MwResult(placement=placement, length=sum(c.width for c in charts),
-                    rounds=rounds, union_trace=tuple(trace))
+    return Solved(placement=assemble_placement(charts),
+                  length=sum(c.width for c in charts),
+                  rounds=rounds, unions=tuple(unions))

@@ -108,6 +108,33 @@ class Evaluation:
 
 
 @dataclass(frozen=True)
+class UnionRecord:
+    """A union made in round ``round``: the last ``t`` bars of chart ``left``
+    share cells with the first ``t`` bars of chart ``right``."""
+
+    round: int
+    left: int
+    right: int
+    t: int
+
+
+@dataclass(frozen=True)
+class Solved:
+    """The result of every heuristic solver.
+
+    ``probes`` counts GA_LO's feasibility probes; ``rounds`` counts the
+    union graphs Mw built, the final edgeless one included; ``unions``
+    lists the unions Mw made, round by round.
+    """
+
+    placement: Placement
+    length: int
+    probes: int = 0
+    rounds: int | None = None
+    unions: tuple[UnionRecord, ...] = ()
+
+
+@dataclass(frozen=True)
 class Bounds:
     area_lb: int
     big_lb: int

@@ -50,7 +50,7 @@ def test_c1_oracle_equivalence_feasibility_and_bounds():
             if name == "GA_LO":
                 assert length <= 2 * opt + 1, (seed, length, opt)
                 worst_gap = max(worst_gap, length / opt)
-        _shared["traces"].extend(solve_mw(instance).union_trace)
+        _shared["traces"].extend(solve_mw(instance).unions)
     elapsed = time.perf_counter() - t0
     gate("C1 oracle-equivalence", elapsed < 60,
          f"200 instances, worst GA_LO/opt {worst_gap:.3f}, {elapsed:.1f}s")
@@ -64,7 +64,7 @@ def test_c2_three_halves_bound_on_big_charts():
         instance = gen_random(n, seed, "big", 20)
         opt = oracle_opt(instance)
         res = solve_mw(instance)
-        _shared["traces"].extend(res.union_trace)
+        _shared["traces"].extend(res.unions)
         assert 2 * res.length <= 3 * opt, (seed, res.length, opt)
         worst = max(worst, Fraction(res.length, opt))
     elapsed = time.perf_counter() - t0

@@ -179,10 +179,15 @@ def test_pipeline_accounting_identity():
         n = rng.randint(1, 12)
         family = rng.choice(["arbitrary", "big"])
         instance = gen_random(n, trial, family, 20)
+        scan = form_big_scan(instance.charts)
+        leftover = () if scan.leftover is None else (scan.leftover,)
+        formed = {"A1": scan.big_charts + leftover,
+                  "A2": form_big_matchings(instance.charts)}
         for variant in ("A1", "A2"):
             res = solve_big_pipeline(instance, variant)
-            expect = (2 * instance.n - 2 * res.stats.formation_unions
-                      - res.stats.arc_count)
+            formation_unions = instance.n - len(formed[variant])
+            cover = path_cover(build_arc_digraph(formed[variant]))
+            expect = 2 * instance.n - 2 * formation_unions - cover.arc_count
             assert res.length == expect
             ev = evaluate_packing(instance, res.placement)
             assert ev.feasible and ev.length == res.length

@@ -1,6 +1,7 @@
 import random
 
-from bcpp import ga_lo, gen_random, lex_order, lower_bounds, oracle_opt
+from bcpp import (evaluate_packing, ga_lo, gen_random, lex_order, lower_bounds,
+                  oracle_opt)
 from helpers import inst, naive_ga_lo
 
 
@@ -46,7 +47,7 @@ def test_feasible_and_above_lower_bound():
     for seed in range(50):
         instance = gen_random(seed % 9 + 1, seed, "arbitrary", 20)
         res = ga_lo(instance)
-        assert res.evaluation.feasible
+        assert evaluate_packing(instance, res.placement).feasible
         assert res.length >= lower_bounds(instance).combined
 
 

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import bcpp.greedy
 from bcpp import (SuiteConfig, format_instance, format_records_csv,
-                  format_summary_csv, gen_random, parse_config, run_suite,
-                  summarize)
+                  format_summary_csv, gen_random, parse_config, run_algorithm,
+                  run_suite, summarize)
 from bcpp.cli import main
 from bcpp.harness import GenSpec, RunRecord
 from helpers import inst
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def test_parse_config_full():
@@ -20,7 +23,6 @@ algorithms = GA_LO, Mw
 reference = auto
 bpp_reference = witness
 exact_nodes = 500
-workers = 2
 timing = off
 output = out.csv
 summary = out.summary.csv
@@ -31,7 +33,6 @@ strict = on
     assert cfg.algorithms == ("GA_LO", "Mw")
     assert cfg.bpp_reference == "witness"
     assert cfg.exact_nodes == 500
-    assert cfg.workers == 2
     assert cfg.strict is True
 
 
@@ -44,6 +45,24 @@ def test_parse_config_rejects_bad_lines():
         parse_config("algorithms = GA_LO, FANCY")
     with pytest.raises(ValueError, match="family"):
         parse_config("generate = n=5 count=2")
+    bad_numbers = {
+        "exact_nodes = abc": "exact_nodes must be a number",
+        "exact_nodes = -3": "exact_nodes must be at least 0",
+        "exact_time = -1": "exact_time must be at least 0",
+        "exact_time = nan": "exact_time must be at least 0",
+        "generate = family=big n=ten": "n must be a number",
+        "generate = family=big n=0": "n must be at least 1",
+        "generate = family=big n=5 count=0": "count must be at least 1",
+        "generate = family=big n=5 seed=x": "seed must be a number",
+        "generate = family=big n=5 D=1": "D must be at least 2",
+    }
+    for line, message in bad_numbers.items():
+        with pytest.raises(ValueError, match=f"config line 2: {message}"):
+            parse_config(f"algorithms = GA_LO\n{line}")
+    cfg = parse_config("exact_nodes = 0\nexact_time = 2.5\n"
+                       "generate = family=big n=1 count=1 seed=-4 D=2")
+    assert (cfg.exact_nodes, cfg.exact_time) == (0, 2.5)
+    assert cfg.generate == [GenSpec(family="big", n=1, count=1, seed=-4, den=2)]
 
 
 def test_run_suite_generates_and_audits():
@@ -111,15 +130,32 @@ def test_run_suite_reports_unreadable_inputs(tmp_path):
     assert errors[0].label == "broken"
 
 
-def test_run_suite_parallel_matches_serial():
-    cfg_serial = SuiteConfig(generate=[GenSpec("big", 8, 6, 1, 50)],
-                             algorithms=("GA_LO", "Mw"), workers=1)
-    cfg_parallel = SuiteConfig(generate=[GenSpec("big", 8, 6, 1, 50)],
-                               algorithms=("GA_LO", "Mw"), workers=3)
-    rec_a, sum_a, _ = run_suite(cfg_serial)
-    rec_b, sum_b, _ = run_suite(cfg_parallel)
-    assert rec_a == rec_b
-    assert sum_a == sum_b
+def test_records_csv_matches_pinned_fixture():
+    # recorded before the solvers shared one result type: M1w's rounds cell
+    # is blank, Mw's holds its rounds and EXACT's its nodes
+    cfg = parse_config("generate = family=arbitrary n=7 count=4 seed=21 D=100\n"
+                       "generate = family=big n=8 count=3 seed=5 D=100\n"
+                       "algorithms = GA_LO, M1w, Mw, A1, A2, EXACT\n"
+                       "exact_nodes = 3000\n")
+    records, _, errors = run_suite(cfg)
+    assert errors == []
+    with open(os.path.join(FIXTURES, "records.csv")) as fh:
+        assert format_records_csv(records) == fh.read()
+
+
+def test_solvers_are_looked_up_at_call_time(monkeypatch):
+    calls = []
+    original = bcpp.greedy.ga_lo
+
+    def counting(instance):
+        calls.append(instance.label)
+        return original(instance)
+
+    monkeypatch.setattr(bcpp.greedy, "ga_lo", counting)
+    instance = gen_random(6, 1, "arbitrary", 20)
+    length, _, _ = run_algorithm(instance, "GA_LO")
+    assert calls == [instance.label]
+    assert length == original(instance).length
 
 
 def test_csv_shape_and_determinism():
@@ -211,6 +247,24 @@ def test_cli_solve_lp_export_and_dumps(tmp_path, capsys):
     dumped = sorted(os.listdir(dump_dir))
     assert dumped == ["three-round1.txt", "three-round2.txt"]
     assert (dump_dir / "three-round1.txt").read_text() == "1 2 2\n1 3 1\n"
+
+
+def test_cli_solve_prints_and_dumps_every_heuristic(tmp_path, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+    expected = {"GA_LO": ([], "GA_LO 4"),
+                "M1w": (["three-round1.txt"], "M1w 4"),
+                "Mw": (["three-round1.txt", "three-round2.txt"], "Mw 4 rounds=2"),
+                "A1": (["three-digraph.txt"], "A1 4"),
+                "A2": (["three-digraph.txt"], "A2 4")}
+    for name, (files, line) in expected.items():
+        dump_dir = tmp_path / f"dumps-{name}"
+        assert main(["solve", str(path), "-a", name,
+                     "--dump-graphs", str(dump_dir)]) == 0
+        assert capsys.readouterr().out.strip() == line
+        assert sorted(os.listdir(dump_dir)) == files
+    assert (tmp_path / "dumps-M1w" / "three-round1.txt").read_text() == \
+        "1 2 2\n1 3 1\n"
 
 
 def test_cli_bench_and_strictness(tmp_path, capsys):

@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
-from bcpp import (BarChart, UnionEdge, WeightedGraph, build_union_graph,
-                  dump_graph, evaluate_packing, gen_random,
-                  max_cardinality_matching, max_weight_matching, oracle_opt,
-                  pair_weight, solve_m1w, solve_mw)
+from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
+                  build_union_graph, dump_graph, evaluate_packing,
+                  format_placement, gen_random, max_cardinality_matching,
+                  max_weight_matching, oracle_opt, pair_weight, solve_mw)
+from bcpp.matching import merge_matched
 from helpers import brute_force_matching, inst, random_charts
 
 
@@ -131,7 +133,7 @@ def test_dump_graph_format():
 
 def test_m1w_merges_heavy_pair():
     instance = inst((3, 4), (5, 5), (6, 8))
-    res = solve_m1w(instance)
+    res = solve_mw(instance, max_rounds=1)
     assert res.length == 4
     ev = evaluate_packing(instance, res.placement)
     assert ev.feasible and ev.length == 4
@@ -140,11 +142,31 @@ def test_m1w_merges_heavy_pair():
 
 def test_m1w_edgeless_instance():
     instance = inst((9, 9), (8, 8), (9, 8))
-    assert solve_m1w(instance).length == 2 * instance.n
+    assert solve_mw(instance, max_rounds=1).length == 2 * instance.n
 
 
 def test_m1w_full_stack():
-    assert solve_m1w(inst((5, 5), (5, 5))).length == 2
+    assert solve_mw(inst((5, 5), (5, 5)), max_rounds=1).length == 2
+
+
+def test_m1w_is_mw_first_round():
+    # the placements M1w gave as a solver of its own, pinned before it
+    # became solve_mw(max_rounds=1)
+    pinned = "b9001988dae38c0fbb27f181b883fc544f8efaa38f946b6a696ba930b1ce6bb2"
+    rng = random.Random(33)
+    text = []
+    for trial in range(80):
+        n = rng.randint(1, 14)
+        instance = gen_random(n, 500 + trial, rng.choice(["arbitrary", "big"]), 20)
+        m1w = solve_mw(instance, max_rounds=1)
+        assert m1w.rounds == 1
+        assert m1w.unions == tuple(u for u in solve_mw(instance).unions
+                                   if u.round == 1)
+        matched = max_weight_matching(build_union_graph(instance.charts))
+        one_round = assemble_placement(merge_matched(instance.charts, matched))
+        assert m1w.placement == one_round
+        text.append(format_placement(m1w.placement))
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
 
 
 def test_mw_stops_when_edgeless():
@@ -152,7 +174,7 @@ def test_mw_stops_when_edgeless():
     res = solve_mw(instance)
     assert res.length == 4
     assert res.rounds == 2
-    assert [(u.left, u.right, u.t) for u in res.union_trace] == [(1, 2, 2)]
+    assert [(u.left, u.right, u.t) for u in res.unions] == [(1, 2, 2)]
 
 
 def test_mw_two_rounds_of_pairing():
@@ -168,7 +190,7 @@ def test_mw_single_round_on_blocked_instance():
     res = solve_mw(instance)
     assert res.length == 4
     assert res.rounds == 1
-    assert res.union_trace == ()
+    assert res.unions == ()
 
 
 def test_mw_never_worse_than_m1w():
@@ -176,7 +198,8 @@ def test_mw_never_worse_than_m1w():
     for trial in range(120):
         n = rng.randint(2, 9)
         instance = gen_random(n, trial, rng.choice(["arbitrary", "big"]), 20)
-        assert solve_mw(instance).length <= solve_m1w(instance).length
+        assert (solve_mw(instance).length
+                <= solve_mw(instance, max_rounds=1).length)
 
 
 def test_cell_saving_accounting():
@@ -185,7 +208,7 @@ def test_cell_saving_accounting():
         n = rng.randint(2, 9)
         instance = gen_random(n, 900 + trial, "arbitrary", 20)
         res = solve_mw(instance)
-        saved = sum(u.t for u in res.union_trace)
+        saved = sum(u.t for u in res.unions)
         assert res.length == 2 * n - saved
         ev = evaluate_packing(instance, res.placement)
         assert ev.feasible and ev.length == res.length
@@ -194,6 +217,6 @@ def test_cell_saving_accounting():
 def test_mw_graph_sink_receives_rounds():
     dumps = {}
     res = solve_mw(inst((4, 4), (4, 4), (4, 4), (4, 4)),
-                   graph_sink=lambda r, text: dumps.__setitem__(r, text))
-    assert sorted(dumps) == [1, 2]
-    assert dumps[res.rounds] == ""  # final graph is edgeless
+                   dump=lambda name, text: dumps.__setitem__(name, text))
+    assert sorted(dumps) == ["round1", "round2"]
+    assert dumps[f"round{res.rounds}"] == ""  # final graph is edgeless
