@@ -11,7 +11,7 @@ from .greedy import ga_lo, lex_order
 from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
                        dump_graph, max_cardinality_matching,
                        max_weight_matching, solve_mw)
-from .bigpipe import (ArcDigraph, PathCover, ScanResult, build_arc_digraph,
+from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,
                       path_cover, solve_big_pipeline)
 from .blp import BlpModel, ExactResult, build_blp, export_lp, oracle_opt, solve_exact

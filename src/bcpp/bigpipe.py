@@ -10,7 +10,9 @@ A1 forms big charts in a single scan with a one-slot buffer: small charts
 are pairwise 2-unioned (always feasible, all four bars are at most 1/2)
 until the merge turns big, so at most one small chart survives.  A2 instead
 repeats exact maximum-cardinality matchings on the 2-union graph until no
-pair admits a 2-union.
+pair admits a 2-union.  Both formations return the formed charts as one
+tuple, and ``solve_big_pipeline`` chains any such tuple, so A1 and A2 differ
+only in the formation their ``harness.SOLVERS`` entry calls.
 
 The path cover comes from a maximum bipartite matching on the out-copy /
 in-copy split of the digraph, which yields a maximum set of arcs with all
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import BarChart, Instance, Solved, assemble_placement
+from .model import BarChart, Solved, assemble_placement
 from .matching import (build_union_graph, chart_rows, max_cardinality_matching,
                        merge_matched)
 from .unions import merge_union
@@ -44,29 +46,27 @@ class PathCover:
     cycles_broken: int = 0
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    big_charts: tuple[BarChart, ...]
-    leftover: BarChart | None
+def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...],
+                  ) -> tuple[BarChart, ...]:
+    """One pass in id order; merges buffered small charts until they turn big.
 
-
-def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...]) -> ScanResult:
-    """One pass in id order; merges buffered small charts until they turn big."""
-    big: list[BarChart] = []
+    Returns the big charts in scan order, then the small leftover if any.
+    """
+    formed: list[BarChart] = []
     buffer: BarChart | None = None
     for ch in sorted(charts, key=lambda c: c.id):
         if ch.is_big:
-            big.append(ch)
+            formed.append(ch)
         elif buffer is None:
             buffer = ch
         else:
             merged = merge_union(buffer, ch, 2)
             if merged.is_big:
-                big.append(merged)
+                formed.append(merged)
                 buffer = None
             else:
                 buffer = merged
-    return ScanResult(big_charts=tuple(big), leftover=buffer)
+    return tuple(formed) if buffer is None else (*formed, buffer)
 
 
 def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
@@ -228,22 +228,13 @@ def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
         raise AssertionError("arc_count disagrees with the stored paths")
 
 
-def solve_big_pipeline(instance: Instance, variant: str, dump=None) -> Solved:
-    """Run formation stage ``variant`` ('A1' or 'A2'), then the 1-union chain.
+def solve_big_pipeline(formed: list[BarChart] | tuple[BarChart, ...],
+                       dump=None) -> Solved:
+    """Chain the formed charts through the 1-union digraph's path cover.
 
     When ``dump`` is given, the arc list is passed to it as
     ``("digraph", text)``.
     """
-    if variant == "A1":
-        scan = form_big_scan(instance.charts)
-        formed = list(scan.big_charts)
-        if scan.leftover is not None:
-            formed.append(scan.leftover)
-    elif variant == "A2":
-        formed = list(form_big_matchings(instance.charts))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
     digraph = build_arc_digraph(formed)
     if dump is not None:
         dump("digraph", dump_digraph(digraph))

@@ -31,7 +31,6 @@ class BlpModel:
     den: int
     a: tuple[int, ...]
     b: tuple[int, ...]
-    monotone: bool = False  # optional y_j >= y_{j+1} rows, valid under compaction
 
     @property
     def x_count(self) -> int:
@@ -60,8 +59,7 @@ class ExactResult:
                 f"{self.node_count} {self.elapsed_ms:.1f}")
 
 
-def build_blp(instance: Instance, horizon: int | None = None,
-              monotone: bool = False) -> BlpModel:
+def build_blp(instance: Instance, horizon: int | None = None) -> BlpModel:
     """Build the model; the horizon defaults to the greedy packing length,
     which some optimal packing always fits into once compacted."""
     if horizon is None:
@@ -72,8 +70,7 @@ def build_blp(instance: Instance, horizon: int | None = None,
         raise ValueError(f"horizon {horizon} below the combined lower bound")
     return BlpModel(n=instance.n, horizon=horizon, den=instance.den,
                     a=tuple(ch.bars[0] for ch in instance.charts),
-                    b=tuple(ch.bars[1] for ch in instance.charts),
-                    monotone=monotone)
+                    b=tuple(ch.bars[1] for ch in instance.charts))
 
 
 def _finite_decimal(num: int, den: int) -> str | None:
@@ -128,9 +125,6 @@ def export_lp(model: BlpModel) -> str:
             terms += [f"{coeff(model.b[i - 1])} x_{i}_{j - 1}"
                       for i in range(1, model.n + 1)]
         out.append(f" cap_{j}: " + " + ".join(terms) + f" - {y_coeff}y_{j} <= 0")
-    if model.monotone:
-        for j in range(1, model.horizon):
-            out.append(f" mono_{j}: y_{j + 1} - y_{j} <= 0")
     out.append("Binary")
     for i in range(1, model.n + 1):
         out.extend(f" x_{i}_{j}" for j in first_cells)

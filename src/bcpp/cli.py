@@ -14,16 +14,16 @@ import sys
 
 from . import __version__
 from .blp import build_blp, export_lp, solve_exact
-from .generators import FAMILIES, gen_random, parse_bpp, transform_bpp
-from .harness import (ALGORITHMS, SOLVERS, format_records_csv,
+from .generators import FAMILIES, parse_bpp, transform_bpp
+from .harness import (ALGORITHMS, SOLVERS, GenSpec, format_records_csv,
                       format_summary_csv, parse_config, run_suite)
 from .model import format_instance, format_placement, parse_instance
 
 
 def _cmd_gen(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    for k in range(args.count):
-        inst = gen_random(args.n, args.seed + k, args.family, args.den)
+    for inst in GenSpec(args.family, args.n, args.count, args.seed,
+                        args.den).instances():
         path = os.path.join(args.out_dir, f"{inst.label}.inst")
         with open(path, "w") as fh:
             fh.write(format_instance(inst))
@@ -74,20 +74,16 @@ def _cmd_bench(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     records, summary, errors = run_suite(cfg, base_dir=base_dir)
 
-    out_path = cfg.output
-    if not os.path.isabs(out_path):
-        out_path = os.path.join(base_dir, out_path)
-    with open(out_path, "w") as fh:
-        fh.write(format_records_csv(records))
-    print(f"{len(records)} records -> {out_path}")
+    def write(name: str, text: str, what: str) -> None:
+        path = os.path.join(base_dir, name)  # an absolute name stays as given
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"{what} -> {path}")
 
+    write(cfg.output, format_records_csv(records), f"{len(records)} records")
     if cfg.summary:
-        summary_path = cfg.summary
-        if not os.path.isabs(summary_path):
-            summary_path = os.path.join(base_dir, summary_path)
-        with open(summary_path, "w") as fh:
-            fh.write(format_summary_csv(summary))
-        print(f"{len(summary)} summary rows -> {summary_path}")
+        write(cfg.summary, format_summary_csv(summary),
+              f"{len(summary)} summary rows")
 
     for err in errors:
         print(f"error: {err.label} [{err.algorithm}]: {err.message}",

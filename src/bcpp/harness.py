@@ -32,8 +32,10 @@ SOLVERS = {
     "M1w": lambda inst, dump=None: replace(
         matching.solve_mw(inst, max_rounds=1, dump=dump), rounds=None),
     "Mw": lambda inst, dump=None: matching.solve_mw(inst, dump=dump),
-    "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(inst, "A1", dump=dump),
-    "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(inst, "A2", dump=dump),
+    "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(
+        bigpipe.form_big_scan(inst.charts), dump=dump),
+    "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(
+        bigpipe.form_big_matchings(inst.charts), dump=dump),
 }
 
 ALGORITHMS = (*SOLVERS, "EXACT")
@@ -194,8 +196,7 @@ def load_instances(cfg: SuiteConfig, base_dir: str = ".",
     instances: list[Instance] = []
     errors: list[ErrorRecord] = []
     for pattern in cfg.instances:
-        full = pattern if os.path.isabs(pattern) else os.path.join(base_dir, pattern)
-        paths = sorted(glob.glob(full))
+        paths = sorted(glob.glob(os.path.join(base_dir, pattern)))
         if not paths:
             errors.append(ErrorRecord(label=pattern, algorithm="-",
                                       message="no files match"))
@@ -212,7 +213,11 @@ def load_instances(cfg: SuiteConfig, base_dir: str = ".",
                 errors.append(ErrorRecord(label=label, algorithm="-",
                                           message=str(exc)))
     for spec in cfg.generate:
-        instances.extend(spec.instances())
+        try:
+            instances.extend(spec.instances())
+        except ValueError as exc:
+            errors.append(ErrorRecord(label=repr(spec), algorithm="-",
+                                      message=str(exc)))
     return instances, errors
 
 

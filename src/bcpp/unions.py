@@ -37,24 +37,18 @@ def merge_union(left: BarChart, right: BarChart, t: int) -> BarChart:
 
     Bars in the overlap carry the height sums; the merged chart keeps both
     origin sets (right offsets shifted past the left chart) and takes the
-    smallest origin id as its id.
+    smallest origin id as its id.  When ``union_feasible`` says no, it raises
+    ``UnionInfeasibleError`` naming the first overflowing cell.
     """
-    if left.den != right.den:
-        raise ValueError("charts must share one denominator")
-    if not 1 <= t <= min(left.width, right.width):
-        raise ValueError(f"overlap t={t} out of range for widths "
-                         f"{left.width}, {right.width}")
+    feasible = union_feasible(left, right, t)  # raises on mixed D or bad t
     base = left.width - t
-    for j in range(t):
-        total = left.bars[base + j] + right.bars[j]
-        if total > left.den:
-            raise UnionInfeasibleError(
-                base + j,
-                f"cell {base + j} of the union holds {total}/{left.den} > 1")
+    overlap = tuple(left.bars[base + j] + right.bars[j] for j in range(t))
+    if not feasible:
+        j = next(j for j, total in enumerate(overlap) if total > left.den)
+        raise UnionInfeasibleError(base + j, f"cell {base + j} of the union "
+                                   f"holds {overlap[j]}/{left.den} > 1")
 
-    bars = (left.bars[:base]
-            + tuple(left.bars[base + j] + right.bars[j] for j in range(t))
-            + right.bars[t:])
+    bars = left.bars[:base] + overlap + right.bars[t:]
     origins = left.origins + tuple((oid, off + base) for oid, off in right.origins)
     return BarChart(id=min(oid for oid, _ in origins), bars=bars, den=left.den,
                     origins=origins)

@@ -6,34 +6,35 @@ from bcpp import (ArcDigraph, BarChart, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
 from bcpp.bigpipe import check_path_cover, dump_digraph
+from bcpp.harness import SOLVERS
 from helpers import (brute_force_matching, brute_force_path_cover_arcs, inst,
                      random_charts)
 
 
 def test_scan_merges_smalls_into_big():
     res = form_big_scan(inst((3, 2), (6, 7), (4, 3)).charts)
-    assert [(c.bars, c.provenance) for c in res.big_charts] == [
+    assert [(c.bars, c.provenance) for c in res] == [
         ((6, 7), (2,)), ((7, 5), (1, 3))]
-    assert res.leftover is None
+    assert all(c.is_big for c in res)
 
 
 def test_scan_keeps_all_big_input():
     charts = inst((9, 9), (8, 8)).charts
     res = form_big_scan(charts)
-    assert res.big_charts == charts
-    assert res.leftover is None
+    assert res == charts
+    assert all(c.is_big for c in res)
 
 
 def test_scan_keeps_growing_buffer_until_big():
     res = form_big_scan(inst((2, 2), (1, 1), (3, 3)).charts)
-    assert [(c.bars, c.provenance) for c in res.big_charts] == [((6, 6), (1, 2, 3))]
-    assert res.leftover is None
+    assert [(c.bars, c.provenance) for c in res] == [((6, 6), (1, 2, 3))]
+    assert all(c.is_big for c in res)
 
 
 def test_scan_leftover_small():
     res = form_big_scan(inst((2, 2), (6, 6)).charts)
-    assert [c.bars for c in res.big_charts] == [(6, 6)]
-    assert res.leftover is not None and res.leftover.bars == (2, 2)
+    assert [c.bars for c in res[:-1]] == [(6, 6)]
+    assert not res[-1].is_big and res[-1].bars == (2, 2)
 
 
 def test_scan_emits_at_most_one_small():
@@ -41,10 +42,8 @@ def test_scan_emits_at_most_one_small():
     for trial in range(80):
         instance = gen_random(rng.randint(1, 12), trial, "arbitrary", 20)
         res = form_big_scan(instance.charts)
-        assert all(c.is_big for c in res.big_charts)
-        assert res.leftover is None or not res.leftover.is_big
-        total = sum(len(c.provenance) for c in res.big_charts)
-        total += len(res.leftover.provenance) if res.leftover else 0
+        assert all(c.is_big for c in res[:-1])  # a small chart only comes last
+        total = sum(len(c.provenance) for c in res)
         assert total == instance.n
 
 
@@ -155,7 +154,7 @@ def test_path_cover_against_brute_force():
 def test_pipeline_all_big_chain():
     instance = inst((9, 2), (7, 6), (8, 3))
     for variant in ("A1", "A2"):
-        res = solve_big_pipeline(instance, variant)
+        res = SOLVERS[variant](instance)
         assert res.length == 4
         ev = evaluate_packing(instance, res.placement)
         assert ev.feasible and ev.length == 4
@@ -163,14 +162,14 @@ def test_pipeline_all_big_chain():
 
 
 def test_pipeline_a2_merges_boundary_pair():
-    res = solve_big_pipeline(inst((5, 5), (5, 5)), "A2")
+    res = solve_big_pipeline(form_big_matchings(inst((5, 5), (5, 5)).charts))
     assert res.length == 2
 
 
 def test_pipeline_blocked_digraph_sums_widths():
     instance = inst((6, 7), (7, 5))
     for variant in ("A1", "A2"):
-        assert solve_big_pipeline(instance, variant).length == 4
+        assert SOLVERS[variant](instance).length == 4
 
 
 def test_pipeline_accounting_identity():
@@ -179,12 +178,10 @@ def test_pipeline_accounting_identity():
         n = rng.randint(1, 12)
         family = rng.choice(["arbitrary", "big"])
         instance = gen_random(n, trial, family, 20)
-        scan = form_big_scan(instance.charts)
-        leftover = () if scan.leftover is None else (scan.leftover,)
-        formed = {"A1": scan.big_charts + leftover,
+        formed = {"A1": form_big_scan(instance.charts),
                   "A2": form_big_matchings(instance.charts)}
         for variant in ("A1", "A2"):
-            res = solve_big_pipeline(instance, variant)
+            res = SOLVERS[variant](instance)
             formation_unions = instance.n - len(formed[variant])
             cover = path_cover(build_arc_digraph(formed[variant]))
             expect = 2 * instance.n - 2 * formation_unions - cover.arc_count

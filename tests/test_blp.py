@@ -64,15 +64,6 @@ def test_export_is_deterministic():
     assert export_lp(m) == export_lp(m)
 
 
-def test_export_monotone_strengthening_off_by_default():
-    instance = gen_random(4, 1, "arbitrary", 20)
-    plain = export_lp(build_blp(instance, horizon=6))
-    assert "mono_" not in plain
-    strengthened = export_lp(build_blp(instance, horizon=6, monotone=True))
-    assert " mono_1: y_2 - y_1 <= 0" in strengthened
-    assert strengthened.count("mono_") == 5
-
-
 def test_export_variable_count():
     m = build_blp(inst((6, 3), (4, 5)), horizon=4)
     text = export_lp(m)

@@ -130,6 +130,16 @@ def test_run_suite_reports_unreadable_inputs(tmp_path):
     assert errors[0].label == "broken"
 
 
+def test_run_suite_reports_failing_generator_and_keeps_the_rest():
+    bad = GenSpec("big", 0, 1, 0, 100)
+    cfg = SuiteConfig(generate=[bad, GenSpec("arbitrary", 4, 1, 0, 20)],
+                      algorithms=("GA_LO",))
+    records, _, errors = run_suite(cfg)
+    assert [r.label for r in records] == [gen_random(4, 0, "arbitrary", 20).label]
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        (repr(bad), "-", "need n >= 1")]
+
+
 def test_records_csv_matches_pinned_fixture():
     # recorded before the solvers shared one result type: M1w's rounds cell
     # is blank, Mw's holds its rounds and EXACT's its nodes
