@@ -1,0 +1,440 @@
+"""Exact maximum-weight matching: Edmonds' (1965) primal-dual blossom method.
+
+A port of networkx's ``max_weight_matching``, which follows Zvi Galil,
+"Efficient Algorithms for Finding Maximum Matching in Graphs" (ACM Computing
+Surveys, 1986; it explains the terms used here) and took its structure from
+Joris van Rantwijk's ``mwmatching``.  The scan order is networkx's, so the
+same vertex order and edge list give the same mates: vertices ascending,
+neighbours in edge-list order, blossoms in creation order (ids are never
+reused), leaves in stack-pop order, ties to the first candidate.  The layout
+is new: vertices are ``0..n-1`` and blossoms get ids from ``n`` up, so every
+label, link and dual is a list slot; the oriented edge ``p`` runs
+``endpoint[p] -> endpoint[p ^ 1]``.  Weights are positive integers and vertex
+duals are doubled, so all arithmetic is exact.  Every call ends by checking
+the dual optimality conditions and raises ``ArithmeticError`` if one fails.
+
+Copyright (c) 2004-2025, NetworkX Developers
+Aric Hagberg <hagberg@lanl.gov>
+Dan Schult <dschult@colgate.edu>
+Pieter Swart <swart@lanl.gov>
+All rights reserved.
+
+Redistribution and use in source and binary forms, with or without
+modification, are permitted provided that the following conditions are
+met:
+
+  * Redistributions of source code must retain the above copyright
+    notice, this list of conditions and the following disclaimer.
+
+  * Redistributions in binary form must reproduce the above
+    copyright notice, this list of conditions and the following
+    disclaimer in the documentation and/or other materials provided
+    with the distribution.
+
+  * Neither the name of the NetworkX Developers nor the names of its
+    contributors may be used to endorse or promote products derived
+    from this software without specific prior written permission.
+
+THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+"AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+(INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from itertools import chain
+
+
+def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+    """Indices, ascending, of the edges in a maximum-weight matching.
+
+    ``edges`` holds ``(i, j, weight)`` over vertices ``0..n-1``: no loops,
+    at most one edge per pair, positive integer weights.
+    """
+    endpoint = [x for i, j, _ in edges for x in (i, j)]
+    wt2 = [2 * w for _, _, w in edges]
+    # adj[v]: (neighbour, edge out of v, doubled weight) in edge-list order
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for k, (i, j, w) in enumerate(edges):
+        adj[i].append((j, 2 * k, 2 * w))
+        adj[j].append((i, 2 * k + 1, 2 * w))
+
+    mate = [-1] * n  # the matched edge out of each vertex, -1 if single
+    dualvar = [max(wt2, default=0) // 2] * n  # 2 u(v), from maxweight / 2
+    inblossom = list(range(n))  # the top-level blossom of each vertex
+    # by vertex or blossom id, grown as blossoms are created: label 0 free,
+    # 1 S, 2 T, 5 breadcrumb; labeledge the edge the label came through (-1
+    # at a single base); bestedge the least-slack edge to an S-blossom
+    blossomparent = [-1] * n
+    blossombase = list(range(n))
+    label = bytearray(n)
+    labeledge = [-1] * n
+    bestedge = [-1] * n
+    # indexed by live blossom id, in creation order
+    blossomdual: dict[int, int] = {}
+    childs: dict[int, list[int]] = {}   # sub-blossoms, base first
+    ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
+    mybestedges: dict[int, list[tuple[int, int, int]]] = {}
+    allowedge = bytearray(len(edges))
+    queue: list[int] = []
+
+    def slack(p: int) -> int:
+        return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
+
+    def leaves(b: int) -> list[int]:
+        out = []
+        stack = list(childs[b])
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
+            else:
+                stack.extend(childs[t])
+        return out
+
+    def assign_label(w: int, t: int, p: int) -> None:
+        # label the top-level blossom of w through edge p (-1: none)
+        b = inblossom[w]
+        label[w] = label[b] = t
+        labeledge[w] = labeledge[b] = p
+        bestedge[w] = bestedge[b] = -1
+        if t == 1:
+            if b < n:
+                queue.append(b)
+            else:
+                queue.extend(leaves(b))
+        else:
+            m = mate[blossombase[b]]
+            assign_label(endpoint[m ^ 1], 1, m)
+
+    def scan_blossom(v: int, w: int) -> int:
+        # trace back from v and w; the base of a new blossom, or -1 for an
+        # augmenting path
+        path = []
+        base = -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                base = blossombase[b]
+                break
+            path.append(b)
+            label[b] = 5
+            e = labeledge[b]
+            v = -1 if e == -1 else endpoint[labeledge[inblossom[endpoint[e]]]]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return base
+
+    def add_blossom(base: int, p: int) -> None:
+        # new S-blossom with this base, closed by the edge p between S-vertices
+        v, w = endpoint[p], endpoint[p ^ 1]
+        bb, bv, bw = inblossom[base], inblossom[v], inblossom[w]
+        b = len(blossomparent)
+        blossomparent.append(-1)
+        blossombase.append(base)
+        label.append(1)
+        labeledge.append(labeledge[bb])
+        bestedge.append(-1)
+        blossomparent[bb] = b
+        path = []
+        edgs = [p]
+        while bv != bb:
+            blossomparent[bv] = b
+            path.append(bv)
+            edgs.append(labeledge[bv])
+            bv = inblossom[endpoint[labeledge[bv]]]
+        path.append(bb)
+        path.reverse()
+        edgs.reverse()
+        while bw != bb:
+            blossomparent[bw] = b
+            path.append(bw)
+            edgs.append(labeledge[bw] ^ 1)
+            bw = inblossom[endpoint[labeledge[bw]]]
+        childs[b] = path
+        ring[b] = edgs
+        blossomdual[b] = 0
+        for v in leaves(b):
+            if label[inblossom[v]] == 2:
+                queue.append(v)
+            inblossom[v] = b
+        # least-slack edge to each neighbouring S-blossom, by first reach.
+        # Every edge listed runs out of b, as networkx's lists do, and the
+        # duals do not move while a blossom is built, so slacks are kept.
+        bestedgeto: dict[int, tuple[int, tuple[int, int, int]]] = {}
+        for bv in path:
+            if bv < n:
+                nblist = adj[bv]
+            else:
+                nblist = mybestedges.pop(bv, None)
+                if nblist is None:
+                    nblist = [t for x in leaves(bv) for t in adj[x]]
+            for t in nblist:
+                w, q, w2 = t
+                bj = inblossom[w]
+                if bj != b and label[bj] == 1:
+                    s = dualvar[endpoint[q]] + dualvar[w] - w2
+                    old = bestedgeto.get(bj)
+                    if old is None or s < old[0]:
+                        bestedgeto[bj] = (s, t)
+            bestedge[bv] = -1
+        mybestedges[b] = [t for _, t in bestedgeto.values()]
+        best = min(bestedgeto.values(), key=lambda st: st[0], default=None)
+        bestedge[b] = -1 if best is None else best[1][1]  # first least slack
+
+    def step(b: int, j: int, jstep: int) -> int:
+        # ring edge from childs[b][j] towards the next child in direction jstep
+        return ring[b][j] if jstep == 1 else ring[b][j - 1] ^ 1
+
+    def expand_blossom(b: int, endstage: bool) -> None:
+        def expand(b: int):
+            for s in childs[b]:
+                blossomparent[s] = -1
+                if s < n:
+                    inblossom[s] = s
+                elif endstage and blossomdual[s] == 0:
+                    yield (s,)
+                else:
+                    for v in leaves(s):
+                        inblossom[v] = s
+            if not endstage and label[b] == 2:
+                # relabel the sub-blossoms from the one the label entered
+                # through round to the base
+                ch = childs[b]
+                e = labeledge[b]
+                entrychild = inblossom[endpoint[e ^ 1]]
+                j, jstep = _direction(ch, ch.index(entrychild))
+                while j != 0:
+                    q = step(b, j, jstep)
+                    label[endpoint[e ^ 1]] = 0
+                    label[endpoint[q ^ 1]] = 0
+                    assign_label(endpoint[e ^ 1], 2, e)
+                    allowedge[q >> 1] = 1
+                    j += jstep
+                    e = step(b, j, jstep)
+                    allowedge[e >> 1] = 1
+                    j += jstep
+                w, bw = endpoint[e ^ 1], ch[j]
+                label[w] = label[bw] = 2
+                labeledge[w] = labeledge[bw] = e
+                bestedge[bw] = -1
+                j += jstep
+                while ch[j] != entrychild:
+                    bv = ch[j]
+                    j += jstep
+                    if label[bv] == 1:
+                        continue
+                    if bv < n:
+                        v = bv
+                    else:
+                        for v in leaves(bv):
+                            if label[v]:
+                                break
+                    if label[v]:
+                        label[v] = 0
+                        label[endpoint[mate[blossombase[bv]] ^ 1]] = 0
+                        assign_label(v, 2, labeledge[v])
+            del blossomdual[b]
+
+        _trampoline(expand, b)
+
+    def augment_blossom(b: int, v: int) -> None:
+        # swap matched and unmatched edges along the path in b from v to its
+        # base, and rotate b so v is the new base
+        def augment(b: int, v: int):
+            t = v
+            while blossomparent[t] != b:
+                t = blossomparent[t]
+            if t >= n:
+                yield t, v
+            ch = childs[b]
+            i = ch.index(t)
+            j, jstep = _direction(ch, i)
+            while j != 0:
+                q = step(b, j + jstep, jstep)
+                j += jstep
+                if ch[j] >= n:
+                    yield ch[j], endpoint[q]
+                j += jstep
+                if ch[j] >= n:
+                    yield ch[j], endpoint[q ^ 1]
+                mate[endpoint[q]] = q
+                mate[endpoint[q ^ 1]] = q ^ 1
+            childs[b] = ch[i:] + ch[:i]
+            ring[b] = ring[b][i:] + ring[b][:i]
+            blossombase[b] = blossombase[childs[b][0]]
+
+        _trampoline(augment, b, v)
+
+    def augment_matching(p: int) -> None:
+        # augment along the path through the edge p between S-vertices
+        for s, e in ((endpoint[p], p), (endpoint[p ^ 1], p ^ 1)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = e
+                if labeledge[bs] == -1:
+                    break
+                bt = inblossom[endpoint[labeledge[bs]]]
+                e = labeledge[bt]
+                s, j = endpoint[e], endpoint[e ^ 1]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = e ^ 1
+
+    while True:
+        # a stage: label from the single vertices until an augmenting path
+        label[:] = bytes(len(label))
+        bestedge[:] = [-1] * len(bestedge)
+        mybestedges.clear()
+        allowedge[:] = bytes(len(allowedge))
+        queue.clear()
+        for v in range(n):
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assign_label(v, 1, -1)
+
+        augmented = False
+        while True:
+            # a substage: grow the labelled forest over tight edges
+            while queue and not augmented:
+                v = queue.pop()
+                bv = inblossom[v]
+                dv = dualvar[v]
+                for w, p, w2 in adj[v]:
+                    bw = inblossom[w]
+                    if bw == bv:
+                        continue
+                    k = p >> 1
+                    if not allowedge[k]:
+                        kslack = dv + dualvar[w] - w2
+                        if kslack > 0:
+                            # not tight yet: remember the least-slack edge
+                            # to another S-blossom, or to a free vertex
+                            x = bv if label[bw] == 1 else w if label[w] == 0 else -1
+                            if x != -1:
+                                e = bestedge[x]
+                                if e == -1 or kslack < slack(e):
+                                    bestedge[x] = p
+                            continue
+                        allowedge[k] = 1
+                    if label[bw] == 0:
+                        assign_label(w, 2, p)
+                    elif label[bw] == 1:
+                        base = scan_blossom(v, w)
+                        if base == -1:
+                            augment_matching(p)
+                            augmented = True
+                            break
+                        add_blossom(base, p)
+                        bv = inblossom[v]
+                    elif label[w] == 0:
+                        label[w] = 2
+                        labeledge[w] = p
+            if augmented:
+                break
+
+            # no augmenting path over tight edges: move the duals by the
+            # least delta (doubled, like the duals) that makes progress
+            deltatype = 1
+            delta = min(dualvar, default=0)
+            deltaedge = deltablossom = -1
+            for v in range(n):
+                if label[inblossom[v]] == 0 and bestedge[v] != -1:
+                    d = slack(bestedge[v])
+                    if d < delta:
+                        delta, deltatype, deltaedge = d, 2, bestedge[v]
+            for b in chain(range(n), blossomdual):
+                if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
+                    d = slack(bestedge[b]) // 2
+                    if d < delta:
+                        delta, deltatype, deltaedge = d, 3, bestedge[b]
+            for b, z in blossomdual.items():
+                if blossomparent[b] == -1 and label[b] == 2 and z < delta:
+                    delta, deltatype, deltablossom = z, 4, b
+
+            for v in range(n):
+                if label[inblossom[v]]:  # S down, T up
+                    dualvar[v] += -delta if label[inblossom[v]] == 1 else delta
+            for b in blossomdual:
+                if blossomparent[b] == -1 and label[b]:
+                    blossomdual[b] += delta if label[b] == 1 else -delta
+
+            if deltatype == 1:
+                break
+            if deltatype == 4:
+                expand_blossom(deltablossom, False)
+            else:
+                allowedge[deltaedge >> 1] = 1
+                queue.append(endpoint[deltaedge])
+
+        if not augmented:
+            break
+        # end of a stage: expand the S-blossoms whose dual fell to zero
+        for b in list(blossomdual):
+            if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
+                expand_blossom(b, True)
+
+    _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring)
+    return sorted({e >> 1 for e in mate if e != -1})
+
+
+def _direction(ch: list[int], j: int) -> tuple[int, int]:
+    """Start index and step that go from child j round to the base at 0:
+    forward (wrapping through negative indices) from odd j, else back."""
+    return (j - len(ch), 1) if j & 1 else (j, -1)
+
+
+def _trampoline(call, *args) -> None:
+    """Run a recursion whose calls are generators yielding the arguments of
+    their recursive calls, on an explicit stack instead of Python's, so deep
+    blossom nesting never reaches the recursion limit."""
+    stack = [call(*args)]
+    while stack:
+        for args in stack[-1]:
+            stack.append(call(*args))
+            break
+        else:
+            stack.pop()
+
+
+def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> None:
+    """Check the matching and the duals against the optimality conditions."""
+    def fail(what: str) -> None:
+        raise ArithmeticError(f"blossom matching not optimal: {what}")
+
+    for v, e in enumerate(mate):
+        if e != -1 and (endpoint[e] != v or mate[endpoint[e ^ 1]] != e ^ 1):
+            fail(f"vertex {v} is not matched symmetrically")
+        if e == -1 and dualvar[v] != 0:
+            fail(f"single vertex {v} has dual {dualvar[v]}")
+    if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
+        fail("negative dual")
+    chains = []  # each vertex's blossoms, outermost first
+    for v in range(len(mate)):
+        c = [v]
+        while blossomparent[c[-1]] != -1:
+            c.append(blossomparent[c[-1]])
+        chains.append(c[::-1])
+    for k, w2 in enumerate(wt2):
+        i, j = endpoint[2 * k], endpoint[2 * k + 1]
+        s = dualvar[i] + dualvar[j] - w2
+        for bi, bj in zip(chains[i], chains[j]):
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        if s < 0 or (s != 0 and mate[i] >> 1 == k):
+            fail(f"edge {k} has slack {s}")
+    for b, z in blossomdual.items():
+        if z > 0 and (len(ring[b]) % 2 == 0
+                      or any(mate[endpoint[e]] >> 1 != e >> 1
+                             for e in ring[b][1::2])):
+            fail(f"blossom {b} has dual {z} but is not full")

@@ -144,7 +144,8 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
     the unplaced area still needs beyond the free capacity of those cells,
     plus the unplaced big bars that cannot share any cell, reach the
     incumbent.  With no limits the result is optimal; when a limit expires
-    the incumbent is returned with the bound proven before the search.
+    the incumbent is returned with the bound proven before the search.  The
+    path is kept on an explicit stack, so any n is within recursion limits.
     """
     start = time.perf_counter()
     den = instance.den
@@ -166,66 +167,67 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
 
     order = [instance.chart(cid) for cid in lex_order(instance)]
     n = len(order)
-    area_suffix = [0] * (n + 1)  # numerator area of charts order[k:]
-    big_suffix = [0] * (n + 1)   # bars above 1/2 among charts order[k:]
+    area = sum(sum(c.bars) for c in order)  # numerator area of all charts
+    big_suffix = [0] * (n + 1)  # bars above 1/2 among charts order[k:]
     for k in range(n - 1, -1, -1):
-        area_suffix[k] = area_suffix[k + 1] + sum(order[k].bars)
-        big_suffix[k] = big_suffix[k + 1] + sum(
-            1 for h in order[k].bars if 2 * h > den)
+        big_suffix[k] = big_suffix[k + 1] + sum(2 * h > den for h in order[k].bars)
 
     occ = [0] * (2 * n + 2)
     positions = [0] * n
-    hit_limit = False
+    next_pos = [0] * n  # the cell chart k tries next
+    # with charts order[:k] placed: cells in use, and those under half full;
+    # set on each place from depth k's, so unplacing only restores occ
+    occupied = [0] * (n + 1)
+    big_slots = [0] * (n + 1)
 
-    def out_of_budget() -> bool:
-        if node_limit is not None and nodes >= node_limit:
-            return True
-        return time_limit is not None and time.perf_counter() - start > time_limit
-
-    def descend(k: int) -> None:
-        nonlocal best_len, best_placement, nodes, hit_limit
-        if hit_limit:
-            return
-        occupied = free_cap = big_slots = 0
-        for load in occ:
-            if load > 0:
-                occupied += 1
-                free_cap += den - load
-                if 2 * load < den:
-                    big_slots += 1
+    def opens(k: int) -> bool:
+        # reach depth k: keep a full packing or cut the node, else go on
+        nonlocal best_len, best_placement
         if k == n:
-            if occupied < best_len:
-                best_len = occupied
+            if occupied[n] < best_len:
+                best_len = occupied[n]
                 best_placement = compact(
                     instance, {order[i].id: positions[i] for i in range(n)})
-            return
-        area_need = area_suffix[k] - free_cap
+            return False
+        # all area beyond the used cells = unplaced area beyond their free room
+        area_need = area - occupied[k] * den
         need_cells = -(-area_need // den) if area_need > 0 else 0
-        if occupied + max(need_cells, big_suffix[k] - big_slots) >= best_len:
-            return
-        a, b = order[k].bars
-        pos = 1
-        if k > 0 and order[k - 1].bars == (a, b):
-            pos = positions[k - 1]  # identical charts: positions non-decreasing
-        while pos <= best_len - 2:
-            if occ[pos] + a <= den and occ[pos + 1] + b <= den:
-                nodes += 1
-                if out_of_budget():
-                    hit_limit = True
-                    return
-                occ[pos] += a
-                occ[pos + 1] += b
-                positions[k] = pos
-                descend(k + 1)
-                occ[pos] -= a
-                occ[pos + 1] -= b
-                if hit_limit:
-                    return
-            pos += 1
+        if occupied[k] + max(need_cells, big_suffix[k] - big_slots[k]) >= best_len:
+            return False
+        # identical charts take non-decreasing positions
+        next_pos[k] = positions[k - 1] if k and order[k - 1].bars == order[k].bars else 1
+        return True
 
-    descend(0)
-    if hit_limit:
-        return result("bounded", combined)
+    k = 0 if opens(0) else -1
+    while k >= 0:
+        a, b = order[k].bars
+        pos = next_pos[k]
+        while pos <= best_len - 2 and (occ[pos] + a > den or occ[pos + 1] + b > den):
+            pos += 1
+        if pos > best_len - 2:  # chart k tried every cell: back to k - 1
+            k -= 1
+            if k >= 0:
+                a, b = order[k].bars
+                occ[positions[k]] -= a
+                occ[positions[k] + 1] -= b
+                next_pos[k] = positions[k] + 1
+            continue
+        nodes += 1
+        if (node_limit is not None and nodes >= node_limit or time_limit
+                is not None and time.perf_counter() - start > time_limit):
+            return result("bounded", combined)
+        oa, ob = occ[pos], occ[pos + 1]
+        occ[pos] = na = oa + a
+        occ[pos + 1] = nb = ob + b
+        occupied[k + 1] = occupied[k] + (oa == 0) + (ob == 0)
+        big_slots[k + 1] = (big_slots[k] + (2 * na < den) + (2 * nb < den)
+                            - (0 < 2 * oa < den) - (0 < 2 * ob < den))
+        positions[k] = pos
+        if opens(k + 1):
+            k += 1
+        else:  # a leaf or a cut: take chart k off, try its next cell
+            occ[pos], occ[pos + 1] = oa, ob
+            next_pos[k] = pos + 1
     return result("optimal", best_len)
 
 

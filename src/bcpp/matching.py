@@ -2,9 +2,10 @@
 
 Vertices are chart ids; an edge carries the best overlap (weight 2 or 1) a
 pair admits together with the orientation that realizes it.  Matchings are
-computed exactly with the blossom algorithm from networkx; graphs are always
-handed over in canonical sorted order so equal-weight ties resolve the same
-way on every run.
+computed exactly by ``blossom.max_weight_edges``, Edmonds' primal-dual
+blossom algorithm ported from networkx, which checks its dual optimality
+certificate on every call.  Graphs are always handed over in canonical
+sorted order so equal-weight ties resolve the same way on every run.
 
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
@@ -20,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import networkx as nx
-
+from .blossom import max_weight_edges
 from .model import BarChart, Instance, Solved, UnionRecord, assemble_placement
 from .unions import merge_union
 
@@ -105,13 +105,10 @@ def _solve_matching(g: WeightedGraph, cardinality: bool) -> Matching:
     # an edge tuple starts with (u, v) and a graph has one edge per pair, so
     # tuple order is (u, v) order; on a built graph this sort is one pass
     edges = sorted(g.edges)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(sorted(g.vertices))
-    nxg.add_weighted_edges_from((e.u, e.v, 1 if cardinality else e.weight)
-                                for e in edges)
-    by_pair = {(e.u, e.v): e for e in edges}
-    mate = nx.max_weight_matching(nxg)
-    chosen = sorted(by_pair[(min(a, b), max(a, b))] for a, b in mate)
+    index = {x: i for i, x in enumerate(sorted(g.vertices))}
+    chosen = [edges[k] for k in max_weight_edges(
+        len(index),
+        [(index[e.u], index[e.v], 1 if cardinality else e.weight) for e in edges])]
     return Matching(edges=tuple(chosen), total_weight=sum(e.weight for e in chosen))
 
 

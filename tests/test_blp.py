@@ -1,10 +1,12 @@
+import hashlib
 import os
 import random
 
 import pytest
 
-from bcpp import (build_blp, export_lp, ga_lo, gen_random, lower_bounds,
-                  oracle_opt, parse_instance, solve_exact)
+from bcpp import (build_blp, evaluate_packing, export_lp, format_placement,
+                  ga_lo, gen_random, lower_bounds, oracle_opt, parse_instance,
+                  solve_exact)
 from bcpp.blp import _finite_decimal
 from helpers import inst, literal_opt
 
@@ -120,6 +122,31 @@ def test_exact_respects_node_limit():
     assert res.status == "bounded"
     assert res.lower_bound <= 4 <= res.best_length
     assert res.lower_bound >= lower_bounds(instance).combined
+
+
+def test_exact_search_matches_pinned_nodes_and_placements():
+    # status, lengths, node counts and placements of the recursive search,
+    # pinned before it moved onto an explicit stack
+    pinned = "7d1e51d6de1915bc8f04d804873bebfe8304cd710935f0704b854de5b7908b48"
+    text = []
+    for trial in range(40):
+        family = ("arbitrary", "big")[trial % 2]
+        instance = gen_random(6 + trial % 7, 700 + trial, family,
+                              20 + 30 * (trial % 3))
+        r = solve_exact(instance, node_limit=3000)
+        text.append(f"{r.status} {r.best_length} {r.lower_bound} "
+                    f"{r.node_count}\n{format_placement(r.placement)}")
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
+
+
+def test_exact_node_limit_holds_at_large_n():
+    # one chart per search level: the recursive search raised RecursionError
+    instance = gen_random(1200, 2, "arbitrary", 10**6)
+    res = solve_exact(instance, node_limit=5000, time_limit=20)
+    assert res.status == "bounded"
+    assert res.node_count == 5000
+    ev = evaluate_packing(instance, res.placement)
+    assert ev.feasible and res.lower_bound <= ev.length == res.best_length
 
 
 def test_exact_report_line():
