@@ -6,7 +6,7 @@ from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
                     Placement, Solved, UnionRecord, assemble_placement, compact,
                     evaluate_packing, format_instance, format_placement,
                     lower_bounds, parse_instance, parse_placement)
-from .unions import PairWeight, UnionInfeasibleError, merge_union, pair_weight, union_feasible
+from .unions import UnionInfeasibleError, merge_union, union_feasible
 from .greedy import ga_lo, lex_order
 from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
                        dump_graph, max_cardinality_matching,
@@ -18,8 +18,7 @@ from .blp import BlpModel, ExactResult, build_blp, export_lp, oracle_opt, solve_
 from .generators import (BppInstance, BppSolution, bpp_witness_placement,
                          ffd_bpp, ffd_certified_optimal, format_bpp_instance,
                          format_bpp_solution, gen_bpp_fullbins, gen_random,
-                         parse_bpp, parse_bpp_instance, parse_bpp_solution,
-                         transform_bpp)
+                         parse_bpp, parse_bpp_instance, transform_bpp)
 from .harness import (SOLVERS, RunRecord, SuiteConfig, SummaryRow,
                       format_records_csv, format_summary_csv, parse_config,
                       run_algorithm, run_suite, summarize)

@@ -42,8 +42,11 @@ class PathCover:
     """Vertex-disjoint directed paths (singletons allowed) covering all vertices."""
 
     paths: tuple[tuple[int, ...], ...]
-    arc_count: int
     cycles_broken: int = 0
+
+    @property
+    def arc_count(self) -> int:
+        return sum(len(p) - 1 for p in self.paths)
 
 
 def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...],
@@ -208,24 +211,7 @@ def path_cover(g: ArcDigraph) -> PathCover:
         cycles_broken += 1
 
     paths.sort(key=lambda p: p[0])
-    arc_count = sum(len(p) - 1 for p in paths)
-    return PathCover(paths=tuple(paths), arc_count=arc_count,
-                     cycles_broken=cycles_broken)
-
-
-def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
-    """Raise AssertionError unless ``cover`` is a valid path cover of ``g``."""
-    arcset = set(g.arcs)
-    seen: list[int] = []
-    for path in cover.paths:
-        seen.extend(path)
-        for u, v in zip(path, path[1:]):
-            if (u, v) not in arcset:
-                raise AssertionError(f"cover uses missing arc ({u}, {v})")
-    if sorted(seen) != sorted(g.vertices):
-        raise AssertionError("cover does not partition the vertex set")
-    if cover.arc_count != sum(len(p) - 1 for p in cover.paths):
-        raise AssertionError("arc_count disagrees with the stored paths")
+    return PathCover(paths=tuple(paths), cycles_broken=cycles_broken)
 
 
 def solve_big_pipeline(formed: list[BarChart] | tuple[BarChart, ...],

@@ -12,8 +12,7 @@ leftover items of each bin pair up with items of the next bin into one
 chart per pair, unused items of the last bin are dropped, and heights are
 item sizes over the bin capacity.  The chained construction places the
 bin-i/bin-(i+1) charts in cell i, giving a feasible packing of length N
-(the bin count); the recorded reference is N - 1, with the true optimum
-always one of the two.
+(the bin count); ``transform_bpp`` says where the optimum lies.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .model import BarChart, FormatError, Instance, Placement
+from .model import BarChart, FormatError, Instance, Placement, read_int
 
 FAMILIES = ("arbitrary", "big", "big_nonincreasing")
 
@@ -79,80 +78,61 @@ class BppSolution:
 
 
 def parse_bpp_instance(text: str) -> BppInstance:
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = text.splitlines()
     if len(lines) < 2:
         raise FormatError("line 1: expected item count and capacity lines")
-    try:
-        count = int(lines[0])
-    except ValueError:
-        raise FormatError("line 1: expected the item count") from None
-    try:
-        capacity = int(lines[1])
-    except ValueError:
-        raise FormatError("line 2: expected the bin capacity") from None
-    sizes = []
+    count = read_int(lines[0], 1, "the item count")
+    capacity = read_int(lines[1], 2, "the bin capacity")
+    if capacity < 1:
+        raise FormatError("line 2: capacity must be positive")
+    sizes: list[int] = []
     for no, raw in enumerate(lines[2:], start=3):
-        if not raw:
-            continue
-        try:
-            sizes.append(int(raw))
-        except ValueError:
-            raise FormatError(f"line {no}: expected an item size") from None
+        if raw.strip():
+            size = read_int(raw, no, "an item size")
+            if not 0 < size <= capacity:
+                raise FormatError(f"line {no}: item {len(sizes)}: size {size} "
+                                  f"outside (0, capacity]")
+            sizes.append(size)
     if len(sizes) != count:
         raise FormatError(f"line {len(lines)}: got {len(sizes)} sizes, "
                           f"header says {count}")
-    try:
-        return BppInstance(sizes=tuple(sizes), capacity=capacity)
-    except ValueError as exc:
-        raise FormatError(f"line 3: {exc}") from None
-
-
-def parse_bpp_solution(text: str) -> BppSolution:
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines:
-        raise FormatError("line 1: empty solution file")
-    try:
-        count = int(lines[0])
-    except ValueError:
-        raise FormatError("line 1: expected the bin count") from None
-    bins = []
-    for no, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        try:
-            bins.append(tuple(int(tok) for tok in raw.split()))
-        except ValueError:
-            raise FormatError(f"line {no}: expected item indices") from None
-    if len(bins) != count:
-        raise FormatError(f"line {len(lines)}: got {len(bins)} bins, "
-                          f"header says {count}")
-    return BppSolution(bins=tuple(bins))
+    return BppInstance(sizes=tuple(sizes), capacity=capacity)
 
 
 def parse_bpp(instance_text: str, solution_text: str,
               ) -> tuple[BppInstance, BppSolution]:
-    """Parse and cross-validate a bin-packing instance with its solution."""
+    """Parse a bin-packing instance and a solution, checking each solution
+    line as it is read; bin count and item coverage are checked last."""
     bpp = parse_bpp_instance(instance_text)
-    sol = parse_bpp_solution(solution_text)
-    seen: dict[int, int] = {}
-    for bin_no, items in enumerate(sol.bins, start=2):
-        load = 0
+    lines = solution_text.splitlines()
+    if not lines:
+        raise FormatError("line 1: empty solution file")
+    count = read_int(lines[0], 1, "the bin count")
+    bins = []
+    seen: dict[int, int] = {}  # item -> line it first appeared on
+    for no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        items = tuple(read_int(tok, no, "item indices") for tok in raw.split())
         for item in items:
             if not 0 <= item < len(bpp.sizes):
-                raise FormatError(f"line {bin_no}: item index {item} out of range")
+                raise FormatError(f"line {no}: item index {item} out of range")
             if item in seen:
-                raise FormatError(f"line {bin_no}: item {item} already in "
-                                  f"another bin (line {seen[item]})")
-            seen[item] = bin_no
-            load += bpp.sizes[item]
+                raise FormatError(f"line {no}: item {item} already in line "
+                                  f"{seen[item]}")
+            seen[item] = no
+        load = sum(bpp.sizes[item] for item in items)
         if load > bpp.capacity:
-            raise FormatError(f"line {bin_no}: bin load {load} exceeds "
+            raise FormatError(f"line {no}: bin load {load} exceeds "
                               f"capacity {bpp.capacity}")
+        bins.append(items)
+    if len(bins) != count:
+        raise FormatError(f"line {len(lines)}: got {len(bins)} bins, "
+                          f"header says {count}")
     if len(seen) != len(bpp.sizes):
         missing = sorted(set(range(len(bpp.sizes))) - set(seen))
-        raise FormatError(f"line {len(sol.bins) + 1}: solution misses items "
-                          f"{missing}")
-    return bpp, sol
+        raise FormatError(f"line {len(lines)}: solution misses items {missing}")
+    return bpp, BppSolution(bins=tuple(bins))
 
 
 def format_bpp_instance(bpp: BppInstance) -> str:
@@ -213,10 +193,13 @@ def _pairing(bpp: BppInstance, sol: BppSolution) -> list[tuple[int, int, int]]:
 
 
 def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instance:
-    """Build the packing instance with reference length (bin count - 1).
+    """Build the packing instance with recorded reference N - 1 (N bins).
 
     Heights are item sizes over the capacity; unused items of the last bin
-    are dropped.
+    are dropped.  A cell holds at most height 1, so a packing of length L
+    packs the used items into L bins.  For an optimal ``sol`` the optimum
+    is thus N when no item is dropped, and N - 1 or N otherwise, since the
+    dropped items fit one bin; in the first case N - 1 is below it.
     """
     pairs = _pairing(bpp, sol)
     charts = tuple(

@@ -12,8 +12,8 @@ chart.  A t-union overlaps the last t bars of the left chart with the first
 t bars of the right chart, and only t <= 2 is ever tried, so no other bar
 can decide a pair.  Each chart becomes one flat row ``(id, bars[0], bars[1],
 bars[-2], bars[-1])`` and each pair costs a few exact integer comparisons
-against ``den - bar`` capacities; ``unions.pair_weight`` is the per-pair
-definition the rows reproduce.
+against ``den - bar`` capacities; ``pair_weight`` in ``tests/helpers.py``
+is the per-pair definition the rows reproduce.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ class WeightedGraph:
 @dataclass(frozen=True)
 class Matching:
     edges: tuple[UnionEdge, ...]
-    total_weight: int
+
+    @property
+    def total_weight(self) -> int:
+        return sum(e.weight for e in self.edges)
 
 
 # (id, bars[0], bars[1], bars[-2], bars[-1]) of one chart
@@ -78,8 +81,8 @@ def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
                       two_unions_only: bool = False) -> WeightedGraph:
     """Graph over the given charts with one edge per pair that can unite.
 
-    Edges match ``pair_weight`` on every pair, in (u, v) order.  With
-    ``two_unions_only`` only the weight-2 edges are built, as A2's
+    Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
+    With ``two_unions_only`` only the weight-2 edges are built, as A2's
     formation rounds need.
     """
     rows, den = chart_rows(charts)
@@ -109,7 +112,7 @@ def _solve_matching(g: WeightedGraph, cardinality: bool) -> Matching:
     chosen = [edges[k] for k in max_weight_edges(
         len(index),
         [(index[e.u], index[e.v], 1 if cardinality else e.weight) for e in edges])]
-    return Matching(edges=tuple(chosen), total_weight=sum(e.weight for e in chosen))
+    return Matching(edges=tuple(chosen))
 
 
 def max_weight_matching(g: WeightedGraph) -> Matching:

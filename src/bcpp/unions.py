@@ -1,4 +1,4 @@
-"""t-unions of bar charts: overlap feasibility, merging, and pair weights.
+"""t-unions of bar charts: overlap feasibility and merging.
 
 Two charts form a t-union when the last t bars of the left chart share their
 cells with the first t bars of the right chart and every shared cell stays
@@ -7,8 +7,6 @@ the sum of the two widths minus t.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .model import BarChart
 
@@ -52,28 +50,3 @@ def merge_union(left: BarChart, right: BarChart, t: int) -> BarChart:
     origins = left.origins + tuple((oid, off + base) for oid, off in right.origins)
     return BarChart(id=min(oid for oid, _ in origins), bars=bars, den=left.den,
                     origins=origins)
-
-
-@dataclass(frozen=True)
-class PairWeight:
-    """Best overlap for an unordered chart pair: weight 2, 1 or 0."""
-
-    weight: int
-    left: int
-    right: int
-    t: int
-
-
-def pair_weight(i: BarChart, j: BarChart) -> PairWeight:
-    """Weight 2 if some orientation admits a 2-union, else 1 for a 1-union,
-    else 0.  When both orientations work at the winning overlap, the chart
-    with the lower id goes left, which keeps results reproducible.
-    """
-    lo, hi = (i, j) if i.id < j.id else (j, i)
-    for t in (2, 1):
-        if t > min(i.width, j.width):
-            continue
-        for left, right in ((lo, hi), (hi, lo)):
-            if union_feasible(left, right, t):
-                return PairWeight(weight=t, left=left.id, right=right.id, t=t)
-    return PairWeight(weight=0, left=lo.id, right=hi.id, t=0)

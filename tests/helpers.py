@@ -7,9 +7,11 @@ search/pruning code so tests compare two genuinely different routes.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
 
-from bcpp import BarChart, Instance, evaluate_packing, lex_order
+from bcpp import (ArcDigraph, BarChart, Instance, PathCover, evaluate_packing,
+                  lex_order, union_feasible)
 
 
 def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
@@ -132,3 +134,43 @@ def brute_force_path_cover_arcs(vertices: tuple[int, ...],
                 min_paths[mask] = min_paths[mask ^ sub] + 1
             sub = (sub - 1) & mask
     return n - min_paths[size - 1]
+
+
+@dataclass(frozen=True)
+class PairWeight:
+    """Best overlap for an unordered chart pair: weight 2, 1 or 0."""
+
+    weight: int
+    left: int
+    right: int
+    t: int
+
+
+def pair_weight(i: BarChart, j: BarChart) -> PairWeight:
+    """Per-pair reference for ``build_union_graph``'s row classifier.
+
+    Weight 2 if some orientation admits a 2-union, else 1 for a 1-union,
+    else 0.  When both orientations work at the winning overlap, the chart
+    with the lower id goes left, which keeps results reproducible.
+    """
+    lo, hi = (i, j) if i.id < j.id else (j, i)
+    for t in (2, 1):
+        if t > min(i.width, j.width):
+            continue
+        for left, right in ((lo, hi), (hi, lo)):
+            if union_feasible(left, right, t):
+                return PairWeight(weight=t, left=left.id, right=right.id, t=t)
+    return PairWeight(weight=0, left=lo.id, right=hi.id, t=0)
+
+
+def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
+    """Raise AssertionError unless ``cover`` is a valid path cover of ``g``."""
+    arcset = set(g.arcs)
+    seen: list[int] = []
+    for path in cover.paths:
+        seen.extend(path)
+        for u, v in zip(path, path[1:]):
+            if (u, v) not in arcset:
+                raise AssertionError(f"cover uses missing arc ({u}, {v})")
+    if sorted(seen) != sorted(g.vertices):
+        raise AssertionError("cover does not partition the vertex set")

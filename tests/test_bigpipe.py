@@ -5,10 +5,10 @@ import pytest
 from bcpp import (ArcDigraph, BarChart, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
-from bcpp.bigpipe import check_path_cover, dump_digraph
+from bcpp.bigpipe import dump_digraph
 from bcpp.harness import SOLVERS
-from helpers import (brute_force_matching, brute_force_path_cover_arcs, inst,
-                     random_charts)
+from helpers import (brute_force_matching, brute_force_path_cover_arcs,
+                     check_path_cover, inst, random_charts)
 
 
 def test_scan_merges_smalls_into_big():

@@ -6,7 +6,7 @@ from bcpp import (BppInstance, BppSolution, FormatError, bpp_witness_placement,
                   evaluate_packing, ffd_bpp, ffd_certified_optimal,
                   format_bpp_instance, format_bpp_solution, gen_bpp_fullbins,
                   gen_random, lower_bounds, oracle_opt, parse_bpp,
-                  transform_bpp)
+                  parse_bpp_instance, transform_bpp)
 
 
 def test_family_constraints_hold():
@@ -62,6 +62,19 @@ def test_parse_bpp_detects_duplicates_and_bad_indices():
         parse_bpp("3\n10\n2\n5\n4\n", "2\n0 0\n1 2\n")
     with pytest.raises(FormatError, match="out of range"):
         parse_bpp("3\n10\n6\n5\n4\n", "2\n0\n1 7\n")
+
+
+def test_bpp_errors_name_their_own_line():
+    cases = [
+        (lambda: parse_bpp_instance("4\n10\n3\n4\n5\n11\n"), "line 6:"),
+        (lambda: parse_bpp_instance("3\n0\n1\n1\n1\n"), "line 2:"),
+        (lambda: parse_bpp("3\n10\n6\n5\n4\n", "3\n0\n\n1\n\n7\n"), "line 6:"),
+        (lambda: parse_bpp("3\n10\n6\n5\n4\n", "2\n\n\n0\n1 2 2\n"), "line 5:"),
+    ]
+    for parse, line in cases:
+        with pytest.raises(FormatError) as info:
+            parse()
+        assert str(info.value).startswith(line)
 
 
 def test_ffd_hand_simulation():
@@ -160,3 +173,26 @@ def test_transformed_witness_respects_lower_bound():
         instance = transform_bpp(bpp, sol)
         n_bins = len(sol.bins)
         assert lower_bounds(instance).combined <= n_bins
+
+
+def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():
+    # A cell holds at most height 1, so a packing of length L packs the used
+    # items into L bins: with nothing dropped L >= N, the optimal bin count;
+    # the dropped items fit one bin, so otherwise L >= N - 1.  The chained
+    # witness has length N.
+    full = dropped = 0
+    for s in range(200):
+        bpp = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
+        sol = ffd_bpp(bpp)
+        if not ffd_certified_optimal(bpp, sol):
+            continue
+        instance = transform_bpp(bpp, sol)
+        assert instance.n <= 7
+        n_bins = len(sol.bins)
+        if 2 * instance.n == len(bpp.sizes):
+            assert oracle_opt(instance) == n_bins
+            full += 1
+        else:
+            assert oracle_opt(instance) in (n_bins - 1, n_bins)
+            dropped += 1
+    assert (full, dropped) == (69, 121)

@@ -6,9 +6,9 @@ import pytest
 from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
                   build_union_graph, dump_graph, evaluate_packing,
                   format_placement, gen_random, max_cardinality_matching,
-                  max_weight_matching, oracle_opt, pair_weight, solve_mw)
+                  max_weight_matching, oracle_opt, solve_mw)
 from bcpp.matching import merge_matched
-from helpers import brute_force_matching, inst, random_charts
+from helpers import brute_force_matching, inst, pair_weight, random_charts
 
 
 def edge(u, v, w):

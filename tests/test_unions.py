@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, UnionInfeasibleError, merge_union, pair_weight,
-                  union_feasible)
-from helpers import mk
+from bcpp import BarChart, UnionInfeasibleError, merge_union, union_feasible
+from helpers import mk, pair_weight
 
 
 def test_two_union_of_smalls():
