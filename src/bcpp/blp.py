@@ -4,10 +4,11 @@ The model uses binaries x_{i,j} (first bar of chart i sits in cell j) and
 y_j (cell j holds at least one bar) over a finite cell horizon J:
 
     minimize   sum_j y_j
-    subject to sum_j x_{i,j} = 1                               for every chart i
-               sum_i a_i x_{i,j} + sum_k b_k x_{k,j-1} <= y_j  for every cell j
+    subject to sum_j x_{i,j} = 1                                 for every chart i
+               sum_i a_i x_{i,j} + sum_k b_k x_{k,j-1} <= D y_j  for every cell j
 
-First-bar cells range over 1..J-1 so second bars never leave the horizon.
+where a_i/D and b_i/D are chart i's heights.  First-bar cells range over
+1..J-1 so second bars never leave the horizon.
 ``export_lp`` renders solver-ready LP text; ``solve_exact`` is a small
 branch-and-bound for desk-scale instances; ``oracle_opt`` is an independent
 exhaustive optimizer used as ground truth in tests and keeps no code in
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
 
 from .greedy import ga_lo, lex_order
 from .model import Instance, Placement, compact, lower_bounds
@@ -73,43 +73,14 @@ def build_blp(instance: Instance, horizon: int | None = None) -> BlpModel:
                     b=tuple(ch.bars[1] for ch in instance.charts))
 
 
-def _finite_decimal(num: int, den: int) -> str | None:
-    """Exact decimal expansion of num/den, or None when it does not terminate."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    rest = den
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return None
-    k = max(twos, fives)
-    if k == 0:
-        return str(num)
-    digits = str(num * 10 ** k // den).rjust(k + 1, "0")
-    return f"{digits[:-k]}.{digits[-k:]}"
-
-
 def export_lp(model: BlpModel) -> str:
     """Deterministic LP text for the model.
 
-    Heights are written as exact decimals of num/den.  When the denominator
-    contains prime factors other than 2 and 5 (so no finite expansion
-    exists), the capacity rows are scaled by the denominator instead, which
-    keeps every coefficient an exact integer and the model unchanged.
+    Every capacity row is scaled by the denominator, so each coefficient is
+    an exact integer (a bar's numerator, and ``den`` on ``y_j``) and one unit
+    of overflow violates its row by a whole unit, never by a tolerance.
     """
-    integer_mode = _finite_decimal(1, model.den) is None
-
-    def coeff(num: int) -> str:
-        return str(num) if integer_mode else _finite_decimal(num, model.den)
-
     first_cells = range(1, model.horizon)  # legal first-bar cells
-    y_coeff = f"{model.den} " if integer_mode else ""
-
     out = ["Minimize"]
     out.append(" obj: " + " + ".join(f"y_{j}" for j in range(1, model.horizon + 1)))
     out.append("Subject To")
@@ -119,12 +90,11 @@ def export_lp(model: BlpModel) -> str:
     for j in range(1, model.horizon + 1):
         terms = []
         if j in first_cells:
-            terms += [f"{coeff(model.a[i - 1])} x_{i}_{j}"
-                      for i in range(1, model.n + 1)]
+            terms += [f"{model.a[i - 1]} x_{i}_{j}" for i in range(1, model.n + 1)]
         if j - 1 in first_cells:
-            terms += [f"{coeff(model.b[i - 1])} x_{i}_{j - 1}"
+            terms += [f"{model.b[i - 1]} x_{i}_{j - 1}"
                       for i in range(1, model.n + 1)]
-        out.append(f" cap_{j}: " + " + ".join(terms) + f" - {y_coeff}y_{j} <= 0")
+        out.append(f" cap_{j}: " + " + ".join(terms) + f" - {model.den} y_{j} <= 0")
     out.append("Binary")
     for i in range(1, model.n + 1):
         out.extend(f" x_{i}_{j}" for j in first_cells)

@@ -52,8 +52,7 @@ def gen_random(n: int, seed: int, family: str, den: int = 10 ** 6) -> Instance:
                 bars = (bars[1], bars[0])
         charts.append(BarChart(id=cid, bars=bars, den=den))
     label = f"{family}-n{n}-d{den}-s{seed}"
-    return Instance(charts=tuple(charts), den=den, label=label, family=family,
-                    seed=seed)
+    return Instance(charts=tuple(charts), den=den, label=label, family=family)
 
 
 # --- bin packing side --------------------------------------------------------

@@ -34,26 +34,23 @@ def ga_lo(instance: Instance) -> Solved:
     order = lex_order(instance)
     bars = {ch.id: ch.bars for ch in instance.charts}
 
-    occ: list[int] = [0, 0, 0]  # occ[c] = numerator sum at cell c; occ[0] unused
+    # occ[c] = numerator sum at cell c; occ[0] unused.  After k placements
+    # no cell beyond 2k is occupied, so the next chart fits at 2k + 1 at the
+    # latest and no probe reads past cell 2n.
+    occ = [0] * (2 * instance.n + 2)
     probes = 0
-
-    def ensure(cell: int) -> None:
-        while len(occ) <= cell + 1:
-            occ.append(0)
 
     def leftmost(cid: int, start: int) -> int:
         nonlocal probes
         a, b = bars[cid]
         c = start
         while True:
-            ensure(c)
             probes += 1
             if occ[c] + a <= den and occ[c + 1] + b <= den:
                 return c
             c += 1
 
     def place(cid: int, cell: int) -> None:
-        ensure(cell)
         a, b = bars[cid]
         occ[cell] += a
         occ[cell + 1] += b

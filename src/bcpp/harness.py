@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
-from .model import Instance, Placement, evaluate_packing, lower_bounds, parse_instance
+from .model import (FormatError, Instance, Placement, evaluate_packing, lower_bounds,
+                    parse_instance, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved.
 # Every entry looks its solver up in its module when called, so a rebound
@@ -89,6 +90,8 @@ class GenSpec:
     den: int
 
     def instances(self) -> list[Instance]:
+        if self.count < 1:
+            raise ValueError("need count >= 1")
         return [gen_random(self.n, self.seed + k, self.family, self.den)
                 for k in range(self.count)]
 
@@ -108,14 +111,21 @@ class SuiteConfig:
     strict: bool = False
 
 
+# The keys that take one word, and the words each allows ("on"/"off" -> bool).
+_CONFIG_WORDS = {"reference": ("auto", "lb"), "bpp_reference": ("recorded", "witness"),
+                "timing": ("on", "off"), "strict": ("on", "off")}
+
+
 def parse_config(text: str) -> SuiteConfig:
+    """Read a bench config; ``#`` starts a comment anywhere on a line, and
+    every fault is a ``FormatError`` that starts ``line N:``."""
     cfg = SuiteConfig()
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {no}: expected 'key = value'")
+            raise FormatError(f"line {no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "instances":
             cfg.instances.append(value)
@@ -125,69 +135,57 @@ def parse_config(text: str) -> SuiteConfig:
             algos = tuple(tok.strip() for tok in value.split(",") if tok.strip())
             unknown = [a for a in algos if a not in ALGORITHMS]
             if unknown:
-                raise ValueError(f"config line {no}: unknown algorithms {unknown}")
+                raise FormatError(f"line {no}: unknown algorithms {unknown}")
             cfg.algorithms = algos
-        elif key == "reference":
-            if value not in ("auto", "lb"):
-                raise ValueError(f"config line {no}: reference must be auto or lb")
-            cfg.reference = value
-        elif key == "bpp_reference":
-            if value not in ("recorded", "witness"):
-                raise ValueError(f"config line {no}: bpp_reference must be "
-                                 "recorded or witness")
-            cfg.bpp_reference = value
+        elif key in _CONFIG_WORDS:
+            if value not in _CONFIG_WORDS[key]:
+                raise FormatError(f"line {no}: {key} must be "
+                                  + " or ".join(_CONFIG_WORDS[key]))
+            setattr(cfg, key, {"on": True, "off": False}.get(value, value))
         elif key == "exact_nodes":
-            cfg.exact_nodes = _number(value, no, key, least=0)
+            cfg.exact_nodes = _int_at_least(value, no, key, least=0)
         elif key == "exact_time":
-            cfg.exact_time = _number(value, no, key, kind=float, least=0)
-        elif key in ("timing", "strict"):
-            if value not in ("on", "off"):
-                raise ValueError(f"config line {no}: {key} must be on or off")
-            setattr(cfg, key, value == "on")
-        elif key == "output":
-            cfg.output = value
-        elif key == "summary":
-            cfg.summary = value
+            try:
+                cfg.exact_time = float(value)
+            except ValueError:
+                raise FormatError(f"line {no}: {key} must be a number, "
+                                  f"got {value!r}") from None
+            if not cfg.exact_time >= 0:  # a NaN is at least nothing
+                raise FormatError(f"line {no}: {key} must be at least 0")
+        elif key in ("output", "summary"):
+            setattr(cfg, key, value)
         else:
-            raise ValueError(f"config line {no}: unknown key {key!r}")
+            raise FormatError(f"line {no}: unknown key {key!r}")
     return cfg
 
 
-def _number(value: str, line_no: int, key: str, kind=int,
-            least: int | None = None):
-    try:
-        number = kind(value)
-    except ValueError:
-        raise ValueError(f"config line {line_no}: {key} must be a number, "
-                         f"got {value!r}") from None
-    if least is not None and not number >= least:
-        raise ValueError(f"config line {line_no}: {key} must be at least {least}")
+def _int_at_least(token: str, line_no: int, key: str, least: int) -> int:
+    number = read_int(token, line_no, f"an integer {key}")
+    if number < least:
+        raise FormatError(f"line {line_no}: {key} must be at least {least}")
     return number
 
 
 def _parse_genspec(value: str, line_no: int) -> GenSpec:
-    fields = {}
+    fields = {"count": "1", "seed": "0", "D": str(10 ** 6)}
     for token in value.split():
         if "=" not in token:
-            raise ValueError(f"config line {line_no}: bad generator token {token!r}")
+            raise FormatError(f"line {line_no}: bad generator token {token!r}")
         k, v = token.split("=", 1)
         fields[k] = v
-    try:
-        family = fields.pop("family")
-        spec = GenSpec(family=family,
-                       n=_number(fields.pop("n"), line_no, "n", least=1),
-                       count=_number(fields.pop("count", "1"), line_no, "count",
-                                     least=1),
-                       seed=_number(fields.pop("seed", "0"), line_no, "seed"),
-                       den=_number(fields.pop("D", str(10 ** 6)), line_no, "D",
-                                   least=2))
-    except KeyError as exc:
-        raise ValueError(f"config line {line_no}: generator needs {exc}") from None
+    for key in ("family", "n"):
+        if key not in fields:
+            raise FormatError(f"line {line_no}: generator needs {key!r}")
+    spec = GenSpec(family=fields.pop("family"),
+                   n=_int_at_least(fields.pop("n"), line_no, "n", least=1),
+                   count=_int_at_least(fields.pop("count"), line_no, "count", least=1),
+                   seed=read_int(fields.pop("seed"), line_no, "an integer seed"),
+                   den=_int_at_least(fields.pop("D"), line_no, "D", least=2))
     if fields:
-        raise ValueError(f"config line {line_no}: unknown generator keys "
-                         f"{sorted(fields)}")
+        raise FormatError(f"line {line_no}: unknown generator keys "
+                          f"{sorted(fields)}")
     if spec.family not in FAMILIES:
-        raise ValueError(f"config line {line_no}: unknown family {spec.family!r}")
+        raise FormatError(f"line {line_no}: unknown family {spec.family!r}")
     return spec
 
 

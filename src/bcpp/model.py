@@ -80,7 +80,6 @@ class Instance:
     den: int
     label: str = ""
     family: str = ""
-    seed: int | None = None
     known_opt: int | None = None
 
     def __post_init__(self) -> None:
@@ -238,7 +237,7 @@ def format_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str, label: str = "", family: str = "") -> Instance:
+def parse_instance(text: str, label: str = "") -> Instance:
     lines = text.splitlines()
     if not lines:
         raise FormatError("line 1: empty instance file")
@@ -275,8 +274,7 @@ def parse_instance(text: str, label: str = "", family: str = "") -> Instance:
         else:
             raise FormatError(f"line {extra_no}: unexpected trailing line")
 
-    return Instance(charts=tuple(charts), den=den, label=label, family=family,
-                    known_opt=known_opt)
+    return Instance(charts=tuple(charts), den=den, label=label, known_opt=known_opt)
 
 
 def format_placement(placement: Placement) -> str:

@@ -7,7 +7,6 @@ import pytest
 from bcpp import (build_blp, evaluate_packing, export_lp, format_placement,
                   ga_lo, gen_random, lower_bounds, oracle_opt, parse_instance,
                   solve_exact)
-from bcpp.blp import _finite_decimal
 from helpers import inst, literal_opt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -43,15 +42,6 @@ def test_model_rejects_bad_horizons():
         build_blp(inst((9, 9), (8, 8)), horizon=3)
 
 
-def test_finite_decimal():
-    assert _finite_decimal(6, 10) == "0.6"
-    assert _finite_decimal(5, 10) == "0.5"
-    assert _finite_decimal(3, 20) == "0.15"
-    assert _finite_decimal(20, 20) == "1"
-    assert _finite_decimal(1, 3) is None
-    assert _finite_decimal(7, 10 ** 6) == "0.000007"
-
-
 @pytest.mark.parametrize("stem,horizon", [("tiny1", 2), ("tiny2", 3),
                                           ("tiny3", 3)])
 def test_export_matches_golden(stem, horizon):
@@ -79,6 +69,66 @@ def test_fixture_objectives_match_oracle():
     for stem, opt in expected.items():
         instance = parse_instance(load_fixture(f"{stem}.inst"), label=stem)
         assert oracle_opt(instance) == opt
+
+
+def lp_rows(text):
+    """The rows of exported LP text as (name, {variable: coefficient}, sense, rhs)."""
+    body = text.split("Subject To\n", 1)[1].split("Binary\n", 1)[0]
+    rows = []
+    for line in body.splitlines():
+        name, expr = line.strip().split(": ")
+        *lhs, sense, rhs = expr.split()
+        coeffs, sign, coeff = {}, 1, 1
+        for tok in lhs:
+            if tok in ("+", "-"):
+                sign = -1 if tok == "-" else 1
+            elif tok.isdigit():
+                coeff = int(tok)
+            else:
+                coeffs[tok] = sign * coeff
+                sign, coeff = 1, 1
+        rows.append((name, coeffs, sense, int(rhs)))
+    return rows
+
+
+def lp_accepts(text, instance, placement):
+    """Whether x from ``placement`` and y_j = 1 on its occupied cells satisfy
+    every row of ``text``, in exact integer arithmetic."""
+    occupied = evaluate_packing(instance, placement).occupancy
+    binaries = text.split("Binary\n", 1)[1].split("\nEnd")[0].split()
+    values = {var: 0 for var in binaries}
+    values.update({f"x_{cid}_{cell}": 1 for cid, cell in placement.items()})
+    values.update({f"y_{cell}": 1 for cell in occupied})
+    assert set(values) == set(binaries)  # every cell lies inside the horizon
+    for name, coeffs, sense, rhs in lp_rows(text):
+        assert name.startswith(("assign_", "cap_")) and sense in ("=", "<=")
+        lhs = sum(c * values[var] for var, c in coeffs.items())
+        if not (lhs == rhs if sense == "=" else lhs <= rhs):
+            return False
+    return True
+
+
+def test_lp_rows_hold_exactly_when_the_placement_is_feasible():
+    rng = random.Random(53)
+    seen = {True: 0, False: 0}
+    for trial in range(80):
+        den = (3, 10, 20, 10 ** 6)[trial % 4]
+        instance = gen_random(rng.randint(1, 5), trial, "arbitrary", den)
+        horizon = ga_lo(instance).length + 1
+        text = export_lp(build_blp(instance, horizon=horizon))
+        for _ in range(40):
+            placement = {ch.id: rng.randint(1, horizon - 1)
+                         for ch in instance.charts}
+            feasible = evaluate_packing(instance, placement).feasible
+            assert lp_accepts(text, instance, placement) == feasible
+            seen[feasible] += 1
+    assert min(seen.values()) > 100
+    # one unit over D in cell 1 is rejected; exactly D is accepted
+    for second, feasible in ((400001, False), (400000, True)):
+        instance = inst((600000, 1), (second, 1), den=10 ** 6)
+        text = export_lp(build_blp(instance, horizon=3))
+        assert evaluate_packing(instance, {1: 1, 2: 1}).feasible == feasible
+        assert lp_accepts(text, instance, {1: 1, 2: 1}) == feasible
 
 
 def test_exact_blocked_pair():

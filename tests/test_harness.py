@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bcpp.greedy
-from bcpp import (SuiteConfig, format_instance, format_records_csv,
+from bcpp import (FormatError, SuiteConfig, format_instance, format_records_csv,
                   format_summary_csv, gen_random, parse_config, run_algorithm,
                   run_suite, summarize)
 from bcpp.cli import main
@@ -46,23 +46,38 @@ def test_parse_config_rejects_bad_lines():
     with pytest.raises(ValueError, match="family"):
         parse_config("generate = n=5 count=2")
     bad_numbers = {
-        "exact_nodes = abc": "exact_nodes must be a number",
+        "exact_nodes = abc": "expected an integer exact_nodes",
         "exact_nodes = -3": "exact_nodes must be at least 0",
         "exact_time = -1": "exact_time must be at least 0",
         "exact_time = nan": "exact_time must be at least 0",
-        "generate = family=big n=ten": "n must be a number",
+        "generate = family=big n=ten": "expected an integer n",
         "generate = family=big n=0": "n must be at least 1",
         "generate = family=big n=5 count=0": "count must be at least 1",
-        "generate = family=big n=5 seed=x": "seed must be a number",
+        "generate = family=big n=5 seed=x": "expected an integer seed",
         "generate = family=big n=5 D=1": "D must be at least 2",
     }
     for line, message in bad_numbers.items():
-        with pytest.raises(ValueError, match=f"config line 2: {message}"):
+        with pytest.raises(FormatError, match=f"^line 2: {message}"):
             parse_config(f"algorithms = GA_LO\n{line}")
     cfg = parse_config("exact_nodes = 0\nexact_time = 2.5\n"
                        "generate = family=big n=1 count=1 seed=-4 D=2")
     assert (cfg.exact_nodes, cfg.exact_time) == (0, 2.5)
     assert cfg.generate == [GenSpec(family="big", n=1, count=1, seed=-4, den=2)]
+
+
+def test_parse_config_reads_the_readme_example():
+    # the README's block has comments after values: '#' starts one anywhere
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Bench config format", 1)[1].split("```\n")[1]
+    cfg = parse_config(block)
+    assert cfg.instances == ["data/*.inst"]
+    assert cfg.generate == [GenSpec("arbitrary", 200, 30, 1000, 10 ** 6)]
+    assert cfg.algorithms == ("GA_LO", "M1w", "Mw", "A1", "A2")
+    assert (cfg.reference, cfg.bpp_reference) == ("auto", "recorded")
+    assert (cfg.exact_nodes, cfg.exact_time) == (0, 0)
+    assert (cfg.timing, cfg.strict) == (False, False)
+    assert (cfg.output, cfg.summary) == ("results.csv", "summary.csv")
 
 
 def test_run_suite_generates_and_audits():
@@ -132,12 +147,13 @@ def test_run_suite_reports_unreadable_inputs(tmp_path):
 
 def test_run_suite_reports_failing_generator_and_keeps_the_rest():
     bad = GenSpec("big", 0, 1, 0, 100)
-    cfg = SuiteConfig(generate=[bad, GenSpec("arbitrary", 4, 1, 0, 20)],
+    empty = GenSpec("big", 3, 0, 0, 100)
+    cfg = SuiteConfig(generate=[bad, empty, GenSpec("arbitrary", 4, 1, 0, 20)],
                       algorithms=("GA_LO",))
     records, _, errors = run_suite(cfg)
     assert [r.label for r in records] == [gen_random(4, 0, "arbitrary", 20).label]
     assert [(e.label, e.algorithm, e.message) for e in errors] == [
-        (repr(bad), "-", "need n >= 1")]
+        (repr(bad), "-", "need n >= 1"), (repr(empty), "-", "need count >= 1")]
 
 
 def test_records_csv_matches_pinned_fixture():
@@ -303,6 +319,13 @@ def test_cli_bpp_import(tmp_path, capsys):
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert text.endswith("opt 1\n")
+
+
+def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):
+    for extra in (["--count", "0"], ["--count", "-2", "--den", "1"]):
+        assert main(["gen", "--n", "3", *extra, "--out-dir", str(tmp_path)]) == 2
+        assert "error: need count >= 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_reports_errors(tmp_path, capsys):

@@ -1,0 +1,59 @@
+"""Property sweep over generated instances.
+
+Instances have a denominator D from 2 to 100 and 1 to 8 charts; bars equal
+to D and repeated charts are drawn often.  Hypothesis runs derandomized, so
+every run checks the same examples.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bcpp import (SOLVERS, compact, evaluate_packing, lower_bounds, oracle_opt,
+                  solve_exact)
+from helpers import inst
+
+SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def instances(draw, big: bool = False):
+    """An instance whose charts repeat a few drawn kinds; with ``big`` every
+    chart has a bar above D/2."""
+    den = draw(st.integers(2, 100))
+    bar = st.one_of(st.just(den), st.integers(1, den))
+    chart = st.tuples(bar, bar)
+    if big:
+        high = st.integers(den // 2 + 1, den)
+        chart = st.one_of(st.tuples(high, bar), st.tuples(bar, high))
+    kinds = draw(st.lists(chart, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=8))
+    return inst(*(kinds[p] for p in picks), den=den)
+
+
+@SWEEP
+@given(instances())
+def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
+    opt = oracle_opt(instance)
+    bounds = lower_bounds(instance)
+    exact = solve_exact(instance)
+    assert (exact.status, exact.best_length) == ("optimal", opt)
+    results = {"EXACT": (exact.best_length, exact.placement)}
+    for name, solve in SOLVERS.items():
+        solved = solve(instance)
+        results[name] = (solved.length, solved.placement)
+    for name, (length, placement) in results.items():
+        check = evaluate_packing(instance, placement)
+        assert check.feasible and check.length == length, name
+        assert length >= max(opt, bounds.area_lb, bounds.big_lb,
+                             bounds.width_lb, bounds.combined), name
+        packed = compact(instance, placement)
+        after = evaluate_packing(instance, packed)
+        assert after.feasible and after.length == length, name
+        assert sorted(after.occupancy) == list(range(1, length + 1)), name
+
+
+@SWEEP
+@given(instances(big=True))
+def test_mw_is_within_three_halves_on_big_charts(instance):
+    assert all(ch.is_big for ch in instance.charts)
+    assert 2 * SOLVERS["Mw"](instance).length <= 3 * oracle_opt(instance)
