@@ -14,15 +14,15 @@ pair admits a 2-union.  Both formations return the formed charts as one
 tuple, and ``solve_big_pipeline`` chains any such tuple, so A1 and A2 differ
 only in the formation their ``harness.SOLVERS`` entry calls.
 
-The path cover comes from a maximum bipartite matching on the out-copy /
-in-copy split of the digraph, which yields a maximum set of arcs with all
-in- and out-degrees at most 1 (vertex-disjoint paths and cycles); every
-cycle is then opened by dropping its lexicographically smallest arc.
+The path cover comes from a Hopcroft-Karp maximum bipartite matching on the
+out-copy / in-copy split of the digraph, which yields a maximum set of arcs
+with all in- and out-degrees at most 1 (vertex-disjoint paths and cycles);
+one walk per path or cycle follows the matched arcs, and every cycle is
+opened by dropping its lexicographically smallest arc.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .model import BarChart, Solved, assemble_placement
@@ -101,69 +101,54 @@ def dump_digraph(g: ArcDigraph) -> str:
 
 def _max_bipartite_matching(lefts: list[int],
                             adj: dict[int, list[int]]) -> dict[int, int]:
-    """Hopcroft-Karp style maximum matching on a bipartite graph.
+    """Hopcroft-Karp maximum matching on a bipartite graph.
 
-    ``adj`` maps left vertices to sorted right neighbors; the scan order is
-    fixed, so the returned left-to-right mate map is deterministic.
+    ``adj`` maps left vertices to sorted right neighbors.  Each phase layers
+    the left vertices breadth-first from the free ones, then searches depth
+    first from each free root in ``lefts`` order, taking a free right vertex
+    at any depth; a dead end stays out for the rest of the phase.  The scan
+    order is fixed, so the left-to-right mate map is deterministic.
     """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-
-    def bfs() -> tuple[dict[int, int], bool]:
-        dist: dict[int, int] = {}
-        queue: deque[int] = deque()
-        for u in lefts:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
-        reachable_free = False
-        while queue:
-            u = queue.popleft()
+    while True:
+        dist = {u: 0 for u in lefts if u not in match_l}
+        queue = list(dist)
+        reachable = False
+        for u in queue:  # the queue grows while it is read
             for v in adj[u]:
                 w = match_r.get(v)
                 if w is None:
-                    reachable_free = True
+                    reachable = True
                 elif w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        return dist, reachable_free
-
-    def dfs(root: int, dist: dict[int, int]) -> bool:
-        stack: list[tuple[int, int]] = [(root, 0)]
-        chain: list[tuple[int, int]] = []
-        while stack:
-            u, idx = stack.pop()
-            advanced = False
-            while idx < len(adj[u]):
-                v = adj[u][idx]
-                idx += 1
-                w = match_r.get(v)
-                if w is None:
-                    match_l[u] = v
-                    match_r[v] = u
-                    for pu, pv in chain:
-                        match_l[pu] = pv
-                        match_r[pv] = pu
-                    return True
-                if dist.get(w) == dist.get(u, -2) + 1:
-                    stack.append((u, idx))
-                    chain.append((u, v))
-                    stack.append((w, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                dist.pop(u, None)  # dead end this phase
-                if chain:
-                    chain.pop()
-        return False
-
-    while True:
-        dist, reachable = bfs()
         if not reachable:
             return match_l
-        for u in lefts:
-            if u not in match_l:
-                dfs(u, dist)
+        for root in lefts:
+            if root in match_l:
+                continue
+            path, picks, its = [root], [], [iter(adj[root])]
+            while path:
+                u = path[-1]
+                for v in its[-1]:
+                    w = match_r.get(v)
+                    if w is None or dist.get(w) == dist[u] + 1:
+                        break
+                else:  # dead end
+                    del dist[u]
+                    path.pop()
+                    its.pop()
+                    del picks[-1:]  # the root level has no pick
+                    continue
+                picks.append(v)
+                if w is None:
+                    for left, right in zip(path, picks):
+                        match_l[left] = right
+                        match_r[right] = left
+                    break
+                path.append(w)
+                its.append(iter(adj[w]))
 
 
 def path_cover(g: ArcDigraph) -> PathCover:
@@ -182,33 +167,20 @@ def path_cover(g: ArcDigraph) -> PathCover:
 
     paths: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for start in verts:
-        if start in seen or start in pred:
-            continue
-        path = [start]
-        seen.add(start)
-        while path[-1] in succ:
-            nxt = succ[path[-1]]
-            path.append(nxt)
-            seen.add(nxt)
-        paths.append(tuple(path))
-
     cycles_broken = 0
-    for v in verts:
-        if v in seen:
+    for start in [v for v in verts if v not in pred] + verts:
+        if start in seen:
             continue
-        cycle = [v]
-        seen.add(v)
-        while succ[cycle[-1]] != v:
-            nxt = succ[cycle[-1]]
-            cycle.append(nxt)
-            seen.add(nxt)
-        # drop the arc (tail, head) that is lexicographically smallest
-        k = len(cycle)
-        drop = min(range(k), key=lambda i: (cycle[i], cycle[(i + 1) % k]))
-        head = (drop + 1) % k
-        paths.append(tuple(cycle[head:] + cycle[:head]))
-        cycles_broken += 1
+        walk = [start]
+        while walk[-1] in succ and succ[walk[-1]] != start:
+            walk.append(succ[walk[-1]])
+        seen.update(walk)
+        if start in pred:
+            # a cycle, entered at its smallest vertex (sorted starts), whose
+            # out-arc is the cycle's lexicographically smallest: drop it
+            walk = walk[1:] + walk[:1]
+            cycles_broken += 1
+        paths.append(tuple(walk))
 
     paths.sort(key=lambda p: p[0])
     return PathCover(paths=tuple(paths), cycles_broken=cycles_broken)

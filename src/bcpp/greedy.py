@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 
-from .model import Instance, Placement, Solved, evaluate_packing
+from .model import Instance, Placement, Solved
 
 
 def lex_order(instance: Instance) -> tuple[int, ...]:
@@ -72,6 +72,5 @@ def ga_lo(instance: Instance) -> Solved:
         else:
             heapq.heappush(heap, (cell, pos, cid))
 
-    return Solved(placement=placement,
-                  length=evaluate_packing(instance, placement).length,
+    return Solved(placement=placement, length=sum(1 for h in occ if h),
                   probes=probes)

@@ -153,6 +153,8 @@ def parse_config(text: str) -> SuiteConfig:
             if not cfg.exact_time >= 0:  # a NaN is at least nothing
                 raise FormatError(f"line {no}: {key} must be at least 0")
         elif key in ("output", "summary"):
+            if key == "output" and not value:
+                raise FormatError(f"line {no}: output needs a file name")
             setattr(cfg, key, value)
         else:
             raise FormatError(f"line {no}: unknown key {key!r}")

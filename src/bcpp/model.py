@@ -271,6 +271,8 @@ def parse_instance(text: str, label: str = "") -> Instance:
         parts = stripped.split()
         if parts[0] == "opt" and len(parts) == 2:
             known_opt = read_int(parts[1], extra_no, "an integer opt value")
+            if known_opt < 1:
+                raise FormatError(f"line {extra_no}: opt must be at least 1")
         else:
             raise FormatError(f"line {extra_no}: unexpected trailing line")
 

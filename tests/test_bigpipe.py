@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -149,6 +150,30 @@ def test_path_cover_against_brute_force():
         split_edges = [(u, n + v, 1) for u, v in arcs]
         cycle_cover_arcs, _ = brute_force_matching(split_edges)
         assert cover.arc_count >= cycle_cover_arcs - cover.cycles_broken
+
+
+def test_path_cover_is_pinned():
+    # covers taken before the matcher and the walk were rewritten as plain
+    # loops: the same mates must give the same paths and broken cycles
+    pinned = "384e38d78361fbe358849eaa2d5f43507da2fd32f020b4a863f8f063c5a8635c"
+    rng = random.Random(46)
+    covers, broken = [], 0
+    for _ in range(300):
+        verts = tuple(sorted(rng.sample(range(1, 40), rng.randint(1, 12))))
+        density = rng.choice([0.1, 0.3, 0.6, 0.9])
+        arcs = tuple((u, v) for u in verts for v in verts
+                     if u != v and rng.random() < density)
+        cover = path_cover(ArcDigraph(vertices=verts, arcs=arcs))
+        covers.append((cover.paths, cover.cycles_broken))
+        broken += cover.cycles_broken
+    assert broken > 100  # the cycle branch runs
+    for family, n in (("arbitrary", 60), ("big", 80)):
+        for seed in range(1, 21):
+            charts = gen_random(n, seed, family).charts
+            for form in (form_big_scan, form_big_matchings):
+                cover = path_cover(build_arc_digraph(form(charts)))
+                covers.append((cover.paths, cover.cycles_broken))
+    assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
 
 def test_pipeline_all_big_chain():

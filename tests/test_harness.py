@@ -45,7 +45,7 @@ def test_parse_config_rejects_bad_lines():
         parse_config("algorithms = GA_LO, FANCY")
     with pytest.raises(ValueError, match="family"):
         parse_config("generate = n=5 count=2")
-    bad_numbers = {
+    bad_values = {
         "exact_nodes = abc": "expected an integer exact_nodes",
         "exact_nodes = -3": "exact_nodes must be at least 0",
         "exact_time = -1": "exact_time must be at least 0",
@@ -55,14 +55,17 @@ def test_parse_config_rejects_bad_lines():
         "generate = family=big n=5 count=0": "count must be at least 1",
         "generate = family=big n=5 seed=x": "expected an integer seed",
         "generate = family=big n=5 D=1": "D must be at least 2",
+        "output =": "output needs a file name",
+        "output =   # no name before the comment": "output needs a file name",
     }
-    for line, message in bad_numbers.items():
+    for line, message in bad_values.items():
         with pytest.raises(FormatError, match=f"^line 2: {message}"):
             parse_config(f"algorithms = GA_LO\n{line}")
     cfg = parse_config("exact_nodes = 0\nexact_time = 2.5\n"
                        "generate = family=big n=1 count=1 seed=-4 D=2")
     assert (cfg.exact_nodes, cfg.exact_time) == (0, 2.5)
     assert cfg.generate == [GenSpec(family="big", n=1, count=1, seed=-4, den=2)]
+    assert parse_config("summary =").summary == ""  # no summary file
 
 
 def test_parse_config_reads_the_readme_example():

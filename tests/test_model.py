@@ -126,6 +126,9 @@ def test_parse_instance_errors_carry_line_numbers():
         parse_instance("1 10\n11 3\n")  # height above the denominator
     with pytest.raises(FormatError, match="line 4"):
         parse_instance("2 10\n3 4\n5 5\ntrailing junk\n")
+    for opt in ("0", "-3"):
+        with pytest.raises(FormatError, match="^line 4: opt must be at least 1"):
+            parse_instance(f"2 10\n3 4\n5 5\nopt {opt}\n")
 
 
 def test_placement_text_round_trip():
