@@ -32,6 +32,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # read like exact_time and exact_nodes in a bench config
+    for flag, limit in (("--time-limit", args.time_limit),
+                        ("--node-limit", args.node_limit)):
+        if limit is not None and not limit >= 0:  # a NaN is at least nothing
+            raise ValueError(f"{flag} must be at least 0, got {limit}")
     label = os.path.splitext(os.path.basename(args.instance))[0]
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
@@ -52,8 +57,8 @@ def _cmd_solve(args) -> int:
             fh.write(text)
 
     if args.algorithm == "EXACT":
-        res = solve_exact(inst, time_limit=args.time_limit,
-                          node_limit=args.node_limit)
+        res = solve_exact(inst, time_limit=args.time_limit or None,
+                          node_limit=args.node_limit or None)
         print(res.report_line())
     else:
         res = SOLVERS[args.algorithm](inst, dump=dump if dump_dir else None)
@@ -130,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="GA_LO")
     solve.add_argument("--time-limit", type=float, default=None,
-                       help="EXACT time limit in seconds")
+                       help="EXACT time limit in seconds (0: none)")
     solve.add_argument("--node-limit", type=int, default=None,
-                       help="EXACT node limit")
+                       help="EXACT node limit (0: none)")
     solve.add_argument("--lp-export", metavar="PATH",
                        help="write the model in LP format")
     solve.add_argument("--horizon", type=int, default=None,

@@ -7,18 +7,20 @@ leftmost feasible first-bar cell and the chart reaching the smallest cell is
 fixed there, ties broken by the smaller position in the order.  Placed
 charts never move.
 
-The implementation keeps a lazy heap of (cached leftmost cell, order
-position) entries.  Occupancy only ever grows, so a chart's leftmost
-feasible cell is monotone over time and cached cells are lower bounds; an
-entry popped from the heap is re-probed from its resume pointer and either
-confirmed (then placed) or pushed back with the corrected cell.  This yields
-exactly the argmin of the round-based description while keeping the total
-number of feasibility probes O(n^2).
+The cells of successive rounds never decrease: the cell c chosen in a round
+is the minimum of every unplaced chart's leftmost feasible cell, and since
+occupancy only grows, no chart fits left of c in any later round.  So the
+rounds are one left-to-right sweep over cells: at cell c, the next chart
+placed is the first unplaced chart in the order that fits at c, and when
+none fits the sweep moves on to c + 1.  The first bars are non-increasing
+along the order, so the charts whose first bar fits at c form a suffix of
+it, found by one bisection; a forward scan over that suffix takes the first
+unplaced chart whose second bar fits too.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 
 from .model import Instance, Placement, Solved
 
@@ -30,47 +32,35 @@ def lex_order(instance: Instance) -> tuple[int, ...]:
 
 
 def ga_lo(instance: Instance) -> Solved:
-    den = instance.den
+    den, n = instance.den, instance.n
     order = lex_order(instance)
     bars = {ch.id: ch.bars for ch in instance.charts}
+    neg_firsts = [-bars[cid][0] for cid in order]  # non-decreasing
+    seconds = [bars[cid][1] for cid in order]
+    free = [True] * n
 
     # occ[c] = numerator sum at cell c; occ[0] unused.  After k placements
     # no cell beyond 2k is occupied, so the next chart fits at 2k + 1 at the
-    # latest and no probe reads past cell 2n.
-    occ = [0] * (2 * instance.n + 2)
+    # latest and the sweep reads no cell past 2n.
+    occ = [0] * (2 * n + 2)
+    placement: Placement = {}
     probes = 0
-
-    def leftmost(cid: int, start: int) -> int:
-        nonlocal probes
-        a, b = bars[cid]
-        c = start
-        while True:
-            probes += 1
-            if occ[c] + a <= den and occ[c + 1] + b <= den:
-                return c
-            c += 1
-
-    def place(cid: int, cell: int) -> None:
-        a, b = bars[cid]
-        occ[cell] += a
-        occ[cell + 1] += b
-
-    placement: Placement = {order[0]: 1}
-    place(order[0], 1)
-
-    resume = {cid: 1 for cid in order}
-    heap = [(1, pos, cid) for pos, cid in enumerate(order[1:], start=2)]
-    heapq.heapify(heap)
-
-    while heap:
-        cached, pos, cid = heapq.heappop(heap)
-        cell = leftmost(cid, resume[cid])
-        resume[cid] = cell
-        if cell == cached:
-            placement[cid] = cell
-            place(cid, cell)
+    cell = 1
+    while len(placement) < n:
+        room = den - occ[cell + 1]
+        start = bisect_left(neg_firsts, occ[cell] - den)  # first bars fit from here
+        for pos in range(start, n):
+            if free[pos] and seconds[pos] <= room:
+                break
         else:
-            heapq.heappush(heap, (cell, pos, cid))
+            probes += n - start
+            cell += 1
+            continue
+        probes += pos - start + 1
+        free[pos] = False
+        placement[order[pos]] = cell
+        occ[cell] -= neg_firsts[pos]
+        occ[cell + 1] += seconds[pos]
 
     return Solved(placement=placement, length=sum(1 for h in occ if h),
                   probes=probes)

@@ -129,9 +129,10 @@ class UnionRecord:
 class Solved:
     """The result of every heuristic solver.
 
-    ``probes`` counts GA_LO's feasibility probes; ``rounds`` counts the
-    union graphs Mw built, the final edgeless one included; ``unions``
-    lists the unions Mw made, round by round.
+    ``probes`` counts the charts GA_LO's cell sweep scans past the
+    bisection, placed ones included; ``rounds`` counts the union graphs Mw
+    built, the final edgeless one included; ``unions`` lists the unions Mw
+    made, round by round.
     """
 
     placement: Placement

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 from bcpp import (evaluate_packing, ga_lo, gen_random, lex_order, lower_bounds,
                   oracle_opt)
+from bcpp.generators import FAMILIES
 from helpers import inst, naive_ga_lo
 
 
@@ -70,3 +72,20 @@ def test_probe_count_stays_quadratic():
         instance = gen_random(n, 1, "arbitrary", 1000)
         res = ga_lo(instance)
         assert res.probes <= 6 * n * n
+
+
+def test_ga_lo_is_pinned():
+    # placements taken before GA_LO became a left-to-right cell sweep: the
+    # sweep must put every chart at the same cell and reach the same length
+    pinned = "109c82ad6878535634a2d33b078506b9ee837b1dc4b80cd5ac9258ba0c8b94de"
+    results = []
+    for family in FAMILIES:
+        for n in range(1, 31):
+            for den in (2, 3, 10, 100, 10 ** 6):
+                res = ga_lo(gen_random(n, n + den, family, den))
+                results.append((sorted(res.placement.items()), res.length))
+    for family, n in (("big", 500), ("arbitrary", 200)):
+        for seed in (1, 2, 3):
+            res = ga_lo(gen_random(n, seed, family))
+            results.append((sorted(res.placement.items()), res.length))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == pinned

@@ -265,6 +265,28 @@ def test_cli_solve_exact_report(tmp_path, capsys):
     assert line[1] == line[2] == "2"
 
 
+def test_cli_solve_exact_rejects_a_negative_or_nan_limit(tmp_path, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
+    for flag, value in (("--node-limit", "-3"), ("--time-limit", "-1"),
+                        ("--time-limit", "nan")):
+        assert main(["solve", str(path), "-a", "EXACT", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be at least 0" in captured.err
+
+
+def test_cli_solve_exact_reads_a_zero_limit_as_none(tmp_path, capsys):
+    # greedy packs 5 and the bound is 4, so one node cannot prove 4
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
+    assert main(["solve", str(path), "-a", "EXACT", "--node-limit", "1"]) == 0
+    assert capsys.readouterr().out.split()[:4] == ["bounded", "5", "4", "1"]
+    for flag in ("--node-limit", "--time-limit"):
+        assert main(["solve", str(path), "-a", "EXACT", flag, "0"]) == 0
+        assert capsys.readouterr().out.split()[:4] == ["optimal", "4", "4", "5"]
+
+
 def test_cli_solve_lp_export_and_dumps(tmp_path, capsys):
     path = tmp_path / "three.inst"
     path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))

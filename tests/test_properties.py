@@ -8,9 +8,10 @@ every run checks the same examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcpp import (SOLVERS, compact, evaluate_packing, lower_bounds, oracle_opt,
-                  solve_exact)
-from helpers import inst
+from bcpp import (SOLVERS, build_union_graph, compact, evaluate_packing, ga_lo,
+                  lower_bounds, max_cardinality_matching, max_weight_matching,
+                  oracle_opt, solve_exact)
+from helpers import brute_force_matching, inst, naive_ga_lo
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -57,3 +58,24 @@ def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
 def test_mw_is_within_three_halves_on_big_charts(instance):
     assert all(ch.is_big for ch in instance.charts)
     assert 2 * SOLVERS["Mw"](instance).length <= 3 * oracle_opt(instance)
+
+
+@SWEEP
+@given(instances())
+def test_ga_lo_equals_the_round_based_reference(instance):
+    reference = naive_ga_lo(instance)
+    # the same cells, fixed in the same rounds
+    assert list(ga_lo(instance).placement.items()) == list(reference.items())
+    # the sweep rests on this: the rounds fix charts at non-decreasing cells
+    cells = list(reference.values())
+    assert cells == sorted(cells)
+
+
+@SWEEP
+@given(instances())
+def test_matchings_on_union_graphs_equal_brute_force(instance):
+    g = build_union_graph(instance.charts)
+    best_weight, best_card = brute_force_matching(
+        [(e.u, e.v, e.weight) for e in g.edges])
+    assert max_weight_matching(g).total_weight == best_weight
+    assert len(max_cardinality_matching(g).edges) == best_card
