@@ -1,4 +1,5 @@
-"""Exact maximum-weight matching: Edmonds' (1965) primal-dual blossom method.
+"""Exact maximum-weight matching over edge weights 1 and 2: Edmonds' (1965)
+primal-dual blossom method.
 
 A port of networkx's ``max_weight_matching``, which follows Zvi Galil,
 "Efficient Algorithms for Finding Maximum Matching in Graphs" (ACM Computing
@@ -9,9 +10,25 @@ neighbours in edge-list order, blossoms in creation order (ids are never
 reused), leaves in stack-pop order, ties to the first candidate.  The layout
 is new: vertices are ``0..n-1`` and blossoms get ids from ``n`` up, so every
 label, link and dual is a list slot; the oriented edge ``p`` runs
-``endpoint[p] -> endpoint[p ^ 1]``.  Weights are positive integers and vertex
-duals are doubled, so all arithmetic is exact.  Every call ends by checking
-the dual optimality conditions and raises ``ArithmeticError`` if one fails.
+``endpoint[p] -> endpoint[p ^ 1]``.  Vertex duals are doubled, so all
+arithmetic is exact.  Every call ends by checking the dual optimality
+conditions and raises ``ArithmeticError`` if one fails.
+
+Every weight is 1 or 2, the overlap of a union, so two of Galil's four
+delta types never occur and are left out.  In doubled units the duals start
+at W <= 2 and an edge's slack is d_i + d_j - 2w.  A vertex single in some
+stage was single, and S, in every earlier one, so every delta so far lowered
+its dual, which stays >= 0: the deltas of a call are integers summing to at
+most W.  Type 2 (an S-vertex's edge to an unlabelled vertex) needs a slack
+0 < s < min dual <= 2 - (deltas so far): s = 1 before any dual moved, when
+every slack is the even 4 - 2w.  Type 4 (a T-blossom whose dual z runs out)
+needs z < delta.  A blossom is S for the stage that makes it and is expanded
+at its end if z = 0, so a T-blossom gained z0 >= 1 as S; after x deltas as
+T, z0 - x < delta <= 2 - z0 - x forces z0 < 1.  Gone with them are the
+least-slack edges to unlabelled vertices, and the relabelling walk through
+an expanded T-blossom with the vertex labels only it read.  Were this
+argument wrong, a missed delta would leave a negative dual or slack, which
+the certificate rejects.
 
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
@@ -55,8 +72,10 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     """Indices, ascending, of the edges in a maximum-weight matching.
 
     ``edges`` holds ``(i, j, weight)`` over vertices ``0..n-1``: no loops,
-    at most one edge per pair, positive integer weights.
+    at most one edge per pair, and every weight 1 or 2 (else ``ValueError``).
     """
+    if any(w not in (1, 2) for _, _, w in edges):
+        raise ValueError("edge weights must be 1 or 2")
     endpoint = [x for i, j, _ in edges for x in (i, j)]
     wt2 = [2 * w for _, _, w in edges]
     # adj[v]: (neighbour, edge out of v, doubled weight) in edge-list order
@@ -101,9 +120,8 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     def assign_label(w: int, t: int, p: int) -> None:
         # label the top-level blossom of w through edge p (-1: none)
         b = inblossom[w]
-        label[w] = label[b] = t
-        labeledge[w] = labeledge[b] = p
-        bestedge[w] = bestedge[b] = -1
+        label[b] = t
+        labeledge[b] = p
         if t == 1:
             if b < n:
                 queue.append(b)
@@ -185,66 +203,25 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     old = bestedgeto.get(bj)
                     if old is None or s < old[0]:
                         bestedgeto[bj] = (s, t)
-            bestedge[bv] = -1
         mybestedges[b] = [t for _, t in bestedgeto.values()]
         best = min(bestedgeto.values(), key=lambda st: st[0], default=None)
         bestedge[b] = -1 if best is None else best[1][1]  # first least slack
 
-    def step(b: int, j: int, jstep: int) -> int:
-        # ring edge from childs[b][j] towards the next child in direction jstep
-        return ring[b][j] if jstep == 1 else ring[b][j - 1] ^ 1
-
-    def expand_blossom(b: int, endstage: bool) -> None:
-        def expand(b: int):
+    def expand_blossom(b: int) -> None:
+        # dissolve b and every zero-dual sub-blossom (each slot is set once)
+        stack = [b]
+        while stack:
+            b = stack.pop()
+            del blossomdual[b]
             for s in childs[b]:
                 blossomparent[s] = -1
                 if s < n:
                     inblossom[s] = s
-                elif endstage and blossomdual[s] == 0:
-                    yield (s,)
+                elif blossomdual[s] == 0:
+                    stack.append(s)
                 else:
                     for v in leaves(s):
                         inblossom[v] = s
-            if not endstage and label[b] == 2:
-                # relabel the sub-blossoms from the one the label entered
-                # through round to the base
-                ch = childs[b]
-                e = labeledge[b]
-                entrychild = inblossom[endpoint[e ^ 1]]
-                j, jstep = _direction(ch, ch.index(entrychild))
-                while j != 0:
-                    q = step(b, j, jstep)
-                    label[endpoint[e ^ 1]] = 0
-                    label[endpoint[q ^ 1]] = 0
-                    assign_label(endpoint[e ^ 1], 2, e)
-                    allowedge[q >> 1] = 1
-                    j += jstep
-                    e = step(b, j, jstep)
-                    allowedge[e >> 1] = 1
-                    j += jstep
-                w, bw = endpoint[e ^ 1], ch[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = e
-                bestedge[bw] = -1
-                j += jstep
-                while ch[j] != entrychild:
-                    bv = ch[j]
-                    j += jstep
-                    if label[bv] == 1:
-                        continue
-                    if bv < n:
-                        v = bv
-                    else:
-                        for v in leaves(bv):
-                            if label[v]:
-                                break
-                    if label[v]:
-                        label[v] = 0
-                        label[endpoint[mate[blossombase[bv]] ^ 1]] = 0
-                        assign_label(v, 2, labeledge[v])
-            del blossomdual[b]
-
-        _trampoline(expand, b)
 
     def augment_blossom(b: int, v: int) -> None:
         # swap matched and unmatched edges along the path in b from v to its
@@ -257,10 +234,13 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                 yield t, v
             ch = childs[b]
             i = ch.index(t)
-            j, jstep = _direction(ch, i)
+            # round to the base at 0: forward (wrapping through negative
+            # indices) from an odd child, else back
+            j, jstep = (i - len(ch), 1) if i & 1 else (i, -1)
             while j != 0:
-                q = step(b, j + jstep, jstep)
+                # the ring edge into child j from the one before it on the way
                 j += jstep
+                q = ring[b][j] if jstep == 1 else ring[b][j - 1] ^ 1
                 if ch[j] >= n:
                     yield ch[j], endpoint[q]
                 j += jstep
@@ -318,12 +298,11 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                         kslack = dv + dualvar[w] - w2
                         if kslack > 0:
                             # not tight yet: remember the least-slack edge
-                            # to another S-blossom, or to a free vertex
-                            x = bv if label[bw] == 1 else w if label[w] == 0 else -1
-                            if x != -1:
-                                e = bestedge[x]
+                            # to another S-blossom
+                            if label[bw] == 1:
+                                e = bestedge[bv]
                                 if e == -1 or kslack < slack(e):
-                                    bestedge[x] = p
+                                    bestedge[bv] = p
                             continue
                         allowedge[k] = 1
                     if label[bw] == 0:
@@ -336,30 +315,19 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                             break
                         add_blossom(base, p)
                         bv = inblossom[v]
-                    elif label[w] == 0:
-                        label[w] = 2
-                        labeledge[w] = p
             if augmented:
                 break
 
-            # no augmenting path over tight edges: move the duals by the
-            # least delta (doubled, like the duals) that makes progress
-            deltatype = 1
+            # no augmenting path over tight edges: move the duals by the least
+            # single dual (type 1, the end) or half the least slack between
+            # S-blossoms (type 3), doubled like the duals
             delta = min(dualvar, default=0)
-            deltaedge = deltablossom = -1
-            for v in range(n):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if d < delta:
-                        delta, deltatype, deltaedge = d, 2, bestedge[v]
+            deltaedge = -1
             for b in chain(range(n), blossomdual):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
                     d = slack(bestedge[b]) // 2
                     if d < delta:
-                        delta, deltatype, deltaedge = d, 3, bestedge[b]
-            for b, z in blossomdual.items():
-                if blossomparent[b] == -1 and label[b] == 2 and z < delta:
-                    delta, deltatype, deltablossom = z, 4, b
+                        delta, deltaedge = d, bestedge[b]
 
             for v in range(n):
                 if label[inblossom[v]]:  # S down, T up
@@ -368,29 +336,20 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                 if blossomparent[b] == -1 and label[b]:
                     blossomdual[b] += delta if label[b] == 1 else -delta
 
-            if deltatype == 1:
+            if deltaedge == -1:
                 break
-            if deltatype == 4:
-                expand_blossom(deltablossom, False)
-            else:
-                allowedge[deltaedge >> 1] = 1
-                queue.append(endpoint[deltaedge])
+            allowedge[deltaedge >> 1] = 1
+            queue.append(endpoint[deltaedge])
 
         if not augmented:
             break
         # end of a stage: expand the S-blossoms whose dual fell to zero
         for b in list(blossomdual):
             if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
-                expand_blossom(b, True)
+                expand_blossom(b)
 
     _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring)
     return sorted({e >> 1 for e in mate if e != -1})
-
-
-def _direction(ch: list[int], j: int) -> tuple[int, int]:
-    """Start index and step that go from child j round to the base at 0:
-    forward (wrapping through negative indices) from odd j, else back."""
-    return (j - len(ch), 1) if j & 1 else (j, -1)
 
 
 def _trampoline(call, *args) -> None:

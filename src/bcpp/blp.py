@@ -123,7 +123,7 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
 
     greedy = ga_lo(instance)
     best_len = greedy.length
-    best_placement = compact(instance, greedy.placement)
+    best_placement = greedy.placement  # GA_LO leaves no gap to compact
     nodes = 0
 
     def result(status: str, lower: int) -> ExactResult:

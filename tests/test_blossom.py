@@ -34,9 +34,11 @@ def our_pairs(g: WeightedGraph, cardinality: bool) -> set[frozenset[int]]:
     return {frozenset((e.u, e.v)) for e in solve(g).edges}
 
 
-def random_graph(rng: random.Random, n: int) -> WeightedGraph:
+def random_graph(rng: random.Random, n: int,
+                 density: float | None = None) -> WeightedGraph:
     ids = sorted(rng.sample(range(1, 3 * n + 2), n))  # gapped, as unions leave
-    density = rng.random()
+    if density is None:
+        density = rng.random()
     edges = []
     for a, u in enumerate(ids):
         for v in ids[a + 1:]:
@@ -48,16 +50,19 @@ def random_graph(rng: random.Random, n: int) -> WeightedGraph:
 
 def test_mates_equal_networkx_on_random_graphs():
     rng = random.Random(61)
-    for trial in range(2000):
-        g = random_graph(rng, rng.randint(0, 16))
+    graphs = [random_graph(rng, rng.randint(0, 16)) for _ in range(2000)]
+    # and a few dense ones, where blossoms nest deeper
+    graphs += [random_graph(rng, n, density=0.7) for n in (20, 30, 45, 60)]
+    for trial, g in enumerate(graphs):
         for cardinality in (False, True):
             assert our_pairs(g, cardinality) == nx_pairs(g, cardinality), (
                 trial, cardinality, g)
 
 
 def test_mates_equal_networkx_on_union_graphs():
-    for seed in (1, 2, 3):
-        g = build_union_graph(gen_random(200, seed, "arbitrary", 10**6).charts)
+    for family, seed in [("arbitrary", 1), ("arbitrary", 2), ("arbitrary", 3),
+                         ("big", 1), ("big", 2)]:
+        g = build_union_graph(gen_random(200, seed, family, 10**6).charts)
         for cardinality in (False, True):
             assert our_pairs(g, cardinality) == nx_pairs(g, cardinality)
 
@@ -88,19 +93,25 @@ def test_certificate_runs_on_every_call(monkeypatch):
 
 
 def test_certificate_rejects_a_wrong_matching(monkeypatch):
-    # path 0-1-2-3 with weights 1, 3, 1: the heavy middle edge alone is
-    # optimal; hand the certificate the two outer edges instead
-    edges = [(0, 1, 1), (1, 2, 3), (2, 3, 1)]
-    assert blossom.max_weight_edges(4, edges) == [1]
+    # path 0-1-2 with weights 1, 2: the heavy edge alone is optimal; hand
+    # the certificate the light outer edge instead
+    edges = [(0, 1, 1), (1, 2, 2)]
+    assert blossom.max_weight_edges(3, edges) == [1]
     certify = blossom._certify
 
     def swap_mates(endpoint, wt2, mate, *rest):
-        mate[:] = [0, 1, 4, 5]  # each vertex's matched edge, oriented out
+        mate[:] = [0, 1, -1]  # each vertex's matched edge, oriented out
         certify(endpoint, wt2, mate, *rest)
 
     monkeypatch.setattr(blossom, "_certify", swap_mates)
     with pytest.raises(ArithmeticError, match="not optimal"):
-        blossom.max_weight_edges(4, edges)
+        blossom.max_weight_edges(3, edges)
+
+
+@pytest.mark.parametrize("weight", [0, 3, -1])
+def test_weights_other_than_one_and_two_are_rejected(weight):
+    with pytest.raises(ValueError, match="weights must be 1 or 2"):
+        blossom.max_weight_edges(3, [(0, 1, 1), (1, 2, weight)])
 
 
 def test_import_does_not_load_networkx():

@@ -70,6 +70,8 @@ def test_bpp_errors_name_their_own_line():
         (lambda: parse_bpp_instance("3\n0\n1\n1\n1\n"), "line 2:"),
         (lambda: parse_bpp("3\n10\n6\n5\n4\n", "3\n0\n\n1\n\n7\n"), "line 6:"),
         (lambda: parse_bpp("3\n10\n6\n5\n4\n", "2\n\n\n0\n1 2 2\n"), "line 5:"),
+        (lambda: parse_bpp_instance("4\n"), "line 1:"),  # no capacity line
+        (lambda: parse_bpp("3\n10\n6\n5\n4\n", ""), "line 1:"),  # no solution
     ]
     for parse, line in cases:
         with pytest.raises(FormatError) as info:

@@ -1,8 +1,10 @@
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import bcpp.blp
 import bcpp.greedy
 from bcpp import (FormatError, SuiteConfig, format_instance, format_records_csv,
                   format_summary_csv, gen_random, parse_config, run_algorithm,
@@ -50,6 +52,11 @@ def test_parse_config_rejects_bad_lines():
         "exact_nodes = -3": "exact_nodes must be at least 0",
         "exact_time = -1": "exact_time must be at least 0",
         "exact_time = nan": "exact_time must be at least 0",
+        "exact_time = abc": "exact_time must be a number, got 'abc'",
+        "timing = maybe": "timing must be on or off",
+        "generate = family=big n=5 junk": "bad generator token 'junk'",
+        "generate = family=big n=5 colour=red": r"unknown generator keys \['colour'\]",
+        "generate = family=tiny n=5": "unknown family 'tiny'",
         "generate = family=big n=ten": "expected an integer n",
         "generate = family=big n=0": "n must be at least 1",
         "generate = family=big n=5 count=0": "count must be at least 1",
@@ -157,6 +164,57 @@ def test_run_suite_reports_failing_generator_and_keeps_the_rest():
     assert [r.label for r in records] == [gen_random(4, 0, "arbitrary", 20).label]
     assert [(e.label, e.algorithm, e.message) for e in errors] == [
         (repr(bad), "-", "need n >= 1"), (repr(empty), "-", "need count >= 1")]
+
+
+@pytest.mark.parametrize("fault", ["infeasible", "wrong length"])
+def test_run_suite_reports_a_failed_audit_and_keeps_the_rest(tmp_path, monkeypatch,
+                                                             fault):
+    (tmp_path / "a.inst").write_text(format_instance(inst((6, 6), (6, 6))))
+    (tmp_path / "b.inst").write_text(format_instance(inst((9, 2), (7, 6))))
+    original = bcpp.greedy.ga_lo
+
+    def faulty(instance):
+        solved = original(instance)
+        if fault == "infeasible":  # both charts in cell 1 overflow it
+            return replace(solved, placement={c.id: 1 for c in instance.charts})
+        return replace(solved, length=solved.length + 1)
+
+    monkeypatch.setattr(bcpp.greedy, "ga_lo", faulty)
+    cfg = SuiteConfig(instances=[str(tmp_path / "*.inst")],
+                      algorithms=("GA_LO", "A1"))
+    records, _, errors = run_suite(cfg)
+    assert [(r.label, r.algorithm) for r in records] == [("a", "A1"), ("b", "A1")]
+    # GA_LO packs a in length 4 and b in length 3
+    expected = {"infeasible": ["feasible=False length=2 reported=4",
+                               "feasible=False length=2 reported=3"],
+                "wrong length": ["feasible=True length=4 reported=5",
+                                 "feasible=True length=3 reported=4"]}[fault]
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        (label, "GA_LO", f"audit failed: {message}")
+        for label, message in zip("ab", expected)]
+
+
+def test_run_algorithm_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown algorithm 'NOPE'"):
+        run_algorithm(inst((5, 5)), "NOPE")
+
+
+def test_run_suite_reports_a_failed_reference_and_keeps_the_rest(monkeypatch):
+    spec = GenSpec("arbitrary", 4, 2, 3, 20)
+    first, second = spec.instances()
+    original = bcpp.blp.solve_exact
+
+    def failing(instance, **limits):
+        if instance.label == first.label:
+            raise RuntimeError("search broke")
+        return original(instance, **limits)
+
+    monkeypatch.setattr(bcpp.blp, "solve_exact", failing)
+    cfg = SuiteConfig(generate=[spec], algorithms=("GA_LO",), exact_nodes=1000)
+    records, _, errors = run_suite(cfg)
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        (first.label, "-", "reference failed: search broke")]
+    assert [(r.label, r.algorithm) for r in records] == [(second.label, "GA_LO")]
 
 
 def test_records_csv_matches_pinned_fixture():

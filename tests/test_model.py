@@ -120,6 +120,8 @@ def test_instance_text_round_trip():
 def test_parse_instance_errors_carry_line_numbers():
     with pytest.raises(FormatError, match="line 1"):
         parse_instance("nonsense\n")
+    with pytest.raises(FormatError, match="^line 1: empty instance file"):
+        parse_instance("")
     with pytest.raises(FormatError, match="line 3"):
         parse_instance("2 10\n3 4\noops\n")
     with pytest.raises(FormatError, match="line 2"):
