@@ -128,7 +128,7 @@ def _max_bipartite_matching(lefts: list[int],
         for root in lefts:
             if root in match_l:
                 continue
-            path, picks, its = [root], [], [iter(adj[root])]
+            path, its = [root], [iter(adj[root])]
             while path:
                 u = path[-1]
                 for v in its[-1]:
@@ -139,13 +139,11 @@ def _max_bipartite_matching(lefts: list[int],
                     del dist[u]
                     path.pop()
                     its.pop()
-                    del picks[-1:]  # the root level has no pick
                     continue
-                picks.append(v)
-                if w is None:
-                    for left, right in zip(path, picks):
-                        match_l[left] = right
-                        match_r[right] = left
+                if w is None:  # each left takes its successor's mate, the last v
+                    for u in reversed(path):
+                        match_l[u], v = v, match_l.get(u)
+                        match_r[match_l[u]] = u
                     break
                 path.append(w)
                 its.append(iter(adj[w]))

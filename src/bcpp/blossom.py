@@ -30,6 +30,12 @@ an expanded T-blossom with the vertex labels only it read.  Were this
 argument wrong, a missed delta would leave a negative dual or slack, which
 the certificate rejects.
 
+The scan follows an edge exactly when its slack is 0.  S-S slacks are even
+(Galil), so a type-3 delta leaves its edge tight, and a tight edge stays so
+for the stage: an S-T slack does not move under a delta, and a tight S-S edge
+closes a blossom or ends the stage.  An odd S-S slack would repeat a zero
+delta forever, so it raises ``ArithmeticError``.
+
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
 Dan Schult <dschult@colgate.edu>
@@ -100,7 +106,6 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     childs: dict[int, list[int]] = {}   # sub-blossoms, base first
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
     mybestedges: dict[int, list[tuple[int, int, int]]] = {}
-    allowedge = bytearray(len(edges))
     queue: list[int] = []
 
     def slack(p: int) -> int:
@@ -276,7 +281,6 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
         mybestedges.clear()
-        allowedge[:] = bytes(len(allowedge))
         queue.clear()
         for v in range(n):
             if mate[v] == -1 and label[inblossom[v]] == 0:
@@ -293,18 +297,15 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     bw = inblossom[w]
                     if bw == bv:
                         continue
-                    k = p >> 1
-                    if not allowedge[k]:
-                        kslack = dv + dualvar[w] - w2
-                        if kslack > 0:
-                            # not tight yet: remember the least-slack edge
-                            # to another S-blossom
-                            if label[bw] == 1:
-                                e = bestedge[bv]
-                                if e == -1 or kslack < slack(e):
-                                    bestedge[bv] = p
-                            continue
-                        allowedge[k] = 1
+                    kslack = dv + dualvar[w] - w2
+                    if kslack > 0:
+                        # not tight yet: remember the least-slack edge
+                        # to another S-blossom
+                        if label[bw] == 1:
+                            e = bestedge[bv]
+                            if e == -1 or kslack < slack(e):
+                                bestedge[bv] = p
+                        continue
                     if label[bw] == 0:
                         assign_label(w, 2, p)
                     elif label[bw] == 1:
@@ -325,7 +326,9 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             deltaedge = -1
             for b in chain(range(n), blossomdual):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    d = slack(bestedge[b]) // 2
+                    d, odd = divmod(slack(bestedge[b]), 2)
+                    if odd:
+                        raise ArithmeticError("blossom matching: odd S-S slack")
                     if d < delta:
                         delta, deltaedge = d, bestedge[b]
 
@@ -338,7 +341,6 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
 
             if deltaedge == -1:
                 break
-            allowedge[deltaedge >> 1] = 1
             queue.append(endpoint[deltaedge])
 
         if not augmented:

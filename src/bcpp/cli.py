@@ -74,8 +74,6 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    if args.strict:
-        cfg.strict = True
     base_dir = os.path.dirname(os.path.abspath(args.config))
     records, summary, errors = run_suite(cfg, base_dir=base_dir)
 
@@ -93,7 +91,7 @@ def _cmd_bench(args) -> int:
     for err in errors:
         print(f"error: {err.label} [{err.algorithm}]: {err.message}",
               file=sys.stderr)
-    if errors and cfg.strict:
+    if errors and args.strict:
         return 1
     return 0
 

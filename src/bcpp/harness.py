@@ -108,12 +108,11 @@ class SuiteConfig:
     timing: bool = False
     output: str = "results.csv"
     summary: str = ""
-    strict: bool = False
 
 
 # The keys that take one word, and the words each allows ("on"/"off" -> bool).
 _CONFIG_WORDS = {"reference": ("auto", "lb"), "bpp_reference": ("recorded", "witness"),
-                "timing": ("on", "off"), "strict": ("on", "off")}
+                "timing": ("on", "off")}
 
 
 def parse_config(text: str) -> SuiteConfig:

@@ -27,14 +27,14 @@ from .unions import merge_union
 
 
 class UnionEdge(NamedTuple):
-    """Edge (u, v) with u < v; ``left``/``right`` orient the stored t-union."""
+    """Edge (u, v) with u < v; ``left``/``right`` orient the stored t-union,
+    t = ``weight``."""
 
     u: int
     v: int
     weight: int
     left: int
     right: int
-    t: int
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,15 @@ def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
         for v, g0, g1, m2, m1 in rows[k + 1:]:
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, u left
-                add(UnionEdge(u, v, 2, u, v, 2))
+                add(UnionEdge(u, v, 2, u, v))
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, v left
-                add(UnionEdge(u, v, 2, v, u, 2))
+                add(UnionEdge(u, v, 2, v, u))
             elif two_unions_only:
                 continue
             elif g0 <= cap_l1:                     # 1-union, u left
-                add(UnionEdge(u, v, 1, u, v, 1))
+                add(UnionEdge(u, v, 1, u, v))
             elif m1 <= cap_f0:                     # 1-union, v left
-                add(UnionEdge(u, v, 1, v, u, 1))
+                add(UnionEdge(u, v, 1, v, u))
     return WeightedGraph(vertices=tuple(r[0] for r in rows), edges=tuple(edges))
 
 
@@ -138,7 +138,7 @@ def merge_matched(charts: list[BarChart] | tuple[BarChart, ...],
     matched = set()
     merged = []
     for e in matching.edges:
-        merged.append(merge_union(by_id[e.left], by_id[e.right], e.t))
+        merged.append(merge_union(by_id[e.left], by_id[e.right], e.weight))
         matched.update((e.u, e.v))
     rest = [c for c in charts if c.id not in matched]
     return sorted(merged + rest, key=lambda c: c.id)
@@ -164,9 +164,8 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
             break
         matching = max_weight_matching(graph)
         for e in matching.edges:
-            if e.t not in (1, 2):
-                raise AssertionError(f"union with overlap t={e.t} constructed")
-            unions.append(UnionRecord(round=rounds, left=e.left, right=e.right, t=e.t))
+            unions.append(UnionRecord(round=rounds, left=e.left, right=e.right,
+                                      t=e.weight))
         charts = merge_matched(charts, matching)
     return Solved(placement=assemble_placement(charts),
                   length=sum(c.width for c in charts),

@@ -88,8 +88,7 @@ def test_c4_matching_exactness_against_brute_force():
             for v in range(u + 1, n + 1):
                 if rng.random() < 0.5:
                     w = rng.choice([1, 2])
-                    edges.append(UnionEdge(u=u, v=v, weight=w, left=u,
-                                           right=v, t=w))
+                    edges.append(UnionEdge(u=u, v=v, weight=w, left=u, right=v))
         g = WeightedGraph(vertices=tuple(range(1, n + 1)), edges=tuple(edges))
         best_weight, best_card = brute_force_matching(
             [(e.u, e.v, e.weight) for e in edges])

@@ -44,7 +44,7 @@ def random_graph(rng: random.Random, n: int,
         for v in ids[a + 1:]:
             if rng.random() < density:
                 w = rng.choice((1, 2))
-                edges.append(UnionEdge(u, v, w, u, v, w))
+                edges.append(UnionEdge(u, v, w, u, v))
     return WeightedGraph(vertices=tuple(ids), edges=tuple(edges))
 
 
@@ -71,7 +71,7 @@ def test_mates_equal_networkx_on_union_graphs():
     WeightedGraph(vertices=(), edges=()),
     WeightedGraph(vertices=(4,), edges=()),
     WeightedGraph(vertices=(1, 5, 9), edges=()),
-    WeightedGraph(vertices=(1, 2, 3, 7), edges=(UnionEdge(2, 3, 2, 3, 2, 2),)),
+    WeightedGraph(vertices=(1, 2, 3, 7), edges=(UnionEdge(2, 3, 2, 3, 2),)),
 ], ids=["empty", "one-vertex", "edgeless", "isolated-vertices"])
 def test_degenerate_graphs(g):
     for cardinality in (False, True):
@@ -106,6 +106,26 @@ def test_certificate_rejects_a_wrong_matching(monkeypatch):
     monkeypatch.setattr(blossom, "_certify", swap_mates)
     with pytest.raises(ArithmeticError, match="not optimal"):
         blossom.max_weight_edges(3, edges)
+
+
+# hand-built certificate states, one per condition: (endpoint, wt2, mate,
+# dualvar, blossomparent, blossomdual, ring) and the message expected
+ONE_EDGE = ([0, 1], [2])
+TRIANGLE = ([0, 1, 1, 2, 2, 0], [2, 2, 2])
+
+
+@pytest.mark.parametrize("state, message", [
+    (ONE_EDGE + ([0, -1], [1, 1], [-1, -1], {}, {}),
+     "vertex 0 is not matched symmetrically"),
+    (ONE_EDGE + ([0, 1], [-1, 3], [-1, -1], {}, {}), "negative dual"),
+    (ONE_EDGE + ([0, 1], [1, 2], [-1, -1], {}, {}), "edge 0 has slack 1"),
+    # a blossom over the triangle with a positive dual but no matched edge
+    (TRIANGLE + ([-1, -1, -1], [0, 0, 0], [3, 3, 3, -1], {3: 1}, {3: [0, 2, 4]}),
+     "blossom 3 has dual 1 but is not full"),
+])
+def test_certificate_rejects_each_broken_condition(state, message):
+    with pytest.raises(ArithmeticError, match=f"not optimal: {message}$"):
+        blossom._certify(*state)
 
 
 @pytest.mark.parametrize("weight", [0, 3, -1])

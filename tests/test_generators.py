@@ -36,6 +36,12 @@ def test_generation_validates_arguments():
         gen_random(5, 1, "arbitrary", den=1)
     with pytest.raises(ValueError):
         gen_random(5, 1, "unknown-family")
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        BppInstance(sizes=(1,), capacity=0)
+    with pytest.raises(ValueError, match=r"item 1: size 6 outside \(0, capacity\]"):
+        BppInstance(sizes=(5, 6), capacity=5)
+    with pytest.raises(ValueError, match="need num_bins >= 1"):
+        gen_bpp_fullbins(0, 10, 1)
 
 
 def test_parse_bpp_round_trip():

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,14 +30,12 @@ exact_nodes = 500
 timing = off
 output = out.csv
 summary = out.summary.csv
-strict = on
 """)
     assert cfg.instances == ["data/*.inst"]
     assert cfg.generate == [GenSpec(family="big", n=10, count=3, seed=7, den=100)]
     assert cfg.algorithms == ("GA_LO", "Mw")
     assert cfg.bpp_reference == "witness"
     assert cfg.exact_nodes == 500
-    assert cfg.strict is True
 
 
 def test_parse_config_rejects_bad_lines():
@@ -54,6 +54,7 @@ def test_parse_config_rejects_bad_lines():
         "exact_time = nan": "exact_time must be at least 0",
         "exact_time = abc": "exact_time must be a number, got 'abc'",
         "timing = maybe": "timing must be on or off",
+        "strict = on": "unknown key 'strict'",  # strictness is bench --strict
         "generate = family=big n=5 junk": "bad generator token 'junk'",
         "generate = family=big n=5 colour=red": r"unknown generator keys \['colour'\]",
         "generate = family=tiny n=5": "unknown family 'tiny'",
@@ -86,7 +87,7 @@ def test_parse_config_reads_the_readme_example():
     assert cfg.algorithms == ("GA_LO", "M1w", "Mw", "A1", "A2")
     assert (cfg.reference, cfg.bpp_reference) == ("auto", "recorded")
     assert (cfg.exact_nodes, cfg.exact_time) == (0, 0)
-    assert (cfg.timing, cfg.strict) == (False, False)
+    assert cfg.timing is False
     assert (cfg.output, cfg.summary) == ("results.csv", "summary.csv")
 
 
@@ -392,6 +393,12 @@ def test_cli_bench_and_strictness(tmp_path, capsys):
     missing.write_text("instances = nowhere/*.inst\nalgorithms = GA_LO\n")
     assert main(["bench", str(missing)]) == 0
     assert main(["bench", str(missing), "--strict"]) == 1
+    # the same exit statuses through the module entry point
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bcpp.__file__))}
+    for flags, status in (([], 0), (["--strict"], 1)):
+        proc = subprocess.run([sys.executable, "-m", "bcpp.cli", "bench", str(missing),
+                               *flags], env=env, capture_output=True, text=True)
+        assert proc.returncode == status, proc.stderr
 
 
 def test_cli_bpp_import(tmp_path, capsys):

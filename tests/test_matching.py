@@ -12,7 +12,7 @@ from helpers import brute_force_matching, inst, pair_weight, random_charts
 
 
 def edge(u, v, w):
-    return UnionEdge(u=u, v=v, weight=w, left=u, right=v, t=w)
+    return UnionEdge(u=u, v=v, weight=w, left=u, right=v)
 
 
 def graph(n_vertices, edges):
@@ -109,10 +109,10 @@ def test_union_graph_matches_pair_weight_on_every_pair():
             for j in ordered[a + 1:]:
                 pw = pair_weight(i, j)
                 if pw.weight:
-                    expected.append((i.id, j.id, pw.weight, pw.left, pw.right, pw.t))
+                    expected.append((i.id, j.id, pw.weight, pw.left, pw.right))
         g = build_union_graph(charts)
         assert g.vertices == tuple(c.id for c in ordered)
-        assert [(e.u, e.v, e.weight, e.left, e.right, e.t) for e in g.edges] == expected
+        assert [(e.u, e.v, e.weight, e.left, e.right) for e in g.edges] == expected
         two = build_union_graph(charts, two_unions_only=True)
         assert two.vertices == g.vertices
         assert two.edges == tuple(e for e in g.edges if e.weight == 2)

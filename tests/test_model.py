@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from bcpp import (FormatError, compact, evaluate_packing, format_instance,
-                  format_placement, lower_bounds, parse_instance,
-                  parse_placement)
+from bcpp import (BarChart, FormatError, Instance, compact, evaluate_packing,
+                  format_instance, format_placement, lower_bounds,
+                  parse_instance, parse_placement)
 from helpers import inst, mk
 
 
@@ -34,6 +34,8 @@ def test_evaluate_rejects_unknown_and_missing_ids():
         evaluate_packing(instance, {1: 1, 2: 1, 3: 1})
     with pytest.raises(ValueError, match="misses"):
         evaluate_packing(instance, {1: 1})
+    with pytest.raises(ValueError, match="chart 2: cell 0 is not positive"):
+        evaluate_packing(instance, {1: 1, 2: 0})
 
 
 def test_lower_bounds_big_pair():
@@ -149,3 +151,20 @@ def test_chart_validation():
         mk(1, 11, 5)
     with pytest.raises(ValueError):
         inst((3, 3), den=1)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        BarChart(id=1, bars=(1,), den=0)
+    with pytest.raises(ValueError, match="needs at least one bar"):
+        BarChart(id=1, bars=(), den=10)
+    with pytest.raises(ValueError, match=r"duplicate origin ids \[1, 1\]"):
+        BarChart(id=1, bars=(3, 3), den=10, origins=((1, 0), (1, 1)))
+    bad_instances = {
+        (): "instance needs at least one chart",
+        (mk(2, 3, 3),): "chart ids must be 1..n, got 2 at slot 1",
+        (BarChart(id=1, bars=(3, 3, 3), den=10),): "chart 1: raw instances hold 2-bar",
+        (mk(1, 3, 3), mk(2, 3, 3, den=20)): "chart 2: denominator 20 != 10",
+    }
+    for charts, message in bad_instances.items():
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Instance(charts=charts, den=10)
+    with pytest.raises(KeyError, match="no chart with id 0"):
+        inst((3, 3)).chart(0)

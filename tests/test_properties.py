@@ -95,7 +95,7 @@ def test_ga_lo_leaves_no_gap_to_compact(instance):
 @given(chart_lists())
 def test_union_rows_match_their_definitions_at_every_width(charts):
     ordered = sorted(charts, key=lambda c: c.id)
-    edges = [(i.id, j.id, pw.weight, pw.left, pw.right, pw.t)
+    edges = [(i.id, j.id, pw.weight, pw.left, pw.right)
              for a, i in enumerate(ordered) for j in ordered[a + 1:]
              for pw in [pair_weight(i, j)] if pw.weight]
     assert [tuple(e) for e in build_union_graph(charts).edges] == edges

@@ -24,6 +24,8 @@ def test_union_t_out_of_range():
         union_feasible(mk(1, 3, 3), mk(2, 3, 3), 3)
     with pytest.raises(ValueError, match="out of range"):
         merge_union(mk(1, 3, 3), mk(2, 3, 3), 0)
+    with pytest.raises(ValueError, match="share one denominator"):
+        union_feasible(mk(1, 3, 3), mk(2, 3, 3, den=20), 1)
 
 
 def test_wide_overlaps_validated_even_though_unused_by_algorithms():
