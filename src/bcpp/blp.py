@@ -47,12 +47,16 @@ class BlpModel:
 
 @dataclass(frozen=True)
 class ExactResult:
-    status: str  # "optimal" or "bounded"
     best_length: int
     lower_bound: int
     elapsed_ms: float
     node_count: int
     placement: Placement
+
+    @property
+    def status(self) -> str:
+        """``optimal`` exactly when the incumbent meets the proven bound."""
+        return "optimal" if self.best_length == self.lower_bound else "bounded"
 
     def report_line(self) -> str:
         return (f"{self.status} {self.best_length} {self.lower_bound} "
@@ -103,8 +107,8 @@ def export_lp(model: BlpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def solve_exact(instance: Instance, time_limit: float | None = None,
-                node_limit: int | None = None) -> ExactResult:
+def solve_exact(instance: Instance, time_limit: float = 0.0,
+                node_limit: int = 0) -> ExactResult:
     """Branch-and-bound over chart placements.
 
     Charts are branched in greedy lexicographic order with ascending cells,
@@ -113,9 +117,10 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
     incumbent.  A node is cut when the cells already occupied, plus the room
     the unplaced area still needs beyond the free capacity of those cells,
     plus the unplaced big bars that cannot share any cell, reach the
-    incumbent.  With no limits the result is optimal; when a limit expires
-    the incumbent is returned with the bound proven before the search.  The
-    path is kept on an explicit stack, so any n is within recursion limits.
+    incumbent.  A limit of 0 means none, and with no limits the result is
+    optimal; when a limit expires the incumbent is returned with the bound
+    proven before the search.  The path is kept on an explicit stack, so any
+    n is within recursion limits.
     """
     start = time.perf_counter()
     den = instance.den
@@ -126,14 +131,14 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
     best_placement = greedy.placement  # GA_LO leaves no gap to compact
     nodes = 0
 
-    def result(status: str, lower: int) -> ExactResult:
+    def result(lower: int) -> ExactResult:
         elapsed = (time.perf_counter() - start) * 1000.0
-        return ExactResult(status=status, best_length=best_len,
+        return ExactResult(best_length=best_len,
                            lower_bound=lower, elapsed_ms=elapsed,
                            node_count=nodes, placement=best_placement)
 
     if best_len == combined:
-        return result("optimal", best_len)
+        return result(best_len)
 
     order = [instance.chart(cid) for cid in lex_order(instance)]
     n = len(order)
@@ -183,9 +188,9 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
                 next_pos[k] = positions[k] + 1
             continue
         nodes += 1
-        if (node_limit is not None and nodes >= node_limit or time_limit
-                is not None and time.perf_counter() - start > time_limit):
-            return result("bounded", combined)
+        if (node_limit and nodes >= node_limit
+                or time_limit and time.perf_counter() - start > time_limit):
+            return result(combined)
         oa, ob = occ[pos], occ[pos + 1]
         occ[pos] = na = oa + a
         occ[pos + 1] = nb = ob + b
@@ -198,7 +203,7 @@ def solve_exact(instance: Instance, time_limit: float | None = None,
         else:  # a leaf or a cut: take chart k off, try its next cell
             occ[pos], occ[pos + 1] = oa, ob
             next_pos[k] = pos + 1
-    return result("optimal", best_len)
+    return result(best_len)
 
 
 def oracle_opt(instance: Instance) -> int:

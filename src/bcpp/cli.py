@@ -35,7 +35,7 @@ def _cmd_solve(args) -> int:
     # read like exact_time and exact_nodes in a bench config
     for flag, limit in (("--time-limit", args.time_limit),
                         ("--node-limit", args.node_limit)):
-        if limit is not None and not limit >= 0:  # a NaN is at least nothing
+        if not limit >= 0:  # a NaN is at least nothing
             raise ValueError(f"{flag} must be at least 0, got {limit}")
     label = os.path.splitext(os.path.basename(args.instance))[0]
     with open(args.instance) as fh:
@@ -57,8 +57,7 @@ def _cmd_solve(args) -> int:
             fh.write(text)
 
     if args.algorithm == "EXACT":
-        res = solve_exact(inst, time_limit=args.time_limit or None,
-                          node_limit=args.node_limit or None)
+        res = solve_exact(inst, time_limit=args.time_limit, node_limit=args.node_limit)
         print(res.report_line())
     else:
         res = SOLVERS[args.algorithm](inst, dump=dump if dump_dir else None)
@@ -132,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one algorithm on an instance")
     solve.add_argument("instance")
     solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="GA_LO")
-    solve.add_argument("--time-limit", type=float, default=None,
+    solve.add_argument("--time-limit", type=float, default=0.0,
                        help="EXACT time limit in seconds (0: none)")
-    solve.add_argument("--node-limit", type=int, default=None,
+    solve.add_argument("--node-limit", type=int, default=0,
                        help="EXACT node limit (0: none)")
     solve.add_argument("--lp-export", metavar="PATH",
                        help="write the model in LP format")

@@ -13,7 +13,9 @@ writes byte-identical CSV as long as timing output stays disabled.
 
 from __future__ import annotations
 
+import csv
 import glob
+import io
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -135,6 +137,9 @@ def parse_config(text: str) -> SuiteConfig:
             unknown = [a for a in algos if a not in ALGORITHMS]
             if unknown:
                 raise FormatError(f"line {no}: unknown algorithms {unknown}")
+            if not algos or len(set(algos)) < len(algos):
+                raise FormatError(f"line {no}: algorithms must name one or more, "
+                                  "none twice")
             cfg.algorithms = algos
         elif key in _CONFIG_WORDS:
             if value not in _CONFIG_WORDS[key]:
@@ -224,9 +229,7 @@ def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
                   exact_time: float = 0.0) -> tuple[int, Placement, int | None]:
     """Run one algorithm; returns (length, placement, rounds-or-nodes)."""
     if name == "EXACT":
-        res = blp.solve_exact(instance,
-                              time_limit=exact_time or None,
-                              node_limit=exact_nodes or None)
+        res = blp.solve_exact(instance, time_limit=exact_time, node_limit=exact_nodes)
         return res.best_length, res.placement, res.node_count
     if name not in SOLVERS:
         raise ValueError(f"unknown algorithm {name!r}")
@@ -240,44 +243,10 @@ def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
             return instance.known_opt + 1, "WITNESS"
         return instance.known_opt, "OPT"
     if cfg.reference == "auto" and (cfg.exact_nodes or cfg.exact_time):
-        res = blp.solve_exact(instance,
-                              time_limit=cfg.exact_time or None,
-                              node_limit=cfg.exact_nodes or None)
-        if res.status == "optimal":
-            return res.best_length, "OPT"
+        res = blp.solve_exact(instance, time_limit=cfg.exact_time,
+                              node_limit=cfg.exact_nodes)
+        return res.lower_bound, "OPT" if res.status == "optimal" else "LB"
     return lower_bounds(instance).combined, "LB"
-
-
-def _run_one_instance(instance: Instance, cfg: SuiteConfig,
-                      ) -> list[RunRecord | ErrorRecord]:
-    out: list[RunRecord | ErrorRecord] = []
-    try:
-        reference, ref_kind = _resolve_reference(instance, cfg)
-    except Exception as exc:  # noqa: BLE001 - reported per instance
-        return [ErrorRecord(label=instance.label, algorithm="-",
-                            message=f"reference failed: {exc}")]
-    for name in cfg.algorithms:
-        try:
-            t0 = time.perf_counter()
-            length, placement, rounds = run_algorithm(
-                instance, name, cfg.exact_nodes, cfg.exact_time)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            check = evaluate_packing(instance, placement)
-            if not check.feasible or check.length != length:
-                raise AssertionError(
-                    f"audit failed: feasible={check.feasible} "
-                    f"length={check.length} reported={length}")
-            out.append(RunRecord(
-                label=instance.label, n=instance.n, family=instance.family,
-                algorithm=name, length=length, reference=reference,
-                ref_kind=ref_kind, r_value=Fraction(length, reference),
-                abs_error=length - reference,
-                elapsed_ms=elapsed if cfg.timing else None,
-                rounds=rounds, placement=placement))
-        except Exception as exc:  # noqa: BLE001 - reported per instance
-            out.append(ErrorRecord(label=instance.label, algorithm=name,
-                                   message=str(exc)))
-    return out
 
 
 def run_suite(cfg: SuiteConfig, base_dir: str = ".",
@@ -285,11 +254,33 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
     instances, errors = load_instances(cfg, base_dir)
     records: list[RunRecord] = []
     for instance in instances:
-        for item in _run_one_instance(instance, cfg):
-            if isinstance(item, RunRecord):
-                records.append(item)
-            else:
-                errors.append(item)
+        try:
+            reference, ref_kind = _resolve_reference(instance, cfg)
+        except Exception as exc:  # noqa: BLE001 - reported per instance
+            errors.append(ErrorRecord(label=instance.label, algorithm="-",
+                                      message=f"reference failed: {exc}"))
+            continue
+        for name in cfg.algorithms:
+            try:
+                t0 = time.perf_counter()
+                length, placement, rounds = run_algorithm(
+                    instance, name, cfg.exact_nodes, cfg.exact_time)
+                elapsed = (time.perf_counter() - t0) * 1000.0
+                check = evaluate_packing(instance, placement)
+                if not check.feasible or check.length != length:
+                    raise AssertionError(
+                        f"audit failed: feasible={check.feasible} "
+                        f"length={check.length} reported={length}")
+                records.append(RunRecord(
+                    label=instance.label, n=instance.n, family=instance.family,
+                    algorithm=name, length=length, reference=reference,
+                    ref_kind=ref_kind, r_value=Fraction(length, reference),
+                    abs_error=length - reference,
+                    elapsed_ms=elapsed if cfg.timing else None,
+                    rounds=rounds, placement=placement))
+            except Exception as exc:  # noqa: BLE001 - reported per instance
+                errors.append(ErrorRecord(label=instance.label, algorithm=name,
+                                          message=str(exc)))
     records.sort(key=lambda r: (r.label, r.algorithm))
     errors.sort(key=lambda e: (e.label, e.algorithm))
     return records, summarize(records), errors
@@ -316,23 +307,25 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     return rows
 
 
+def _csv_text(rows) -> str:
+    """CSV with "\n" line ends: a cell holding a comma or a quote is quoted,
+    and ``None`` writes an empty cell."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def format_records_csv(records: list[RunRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        elapsed = "" if r.elapsed_ms is None else f"{r.elapsed_ms:.3f}"
-        rounds = "" if r.rounds is None else str(r.rounds)
-        lines.append(",".join((
-            r.label, str(r.n), r.family, r.algorithm, str(r.length),
-            str(r.reference), r.ref_kind, f"{float(r.r_value):.6f}",
-            str(r.abs_error), elapsed, rounds)))
-    return "\n".join(lines) + "\n"
+    return _csv_text([CSV_COLUMNS, *((
+        r.label, r.n, r.family, r.algorithm, r.length, r.reference, r.ref_kind,
+        f"{float(r.r_value):.6f}", r.abs_error,
+        None if r.elapsed_ms is None else f"{r.elapsed_ms:.3f}", r.rounds)
+        for r in records)])
 
 
 def format_summary_csv(rows: list[SummaryRow]) -> str:
-    lines = ["family,n,algorithm,count,err_min,err_max,err_av,r_mean,r_sd"]
-    for row in rows:
-        lines.append(",".join((
-            row.family, str(row.n), row.algorithm, str(row.count),
-            str(row.err_min), str(row.err_max), f"{row.err_av:.6f}",
-            f"{row.r_mean:.6f}", f"{row.r_sd:.6f}")))
-    return "\n".join(lines) + "\n"
+    header = "family,n,algorithm,count,err_min,err_max,err_av,r_mean,r_sd"
+    return _csv_text([header.split(","), *((
+        row.family, row.n, row.algorithm, row.count, row.err_min, row.err_max,
+        f"{row.err_av:.6f}", f"{row.r_mean:.6f}", f"{row.r_sd:.6f}")
+        for row in rows)])

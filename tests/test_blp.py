@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import time
 
 import pytest
 
@@ -195,6 +196,17 @@ def test_exact_node_limit_holds_at_large_n():
     res = solve_exact(instance, node_limit=5000, time_limit=20)
     assert res.status == "bounded"
     assert res.node_count == 5000
+    ev = evaluate_packing(instance, res.placement)
+    assert ev.feasible and res.lower_bound <= ev.length == res.best_length
+
+
+def test_exact_time_limit_holds_at_large_n():
+    # a time limit alone stops the search cleanly, with a feasible incumbent
+    instance = gen_random(1200, 2, "arbitrary", 10**6)
+    t0 = time.perf_counter()
+    res = solve_exact(instance, time_limit=0.05)
+    assert time.perf_counter() - t0 < 10
+    assert res.status == "bounded" and res.node_count > 0
     ev = evaluate_packing(instance, res.placement)
     assert ev.feasible and res.lower_bound <= ev.length == res.best_length
 

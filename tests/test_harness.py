@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import pytest
 import bcpp.blp
 import bcpp.greedy
 from bcpp import (FormatError, SuiteConfig, format_instance, format_records_csv,
-                  format_summary_csv, gen_random, parse_config, run_algorithm,
-                  run_suite, summarize)
+                  format_summary_csv, gen_random, lower_bounds, parse_config,
+                  run_algorithm, run_suite, solve_exact, summarize)
 from bcpp.cli import main
 from bcpp.harness import GenSpec, RunRecord
 from helpers import inst
@@ -65,6 +66,8 @@ def test_parse_config_rejects_bad_lines():
         "generate = family=big n=5 D=1": "D must be at least 2",
         "output =": "output needs a file name",
         "output =   # no name before the comment": "output needs a file name",
+        "algorithms = GA_LO, GA_LO": "algorithms must name one or more, none twice",
+        "algorithms = ,": "algorithms must name one or more, none twice",
     }
     for line, message in bad_values.items():
         with pytest.raises(FormatError, match=f"^line 2: {message}"):
@@ -117,6 +120,44 @@ def test_run_suite_exact_reference_for_tiny_instances():
     for exact_rec in by_algo["EXACT"]:
         assert exact_rec.length == exact_rec.reference
         assert exact_rec.r_value == 1
+
+
+def test_exact_status_and_reference_follow_the_bound():
+    # 50 nodes stop the search after its incumbent met the bound: that is a
+    # proof, so the solve is optimal and the suite's reference is an OPT
+    instance = gen_random(12, 133, "big", 100)
+    res = solve_exact(instance, node_limit=50)
+    assert res.report_line().split()[:4] == ["optimal", "19", "19", "50"]
+    cfg = parse_config("generate = family=big n=12 seed=133 D=100\n"
+                       "exact_nodes = 50\n")
+    records, _, errors = run_suite(cfg)
+    assert errors == []
+    assert [(r.reference, r.ref_kind) for r in records] == [(19, "OPT")]
+    # a node limit of 0 is no limit: the search runs to its end
+    res = solve_exact(instance, node_limit=0)
+    assert res.report_line().split()[:4] == ["optimal", "19", "19", "98"]
+
+
+def test_run_suite_with_only_a_time_limit_stops_cleanly_at_large_n():
+    instance = gen_random(1200, 2, "arbitrary", 10**6)
+    cfg = SuiteConfig(generate=[GenSpec("arbitrary", 1200, 1, 2, 10**6)],
+                      algorithms=("EXACT",), exact_time=0.05)
+    records, _, errors = run_suite(cfg)  # run_suite audits the placement
+    assert errors == []
+    (rec,) = records
+    assert (rec.reference, rec.ref_kind) == (lower_bounds(instance).combined, "LB")
+    assert rec.length > rec.reference and rec.rounds > 0
+
+
+def test_records_csv_quotes_a_label_with_a_comma_or_a_quote(tmp_path):
+    for name in ("a,b", 'say "hi"', 'x,"y"'):
+        (tmp_path / f"{name}.inst").write_text(format_instance(inst((5, 5))))
+    cfg = SuiteConfig(instances=[str(tmp_path / "*.inst")], algorithms=("GA_LO",))
+    records, _, errors = run_suite(cfg)
+    assert errors == []
+    rows = list(csv.reader(format_records_csv(records).splitlines()))
+    assert all(len(row) == 11 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["a,b", 'say "hi"', 'x,"y"']
 
 
 def test_run_suite_known_opt_reference(tmp_path):
