@@ -3,7 +3,7 @@
 Subcommands: ``gen`` writes random instance files, ``solve`` runs one
 algorithm on one instance, ``bench`` executes a config-driven suite and
 writes CSV reports, ``bpp-import`` converts a bin-packing instance plus
-solution into a packing instance with a recorded reference length.
+solution into a packing instance, with its optimum where one is proved.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def _cmd_bpp_import(args) -> int:
     out = args.out or f"{label}.inst"
     with open(out, "w") as fh:
         fh.write(format_instance(inst))
-    print(f"{inst.n} charts, reference {inst.known_opt} "
-          f"(construction length {inst.known_opt + 1}) -> {out}")
+    opt = "opt not proven" if inst.known_opt is None else f"opt {inst.known_opt}"
+    print(f"{inst.n} charts, {opt} -> {out}")
     return 0
 
 

@@ -6,22 +6,23 @@ random, draws it from (1/2, 1] and the other from (0, 1]; and
 ``big_nonincreasing`` additionally swaps bars so the first is the higher
 one.  Generation is a pure function of (n, seed, family, D).
 
-Bin-packing instances with an optimal solution convert into packing
-instances with a recorded reference length: bins are sorted by item count,
+A bin-packing instance with a solution converts into a packing
+instance: bins are sorted by item count,
 leftover items of each bin pair up with items of the next bin into one
 chart per pair, unused items of the last bin are dropped, and heights are
 item sizes over the bin capacity.  The chained construction places the
-bin-i/bin-(i+1) charts in cell i, giving a feasible packing of length N
-(the bin count); ``transform_bpp`` says where the optimum lies.
+bin-i/bin-(i+1) charts in cell i; ``transform_bpp`` records its length as
+the optimum only when it meets the instance's combined lower bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .model import BarChart, FormatError, Instance, Placement, read_int
+from .model import (BarChart, FormatError, Instance, Placement, evaluate_packing,
+                    lower_bounds, read_int)
 
 FAMILIES = ("arbitrary", "big", "big_nonincreasing")
 
@@ -192,21 +193,23 @@ def _pairing(bpp: BppInstance, sol: BppSolution) -> list[tuple[int, int, int]]:
 
 
 def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instance:
-    """Build the packing instance with recorded reference N - 1 (N bins).
-
-    Heights are item sizes over the capacity; unused items of the last bin
-    are dropped.  A cell holds at most height 1, so a packing of length L
-    packs the used items into L bins.  For an optimal ``sol`` the optimum
-    is thus N when no item is dropped, and N - 1 or N otherwise, since the
-    dropped items fit one bin; in the first case N - 1 is below it.
+    """Build the packing instance of a bin-packing solution, dropping the
+    unused items of the last bin.  The chained packing is audited, and its
+    length becomes ``known_opt`` only when it meets the combined lower
+    bound, which proves it optimal; an overfull cell raises ``ValueError``.
     """
-    pairs = _pairing(bpp, sol)
     charts = tuple(
         BarChart(id=cid, bars=(bpp.sizes[li], bpp.sizes[ri]), den=bpp.capacity)
-        for cid, (li, ri, _) in enumerate(pairs, start=1))
-    return Instance(charts=charts, den=bpp.capacity,
-                    label=label or f"bpp-c{bpp.capacity}-n{len(charts)}",
-                    family="bpp", known_opt=len(sol.bins) - 1)
+        for cid, (li, ri, _) in enumerate(_pairing(bpp, sol), start=1))
+    instance = Instance(charts=charts, den=bpp.capacity,
+                        label=label or f"bpp-c{bpp.capacity}-n{len(charts)}",
+                        family="bpp")
+    check = evaluate_packing(instance, bpp_witness_placement(bpp, sol))
+    if not check.feasible:
+        raise ValueError("the chained packing overfills a cell")
+    if check.length == lower_bounds(instance).combined:
+        instance = replace(instance, known_opt=check.length)
+    return instance
 
 
 def bpp_witness_placement(bpp: BppInstance, sol: BppSolution) -> Placement:

@@ -55,7 +55,7 @@ class RunRecord:
     algorithm: str
     length: int
     reference: int
-    ref_kind: str  # OPT | WITNESS | LB
+    ref_kind: str  # OPT | LB
     r_value: Fraction
     abs_error: int
     elapsed_ms: float | None
@@ -104,7 +104,6 @@ class SuiteConfig:
     generate: list[GenSpec] = field(default_factory=list)
     algorithms: tuple[str, ...] = ("GA_LO",)
     reference: str = "auto"          # auto | lb
-    bpp_reference: str = "recorded"  # recorded | witness
     exact_nodes: int = 0             # 0 disables exact solves for references
     exact_time: float = 0.0          # seconds; 0 disables the time limit
     timing: bool = False
@@ -113,8 +112,7 @@ class SuiteConfig:
 
 
 # The keys that take one word, and the words each allows ("on"/"off" -> bool).
-_CONFIG_WORDS = {"reference": ("auto", "lb"), "bpp_reference": ("recorded", "witness"),
-                "timing": ("on", "off")}
+_CONFIG_WORDS = {"reference": ("auto", "lb"), "timing": ("on", "off")}
 
 
 def parse_config(text: str) -> SuiteConfig:
@@ -129,6 +127,8 @@ def parse_config(text: str) -> SuiteConfig:
             raise FormatError(f"line {no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "instances":
+            if not value:
+                raise FormatError(f"line {no}: instances needs a pattern")
             cfg.instances.append(value)
         elif key == "generate":
             cfg.generate.append(_parse_genspec(value, no))
@@ -208,11 +208,7 @@ def load_instances(cfg: SuiteConfig, base_dir: str = ".",
             label = os.path.splitext(os.path.basename(path))[0]
             try:
                 with open(path) as fh:
-                    inst = parse_instance(fh.read(), label=label)
-                if inst.known_opt is not None and not inst.family:
-                    # only the bin-packing transform writes opt lines
-                    inst = replace(inst, family="bpp")
-                instances.append(inst)
+                    instances.append(parse_instance(fh.read(), label=label))
             except (OSError, ValueError) as exc:
                 errors.append(ErrorRecord(label=label, algorithm="-",
                                           message=str(exc)))
@@ -239,8 +235,9 @@ def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
 
 def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
     if cfg.reference == "auto" and instance.known_opt is not None:
-        if instance.family == "bpp" and cfg.bpp_reference == "witness":
-            return instance.known_opt + 1, "WITNESS"
+        bound = lower_bounds(instance).combined
+        if instance.known_opt < bound:
+            raise ValueError(f"opt {instance.known_opt} is below the bound {bound}")
         return instance.known_opt, "OPT"
     if cfg.reference == "auto" and (cfg.exact_nodes or cfg.exact_time):
         res = blp.solve_exact(instance, time_limit=cfg.exact_time,
@@ -253,7 +250,13 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
               ) -> tuple[list[RunRecord], list[SummaryRow], list[ErrorRecord]]:
     instances, errors = load_instances(cfg, base_dir)
     records: list[RunRecord] = []
+    labels: set[str] = set()
     for instance in instances:
+        if instance.label in labels:
+            errors.append(ErrorRecord(label=instance.label, algorithm="-",
+                                      message="label repeats an earlier instance"))
+            continue
+        labels.add(instance.label)
         try:
             reference, ref_kind = _resolve_reference(instance, cfg)
         except Exception as exc:  # noqa: BLE001 - reported per instance

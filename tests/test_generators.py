@@ -115,22 +115,31 @@ def test_transform_chained_bins():
     sol = BppSolution(bins=((0,), (1, 2), (3, 4, 5)))
     instance = transform_bpp(bpp, sol)
     assert [c.bars for c in instance.charts] == [(6, 5), (4, 3)]
-    assert instance.known_opt == 2
     assert instance.den == 10
     witness = bpp_witness_placement(bpp, sol)
     ev = evaluate_packing(instance, witness)
     assert ev.feasible
     assert ev.length == len(sol.bins)
+    # the witness takes 3 cells against a bound of 2, and 2 is the optimum,
+    # so nothing is proved and no opt is recorded
+    assert (lower_bounds(instance).combined, oracle_opt(instance)) == (2, 2)
+    assert instance.known_opt is None
 
 
 def test_transform_two_singleton_bins():
     instance = transform_bpp(BppInstance(sizes=(5, 5), capacity=10),
                              BppSolution(bins=((0,), (1,))))
     assert [c.bars for c in instance.charts] == [(5, 5)]
-    assert instance.known_opt == 1
-    # a single chart always occupies two cells, so here the true optimum is
-    # the construction length, one above the recorded reference
-    assert oracle_opt(instance) == 2
+    # a single chart always occupies two cells, so the construction length
+    # meets the width bound and is the recorded optimum
+    assert instance.known_opt == oracle_opt(instance) == 2
+
+
+def test_transform_rejects_an_overfull_bin():
+    # bin (1, 2) holds 5 + 6 > 10, and the chained packing puts both in cell 2
+    with pytest.raises(ValueError, match="overfills a cell"):
+        transform_bpp(BppInstance(sizes=(6, 5, 6, 3, 3, 2), capacity=10),
+                      BppSolution(bins=((0,), (1, 2), (3, 4, 5))))
 
 
 def test_transform_needs_two_bins():
@@ -187,7 +196,8 @@ def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():
     # A cell holds at most height 1, so a packing of length L packs the used
     # items into L bins: with nothing dropped L >= N, the optimal bin count;
     # the dropped items fit one bin, so otherwise L >= N - 1.  The chained
-    # witness has length N.
+    # witness has length at most N, and transform_bpp records it only where
+    # it meets the combined bound: here it does on every instance.
     full = dropped = 0
     for s in range(200):
         bpp = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
@@ -197,10 +207,12 @@ def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():
         instance = transform_bpp(bpp, sol)
         assert instance.n <= 7
         n_bins = len(sol.bins)
+        opt = oracle_opt(instance)
+        assert instance.known_opt == opt
         if 2 * instance.n == len(bpp.sizes):
-            assert oracle_opt(instance) == n_bins
+            assert opt == n_bins
             full += 1
         else:
-            assert oracle_opt(instance) in (n_bins - 1, n_bins)
+            assert opt in (n_bins - 1, n_bins)
             dropped += 1
     assert (full, dropped) == (69, 121)

@@ -9,10 +9,13 @@ import pytest
 
 import bcpp.blp
 import bcpp.greedy
-from bcpp import (FormatError, SuiteConfig, format_instance, format_records_csv,
-                  format_summary_csv, gen_random, lower_bounds, parse_config,
-                  run_algorithm, run_suite, solve_exact, summarize)
+from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
+                  format_records_csv, format_summary_csv, gen_bpp_fullbins,
+                  gen_random, lower_bounds, oracle_opt, parse_config,
+                  run_algorithm, run_suite, solve_exact, summarize,
+                  transform_bpp)
 from bcpp.cli import main
+from bcpp.generators import ffd_bpp
 from bcpp.harness import GenSpec, RunRecord
 from helpers import inst
 
@@ -26,7 +29,6 @@ instances = data/*.inst
 generate = family=big n=10 count=3 seed=7 D=100
 algorithms = GA_LO, Mw
 reference = auto
-bpp_reference = witness
 exact_nodes = 500
 timing = off
 output = out.csv
@@ -35,7 +37,6 @@ summary = out.summary.csv
     assert cfg.instances == ["data/*.inst"]
     assert cfg.generate == [GenSpec(family="big", n=10, count=3, seed=7, den=100)]
     assert cfg.algorithms == ("GA_LO", "Mw")
-    assert cfg.bpp_reference == "witness"
     assert cfg.exact_nodes == 500
 
 
@@ -56,6 +57,8 @@ def test_parse_config_rejects_bad_lines():
         "exact_time = abc": "exact_time must be a number, got 'abc'",
         "timing = maybe": "timing must be on or off",
         "strict = on": "unknown key 'strict'",  # strictness is bench --strict
+        "bpp_reference = witness": "unknown key 'bpp_reference'",
+        "instances =": "instances needs a pattern",
         "generate = family=big n=5 junk": "bad generator token 'junk'",
         "generate = family=big n=5 colour=red": r"unknown generator keys \['colour'\]",
         "generate = family=tiny n=5": "unknown family 'tiny'",
@@ -88,7 +91,7 @@ def test_parse_config_reads_the_readme_example():
     assert cfg.instances == ["data/*.inst"]
     assert cfg.generate == [GenSpec("arbitrary", 200, 30, 1000, 10 ** 6)]
     assert cfg.algorithms == ("GA_LO", "M1w", "Mw", "A1", "A2")
-    assert (cfg.reference, cfg.bpp_reference) == ("auto", "recorded")
+    assert cfg.reference == "auto"
     assert (cfg.exact_nodes, cfg.exact_time) == (0, 0)
     assert cfg.timing is False
     assert (cfg.output, cfg.summary) == ("results.csv", "summary.csv")
@@ -171,17 +174,69 @@ def test_run_suite_known_opt_reference(tmp_path):
     assert rec.ref_kind == "OPT"
     assert rec.reference == 2
     assert rec.r_value == Fraction(1)
+    assert rec.family == ""  # a file's family cell is empty, opt line or not
 
 
-def test_run_suite_witness_reference(tmp_path):
-    instance = inst((5, 5), (5, 5), known_opt=1)
-    path = tmp_path / "single.inst"
-    path.write_text(format_instance(instance))
-    cfg = SuiteConfig(instances=[str(path)], algorithms=("GA_LO",),
-                      bpp_reference="witness")
-    records, _, _ = run_suite(cfg)
-    assert records[0].ref_kind == "WITNESS"
-    assert records[0].reference == 2
+def test_every_opt_reference_on_tiny_bpp_files_is_the_optimum(tmp_path):
+    # FFD on full bins gives optimal solutions and one bin per item poor
+    # ones; the references come from the files' proved opt lines or, where a
+    # file has none, from the exact search
+    written = {}
+    for s in range(40):
+        bpp = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
+        singles = BppSolution(tuple((i,) for i in range(len(bpp.sizes))))
+        for kind, sol in (("ffd", ffd_bpp(bpp)), ("single", singles)):
+            instance = transform_bpp(bpp, sol, label=f"{kind}-{s}")
+            if instance.n <= 7:
+                written[instance.label] = instance
+                (tmp_path / f"{instance.label}.inst").write_text(
+                    format_instance(instance))
+    cfg = SuiteConfig(instances=[str(tmp_path / "*.inst")],
+                      algorithms=("GA_LO",), exact_nodes=10 ** 5)
+    records, _, errors = run_suite(cfg)
+    assert errors == [] and len(records) == len(written)
+    opts = [r for r in records if r.ref_kind == "OPT"]
+    for rec in opts:
+        assert rec.reference == oracle_opt(written[rec.label]), rec.label
+    # 39 opt lines and 41 search proofs: every reference here is an optimum
+    recorded = sum(written[r.label].known_opt is not None for r in opts)
+    assert (recorded, len(opts)) == (39, 80)
+
+
+def test_run_suite_rejects_an_opt_below_the_bound_and_keeps_the_rest(tmp_path):
+    # two (5, 5) charts cannot share their cells, so the bound is 2
+    (tmp_path / "low.inst").write_text(format_instance(inst((5, 5), (5, 5),
+                                                            known_opt=1)))
+    (tmp_path / "ok.inst").write_text(format_instance(inst((5, 5), (5, 5),
+                                                           known_opt=2)))
+    cfg = SuiteConfig(instances=[str(tmp_path / "*.inst")], algorithms=("GA_LO",))
+    records, _, errors = run_suite(cfg)
+    assert [(r.label, r.reference, r.ref_kind) for r in records] == [("ok", 2, "OPT")]
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        ("low", "-", "reference failed: opt 1 is below the bound 2")]
+
+
+def test_run_suite_runs_the_first_of_two_generated_instances_with_one_label():
+    # seeds 1-2 and 2-3 both draw big-n5-d10-s2
+    cfg = parse_config("generate = family=big n=5 count=2 seed=1 D=10\n"
+                       "generate = family=big n=5 count=2 seed=2 D=10\n")
+    records, summary, errors = run_suite(cfg)
+    assert [r.label for r in records] == [f"big-n5-d10-s{k}" for k in (1, 2, 3)]
+    assert [row.count for row in summary] == [3]
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        ("big-n5-d10-s2", "-", "label repeats an earlier instance")]
+
+
+def test_run_suite_runs_the_first_of_two_files_with_one_label(tmp_path):
+    for sub, bars in (("a", (5, 5)), ("b", (9, 2))):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.inst").write_text(format_instance(inst(bars)))
+    cfg = SuiteConfig(instances=[str(tmp_path / "*" / "x.inst")], algorithms=("GA_LO",))
+    records, _, errors = run_suite(cfg)
+    assert [(r.label, r.reference) for r in records] == [("x", 2)]
+    assert records[0].placement == {1: 1}
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        ("x", "-", "label repeats an earlier instance")]
 
 
 def test_run_suite_reports_unreadable_inputs(tmp_path):
@@ -448,8 +503,17 @@ def test_cli_bpp_import(tmp_path, capsys):
     out = tmp_path / "b.inst"
     assert main(["bpp-import", str(tmp_path / "b.bpp"), str(tmp_path / "b.sol"),
                  "--out", str(out)]) == 0
-    text = out.read_text()
-    assert text.endswith("opt 1\n")
+    # the pair (6, 5) packs in 2 cells, which its bound proves optimal
+    assert out.read_text().endswith("opt 2\n")
+    assert capsys.readouterr().out == f"1 charts, opt 2 -> {out}\n"
+    # the chained packing takes 3 cells, but (6, 5) and (4, 3) pack in 2
+    (tmp_path / "c.bpp").write_text("6\n10\n6\n5\n4\n3\n3\n2\n")
+    (tmp_path / "c.sol").write_text("3\n0\n1 2\n3 4 5\n")
+    out = tmp_path / "c.inst"
+    assert main(["bpp-import", str(tmp_path / "c.bpp"), str(tmp_path / "c.sol"),
+                 "--out", str(out)]) == 0
+    assert "opt" not in out.read_text()
+    assert capsys.readouterr().out == f"2 charts, opt not proven -> {out}\n"
 
 
 def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):
