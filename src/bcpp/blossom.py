@@ -34,7 +34,14 @@ The scan follows an edge exactly when its slack is 0.  S-S slacks are even
 (Galil), so a type-3 delta leaves its edge tight, and a tight edge stays so
 for the stage: an S-T slack does not move under a delta, and a tight S-S edge
 closes a blossom or ends the stage.  An odd S-S slack would repeat a zero
-delta forever, so it raises ``ArithmeticError``.
+delta forever, so it raises ``ArithmeticError``.  Most stages augment without
+a delta, so a stage first scans only each vertex's tight edges, listed when it
+is first scanned and kept until a delta moves the duals, and keeps none of the
+least-slack edges only a delta reads.  If it augments, it followed the same
+edges in the same order as a full scan, so the mates are the same.  If it
+needs a delta, it has moved no mate or dual: its blossoms are undone and the
+stage reruns tracked, scanning every edge for networkx's delta.  A stage with
+at most one single vertex cannot augment and runs tracked.
 
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
@@ -77,16 +84,20 @@ from itertools import chain
 def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     """Indices, ascending, of the edges in a maximum-weight matching.
 
-    ``edges`` holds ``(i, j, weight)`` over vertices ``0..n-1``: no loops,
-    at most one edge per pair, and every weight 1 or 2 (else ``ValueError``).
+    ``edges`` holds ``(i, j, weight)``, at most one per pair; a loop, an
+    endpoint outside ``0..n-1`` or a weight not 1 or 2 raises ``ValueError``.
     """
-    if any(w not in (1, 2) for _, _, w in edges):
-        raise ValueError("edge weights must be 1 or 2")
-    endpoint = [x for i, j, _ in edges for x in (i, j)]
-    wt2 = [2 * w for _, _, w in edges]
+    endpoint: list[int] = []
+    wt2: list[int] = []
     # adj[v]: (neighbour, edge out of v, doubled weight) in edge-list order
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for k, (i, j, w) in enumerate(edges):
+        if w not in (1, 2):
+            raise ValueError(f"edge {k}: weights must be 1 or 2, not {w}")
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge {k}: ({i}, {j}) is a loop or leaves 0..{n - 1}")
+        endpoint += (i, j)
+        wt2.append(2 * w)
         adj[i].append((j, 2 * k, 2 * w))
         adj[j].append((i, 2 * k + 1, 2 * w))
 
@@ -107,6 +118,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
     mybestedges: dict[int, list[tuple[int, int, int]]] = {}
     queue: list[int] = []
+    tight: list = [None] * n  # adj[v] cut to slack <= 0, until the duals move
 
     def slack(p: int) -> int:
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
@@ -156,7 +168,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             label[b] = 1
         return base
 
-    def add_blossom(base: int, p: int) -> None:
+    def add_blossom(base: int, p: int, tracked: bool) -> None:
         # new S-blossom with this base, closed by the edge p between S-vertices
         v, w = endpoint[p], endpoint[p ^ 1]
         bb, bv, bw = inblossom[base], inblossom[v], inblossom[w]
@@ -189,6 +201,8 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             if label[inblossom[v]] == 2:
                 queue.append(v)
             inblossom[v] = b
+        if not tracked:
+            return
         # least-slack edge to each neighbouring S-blossom, by first reach.
         # Every edge listed runs out of b, as networkx's lists do, and the
         # duals do not move while a blossom is built, so slacks are kept.
@@ -276,8 +290,10 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     augment_blossom(bt, j)
                 mate[j] = e ^ 1
 
+    rerun = False
     while True:
         # a stage: label from the single vertices until an augmenting path
+        tracked = rerun or mate.count(-1) <= 1
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
         mybestedges.clear()
@@ -285,6 +301,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         for v in range(n):
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign_label(v, 1, -1)
+        mark = None if tracked else (len(blossombase), inblossom[:], blossomparent[:])
 
         augmented = False
         while True:
@@ -293,18 +310,21 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                 v = queue.pop()
                 bv = inblossom[v]
                 dv = dualvar[v]
-                for w, p, w2 in adj[v]:
+                nbrs = adj[v] if tracked else tight[v]
+                if nbrs is None:
+                    nbrs = tight[v] = [t for t in adj[v] if dv + dualvar[t[0]] <= t[2]]
+                be = bestedge[bv]  # with its slack bs, kept for the scan
+                bs = slack(be) if be != -1 else 0
+                for w, p, w2 in nbrs:
                     bw = inblossom[w]
                     if bw == bv:
                         continue
                     kslack = dv + dualvar[w] - w2
                     if kslack > 0:
-                        # not tight yet: remember the least-slack edge
-                        # to another S-blossom
-                        if label[bw] == 1:
-                            e = bestedge[bv]
-                            if e == -1 or kslack < slack(e):
-                                bestedge[bv] = p
+                        # not tight: keep the least-slack edge to an S-blossom
+                        if label[bw] == 1 and (be == -1 or kslack < bs):
+                            bestedge[bv] = be = p
+                            bs = kslack
                         continue
                     if label[bw] == 0:
                         assign_label(w, 2, p)
@@ -314,9 +334,11 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                             augment_matching(p)
                             augmented = True
                             break
-                        add_blossom(base, p)
+                        add_blossom(base, p, tracked)
                         bv = inblossom[v]
-            if augmented:
+                        be = bestedge[bv]
+                        bs = slack(be) if be != -1 else 0
+            if augmented or not tracked:
                 break
 
             # no augmenting path over tight edges: move the duals by the least
@@ -338,17 +360,27 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             for b in blossomdual:
                 if blossomparent[b] == -1 and label[b]:
                     blossomdual[b] += delta if label[b] == 1 else -delta
+            tight[:] = [None] * n
 
             if deltaedge == -1:
                 break
             queue.append(endpoint[deltaedge])
 
-        if not augmented:
+        if augmented:
+            # end of a stage: expand the S-blossoms whose dual fell to zero
+            for b in list(blossomdual):
+                if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
+                    expand_blossom(b)
+        elif tracked:
             break
-        # end of a stage: expand the S-blossoms whose dual fell to zero
-        for b in list(blossomdual):
-            if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
-                expand_blossom(b)
+        else:
+            # a delta is needed: undo the tight pass and rerun the stage tracked
+            size, inblossom[:], blossomparent[:] = mark
+            for b in range(size, len(blossombase)):
+                del childs[b], ring[b], blossomdual[b]
+            for slots in (blossombase, label, labeledge, bestedge):
+                del slots[size:]
+        rerun = not augmented
 
     _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring)
     return sorted({e >> 1 for e in mate if e != -1})
@@ -372,28 +404,25 @@ def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> 
     def fail(what: str) -> None:
         raise ArithmeticError(f"blossom matching not optimal: {what}")
 
+    around = []  # the blossoms around each vertex whose dual is not 0
     for v, e in enumerate(mate):
         if e != -1 and (endpoint[e] != v or mate[endpoint[e ^ 1]] != e ^ 1):
             fail(f"vertex {v} is not matched symmetrically")
         if e == -1 and dualvar[v] != 0:
             fail(f"single vertex {v} has dual {dualvar[v]}")
+        around.append(set())
+        while (v := blossomparent[v]) != -1:
+            if blossomdual[v]:
+                around[-1].add(v)
     if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
         fail("negative dual")
-    chains = []  # each vertex's blossoms, outermost first
-    for v in range(len(mate)):
-        c = [v]
-        while blossomparent[c[-1]] != -1:
-            c.append(blossomparent[c[-1]])
-        chains.append(c[::-1])
     for k, w2 in enumerate(wt2):
         i, j = endpoint[2 * k], endpoint[2 * k + 1]
         s = dualvar[i] + dualvar[j] - w2
-        for bi, bj in zip(chains[i], chains[j]):
-            if bi != bj:
-                break
-            s += 2 * blossomdual[bi]
-        if s < 0 or (s != 0 and mate[i] >> 1 == k):
-            fail(f"edge {k} has slack {s}")
+        if s < 0 or mate[i] >> 1 == k:  # else the blossom duals, >= 0, keep s >= 0
+            s += 2 * sum(blossomdual[b] for b in around[i] & around[j])
+            if s < 0 or (s != 0 and mate[i] >> 1 == k):
+                fail(f"edge {k} has slack {s}")
     for b, z in blossomdual.items():
         if z > 0 and (len(ring[b]) % 2 == 0
                       or any(mate[endpoint[e]] >> 1 != e >> 1

@@ -6,6 +6,7 @@ M1w, Mw and A2 keep their answers.  ``brute_force_matching`` in
 test_matching and C4 stays the independent check of exactness.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -57,6 +58,58 @@ def test_mates_equal_networkx_on_random_graphs():
         for cardinality in (False, True):
             assert our_pairs(g, cardinality) == nx_pairs(g, cardinality), (
                 trial, cardinality, g)
+
+
+# Graphs on which a stage forms blossoms over tight edges and then needs a
+# delta, so the tight pass is undone and the stage rerun tracked: found by
+# counting undone blossoms on random graphs.  Those marked "then augments"
+# rerun a stage that finds its augmenting path after the delta.
+UNDONE_STAGES = [
+    (4, [(0, 2, 1), (0, 3, 1), (2, 3, 1)]),  # vertex 1 isolated
+    (4, [(0, 1, 2), (0, 2, 2), (1, 2, 2)]),
+    (6, [(0, 2, 1), (0, 3, 1), (0, 5, 1), (1, 2, 1), (1, 3, 1), (2, 5, 1)]),
+    (6, [(0, 2, 2), (0, 5, 2), (2, 3, 2), (2, 4, 2), (3, 4, 2), (4, 5, 2)]),
+    # then augments
+    (4, [(0, 1, 2), (0, 3, 2), (1, 2, 1), (1, 3, 2)]),
+    (6, [(0, 2, 2), (0, 4, 2), (1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 2),
+         (4, 5, 1)]),
+    # two undone stages, the first then augments
+    (8, [(0, 2, 2), (0, 7, 1), (1, 3, 1), (1, 4, 1), (1, 5, 2), (1, 6, 2),
+         (2, 4, 1), (2, 7, 2), (3, 4, 1), (3, 5, 1), (5, 6, 2)]),
+    # three blossoms undone in one stage
+    (8, [(0, 1, 1), (0, 3, 1), (0, 6, 1), (0, 7, 1), (1, 6, 1), (1, 7, 1),
+         (2, 4, 2), (2, 7, 2), (3, 4, 2), (3, 6, 1), (3, 7, 1), (4, 5, 1),
+         (4, 6, 2), (6, 7, 2)]),
+    # a rerun that kept the undone blossom would match other edges
+    (4, [(0, 1, 2), (0, 2, 2), (0, 3, 1), (1, 2, 2), (2, 3, 1)]),
+    (4, [(0, 1, 2), (0, 2, 1), (0, 3, 2), (1, 3, 2), (2, 3, 1)]),
+]
+
+
+@pytest.mark.parametrize("n, edges", UNDONE_STAGES)
+def test_mates_equal_networkx_where_a_stage_is_rerun(n, edges):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_weighted_edges_from(edges)
+    ours = {frozenset(edges[k][:2]) for k in blossom.max_weight_edges(n, edges)}
+    assert ours == {frozenset(p) for p in nx.max_weight_matching(nxg)}
+
+
+# sha256 of the edge indices the port chose before its stages first scanned
+# tight edges only, past the sizes networkx is compared at above
+@pytest.mark.parametrize("family, n, cardinality, digest", [
+    ("arbitrary", 400, False, "c9c56649562322b19c88681138ac0a269a562aa0766121eb6148498ba01b7060"),
+    ("arbitrary", 400, True, "06f484684513be3e18fe7b63e3ea949f63854303fd4f54a707df9274eeb8e07a"),
+    ("big", 500, False, "9f7405b43e2f75a3e894299dd2b54aad112c35e579eae28db8a244c7a427142b"),
+    ("big", 500, True, "2ab8932fba7ac3490b7743f5b93ee476aaed067e636a2bfcc5458580d8b7ee3e"),
+], ids=["arbitrary-400", "arbitrary-400-cardinality", "big-500", "big-500-cardinality"])
+def test_mates_pinned_at_scale(family, n, cardinality, digest):
+    g = build_union_graph(gen_random(n, 1, family, 10**6).charts)
+    index = {x: i for i, x in enumerate(sorted(g.vertices))}
+    edges = [(index[e.u], index[e.v], 1 if cardinality else e.weight)
+             for e in sorted(g.edges)]
+    chosen = blossom.max_weight_edges(len(index), edges)
+    assert hashlib.sha256(repr(chosen).encode()).hexdigest() == digest
 
 
 def test_mates_equal_networkx_on_union_graphs():
@@ -112,6 +165,15 @@ def test_certificate_rejects_a_wrong_matching(monkeypatch):
 # dualvar, blossomparent, blossomdual, ring) and the message expected
 ONE_EDGE = ([0, 1], [2])
 TRIANGLE = ([0, 1, 1, 2, 2, 0], [2, 2, 2])
+# the triangle as blossom 3 with dual 1 and edge 1-2 matched: each edge's
+# vertex slack is -2, which the blossom dual makes up
+FULL_TRIANGLE = TRIANGLE + ([-1, 2, 3], [0, 0, 0], [3, 3, 3, -1], {3: 1},
+                            {3: [0, 2, 4]})
+# that triangle as blossom 5, plus matched edge 3-4 and edge 2-3 of weight 2,
+# whose vertex slack 0 + 1 - 4 no blossom shares
+TRIANGLE_AND_EDGE = ([0, 1, 1, 2, 2, 0, 3, 4, 2, 3], [2, 2, 2, 2, 4],
+                     [-1, 2, 3, 6, 7], [0, 0, 0, 1, 1], [5, 5, 5, -1, -1, -1],
+                     {5: 1}, {5: [0, 2, 4]})
 
 
 @pytest.mark.parametrize("state, message", [
@@ -122,16 +184,29 @@ TRIANGLE = ([0, 1, 1, 2, 2, 0], [2, 2, 2])
     # a blossom over the triangle with a positive dual but no matched edge
     (TRIANGLE + ([-1, -1, -1], [0, 0, 0], [3, 3, 3, -1], {3: 1}, {3: [0, 2, 4]}),
      "blossom 3 has dual 1 but is not full"),
+    (TRIANGLE_AND_EDGE, "edge 4 has slack -3"),
 ])
 def test_certificate_rejects_each_broken_condition(state, message):
     with pytest.raises(ArithmeticError, match=f"not optimal: {message}$"):
         blossom._certify(*state)
 
 
+def test_certificate_counts_the_dual_of_a_shared_blossom():
+    blossom._certify(*FULL_TRIANGLE)
+
+
 @pytest.mark.parametrize("weight", [0, 3, -1])
 def test_weights_other_than_one_and_two_are_rejected(weight):
     with pytest.raises(ValueError, match="weights must be 1 or 2"):
         blossom.max_weight_edges(3, [(0, 1, 1), (1, 2, weight)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1), (-1, 0, 2)], [(0, 1, 1), (1, 3, 1)], [(0, 1, 1), (1, 1, 2)],
+], ids=["negative-endpoint", "endpoint-past-n", "loop"])
+def test_loops_and_endpoints_out_of_range_are_rejected(edges):
+    with pytest.raises(ValueError, match=r"^edge 1: .* is a loop or leaves 0\.\.2$"):
+        blossom.max_weight_edges(3, edges)
 
 
 def test_import_does_not_load_networkx():
