@@ -242,15 +242,33 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     for v in leaves(s):
                         inblossom[v] = s
 
-    def augment_blossom(b: int, v: int) -> None:
-        # swap matched and unmatched edges along the path in b from v to its
-        # base, and rotate b so v is the new base
-        def augment(b: int, v: int):
+    def augment_matching(p: int) -> None:
+        # augment along the path through the edge p between S-vertices, then
+        # in each blossom b it enters at v swap the edges on the path from v
+        # to the base and rotate b so v is the base.  No rotation writes a
+        # mate the path or another rotation writes, or reads what one writes,
+        # so the worklist's order does not matter.
+        work = []
+        for s, e in ((endpoint[p], p), (endpoint[p ^ 1], p ^ 1)):
+            while True:
+                bs = inblossom[s]
+                work.append((bs, s))
+                mate[s] = e
+                if labeledge[bs] == -1:
+                    break
+                bt = inblossom[endpoint[labeledge[bs]]]
+                e = labeledge[bt]
+                s, j = endpoint[e], endpoint[e ^ 1]
+                work.append((bt, j))
+                mate[j] = e ^ 1
+        while work:
+            b, v = work.pop()
+            if b < n:
+                continue
             t = v
             while blossomparent[t] != b:
                 t = blossomparent[t]
-            if t >= n:
-                yield t, v
+            work.append((t, v))
             ch = childs[b]
             i = ch.index(t)
             # round to the base at 0: forward (wrapping through negative
@@ -260,35 +278,14 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                 # the ring edge into child j from the one before it on the way
                 j += jstep
                 q = ring[b][j] if jstep == 1 else ring[b][j - 1] ^ 1
-                if ch[j] >= n:
-                    yield ch[j], endpoint[q]
+                work.append((ch[j], endpoint[q]))
                 j += jstep
-                if ch[j] >= n:
-                    yield ch[j], endpoint[q ^ 1]
+                work.append((ch[j], endpoint[q ^ 1]))
                 mate[endpoint[q]] = q
                 mate[endpoint[q ^ 1]] = q ^ 1
             childs[b] = ch[i:] + ch[:i]
             ring[b] = ring[b][i:] + ring[b][:i]
-            blossombase[b] = blossombase[childs[b][0]]
-
-        _trampoline(augment, b, v)
-
-    def augment_matching(p: int) -> None:
-        # augment along the path through the edge p between S-vertices
-        for s, e in ((endpoint[p], p), (endpoint[p ^ 1], p ^ 1)):
-            while True:
-                bs = inblossom[s]
-                if bs >= n:
-                    augment_blossom(bs, s)
-                mate[s] = e
-                if labeledge[bs] == -1:
-                    break
-                bt = inblossom[endpoint[labeledge[bs]]]
-                e = labeledge[bt]
-                s, j = endpoint[e], endpoint[e ^ 1]
-                if bt >= n:
-                    augment_blossom(bt, j)
-                mate[j] = e ^ 1
+            blossombase[b] = v
 
     rerun = False
     while True:
@@ -384,19 +381,6 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
 
     _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring)
     return sorted({e >> 1 for e in mate if e != -1})
-
-
-def _trampoline(call, *args) -> None:
-    """Run a recursion whose calls are generators yielding the arguments of
-    their recursive calls, on an explicit stack instead of Python's, so deep
-    blossom nesting never reaches the recursion limit."""
-    stack = [call(*args)]
-    while stack:
-        for args in stack[-1]:
-            stack.append(call(*args))
-            break
-        else:
-            stack.pop()
 
 
 def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> None:

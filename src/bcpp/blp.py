@@ -17,6 +17,7 @@ common with the branch-and-bound.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -117,11 +118,15 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     incumbent.  A node is cut when the cells already occupied, plus the room
     the unplaced area still needs beyond the free capacity of those cells,
     plus the unplaced big bars that cannot share any cell, reach the
-    incumbent.  A limit of 0 means none, and with no limits the result is
-    optimal; when a limit expires the incumbent is returned with the bound
-    proven before the search.  The path is kept on an explicit stack, so any
-    n is within recursion limits.
+    incumbent.  A limit of 0 means none (a negative, NaN or infinite one
+    raises ``ValueError``), and with no limits the result is optimal; when a
+    limit expires the incumbent is returned with the bound proven before the
+    search.  The path is kept on an explicit stack, so any n is within
+    recursion limits.
     """
+    for name, limit in (("time_limit", time_limit), ("node_limit", node_limit)):
+        if not 0 <= limit < math.inf:  # nor is a NaN
+            raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
     den = instance.den
     combined = lower_bounds(instance).combined

@@ -9,6 +9,7 @@ solution into a packing instance, with its optimum where one is proved.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -35,8 +36,10 @@ def _cmd_solve(args) -> int:
     # read like exact_time and exact_nodes in a bench config
     for flag, limit in (("--time-limit", args.time_limit),
                         ("--node-limit", args.node_limit)):
-        if not limit >= 0:  # a NaN is at least nothing
-            raise ValueError(f"{flag} must be at least 0, got {limit}")
+        if not 0 <= limit < math.inf:  # nor is a NaN
+            raise ValueError(f"{flag} must be at least 0 and finite, got {limit}")
+    if args.horizon is not None and not args.lp_export:
+        raise ValueError("--horizon needs --lp-export")
     label = os.path.splitext(os.path.basename(args.instance))[0]
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)

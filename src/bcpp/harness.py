@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import glob
 import io
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -154,8 +155,8 @@ def parse_config(text: str) -> SuiteConfig:
             except ValueError:
                 raise FormatError(f"line {no}: {key} must be a number, "
                                   f"got {value!r}") from None
-            if not cfg.exact_time >= 0:  # a NaN is at least nothing
-                raise FormatError(f"line {no}: {key} must be at least 0")
+            if not 0 <= cfg.exact_time < math.inf:  # nor is a NaN
+                raise FormatError(f"line {no}: {key} must be at least 0 and finite")
         elif key in ("output", "summary"):
             if key == "output" and not value:
                 raise FormatError(f"line {no}: output needs a file name")

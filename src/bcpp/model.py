@@ -22,11 +22,15 @@ class FormatError(ValueError):
 
 
 def read_int(token: str, line_no: int, what: str) -> int:
-    """``int(token)``, else ``FormatError("line <line_no>: expected <what>")``."""
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {line_no}: expected {what}") from None
+    """``token`` as an optional sign and ASCII digits, else
+    ``FormatError("line <line_no>: expected <what>")``; ``int`` alone would
+    also read ``1_0`` or non-ASCII digits such as ``１０``."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise FormatError(f"line {line_no}: expected {what}")
 
 
 @dataclass(frozen=True)

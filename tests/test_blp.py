@@ -175,6 +175,16 @@ def test_exact_respects_node_limit():
     assert res.lower_bound >= lower_bounds(instance).combined
 
 
+def test_exact_rejects_a_negative_nan_or_infinite_limit():
+    # 0 is the only "no limit", and every other limit must be one to reach
+    instance = inst((5, 9), (7, 2), (7, 4))
+    for name, limit in (("node_limit", -1), ("time_limit", -1.0),
+                        ("time_limit", float("nan")), ("time_limit", float("inf")),
+                        ("node_limit", float("inf"))):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0"):
+            solve_exact(instance, **{name: limit})
+
+
 def test_exact_search_matches_pinned_nodes_and_placements():
     # status, lengths, node counts and placements of the recursive search,
     # pinned before it moved onto an explicit stack

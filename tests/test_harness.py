@@ -54,6 +54,8 @@ def test_parse_config_rejects_bad_lines():
         "exact_nodes = -3": "exact_nodes must be at least 0",
         "exact_time = -1": "exact_time must be at least 0",
         "exact_time = nan": "exact_time must be at least 0",
+        "exact_time = inf": "exact_time must be at least 0",
+        "exact_nodes = 1_0": "expected an integer exact_nodes",
         "exact_time = abc": "exact_time must be a number, got 'abc'",
         "timing = maybe": "timing must be on or off",
         "strict = on": "unknown key 'strict'",  # strictness is bench --strict
@@ -63,6 +65,7 @@ def test_parse_config_rejects_bad_lines():
         "generate = family=big n=5 colour=red": r"unknown generator keys \['colour'\]",
         "generate = family=tiny n=5": "unknown family 'tiny'",
         "generate = family=big n=ten": "expected an integer n",
+        "generate = family=big n=1_0": "expected an integer n",
         "generate = family=big n=0": "n must be at least 1",
         "generate = family=big n=5 count=0": "count must be at least 1",
         "generate = family=big n=5 seed=x": "expected an integer seed",
@@ -424,7 +427,7 @@ def test_cli_solve_exact_rejects_a_negative_or_nan_limit(tmp_path, capsys):
     path = tmp_path / "three.inst"
     path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
     for flag, value in (("--node-limit", "-3"), ("--time-limit", "-1"),
-                        ("--time-limit", "nan")):
+                        ("--time-limit", "nan"), ("--time-limit", "inf")):
         assert main(["solve", str(path), "-a", "EXACT", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -453,6 +456,15 @@ def test_cli_solve_lp_export_and_dumps(tmp_path, capsys):
     dumped = sorted(os.listdir(dump_dir))
     assert dumped == ["three-round1.txt", "three-round2.txt"]
     assert (dump_dir / "three-round1.txt").read_text() == "1 2 2\n1 3 1\n"
+
+
+def test_cli_solve_rejects_a_horizon_without_lp_export(tmp_path, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+    assert main(["solve", str(path), "--horizon", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --horizon needs --lp-export" in captured.err
 
 
 def test_cli_solve_prints_and_dumps_every_heuristic(tmp_path, capsys):

@@ -14,7 +14,8 @@ from bcpp import (FormatError, ffd_bpp, ffd_certified_optimal,
                   format_bpp_instance, gen_bpp_fullbins, parse_bpp,
                   parse_bpp_instance, parse_instance, parse_placement)
 
-BAD_TOKENS = ("x", "1.5", "0x1", "--2", "1e3", "7/10", "opt")
+# an underscore or a non-ASCII digit, which int() alone reads, is no integer
+BAD_TOKENS = ("x", "1.5", "0x1", "--2", "1e3", "7/10", "opt", "1_0", "１０", "١٠")
 
 
 def text_of(lines):
