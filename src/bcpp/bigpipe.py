@@ -4,7 +4,9 @@ Both algorithms first turn the instance into big charts (at least one bar
 above 1/2), then chain the formed charts through 1-unions: a digraph holds
 an arc (i, j) whenever chart i's last bar and chart j's first bar fit into
 one cell, a path cover of that digraph is selected, and every path is merged
-left to right.  Each selected arc saves one strip cell.
+left to right.  Each selected arc saves one strip cell.  An ``ArcDigraph``
+maps each chart id to its successors in ascending id order, the lists the
+path cover reads; its ``arcs`` view, for dumps and tests, is built on read.
 
 A1 forms big charts in a single scan with a one-slot buffer: small charts
 are pairwise 2-unioned (always feasible, all four bars are at most 1/2)
@@ -23,6 +25,7 @@ opened by dropping its lexicographically smallest arc.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import BarChart, Solved, assemble_placement
@@ -34,7 +37,12 @@ from .unions import merge_union
 @dataclass(frozen=True)
 class ArcDigraph:
     vertices: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
+    successors: dict[int, list[int]]
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every arc, in (u, v) order; built anew on each read."""
+        return tuple((u, v) for u in self.vertices for v in self.successors[u])
 
 
 @dataclass(frozen=True)
@@ -78,25 +86,28 @@ def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
     current = list(charts)
     while True:
         graph = build_union_graph(current, two_unions_only=True)
-        if not graph.edges:
+        if not graph.pairs:
             return tuple(current)
         matching = max_cardinality_matching(graph)
         current = merge_matched(current, matching)
 
 
 def build_arc_digraph(charts: list[BarChart] | tuple[BarChart, ...]) -> ArcDigraph:
-    """Arc (i, j) iff the 1-union with i on the left is feasible."""
+    """Arc (i, j) iff the 1-union with i on the left is feasible: i's heads
+    are the charts whose first bar fits ``den`` minus its last, less i."""
     rows, den = chart_rows(charts)
-    firsts = [(row[0], row[1]) for row in rows]
-    arcs = []
-    for u, _, _, _, last in rows:
-        cap = den - last
-        arcs += [(u, v) for v, first in firsts if first <= cap and v != u]
-    return ArcDigraph(vertices=tuple(v for v, _ in firsts), arcs=tuple(arcs))
+    by_first = sorted(rows, key=lambda row: row[1])
+    firsts, ids = [row[1] for row in by_first], [row[0] for row in by_first]
+    successors = {}
+    for u, first, _, _, last in rows:
+        successors[u] = heads = sorted(ids[:bisect_right(firsts, den - last)])
+        if first <= den - last:
+            heads.remove(u)
+    return ArcDigraph(tuple(row[0] for row in rows), successors)
 
 
 def dump_digraph(g: ArcDigraph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in sorted(g.arcs))
+    return "".join(f"{u} {v}\n" for u, v in g.arcs)
 
 
 def _max_bipartite_matching(lefts: list[int],
@@ -155,12 +166,8 @@ def path_cover(g: ArcDigraph) -> PathCover:
     The selected arc count is the bipartite matching size minus the number of
     broken cycles, hence never below (cycle cover arcs) - (cycles).
     """
-    verts = sorted(g.vertices)
-    adj: dict[int, list[int]] = {u: [] for u in verts}
-    for u, v in sorted(g.arcs):
-        adj[u].append(v)
-
-    succ = _max_bipartite_matching(verts, adj)
+    verts = list(g.vertices)
+    succ = _max_bipartite_matching(verts, g.successors)
     pred = {v: u for u, v in succ.items()}
 
     paths: list[tuple[int, ...]] = []

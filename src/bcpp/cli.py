@@ -18,7 +18,8 @@ from .blp import build_blp, export_lp, solve_exact
 from .generators import FAMILIES, parse_bpp, transform_bpp
 from .harness import (ALGORITHMS, SOLVERS, GenSpec, format_records_csv,
                       format_summary_csv, parse_config, run_suite)
-from .model import format_instance, format_placement, parse_instance
+from .model import (format_instance, format_placement, parse_instance, read_float,
+                    read_int)
 
 
 def _cmd_gen(args) -> int:
@@ -123,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write random instance files")
     gen.add_argument("--family", choices=FAMILIES, default="arbitrary")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--den", "-D", type=int, default=10 ** 6,
+    gen.add_argument("--n", type=read_int, required=True)
+    gen.add_argument("--count", type=read_int, default=1)
+    gen.add_argument("--seed", type=read_int, default=0)
+    gen.add_argument("--den", "-D", type=read_int, default=10 ** 6,
                      help="height denominator (default 10^6)")
     gen.add_argument("--out-dir", default=".")
     gen.set_defaults(func=_cmd_gen)
@@ -134,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one algorithm on an instance")
     solve.add_argument("instance")
     solve.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="GA_LO")
-    solve.add_argument("--time-limit", type=float, default=0.0,
+    solve.add_argument("--time-limit", type=read_float, default=0.0,
                        help="EXACT time limit in seconds (0: none)")
-    solve.add_argument("--node-limit", type=int, default=0,
+    solve.add_argument("--node-limit", type=read_int, default=0,
                        help="EXACT node limit (0: none)")
     solve.add_argument("--lp-export", metavar="PATH",
                        help="write the model in LP format")
-    solve.add_argument("--horizon", type=int, default=None,
+    solve.add_argument("--horizon", type=read_int, default=None,
                        help="cell horizon for --lp-export")
     solve.add_argument("--dump-graphs", metavar="DIR",
                        help="dump per-round union graphs (M1w, Mw) / the 1-union "

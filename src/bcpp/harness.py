@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
 from .model import (FormatError, Instance, Placement, evaluate_packing, lower_bounds,
-                    parse_instance, read_int)
+                    parse_instance, read_float, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved.
 # Every entry looks its solver up in its module when called, so a rebound
@@ -151,7 +151,7 @@ def parse_config(text: str) -> SuiteConfig:
             cfg.exact_nodes = _int_at_least(value, no, key, least=0)
         elif key == "exact_time":
             try:
-                cfg.exact_time = float(value)
+                cfg.exact_time = read_float(value)
             except ValueError:
                 raise FormatError(f"line {no}: {key} must be a number, "
                                   f"got {value!r}") from None

@@ -4,8 +4,12 @@ Vertices are chart ids; an edge carries the best overlap (weight 2 or 1) a
 pair admits together with the orientation that realizes it.  Matchings are
 computed exactly by ``blossom.max_weight_edges``, Edmonds' primal-dual
 blossom algorithm ported from networkx, which checks its dual optimality
-certificate on every call.  Graphs are always handed over in canonical
-sorted order so equal-weight ties resolve the same way on every run.
+certificate on every call.  A ``WeightedGraph`` holds its edges in the
+blossom's own form: ``pairs[k] = (i, j, weight)`` over positions i < j in
+the ascending ``vertices``, in (i, j) order, so equal-weight ties resolve
+the same way on every run; k is in ``flipped`` when ``vertices[j]`` goes
+left.  A ``UnionEdge`` is made only for a matched edge, or when ``edges``,
+the view that dumps and tests read, is asked for.
 
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
@@ -40,7 +44,18 @@ class UnionEdge(NamedTuple):
 @dataclass(frozen=True)
 class WeightedGraph:
     vertices: tuple[int, ...]
-    edges: tuple[UnionEdge, ...]
+    pairs: list[tuple[int, int, int]]
+    flipped: set[int]
+
+    def edge(self, k: int) -> UnionEdge:
+        i, j, w = self.pairs[k]
+        u, v = self.vertices[i], self.vertices[j]
+        return UnionEdge(u, v, w, v, u) if k in self.flipped else UnionEdge(u, v, w, u, v)
+
+    @property
+    def edges(self) -> tuple[UnionEdge, ...]:
+        """Every edge, in ``pairs`` order; built anew on each read."""
+        return tuple(map(self.edge, range(len(self.pairs))))
 
 
 @dataclass(frozen=True)
@@ -86,49 +101,41 @@ def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
     formation rounds need.
     """
     rows, den = chart_rows(charts)
-    edges = []
-    add = edges.append
-    for k, (u, f0, f1, l2, l1) in enumerate(rows):
+    pairs: list[tuple[int, int, int]] = []
+    flipped: set[int] = set()
+    add, flip = pairs.append, flipped.add
+    for i, (_, f0, f1, l2, l1) in enumerate(rows):
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
-        for v, g0, g1, m2, m1 in rows[k + 1:]:
+        for j, (_, g0, g1, m2, m1) in enumerate(rows[i + 1:], i + 1):
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, u left
-                add(UnionEdge(u, v, 2, u, v))
+                add((i, j, 2))
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, v left
-                add(UnionEdge(u, v, 2, v, u))
+                flip(len(pairs))
+                add((i, j, 2))
             elif two_unions_only:
                 continue
             elif g0 <= cap_l1:                     # 1-union, u left
-                add(UnionEdge(u, v, 1, u, v))
+                add((i, j, 1))
             elif m1 <= cap_f0:                     # 1-union, v left
-                add(UnionEdge(u, v, 1, v, u))
-    return WeightedGraph(vertices=tuple(r[0] for r in rows), edges=tuple(edges))
-
-
-def _solve_matching(g: WeightedGraph, cardinality: bool) -> Matching:
-    # an edge tuple starts with (u, v) and a graph has one edge per pair, so
-    # tuple order is (u, v) order; on a built graph this sort is one pass
-    edges = sorted(g.edges)
-    index = {x: i for i, x in enumerate(sorted(g.vertices))}
-    chosen = [edges[k] for k in max_weight_edges(
-        len(index),
-        [(index[e.u], index[e.v], 1 if cardinality else e.weight) for e in edges])]
-    return Matching(edges=tuple(chosen))
+                flip(len(pairs))
+                add((i, j, 1))
+    return WeightedGraph(tuple(r[0] for r in rows), pairs, flipped)
 
 
 def max_weight_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-weight matching (not merely maximal)."""
-    return _solve_matching(g, cardinality=False)
+    return Matching(tuple(map(g.edge, max_weight_edges(len(g.vertices), g.pairs))))
 
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-cardinality matching; total_weight still sums edge weights."""
-    return _solve_matching(g, cardinality=True)
+    ones = [(i, j, 1) for i, j, _ in g.pairs]
+    return Matching(tuple(map(g.edge, max_weight_edges(len(g.vertices), ones))))
 
 
 def dump_graph(g: WeightedGraph) -> str:
     """Edge list text, one 'u v weight' line per edge."""
-    return "".join(f"{e.u} {e.v} {e.weight}\n"
-                   for e in sorted(g.edges, key=lambda e: (e.u, e.v)))
+    return "".join(f"{e.u} {e.v} {e.weight}\n" for e in g.edges)
 
 
 def merge_matched(charts: list[BarChart] | tuple[BarChart, ...],
@@ -160,7 +167,7 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
         rounds += 1
         if dump is not None:
             dump(f"round{rounds}", dump_graph(graph))
-        if not graph.edges:
+        if not graph.pairs:
             break
         matching = max_weight_matching(graph)
         for e in matching.edges:

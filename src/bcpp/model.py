@@ -21,7 +21,7 @@ class FormatError(ValueError):
     """Malformed instance/placement/BPP text; message carries the line number."""
 
 
-def read_int(token: str, line_no: int, what: str) -> int:
+def read_int(token: str, line_no: int = 0, what: str = "an integer") -> int:
     """``token`` as an optional sign and ASCII digits, else
     ``FormatError("line <line_no>: expected <what>")``; ``int`` alone would
     also read ``1_0`` or non-ASCII digits such as ``１０``."""
@@ -31,6 +31,14 @@ def read_int(token: str, line_no: int, what: str) -> int:
         except ValueError:
             pass
     raise FormatError(f"line {line_no}: expected {what}")
+
+
+def read_float(token: str) -> float:
+    """``float(token)`` for ASCII text without ``_``, else ``ValueError``:
+    ``float`` alone would also read ``1_0`` or digits such as ``１٠``."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
 
 
 @dataclass(frozen=True)

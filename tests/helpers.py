@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from bcpp import (ArcDigraph, BarChart, Instance, PathCover, evaluate_packing,
-                  lex_order, union_feasible)
+from bcpp import (ArcDigraph, BarChart, Instance, PathCover, UnionEdge,
+                  WeightedGraph, evaluate_packing, lex_order, union_feasible)
 
 
 def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
@@ -21,6 +21,29 @@ def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
 def inst(*bars: tuple[int, int], den: int = 10, **kwargs) -> Instance:
     charts = tuple(mk(i + 1, a, b, den) for i, (a, b) in enumerate(bars))
     return Instance(charts=charts, den=den, **kwargs)
+
+
+def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
+                ) -> WeightedGraph:
+    """A graph from hand-made edges: sorted, with ids mapped to positions.
+
+    An edge keeps its (u, v) order, and its union's orientation is marked
+    flipped when ``left`` is not ``u``.
+    """
+    verts = tuple(sorted(vertices))
+    index = {x: i for i, x in enumerate(verts)}
+    edges = sorted(edges)
+    return WeightedGraph(verts, [(index[e.u], index[e.v], e.weight) for e in edges],
+                         {k for k, e in enumerate(edges) if e.left != e.u})
+
+
+def arc_digraph(vertices, arcs) -> ArcDigraph:
+    """A digraph from an arc list, with each successor list sorted."""
+    verts = tuple(sorted(vertices))
+    successors: dict[int, list[int]] = {u: [] for u in verts}
+    for u, v in sorted(arcs):
+        successors[u].append(v)
+    return ArcDigraph(verts, successors)
 
 
 def random_charts(rng: random.Random, n: int, den: int) -> list[BarChart]:

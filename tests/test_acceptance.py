@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from bcpp import (SuiteConfig, UnionEdge, WeightedGraph, evaluate_packing,
+from bcpp import (SuiteConfig, UnionEdge, evaluate_packing,
                   format_records_csv, ga_lo, gen_bpp_fullbins, gen_random,
                   lower_bounds, max_cardinality_matching, max_weight_matching,
                   oracle_opt, run_algorithm, run_suite, solve_big_pipeline,
@@ -19,7 +19,7 @@ from bcpp.generators import ffd_bpp, ffd_certified_optimal
 from bcpp.harness import GenSpec
 from bcpp.model import parse_instance
 
-from helpers import brute_force_matching
+from helpers import brute_force_matching, union_graph
 
 APPROX = ("GA_LO", "M1w", "Mw", "A1", "A2")
 
@@ -89,7 +89,7 @@ def test_c4_matching_exactness_against_brute_force():
                 if rng.random() < 0.5:
                     w = rng.choice([1, 2])
                     edges.append(UnionEdge(u=u, v=v, weight=w, left=u, right=v))
-        g = WeightedGraph(vertices=tuple(range(1, n + 1)), edges=tuple(edges))
+        g = union_graph(range(1, n + 1), edges)
         best_weight, best_card = brute_force_matching(
             [(e.u, e.v, e.weight) for e in edges])
         assert max_weight_matching(g).total_weight == best_weight

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from bcpp import (ArcDigraph, BarChart, build_arc_digraph, evaluate_packing,
+from bcpp import (BarChart, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
 from bcpp.bigpipe import dump_digraph
+from bcpp.unions import union_feasible
 from bcpp.harness import SOLVERS
-from helpers import (brute_force_matching, brute_force_path_cover_arcs,
-                     check_path_cover, inst, random_charts)
+from helpers import (arc_digraph, brute_force_matching,
+                     brute_force_path_cover_arcs, check_path_cover, inst, mk,
+                     random_charts)
 
 
 def test_scan_merges_smalls_into_big():
@@ -93,6 +95,40 @@ def test_arc_digraph_matches_definition():
         assert g.arcs == expected
 
 
+def _brute_force_successors(charts):
+    ids = sorted(c.id for c in charts)
+    by_id = {c.id: c for c in charts}
+    return {u: [v for v in ids if v != u and union_feasible(by_id[u], by_id[v], 1)]
+            for u in ids}
+
+
+@pytest.mark.parametrize("charts", [
+    # repeated first bars, on both sides of the cap
+    [mk(1, 3, 7), mk(2, 3, 4), mk(3, 3, 8), mk(4, 8, 2), mk(5, 8, 3)],
+    # each chart's own first bar fits its cap, yet it has no arc to itself
+    [mk(1, 2, 3), mk(2, 1, 1), mk(3, 4, 6)],
+    # first == den - last, exactly full cells
+    [mk(1, 4, 6), mk(2, 6, 4), mk(3, 5, 5), mk(4, 10, 10)],
+    # width-1 charts, whose first bar is their last
+    [BarChart(id=2, bars=(4,), den=10), BarChart(id=7, bars=(6,), den=10),
+     BarChart(id=5, bars=(7,), den=10), mk(9, 3, 3)],
+    [],
+], ids=["repeated-firsts", "self-fit", "exactly-full", "width-1", "empty"])
+def test_arc_digraph_successors_equal_brute_force(charts):
+    g = build_arc_digraph(charts)
+    assert g.vertices == tuple(sorted(c.id for c in charts))
+    assert g.successors == _brute_force_successors(charts)
+
+
+def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
+    for family in ("arbitrary", "big", "big_nonincreasing"):
+        for n in (5, 50, 200):
+            charts = gen_random(n, 7, family, 10**6).charts
+            for formed in (charts, form_big_scan(charts), form_big_matchings(charts)):
+                g = build_arc_digraph(formed)
+                assert g.successors == _brute_force_successors(formed)
+
+
 def test_arc_digraph_rejects_mixed_denominators():
     # 50/100 + 9/10 > 1, although the numerators sum to 59 <= 100
     charts = [BarChart(id=1, bars=(9, 9), den=10),
@@ -110,7 +146,7 @@ def test_path_cover_chain():
 
 
 def test_path_cover_breaks_cycle():
-    g = ArcDigraph(vertices=(1, 2, 3), arcs=((1, 2), (2, 3), (3, 1)))
+    g = arc_digraph((1, 2, 3), ((1, 2), (2, 3), (3, 1)))
     cover = path_cover(g)
     check_path_cover(g, cover)
     assert cover.arc_count == 2
@@ -118,14 +154,14 @@ def test_path_cover_breaks_cycle():
 
 
 def test_path_cover_out_degree_limits_fan():
-    g = ArcDigraph(vertices=(1, 2, 3), arcs=((1, 2), (1, 3)))
+    g = arc_digraph((1, 2, 3), ((1, 2), (1, 3)))
     cover = path_cover(g)
     check_path_cover(g, cover)
     assert cover.arc_count == 1
 
 
 def test_path_cover_edgeless():
-    g = ArcDigraph(vertices=(1, 2), arcs=())
+    g = arc_digraph((1, 2), ())
     cover = path_cover(g)
     assert cover.paths == ((1,), (2,))
     assert cover.arc_count == 0
@@ -139,7 +175,7 @@ def test_path_cover_against_brute_force():
         verts = tuple(range(1, n + 1))
         arcs = tuple(sorted((u, v) for u in verts for v in verts
                             if u != v and rng.random() < density))
-        g = ArcDigraph(vertices=verts, arcs=arcs)
+        g = arc_digraph(verts, arcs)
         cover = path_cover(g)
         check_path_cover(g, cover)
         assert cover.arc_count <= brute_force_path_cover_arcs(verts, arcs)
@@ -163,7 +199,7 @@ def test_path_cover_is_pinned():
         density = rng.choice([0.1, 0.3, 0.6, 0.9])
         arcs = tuple((u, v) for u in verts for v in verts
                      if u != v and rng.random() < density)
-        cover = path_cover(ArcDigraph(vertices=verts, arcs=arcs))
+        cover = path_cover(arc_digraph(verts, arcs))
         covers.append((cover.paths, cover.cycles_broken))
         broken += cover.cycles_broken
     assert broken > 100  # the cycle branch runs

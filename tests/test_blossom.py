@@ -19,6 +19,7 @@ import bcpp
 from bcpp import (UnionEdge, WeightedGraph, build_union_graph, gen_random,
                   max_cardinality_matching, max_weight_matching)
 from bcpp import blossom
+from helpers import union_graph
 
 
 def nx_pairs(g: WeightedGraph, cardinality: bool) -> set[frozenset[int]]:
@@ -46,7 +47,7 @@ def random_graph(rng: random.Random, n: int,
             if rng.random() < density:
                 w = rng.choice((1, 2))
                 edges.append(UnionEdge(u, v, w, u, v))
-    return WeightedGraph(vertices=tuple(ids), edges=tuple(edges))
+    return union_graph(ids, edges)
 
 
 def test_mates_equal_networkx_on_random_graphs():
@@ -121,10 +122,10 @@ def test_mates_equal_networkx_on_union_graphs():
 
 
 @pytest.mark.parametrize("g", [
-    WeightedGraph(vertices=(), edges=()),
-    WeightedGraph(vertices=(4,), edges=()),
-    WeightedGraph(vertices=(1, 5, 9), edges=()),
-    WeightedGraph(vertices=(1, 2, 3, 7), edges=(UnionEdge(2, 3, 2, 3, 2),)),
+    union_graph((), ()),
+    union_graph((4,), ()),
+    union_graph((1, 5, 9), ()),
+    union_graph((1, 2, 3, 7), (UnionEdge(2, 3, 2, 3, 2),)),
 ], ids=["empty", "one-vertex", "edgeless", "isolated-vertices"])
 def test_degenerate_graphs(g):
     for cardinality in (False, True):

@@ -57,6 +57,8 @@ def test_parse_config_rejects_bad_lines():
         "exact_time = inf": "exact_time must be at least 0",
         "exact_nodes = 1_0": "expected an integer exact_nodes",
         "exact_time = abc": "exact_time must be a number, got 'abc'",
+        "exact_time = 1_0": "exact_time must be a number, got '1_0'",
+        "exact_time = １٠": "exact_time must be a number, got '１٠'",
         "timing = maybe": "timing must be on or off",
         "strict = on": "unknown key 'strict'",  # strictness is bench --strict
         "bpp_reference = witness": "unknown key 'bpp_reference'",
@@ -432,6 +434,26 @@ def test_cli_solve_exact_rejects_a_negative_or_nan_limit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {flag} must be at least 0" in captured.err
+
+
+def test_cli_numbers_take_only_ascii_digits(tmp_path, capsys):
+    # the rule of the file readers: no underscore, no non-ASCII digit
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
+    gen = ["gen", "--n", "3", "--out-dir", str(tmp_path / "gen")]
+    solve = ["solve", str(path), "-a", "EXACT"]
+    for argv, flag in ([(gen, f) for f in ("--n", "--count", "--seed", "--den")]
+                       + [(solve, f) for f in ("--node-limit", "--horizon",
+                                               "--time-limit")]):
+        for value in ("1_0", "１٠"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, flag, value])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: argument {flag}" in captured.err
+            assert f"value: {value!r}" in captured.err
+    assert not (tmp_path / "gen").exists()
 
 
 def test_cli_solve_exact_reads_a_zero_limit_as_none(tmp_path, capsys):

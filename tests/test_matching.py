@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
+from bcpp import (BarChart, UnionEdge, assemble_placement,
                   build_union_graph, dump_graph, evaluate_packing,
                   format_placement, gen_random, max_cardinality_matching,
                   max_weight_matching, oracle_opt, solve_mw)
+from bcpp import matching
 from bcpp.matching import merge_matched
-from helpers import brute_force_matching, inst, pair_weight, random_charts
+from helpers import (brute_force_matching, inst, pair_weight, random_charts,
+                     union_graph)
 
 
 def edge(u, v, w):
@@ -16,8 +18,7 @@ def edge(u, v, w):
 
 
 def graph(n_vertices, edges):
-    return WeightedGraph(vertices=tuple(range(1, n_vertices + 1)),
-                         edges=tuple(edges))
+    return union_graph(range(1, n_vertices + 1), edges)
 
 
 def test_triangle_takes_the_heavy_edge():
@@ -79,7 +80,7 @@ def test_matching_deterministic_for_canonical_input():
         g = _random_graph(rng)
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
-        g2 = WeightedGraph(vertices=g.vertices, edges=tuple(shuffled))
+        g2 = union_graph(g.vertices, shuffled)
         assert max_weight_matching(g) == max_weight_matching(g2)
 
 
@@ -116,6 +117,40 @@ def test_union_graph_matches_pair_weight_on_every_pair():
         two = build_union_graph(charts, two_unions_only=True)
         assert two.vertices == g.vertices
         assert two.edges == tuple(e for e in g.edges if e.weight == 2)
+
+
+@pytest.mark.parametrize("family", ["arbitrary", "big", "big_nonincreasing"])
+def test_blossom_input_is_the_sorted_indexed_edge_list(family, monkeypatch):
+    # the reference list: every uniting pair by pair_weight as a UnionEdge,
+    # sorted, its ids mapped to positions, and w = 1 for cardinality
+    handed = []
+
+    def spy(n, edges):
+        handed.append((edges, max_weight_edges(n, edges)))
+        return handed[-1][1]
+
+    max_weight_edges = matching.max_weight_edges
+    monkeypatch.setattr(matching, "max_weight_edges", spy)
+    for n in (5, 50, 200):
+        charts = gen_random(n, 7, family, 10**6).charts
+        for two_unions_only in (False, True):
+            expected = sorted(
+                UnionEdge(i.id, j.id, pw.weight, pw.left, pw.right)
+                for a, i in enumerate(charts) for j in charts[a + 1:]
+                for pw in [pair_weight(i, j)]
+                if pw.weight == 2 or pw.weight and not two_unions_only)
+            index = {c.id: k for k, c in enumerate(charts)}
+            g = build_union_graph(charts, two_unions_only=two_unions_only)
+            assert g.edges == tuple(expected)
+            for solve, cardinality in ((max_weight_matching, False),
+                                       (max_cardinality_matching, True)):
+                handed.clear()
+                matched = solve(g).edges
+                [(edges, chosen)] = handed
+                assert edges == [(index[e.u], index[e.v],
+                                  1 if cardinality else e.weight)
+                                 for e in expected]
+                assert matched == tuple(expected[k] for k in chosen)
 
 
 def test_union_graph_rejects_mixed_denominators():
