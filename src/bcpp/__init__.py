@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
-                    Placement, Solved, UnionRecord, assemble_placement, compact,
+                    Placement, Solved, assemble_placement, compact,
                     evaluate_packing, format_instance, format_placement,
                     lower_bounds, parse_instance, parse_placement)
 from .unions import UnionInfeasibleError, merge_union, union_feasible
@@ -14,7 +14,7 @@ from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
 from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,
                       path_cover, solve_big_pipeline)
-from .blp import BlpModel, ExactResult, build_blp, export_lp, oracle_opt, solve_exact
+from .blp import BlpModel, build_blp, export_lp, oracle_opt, solve_exact
 from .generators import (BppInstance, BppSolution, bpp_witness_placement,
                          ffd_bpp, ffd_certified_optimal, format_bpp_instance,
                          format_bpp_solution, gen_bpp_fullbins, gen_random,

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .greedy import ga_lo, lex_order
-from .model import Instance, Placement, compact, lower_bounds
+from .model import Instance, Solved, compact, lower_bounds
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,6 @@ class BlpModel:
     @property
     def constraint_count(self) -> int:
         return self.n + self.horizon
-
-
-@dataclass(frozen=True)
-class ExactResult:
-    best_length: int
-    lower_bound: int
-    elapsed_ms: float
-    node_count: int
-    placement: Placement
-
-    @property
-    def status(self) -> str:
-        """``optimal`` exactly when the incumbent meets the proven bound."""
-        return "optimal" if self.best_length == self.lower_bound else "bounded"
-
-    def report_line(self) -> str:
-        return (f"{self.status} {self.best_length} {self.lower_bound} "
-                f"{self.node_count} {self.elapsed_ms:.1f}")
 
 
 def build_blp(instance: Instance, horizon: int | None = None) -> BlpModel:
@@ -109,7 +91,7 @@ def export_lp(model: BlpModel) -> str:
 
 
 def solve_exact(instance: Instance, time_limit: float = 0.0,
-                node_limit: int = 0) -> ExactResult:
+                node_limit: int = 0) -> Solved:
     """Branch-and-bound over chart placements.
 
     Charts are branched in greedy lexicographic order with ascending cells,
@@ -121,8 +103,9 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     incumbent.  A limit of 0 means none (a negative, NaN or infinite one
     raises ``ValueError``), and with no limits the result is optimal; when a
     limit expires the incumbent is returned with the bound proven before the
-    search.  The path is kept on an explicit stack, so any n is within
-    recursion limits.
+    search.  The result's ``length`` and ``placement`` are the incumbent,
+    beside its ``lower_bound`` and ``node_count``.  The path is kept on an
+    explicit stack, so any n is within recursion limits.
     """
     for name, limit in (("time_limit", time_limit), ("node_limit", node_limit)):
         if not 0 <= limit < math.inf:  # nor is a NaN
@@ -136,11 +119,9 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     best_placement = greedy.placement  # GA_LO leaves no gap to compact
     nodes = 0
 
-    def result(lower: int) -> ExactResult:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return ExactResult(best_length=best_len,
-                           lower_bound=lower, elapsed_ms=elapsed,
-                           node_count=nodes, placement=best_placement)
+    def result(lower: int) -> Solved:
+        return Solved(placement=best_placement, length=best_len,
+                      lower_bound=lower, node_count=nodes)
 
     if best_len == combined:
         return result(best_len)

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 from . import __version__
 from .blp import build_blp, export_lp, solve_exact
@@ -61,8 +62,11 @@ def _cmd_solve(args) -> int:
             fh.write(text)
 
     if args.algorithm == "EXACT":
+        t0 = time.perf_counter()
         res = solve_exact(inst, time_limit=args.time_limit, node_limit=args.node_limit)
-        print(res.report_line())
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        print(f"{res.status} {res.length} {res.lower_bound} {res.node_count} "
+              f"{elapsed_ms:.1f}")
     else:
         res = SOLVERS[args.algorithm](inst, dump=dump if dump_dir else None)
         rounds = "" if res.rounds is None else f" rounds={res.rounds}"

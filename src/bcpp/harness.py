@@ -227,7 +227,7 @@ def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
     """Run one algorithm; returns (length, placement, rounds-or-nodes)."""
     if name == "EXACT":
         res = blp.solve_exact(instance, time_limit=exact_time, node_limit=exact_nodes)
-        return res.best_length, res.placement, res.node_count
+        return res.length, res.placement, res.node_count
     if name not in SOLVERS:
         raise ValueError(f"unknown algorithm {name!r}")
     solved = SOLVERS[name](instance)

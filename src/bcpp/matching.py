@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .blossom import max_weight_edges
-from .model import BarChart, Instance, Solved, UnionRecord, assemble_placement
+from .model import BarChart, Instance, Solved, assemble_placement
 from .unions import merge_union
 
 
@@ -156,11 +156,12 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
     """Iterate maximum-weight matchings, merging pairs, until no pair unites.
 
     M1w is ``max_rounds=1``: one matching on the raw charts.  ``rounds``
-    counts built graphs including a final edgeless one.  When ``dump`` is
-    given, each round's graph dump is passed to it as ``("round<k>", text)``.
+    counts built graphs including a final edgeless one, and ``unions`` the
+    matchings of the rounds before it.  When ``dump`` is given, each round's
+    graph dump is passed to it as ``("round<k>", text)``.
     """
     charts: list[BarChart] = list(instance.charts)
-    unions: list[UnionRecord] = []
+    unions: list[Matching] = []
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
         graph = build_union_graph(charts)
@@ -169,11 +170,8 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
             dump(f"round{rounds}", dump_graph(graph))
         if not graph.pairs:
             break
-        matching = max_weight_matching(graph)
-        for e in matching.edges:
-            unions.append(UnionRecord(round=rounds, left=e.left, right=e.right,
-                                      t=e.weight))
-        charts = merge_matched(charts, matching)
+        unions.append(max_weight_matching(graph))
+        charts = merge_matched(charts, unions[-1])
     return Solved(placement=assemble_placement(charts),
                   length=sum(c.width for c in charts),
                   rounds=rounds, unions=tuple(unions))

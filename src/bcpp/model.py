@@ -15,6 +15,10 @@ contain gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .matching import Matching
 
 
 class FormatError(ValueError):
@@ -24,8 +28,8 @@ class FormatError(ValueError):
 def read_int(token: str, line_no: int = 0, what: str = "an integer") -> int:
     """``token`` as an optional sign and ASCII digits, else
     ``FormatError("line <line_no>: expected <what>")``; ``int`` alone would
-    also read ``1_0`` or non-ASCII digits such as ``１０``."""
-    if token.isascii() and "_" not in token:
+    also read ``1_0``, non-ASCII digits such as ``１０`` or ``" 7"``."""
+    if token.isascii() and "_" not in token and token == token.strip():
         try:
             return int(token)
         except ValueError:
@@ -34,9 +38,10 @@ def read_int(token: str, line_no: int = 0, what: str = "an integer") -> int:
 
 
 def read_float(token: str) -> float:
-    """``float(token)`` for ASCII text without ``_``, else ``ValueError``:
-    ``float`` alone would also read ``1_0`` or digits such as ``１٠``."""
-    if not token.isascii() or "_" in token:
+    """``float(token)`` for ASCII text without ``_`` or surrounding
+    whitespace, else ``ValueError``: ``float`` alone would also read
+    ``1_0``, digits such as ``１٠`` or ``" 7"``."""
+    if not token.isascii() or "_" in token or token != token.strip():
         raise ValueError(f"could not convert string to float: {token!r}")
     return float(token)
 
@@ -127,31 +132,29 @@ class Evaluation:
 
 
 @dataclass(frozen=True)
-class UnionRecord:
-    """A union made in round ``round``: the last ``t`` bars of chart ``left``
-    share cells with the first ``t`` bars of chart ``right``."""
-
-    round: int
-    left: int
-    right: int
-    t: int
-
-
-@dataclass(frozen=True)
 class Solved:
-    """The result of every heuristic solver.
+    """The result of every solver, EXACT included.
 
     ``probes`` counts the charts GA_LO's cell sweep scans past the
     bisection, placed ones included; ``rounds`` counts the union graphs Mw
-    built, the final edgeless one included; ``unions`` lists the unions Mw
-    made, round by round.
+    built, the final edgeless one included; ``unions`` holds Mw's
+    matchings, one per round that merged, so ``unions[0]`` is M1w's.
+    ``lower_bound`` and ``node_count`` are EXACT's: the bound it proved and
+    the nodes it expanded, ``None`` on a heuristic.
     """
 
     placement: Placement
     length: int
     probes: int = 0
     rounds: int | None = None
-    unions: tuple[UnionRecord, ...] = ()
+    unions: tuple[Matching, ...] = ()
+    lower_bound: int | None = None
+    node_count: int | None = None
+
+    @property
+    def status(self) -> str:
+        """``optimal`` exactly when the length meets the proven bound."""
+        return "optimal" if self.length == self.lower_bound else "bounded"
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def test_c1_oracle_equivalence_feasibility_and_bounds():
             if name == "GA_LO":
                 assert length <= 2 * opt + 1, (seed, length, opt)
                 worst_gap = max(worst_gap, length / opt)
-        _shared["traces"].extend(solve_mw(instance).unions)
+        _shared["traces"].extend(e for m in solve_mw(instance).unions for e in m.edges)
     elapsed = time.perf_counter() - t0
     gate("C1 oracle-equivalence", elapsed < 60,
          f"200 instances, worst GA_LO/opt {worst_gap:.3f}, {elapsed:.1f}s")
@@ -64,7 +64,7 @@ def test_c2_three_halves_bound_on_big_charts():
         instance = gen_random(n, seed, "big", 20)
         opt = oracle_opt(instance)
         res = solve_mw(instance)
-        _shared["traces"].extend(res.unions)
+        _shared["traces"].extend(e for m in res.unions for e in m.edges)
         assert 2 * res.length <= 3 * opt, (seed, res.length, opt)
         worst = max(worst, Fraction(res.length, opt))
     elapsed = time.perf_counter() - t0
@@ -73,7 +73,7 @@ def test_c2_three_halves_bound_on_big_charts():
 
 
 def test_c3_only_small_overlaps_ever_constructed():
-    bad = [u for u in _shared["traces"] if u.t not in (1, 2)]
+    bad = [e for e in _shared["traces"] if e.weight not in (1, 2)]
     gate("C3 union-overlaps", len(_shared["traces"]) > 0 and not bad,
          f"{len(_shared['traces'])} unions recorded, {len(bad)} violations")
 
@@ -190,12 +190,12 @@ def test_c8_exact_solver_consistency():
         instance = gen_random(n, 30_000 + seed, "arbitrary", 20)
         opt = oracle_opt(instance)
         res = solve_exact(instance)
-        assert res.status == "optimal" and res.best_length == opt, (seed, res)
+        assert res.status == "optimal" and res.length == opt, (seed, res)
         limited = solve_exact(instance, node_limit=1)
         if limited.status == "bounded":
-            assert limited.lower_bound <= opt <= limited.best_length
+            assert limited.lower_bound <= opt <= limited.length
         else:
-            assert limited.best_length == opt
+            assert limited.length == opt
     elapsed = time.perf_counter() - t0
     gate("C8 exact-consistency", elapsed < 120,
          f"100 instances optimal + 1-node bounded, {elapsed:.1f}s")

@@ -1,13 +1,15 @@
 import hashlib
 import os
 import random
+import re
 import time
 
 import pytest
 
-from bcpp import (build_blp, evaluate_packing, export_lp, format_placement,
-                  ga_lo, gen_random, lower_bounds, oracle_opt, parse_instance,
-                  solve_exact)
+from bcpp import (build_blp, evaluate_packing, export_lp, format_instance,
+                  format_placement, ga_lo, gen_random, lower_bounds, oracle_opt,
+                  parse_instance, solve_exact)
+from bcpp.cli import main
 from helpers import inst, literal_opt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -134,18 +136,18 @@ def test_lp_rows_hold_exactly_when_the_placement_is_feasible():
 
 def test_exact_blocked_pair():
     res = solve_exact(inst((10, 10), (10, 10)))
-    assert (res.status, res.best_length) == ("optimal", 4)
+    assert (res.status, res.length) == ("optimal", 4)
 
 
 def test_exact_perfect_stack():
     res = solve_exact(inst((5, 5), (5, 5)))
-    assert (res.status, res.best_length) == ("optimal", 2)
+    assert (res.status, res.length) == ("optimal", 2)
 
 
 def test_exact_big_pair():
     res = solve_exact(inst((6, 6), (6, 6)))
-    assert (res.status, res.best_length) == ("optimal", 4)
-    assert res.best_length == oracle_opt(inst((6, 6), (6, 6)))
+    assert (res.status, res.length) == ("optimal", 4)
+    assert res.length == oracle_opt(inst((6, 6), (6, 6)))
 
 
 def test_exact_beats_greedy_when_possible():
@@ -153,7 +155,7 @@ def test_exact_beats_greedy_when_possible():
     assert ga_lo(instance).length == 5
     res = solve_exact(instance)
     assert res.status == "optimal"
-    assert res.best_length == 4  # frozen from the exhaustive oracle
+    assert res.length == 4  # frozen from the exhaustive oracle
 
 
 def test_exact_equals_oracle_on_random_instances():
@@ -164,14 +166,14 @@ def test_exact_equals_oracle_on_random_instances():
         instance = gen_random(n, trial, family, 20)
         res = solve_exact(instance)
         assert res.status == "optimal"
-        assert res.best_length == res.lower_bound == oracle_opt(instance)
+        assert res.length == res.lower_bound == oracle_opt(instance)
 
 
 def test_exact_respects_node_limit():
     instance = inst((5, 9), (7, 2), (7, 4))
     res = solve_exact(instance, node_limit=1)
     assert res.status == "bounded"
-    assert res.lower_bound <= 4 <= res.best_length
+    assert res.lower_bound <= 4 <= res.length
     assert res.lower_bound >= lower_bounds(instance).combined
 
 
@@ -195,7 +197,7 @@ def test_exact_search_matches_pinned_nodes_and_placements():
         instance = gen_random(6 + trial % 7, 700 + trial, family,
                               20 + 30 * (trial % 3))
         r = solve_exact(instance, node_limit=3000)
-        text.append(f"{r.status} {r.best_length} {r.lower_bound} "
+        text.append(f"{r.status} {r.length} {r.lower_bound} "
                     f"{r.node_count}\n{format_placement(r.placement)}")
     assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
 
@@ -207,7 +209,7 @@ def test_exact_node_limit_holds_at_large_n():
     assert res.status == "bounded"
     assert res.node_count == 5000
     ev = evaluate_packing(instance, res.placement)
-    assert ev.feasible and res.lower_bound <= ev.length == res.best_length
+    assert ev.feasible and res.lower_bound <= ev.length == res.length
 
 
 def test_exact_time_limit_holds_at_large_n():
@@ -218,14 +220,26 @@ def test_exact_time_limit_holds_at_large_n():
     assert time.perf_counter() - t0 < 10
     assert res.status == "bounded" and res.node_count > 0
     ev = evaluate_packing(instance, res.placement)
-    assert ev.feasible and res.lower_bound <= ev.length == res.best_length
+    assert ev.feasible and res.lower_bound <= ev.length == res.length
 
 
-def test_exact_report_line():
-    res = solve_exact(inst((5, 5), (5, 5)))
-    parts = res.report_line().split()
-    assert parts[0] == "optimal"
-    assert parts[1] == parts[2] == "2"
+def test_cli_prints_the_exact_report_line(tmp_path, capsys):
+    # "status best lb nodes elapsed_ms", the first four read off the result
+    lines = {}
+    for name, instance, node_limit in (("two", inst((5, 5), (5, 5)), 0),
+                                       ("three", inst((5, 9), (7, 2), (7, 4)), 1)):
+        path = tmp_path / f"{name}.inst"
+        path.write_text(format_instance(instance))
+        assert main(["solve", str(path), "-a", "EXACT",
+                     "--node-limit", str(node_limit)]) == 0
+        lines[name] = parts = capsys.readouterr().out.split()
+        res = solve_exact(instance, node_limit=node_limit)
+        assert parts[:4] == [res.status, str(res.length), str(res.lower_bound),
+                             str(res.node_count)]
+        assert len(parts) == 5 and re.fullmatch(r"\d+\.\d", parts[4])
+    assert lines["two"][0] == "optimal"
+    assert lines["two"][1] == lines["two"][2] == "2"
+    assert lines["three"][0] == "bounded"
 
 
 def test_oracle_examples():

@@ -135,7 +135,8 @@ def test_exact_status_and_reference_follow_the_bound():
     # proof, so the solve is optimal and the suite's reference is an OPT
     instance = gen_random(12, 133, "big", 100)
     res = solve_exact(instance, node_limit=50)
-    assert res.report_line().split()[:4] == ["optimal", "19", "19", "50"]
+    assert (res.status, res.length, res.lower_bound, res.node_count) == (
+        "optimal", 19, 19, 50)
     cfg = parse_config("generate = family=big n=12 seed=133 D=100\n"
                        "exact_nodes = 50\n")
     records, _, errors = run_suite(cfg)
@@ -143,7 +144,8 @@ def test_exact_status_and_reference_follow_the_bound():
     assert [(r.reference, r.ref_kind) for r in records] == [(19, "OPT")]
     # a node limit of 0 is no limit: the search runs to its end
     res = solve_exact(instance, node_limit=0)
-    assert res.report_line().split()[:4] == ["optimal", "19", "19", "98"]
+    assert (res.status, res.length, res.lower_bound, res.node_count) == (
+        "optimal", 19, 19, 98)
 
 
 def test_run_suite_with_only_a_time_limit_stops_cleanly_at_large_n():
@@ -437,7 +439,8 @@ def test_cli_solve_exact_rejects_a_negative_or_nan_limit(tmp_path, capsys):
 
 
 def test_cli_numbers_take_only_ascii_digits(tmp_path, capsys):
-    # the rule of the file readers: no underscore, no non-ASCII digit
+    # the rule of the file readers: no underscore, no non-ASCII digit, no
+    # surrounding whitespace
     path = tmp_path / "three.inst"
     path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
     gen = ["gen", "--n", "3", "--out-dir", str(tmp_path / "gen")]
@@ -445,7 +448,7 @@ def test_cli_numbers_take_only_ascii_digits(tmp_path, capsys):
     for argv, flag in ([(gen, f) for f in ("--n", "--count", "--seed", "--den")]
                        + [(solve, f) for f in ("--node-limit", "--horizon",
                                                "--time-limit")]):
-        for value in ("1_0", "１٠"):
+        for value in ("1_0", "１٠", " 1"):
             with pytest.raises(SystemExit) as exit_info:
                 main([*argv, flag, value])
             assert exit_info.value.code == 2

@@ -195,9 +195,9 @@ def test_m1w_is_mw_first_round():
         instance = gen_random(n, 500 + trial, rng.choice(["arbitrary", "big"]), 20)
         m1w = solve_mw(instance, max_rounds=1)
         assert m1w.rounds == 1
-        assert m1w.unions == tuple(u for u in solve_mw(instance).unions
-                                   if u.round == 1)
+        assert m1w.unions == solve_mw(instance).unions[:1]
         matched = max_weight_matching(build_union_graph(instance.charts))
+        assert m1w.unions == ((matched,) if matched.edges else ())
         one_round = assemble_placement(merge_matched(instance.charts, matched))
         assert m1w.placement == one_round
         text.append(format_placement(m1w.placement))
@@ -209,7 +209,8 @@ def test_mw_stops_when_edgeless():
     res = solve_mw(instance)
     assert res.length == 4
     assert res.rounds == 2
-    assert [(u.left, u.right, u.t) for u in res.unions] == [(1, 2, 2)]
+    assert [[(e.left, e.right, e.weight) for e in m.edges]
+            for m in res.unions] == [[(1, 2, 2)]]
 
 
 def test_mw_two_rounds_of_pairing():
@@ -243,8 +244,9 @@ def test_cell_saving_accounting():
         n = rng.randint(2, 9)
         instance = gen_random(n, 900 + trial, "arbitrary", 20)
         res = solve_mw(instance)
-        saved = sum(u.t for u in res.unions)
+        saved = sum(m.total_weight for m in res.unions)
         assert res.length == 2 * n - saved
+        assert len(res.unions) == res.rounds - 1
         ev = evaluate_packing(instance, res.placement)
         assert ev.feasible and ev.length == res.length
 

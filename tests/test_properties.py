@@ -49,8 +49,8 @@ def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
     opt = oracle_opt(instance)
     bounds = lower_bounds(instance)
     exact = solve_exact(instance)
-    assert (exact.status, exact.best_length) == ("optimal", opt)
-    results = {"EXACT": (exact.best_length, exact.placement)}
+    assert (exact.status, exact.length) == ("optimal", opt)
+    results = {"EXACT": (exact.length, exact.placement)}
     for name, solve in SOLVERS.items():
         solved = solve(instance)
         results[name] = (solved.length, solved.placement)

@@ -13,6 +13,7 @@ import pytest
 from bcpp import (FormatError, ffd_bpp, ffd_certified_optimal,
                   format_bpp_instance, gen_bpp_fullbins, parse_bpp,
                   parse_bpp_instance, parse_instance, parse_placement)
+from bcpp.model import read_float, read_int
 
 # an underscore or a non-ASCII digit, which int() alone reads, is no integer
 BAD_TOKENS = ("x", "1.5", "0x1", "--2", "1e3", "7/10", "opt", "1_0", "１０", "١٠")
@@ -163,3 +164,15 @@ def test_one_line_mutations_name_their_line():
                 parse(text_of(mutated))
             assert str(info.value).startswith(f"line {k}:"), (
                 case.__name__, valid, mutated, str(info.value))
+
+
+def test_number_readers_take_no_surrounding_whitespace():
+    # int() and float() strip it; a file token never carries any, but a CLI
+    # argument such as --n ' 7' can
+    for token in (" 7", "7\n", *BAD_TOKENS):
+        with pytest.raises(FormatError, match="^line 3: expected an integer$"):
+            read_int(token, 3)
+    for token in (" 7", "7\n", "1_0", "１٠"):
+        with pytest.raises(ValueError):
+            read_float(token)
+    assert (read_int("-7"), read_float("7")) == (-7, 7.0)
