@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
                     Placement, Solved, assemble_placement, compact,
                     evaluate_packing, format_instance, format_placement,
-                    lower_bounds, parse_instance, parse_placement)
-from .unions import UnionInfeasibleError, merge_union, union_feasible
+                    lower_bounds, parse_instance)
+from .unions import merge_union, union_feasible
 from .greedy import ga_lo, lex_order
 from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
                        dump_graph, max_cardinality_matching,

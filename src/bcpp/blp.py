@@ -41,10 +41,6 @@ class BlpModel:
     def y_count(self) -> int:
         return self.horizon
 
-    @property
-    def constraint_count(self) -> int:
-        return self.n + self.horizon
-
 
 def build_blp(instance: Instance, horizon: int | None = None) -> BlpModel:
     """Build the model; the horizon defaults to the greedy packing length,
@@ -126,7 +122,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     if best_len == combined:
         return result(best_len)
 
-    order = [instance.chart(cid) for cid in lex_order(instance)]
+    order = [instance.charts[cid - 1] for cid in lex_order(instance)]
     n = len(order)
     area = sum(sum(c.bars) for c in order)  # numerator area of all charts
     big_suffix = [0] * (n + 1)  # bars above 1/2 among charts order[k:]

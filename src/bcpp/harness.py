@@ -117,9 +117,11 @@ _CONFIG_WORDS = {"reference": ("auto", "lb"), "timing": ("on", "off")}
 
 
 def parse_config(text: str) -> SuiteConfig:
-    """Read a bench config; ``#`` starts a comment anywhere on a line, and
-    every fault is a ``FormatError`` that starts ``line N:``."""
+    """Read a bench config; ``#`` starts a comment anywhere on a line, only
+    ``instances`` and ``generate`` may repeat, and every fault is a
+    ``FormatError`` that starts ``line N:``."""
     cfg = SuiteConfig()
+    seen: set[str] = set()
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -163,6 +165,10 @@ def parse_config(text: str) -> SuiteConfig:
             setattr(cfg, key, value)
         else:
             raise FormatError(f"line {no}: unknown key {key!r}")
+        if key in seen:  # checked after the value, whose faults come first
+            raise FormatError(f"line {no}: {key} given twice")
+        if key not in ("instances", "generate"):
+            seen.add(key)
     return cfg
 
 
@@ -174,12 +180,15 @@ def _int_at_least(token: str, line_no: int, key: str, least: int) -> int:
 
 
 def _parse_genspec(value: str, line_no: int) -> GenSpec:
-    fields = {"count": "1", "seed": "0", "D": str(10 ** 6)}
+    given: dict[str, str] = {}
     for token in value.split():
         if "=" not in token:
             raise FormatError(f"line {line_no}: bad generator token {token!r}")
         k, v = token.split("=", 1)
-        fields[k] = v
+        if k in given:
+            raise FormatError(f"line {line_no}: generator key {k!r} given twice")
+        given[k] = v
+    fields = {"count": "1", "seed": "0", "D": str(10 ** 6), **given}
     for key in ("family", "n"):
         if key not in fields:
             raise FormatError(f"line {line_no}: generator needs {key!r}")

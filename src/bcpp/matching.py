@@ -5,11 +5,11 @@ pair admits together with the orientation that realizes it.  Matchings are
 computed exactly by ``blossom.max_weight_edges``, Edmonds' primal-dual
 blossom algorithm ported from networkx, which checks its dual optimality
 certificate on every call.  A ``WeightedGraph`` holds its edges in the
-blossom's own form: ``pairs[k] = (i, j, weight)`` over positions i < j in
-the ascending ``vertices``, in (i, j) order, so equal-weight ties resolve
-the same way on every run; k is in ``flipped`` when ``vertices[j]`` goes
-left.  A ``UnionEdge`` is made only for a matched edge, or when ``edges``,
-the view that dumps and tests read, is asked for.
+blossom's own form: ``pairs[k] = (left, right, weight)`` over positions in
+the ascending ``vertices``, the left chart first, listed in (i, j) order
+of the pair's positions i < j, so equal-weight ties resolve the same way
+on every run.  A ``UnionEdge`` is made only for a matched edge, or when
+``edges``, the view that dumps and tests read, is asked for.
 
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
@@ -45,12 +45,11 @@ class UnionEdge(NamedTuple):
 class WeightedGraph:
     vertices: tuple[int, ...]
     pairs: list[tuple[int, int, int]]
-    flipped: set[int]
 
     def edge(self, k: int) -> UnionEdge:
         i, j, w = self.pairs[k]
-        u, v = self.vertices[i], self.vertices[j]
-        return UnionEdge(u, v, w, v, u) if k in self.flipped else UnionEdge(u, v, w, u, v)
+        left, right = self.vertices[i], self.vertices[j]
+        return UnionEdge(min(left, right), max(left, right), w, left, right)
 
     @property
     def edges(self) -> tuple[UnionEdge, ...]:
@@ -101,25 +100,23 @@ def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
     formation rounds need.
     """
     rows, den = chart_rows(charts)
+    ranked = [(i, *row[1:]) for i, row in enumerate(rows)]  # positions, not ids
     pairs: list[tuple[int, int, int]] = []
-    flipped: set[int] = set()
-    add, flip = pairs.append, flipped.add
-    for i, (_, f0, f1, l2, l1) in enumerate(rows):
+    add = pairs.append
+    for i, f0, f1, l2, l1 in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
-        for j, (_, g0, g1, m2, m1) in enumerate(rows[i + 1:], i + 1):
-            if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, u left
+        for j, g0, g1, m2, m1 in ranked[i + 1:]:
+            if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, i left
                 add((i, j, 2))
-            elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, v left
-                flip(len(pairs))
-                add((i, j, 2))
+            elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left
+                add((j, i, 2))
             elif two_unions_only:
                 continue
-            elif g0 <= cap_l1:                     # 1-union, u left
+            elif g0 <= cap_l1:                     # 1-union, i left
                 add((i, j, 1))
-            elif m1 <= cap_f0:                     # 1-union, v left
-                flip(len(pairs))
-                add((i, j, 1))
-    return WeightedGraph(tuple(r[0] for r in rows), pairs, flipped)
+            elif m1 <= cap_f0:                     # 1-union, j left
+                add((j, i, 1))
+    return WeightedGraph(tuple(r[0] for r in rows), pairs)
 
 
 def max_weight_matching(g: WeightedGraph) -> Matching:
@@ -129,7 +126,7 @@ def max_weight_matching(g: WeightedGraph) -> Matching:
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-cardinality matching; total_weight still sums edge weights."""
-    ones = [(i, j, 1) for i, j, _ in g.pairs]
+    ones = [(left, right, 1) for left, right, _ in g.pairs]
     return Matching(tuple(map(g.edge, max_weight_edges(len(g.vertices), ones))))
 
 
@@ -140,15 +137,13 @@ def dump_graph(g: WeightedGraph) -> str:
 
 def merge_matched(charts: list[BarChart] | tuple[BarChart, ...],
                   matching: Matching) -> list[BarChart]:
-    """Merge every matched pair along its stored orientation and overlap."""
+    """Merge every matched pair along its stored orientation and overlap;
+    the result is in id order."""
     by_id = {c.id: c for c in charts}
-    matched = set()
-    merged = []
     for e in matching.edges:
-        merged.append(merge_union(by_id[e.left], by_id[e.right], e.weight))
-        matched.update((e.u, e.v))
-    rest = [c for c in charts if c.id not in matched]
-    return sorted(merged + rest, key=lambda c: c.id)
+        by_id[e.u] = merge_union(by_id[e.left], by_id[e.right], e.weight)
+        del by_id[e.v]
+    return sorted(by_id.values(), key=lambda c: c.id)
 
 
 def solve_mw(instance: Instance, max_rounds: int | None = None,

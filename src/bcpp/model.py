@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 
 
 class FormatError(ValueError):
-    """Malformed instance/placement/BPP text; message carries the line number."""
+    """Malformed instance, BPP or config text; message carries the line number."""
 
 
 def read_int(token: str, line_no: int = 0, what: str = "an integer") -> int:
@@ -114,11 +114,6 @@ class Instance:
     def n(self) -> int:
         return len(self.charts)
 
-    def chart(self, chart_id: int) -> BarChart:
-        if not 1 <= chart_id <= self.n:
-            raise KeyError(f"no chart with id {chart_id}")
-        return self.charts[chart_id - 1]
-
 
 # A placement assigns each chart id the 1-based cell of its first bar.
 Placement = dict[int, int]
@@ -161,7 +156,6 @@ class Solved:
 class Bounds:
     area_lb: int
     big_lb: int
-    width_lb: int
     combined: int
 
 
@@ -194,18 +188,17 @@ def evaluate_packing(instance: Instance, placement: Placement) -> Evaluation:
 
 
 def lower_bounds(instance: Instance) -> Bounds:
-    """Three cheap combinatorial lower bounds and their maximum.
+    """Two cheap combinatorial lower bounds and their maximum with 2.
 
     area: total bar height rounded up.  big: bars above 1/2 cannot share a
-    cell, so their count bounds the length.  width: one chart alone already
-    occupies its own width in cells.
+    cell, so their count bounds the length.  Every chart is 2 bars wide, so
+    one chart alone already occupies 2 cells.
     """
     total = sum(h for ch in instance.charts for h in ch.bars)
     area_lb = -(-total // instance.den)
     big_lb = sum(1 for ch in instance.charts for h in ch.bars if 2 * h > instance.den)
-    width_lb = max(ch.width for ch in instance.charts)
-    return Bounds(area_lb=area_lb, big_lb=big_lb, width_lb=width_lb,
-                  combined=max(area_lb, big_lb, width_lb))
+    return Bounds(area_lb=area_lb, big_lb=big_lb,
+                  combined=max(area_lb, big_lb, 2))
 
 
 def compact(instance: Instance, placement: Placement) -> Placement:
@@ -241,8 +234,9 @@ def assemble_placement(charts: list[BarChart] | tuple[BarChart, ...]) -> Placeme
 
 # --- instance / placement text formats -------------------------------------
 #
-# Instance file: line 1 "n D", then n lines "a_num b_num", optionally a
-# trailing "opt <int>" line.  Placement file: one "id cell" line per chart.
+# Instance file: line 1 "n D", then n lines "a_num b_num", optionally one
+# trailing "opt <int>" line.  Placement file: one "id cell" line per chart,
+# written by ``format_placement``.
 
 
 def format_instance(instance: Instance) -> str:
@@ -286,6 +280,8 @@ def parse_instance(text: str, label: str = "") -> Instance:
             continue
         parts = stripped.split()
         if parts[0] == "opt" and len(parts) == 2:
+            if known_opt is not None:
+                raise FormatError(f"line {extra_no}: a second opt line")
             known_opt = read_int(parts[1], extra_no, "an integer opt value")
             if known_opt < 1:
                 raise FormatError(f"line {extra_no}: opt must be at least 1")
@@ -297,19 +293,3 @@ def parse_instance(text: str, label: str = "") -> Instance:
 
 def format_placement(placement: Placement) -> str:
     return "".join(f"{cid} {cell}\n" for cid, cell in sorted(placement.items()))
-
-
-def parse_placement(text: str) -> Placement:
-    placement: Placement = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {no}: expected 'id cell'")
-        cid, cell = (read_int(tok, no, "two integers") for tok in parts)
-        if cid in placement:
-            raise FormatError(f"line {no}: duplicate chart id {cid}")
-        placement[cid] = cell
-    return placement

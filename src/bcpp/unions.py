@@ -11,14 +11,6 @@ from __future__ import annotations
 from .model import BarChart
 
 
-class UnionInfeasibleError(ValueError):
-    """Requested merge would overflow a shared cell; carries the cell index."""
-
-    def __init__(self, cell: int, message: str):
-        super().__init__(message)
-        self.cell = cell
-
-
 def union_feasible(left: BarChart, right: BarChart, t: int) -> bool:
     """True iff every overlapped cell sum stays within the strip height."""
     if left.den != right.den:
@@ -36,15 +28,15 @@ def merge_union(left: BarChart, right: BarChart, t: int) -> BarChart:
     Bars in the overlap carry the height sums; the merged chart keeps both
     origin sets (right offsets shifted past the left chart) and takes the
     smallest origin id as its id.  When ``union_feasible`` says no, it raises
-    ``UnionInfeasibleError`` naming the first overflowing cell.
+    ``ValueError`` naming the first overflowing cell.
     """
     feasible = union_feasible(left, right, t)  # raises on mixed D or bad t
     base = left.width - t
     overlap = tuple(left.bars[base + j] + right.bars[j] for j in range(t))
     if not feasible:
         j = next(j for j, total in enumerate(overlap) if total > left.den)
-        raise UnionInfeasibleError(base + j, f"cell {base + j} of the union "
-                                   f"holds {overlap[j]}/{left.den} > 1")
+        raise ValueError(f"cell {base + j} of the union "
+                         f"holds {overlap[j]}/{left.den} > 1")
 
     bars = left.bars[:base] + overlap + right.bars[t:]
     origins = left.origins + tuple((oid, off + base) for oid, off in right.origins)

@@ -25,16 +25,12 @@ def inst(*bars: tuple[int, int], den: int = 10, **kwargs) -> Instance:
 
 def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
                 ) -> WeightedGraph:
-    """A graph from hand-made edges: sorted, with ids mapped to positions.
-
-    An edge keeps its (u, v) order, and its union's orientation is marked
-    flipped when ``left`` is not ``u``.
-    """
+    """A graph from hand-made edges: sorted, with ids mapped to positions,
+    each pair listing its ``left`` chart first."""
     verts = tuple(sorted(vertices))
     index = {x: i for i, x in enumerate(verts)}
-    edges = sorted(edges)
-    return WeightedGraph(verts, [(index[e.u], index[e.v], e.weight) for e in edges],
-                         {k for k, e in enumerate(edges) if e.left != e.u})
+    return WeightedGraph(verts, [(index[e.left], index[e.right], e.weight)
+                                 for e in sorted(edges)])
 
 
 def arc_digraph(vertices, arcs) -> ArcDigraph:

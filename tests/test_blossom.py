@@ -113,6 +113,34 @@ def test_mates_pinned_at_scale(family, n, cardinality, digest):
     assert hashlib.sha256(repr(chosen).encode()).hexdigest() == digest
 
 
+def assert_endpoint_order_is_free(n, edges, rng):
+    """The chosen edge indices do not depend on which endpoint each edge
+    lists first: ascending, as given, all swapped, or a random half swapped."""
+    def swap(i, j, w, flip):
+        return (j, i, w) if flip else (i, j, w)
+
+    for weights in (None, 1):  # as given, then cardinality
+        given = [(i, j, weights or w) for i, j, w in edges]
+        chosen = blossom.max_weight_edges(n, given)
+        for flips in ([i > j for i, j, _ in given], [True] * len(given),
+                      [rng.random() < 0.5 for _ in given]):
+            oriented = [swap(*e, flip) for e, flip in zip(given, flips)]
+            assert blossom.max_weight_edges(n, oriented) == chosen
+
+
+@pytest.mark.parametrize("family, n", [("arbitrary", 400), ("big", 500)])
+def test_chosen_edges_ignore_endpoint_order_at_scale(family, n):
+    g = build_union_graph(gen_random(n, 1, family, 10**6).charts)
+    assert_endpoint_order_is_free(len(g.vertices), g.pairs, random.Random(n))
+
+
+def test_chosen_edges_ignore_endpoint_order_on_random_graphs():
+    rng = random.Random(63)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 16))
+        assert_endpoint_order_is_free(len(g.vertices), g.pairs, rng)
+
+
 def test_mates_equal_networkx_on_union_graphs():
     for family, seed in [("arbitrary", 1), ("arbitrary", 2), ("arbitrary", 3),
                          ("big", 1), ("big", 2)]:

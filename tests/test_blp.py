@@ -22,12 +22,12 @@ def load_fixture(name):
 
 def test_model_counts_single_chart():
     m = build_blp(inst((6, 3)), horizon=2)
-    assert (m.x_count, m.y_count, m.constraint_count) == (1, 2, 3)
+    assert (m.x_count, m.y_count) == (1, 2)
 
 
 def test_model_counts_two_charts():
     m = build_blp(inst((6, 3), (4, 5)), horizon=4)
-    assert (m.x_count, m.y_count, m.constraint_count) == (6, 4, 6)
+    assert (m.x_count, m.y_count) == (6, 4)
 
 
 def test_default_horizon_admits_greedy_length():

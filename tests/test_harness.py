@@ -76,6 +76,8 @@ def test_parse_config_rejects_bad_lines():
         "output =   # no name before the comment": "output needs a file name",
         "algorithms = GA_LO, GA_LO": "algorithms must name one or more, none twice",
         "algorithms = ,": "algorithms must name one or more, none twice",
+        "algorithms = Mw": "algorithms given twice",
+        "generate = family=big n=3 n=5": "generator key 'n' given twice",
     }
     for line, message in bad_values.items():
         with pytest.raises(FormatError, match=f"^line 2: {message}"):

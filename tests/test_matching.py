@@ -6,7 +6,7 @@ import pytest
 from bcpp import (BarChart, UnionEdge, assemble_placement,
                   build_union_graph, dump_graph, evaluate_packing,
                   format_placement, gen_random, max_cardinality_matching,
-                  max_weight_matching, oracle_opt, solve_mw)
+                  max_weight_matching, merge_union, oracle_opt, solve_mw)
 from bcpp import matching
 from bcpp.matching import merge_matched
 from helpers import (brute_force_matching, inst, pair_weight, random_charts,
@@ -147,10 +147,28 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family, monkeypatch):
                 handed.clear()
                 matched = solve(g).edges
                 [(edges, chosen)] = handed
-                assert edges == [(index[e.u], index[e.v],
+                assert edges == [(index[e.left], index[e.right],
                                   1 if cardinality else e.weight)
                                  for e in expected]
                 assert matched == tuple(expected[k] for k in chosen)
+
+
+def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():
+    rng = random.Random(25)
+    merges = 0
+    for _ in range(150):
+        charts = random_charts(rng, rng.randint(0, 16), rng.choice([2, 10, 20, 100]))
+        by_id = {c.id: c for c in charts}
+        m = max_weight_matching(build_union_graph(charts))
+        merged = [merge_union(by_id[e.left], by_id[e.right], e.weight)
+                  for e in m.edges]
+        matched = {x for e in m.edges for x in (e.u, e.v)}
+        untouched = [c for c in charts if c.id not in matched]
+        assert merge_matched(charts, m) == sorted(
+            merged + untouched, key=lambda c: c.id)
+        assert [c.id for c in merged] == [e.u for e in m.edges]
+        merges += len(merged)
+    assert merges > 100
 
 
 def test_union_graph_rejects_mixed_denominators():

@@ -58,7 +58,7 @@ def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
         check = evaluate_packing(instance, placement)
         assert check.feasible and check.length == length, name
         assert length >= max(opt, bounds.area_lb, bounds.big_lb,
-                             bounds.width_lb, bounds.combined), name
+                             bounds.combined), name
         packed = compact(instance, placement)
         after = evaluate_packing(instance, packed)
         assert after.feasible and after.length == length, name

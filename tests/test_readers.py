@@ -1,9 +1,9 @@
 """One-line mutations of valid files: every text reader names the faulty line.
 
-Each case builds a valid instance, placement, bin-packing instance or
-bin-packing solution text, with blank lines wherever its format allows
-them, corrupts exactly one line k and expects a ``FormatError`` whose
-message starts with ``line k:``.  Any other exception fails the test.
+Each case builds a valid instance, bin-packing instance or bin-packing
+solution text, with blank lines wherever its format allows them, corrupts
+exactly one line k and expects a ``FormatError`` whose message starts with
+``line k:``.  Any other exception fails the test.
 """
 
 import random
@@ -12,7 +12,7 @@ import pytest
 
 from bcpp import (FormatError, ffd_bpp, ffd_certified_optimal,
                   format_bpp_instance, gen_bpp_fullbins, parse_bpp,
-                  parse_bpp_instance, parse_instance, parse_placement)
+                  parse_bpp_instance, parse_instance)
 from bcpp.model import read_float, read_int
 
 # an underscore or a non-ASCII digit, which int() alone reads, is no integer
@@ -76,22 +76,6 @@ def instance_case(rng):
     return parse_instance, valid, lines, k
 
 
-def placement_case(rng):
-    n = rng.randint(1, 6)
-    ids = list(range(1, n + 1))
-    rng.shuffle(ids)
-    lines = spread(rng, [], [f"{cid} {rng.randint(-3, 12)}" for cid in ids])
-    valid = list(lines)
-    rows = filled(lines)
-    if n == 1 or rng.random() < 0.5:
-        k = bad_token(rng, lines)
-    else:
-        k = rng.choice(rows[1:])
-        earlier = rng.choice([no for no in rows if no < k])
-        lines[k - 1] = f"{lines[earlier - 1].split()[0]} {rng.randint(1, 9)}"
-    return parse_placement, valid, lines, k
-
-
 def bpp_instance_case(rng):
     capacity = rng.randint(1, 20)
     sizes = [rng.randint(1, capacity) for _ in range(rng.randint(0, 6))]
@@ -151,7 +135,7 @@ def bpp_solution_case(rng):
     return (lambda text: parse_bpp(instance_text, text)), valid, lines, k
 
 
-CASES = (instance_case, placement_case, bpp_instance_case, bpp_solution_case)
+CASES = (instance_case, bpp_instance_case, bpp_solution_case)
 
 
 def test_one_line_mutations_name_their_line():
