@@ -15,10 +15,10 @@ import sys
 import time
 
 from . import __version__
-from .blp import build_blp, export_lp, solve_exact
+from .blp import build_blp, export_lp
 from .generators import FAMILIES, parse_bpp, transform_bpp
-from .harness import (ALGORITHMS, SOLVERS, GenSpec, format_records_csv,
-                      format_summary_csv, parse_config, run_suite)
+from .harness import (ALGORITHMS, GenSpec, audit, format_records_csv,
+                      format_summary_csv, parse_config, run_algorithm, run_suite)
 from .model import (format_instance, format_placement, parse_instance, read_float,
                     read_int)
 
@@ -46,13 +46,6 @@ def _cmd_solve(args) -> int:
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
 
-    if args.lp_export:
-        model = build_blp(inst, horizon=args.horizon)
-        with open(args.lp_export, "w") as fh:
-            fh.write(export_lp(model))
-        print(f"lp model ({model.x_count + model.y_count} binaries) -> "
-              f"{args.lp_export}")
-
     dump_dir = args.dump_graphs
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
@@ -61,14 +54,23 @@ def _cmd_solve(args) -> int:
         with open(os.path.join(dump_dir, f"{label}-{name}.txt"), "w") as fh:
             fh.write(text)
 
+    t0 = time.perf_counter()
+    res = run_algorithm(inst, args.algorithm, args.node_limit, args.time_limit,
+                        dump=dump if dump_dir else None)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    audit(inst, res)  # before anything is printed or written
+
+    if args.lp_export:
+        model = build_blp(inst, horizon=args.horizon)
+        with open(args.lp_export, "w") as fh:
+            fh.write(export_lp(model))
+        print(f"lp model ({model.x_count + model.y_count} binaries) -> "
+              f"{args.lp_export}")
+
     if args.algorithm == "EXACT":
-        t0 = time.perf_counter()
-        res = solve_exact(inst, time_limit=args.time_limit, node_limit=args.node_limit)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
         print(f"{res.status} {res.length} {res.lower_bound} {res.node_count} "
               f"{elapsed_ms:.1f}")
     else:
-        res = SOLVERS[args.algorithm](inst, dump=dump if dump_dir else None)
         rounds = "" if res.rounds is None else f" rounds={res.rounds}"
         print(f"{args.algorithm} {res.length}{rounds}")
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
-from .model import (FormatError, Instance, Placement, evaluate_packing, lower_bounds,
-                    parse_instance, read_float, read_int)
+from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
+                    lower_bounds, parse_instance, read_float, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved.
 # Every entry looks its solver up in its module when called, so a rebound
@@ -232,15 +232,21 @@ def load_instances(cfg: SuiteConfig, base_dir: str = ".",
 
 
 def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
-                  exact_time: float = 0.0) -> tuple[int, Placement, int | None]:
-    """Run one algorithm; returns (length, placement, rounds-or-nodes)."""
+                  exact_time: float = 0.0, dump=None) -> Solved:
+    """Run one algorithm; returns its solver's own ``Solved``, unchanged."""
     if name == "EXACT":
-        res = blp.solve_exact(instance, time_limit=exact_time, node_limit=exact_nodes)
-        return res.length, res.placement, res.node_count
+        return blp.solve_exact(instance, time_limit=exact_time, node_limit=exact_nodes)
     if name not in SOLVERS:
         raise ValueError(f"unknown algorithm {name!r}")
-    solved = SOLVERS[name](instance)
-    return solved.length, solved.placement, solved.rounds
+    return SOLVERS[name](instance, dump=dump)
+
+
+def audit(instance: Instance, solved: Solved) -> None:
+    """Raise ``ValueError`` unless ``solved`` is feasible at its reported length."""
+    check = evaluate_packing(instance, solved.placement)
+    if not check.feasible or check.length != solved.length:
+        raise ValueError(f"audit failed: feasible={check.feasible} "
+                         f"length={check.length} reported={solved.length}")
 
 
 def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
@@ -276,21 +282,21 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
         for name in cfg.algorithms:
             try:
                 t0 = time.perf_counter()
-                length, placement, rounds = run_algorithm(
-                    instance, name, cfg.exact_nodes, cfg.exact_time)
+                solved = run_algorithm(instance, name, cfg.exact_nodes, cfg.exact_time)
                 elapsed = (time.perf_counter() - t0) * 1000.0
-                check = evaluate_packing(instance, placement)
-                if not check.feasible or check.length != length:
-                    raise AssertionError(
-                        f"audit failed: feasible={check.feasible} "
-                        f"length={check.length} reported={length}")
+                audit(instance, solved)
+                length = solved.length
+                if length < reference:
+                    raise ValueError(f"length {length} is below the {ref_kind} "
+                                     f"reference {reference}")
                 records.append(RunRecord(
                     label=instance.label, n=instance.n, family=instance.family,
                     algorithm=name, length=length, reference=reference,
                     ref_kind=ref_kind, r_value=Fraction(length, reference),
                     abs_error=length - reference,
                     elapsed_ms=elapsed if cfg.timing else None,
-                    rounds=rounds, placement=placement))
+                    rounds=solved.node_count if name == "EXACT" else solved.rounds,
+                    placement=solved.placement))
             except Exception as exc:  # noqa: BLE001 - reported per instance
                 errors.append(ErrorRecord(label=instance.label, algorithm=name,
                                           message=str(exc)))

@@ -42,8 +42,9 @@ def test_c1_oracle_equivalence_feasibility_and_bounds():
         instance = gen_random(n, seed, "arbitrary", 20)
         opt = oracle_opt(instance)
         for name in APPROX + ("EXACT",):
-            length, placement, _ = run_algorithm(instance, name)
-            ev = evaluate_packing(instance, placement)
+            res = run_algorithm(instance, name)
+            length = res.length
+            ev = evaluate_packing(instance, res.placement)
             assert ev.feasible, (seed, name)
             assert ev.length == length, (seed, name)
             assert length >= opt, (seed, name, length, opt)
@@ -161,9 +162,9 @@ def test_c7_bpp_derived_instances():
     for algo in ("GA_LO", "A1", "A2"):
         vals = []
         for instance in instances:
-            length, placement, _ = run_algorithm(instance, algo)
-            assert evaluate_packing(instance, placement).feasible
-            vals.append(length / instance.known_opt)
+            res = run_algorithm(instance, algo)
+            assert evaluate_packing(instance, res.placement).feasible
+            vals.append(res.length / instance.known_opt)
         means[algo] = sum(vals) / len(vals)
 
     # every instance records an opt, proved by its construction's packing

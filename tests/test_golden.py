@@ -29,5 +29,5 @@ GOLDEN = {
 @pytest.mark.parametrize("family, n, seed", sorted(GOLDEN))
 def test_pinned_lengths(family, n, seed):
     instance = gen_random(n, seed, family, 10**6)
-    lengths = tuple(run_algorithm(instance, name)[0] for name in ALGORITHMS)
+    lengths = tuple(run_algorithm(instance, name).length for name in ALGORITHMS)
     assert lengths == GOLDEN[(family, n, seed)]

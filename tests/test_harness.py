@@ -16,7 +16,7 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   transform_bpp)
 from bcpp.cli import main
 from bcpp.generators import ffd_bpp
-from bcpp.harness import GenSpec, RunRecord
+from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
 from helpers import inst
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -225,6 +225,25 @@ def test_run_suite_rejects_an_opt_below_the_bound_and_keeps_the_rest(tmp_path):
         ("low", "-", "reference failed: opt 1 is below the bound 2")]
 
 
+def test_run_suite_rejects_a_length_below_its_reference(tmp_path, capsys):
+    # a wrong opt line above every packing: each algorithm packs length 2
+    (tmp_path / "high.inst").write_text(format_instance(inst((5, 5), (5, 5),
+                                                             known_opt=9)))
+    (tmp_path / "ok.inst").write_text(format_instance(inst((5, 5), (5, 5),
+                                                           known_opt=2)))
+    cfg = SuiteConfig(instances=[str(tmp_path / "*.inst")], algorithms=ALGORITHMS)
+    records, _, errors = run_suite(cfg)
+    assert {r.label for r in records} == {"ok"} and len(records) == len(ALGORITHMS)
+    assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        ("high", name, "length 2 is below the OPT reference 9")
+        for name in sorted(ALGORITHMS)]
+    config = tmp_path / "suite.bench"
+    config.write_text("instances = high.inst\n")
+    assert main(["bench", str(config), "--strict"]) == 1
+    assert "error: high [GA_LO]: length 2 is below the OPT reference 9" in \
+        capsys.readouterr().err
+
+
 def test_run_suite_runs_the_first_of_two_generated_instances_with_one_label():
     # seeds 1-2 and 2-3 both draw big-n5-d10-s2
     cfg = parse_config("generate = family=big n=5 count=2 seed=1 D=10\n"
@@ -305,6 +324,16 @@ def test_run_algorithm_rejects_an_unknown_name():
         run_algorithm(inst((5, 5)), "NOPE")
 
 
+def test_run_algorithm_returns_the_solvers_own_result(monkeypatch):
+    instance = inst((5, 9), (7, 2), (7, 4))
+    solved = bcpp.greedy.ga_lo(instance)
+    monkeypatch.setattr(bcpp.greedy, "ga_lo", lambda _instance: solved)
+    assert run_algorithm(instance, "GA_LO") is solved
+    # greedy packs 5 and the bound is 4, so one node cannot prove 4
+    exact = run_algorithm(instance, "EXACT", exact_nodes=1)
+    assert (exact.length, exact.lower_bound, exact.node_count) == (5, 4, 1)
+
+
 def test_run_suite_reports_a_failed_reference_and_keeps_the_rest(monkeypatch):
     spec = GenSpec("arbitrary", 4, 2, 3, 20)
     first, second = spec.instances()
@@ -346,9 +375,9 @@ def test_solvers_are_looked_up_at_call_time(monkeypatch):
 
     monkeypatch.setattr(bcpp.greedy, "ga_lo", counting)
     instance = gen_random(6, 1, "arbitrary", 20)
-    length, _, _ = run_algorithm(instance, "GA_LO")
+    res = run_algorithm(instance, "GA_LO")
     assert calls == [instance.label]
-    assert length == original(instance).length
+    assert res.length == original(instance).length
 
 
 def test_csv_shape_and_determinism():
@@ -483,6 +512,24 @@ def test_cli_solve_lp_export_and_dumps(tmp_path, capsys):
     dumped = sorted(os.listdir(dump_dir))
     assert dumped == ["three-round1.txt", "three-round2.txt"]
     assert (dump_dir / "three-round1.txt").read_text() == "1 2 2\n1 3 1\n"
+
+
+def test_cli_solve_audits_before_it_prints_or_writes(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+    original = bcpp.greedy.ga_lo
+    monkeypatch.setattr(bcpp.greedy, "ga_lo", lambda instance: replace(
+        original(instance), length=original(instance).length + 1))
+    placement_path = tmp_path / "sol.txt"
+    assert main(["solve", str(path), "-a", "GA_LO", "--lp-export",
+                 str(tmp_path / "model.lp"),
+                 "--write-placement", str(placement_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: audit failed: feasible=True length=4 "
+                            "reported=5\n")
+    assert not placement_path.exists()
+    assert not (tmp_path / "model.lp").exists()
 
 
 def test_cli_solve_rejects_a_horizon_without_lp_export(tmp_path, capsys):
