@@ -14,7 +14,7 @@ from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
 from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,
                       path_cover, solve_big_pipeline)
-from .blp import BlpModel, build_blp, export_lp, oracle_opt, solve_exact
+from .blp import export_lp, oracle_opt, solve_exact
 from .generators import (BppInstance, BppSolution, bpp_witness_placement,
                          ffd_bpp, ffd_certified_optimal, format_bpp_instance,
                          format_bpp_solution, gen_bpp_fullbins, gen_random,

@@ -19,69 +19,45 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from .greedy import ga_lo, lex_order
 from .model import Instance, Solved, compact, lower_bounds
 
 
-@dataclass(frozen=True)
-class BlpModel:
-    n: int
-    horizon: int
-    den: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+def export_lp(instance: Instance, horizon: int | None = None) -> str:
+    """Deterministic LP text for the model over ``horizon`` cells.
 
-    @property
-    def x_count(self) -> int:
-        return self.n * (self.horizon - 1)
-
-    @property
-    def y_count(self) -> int:
-        return self.horizon
-
-
-def build_blp(instance: Instance, horizon: int | None = None) -> BlpModel:
-    """Build the model; the horizon defaults to the greedy packing length,
-    which some optimal packing always fits into once compacted."""
+    The horizon defaults to the greedy packing length, which some optimal
+    packing always fits into once compacted.  Every capacity row is scaled
+    by the denominator, so each coefficient is an exact integer (a bar's
+    numerator, and ``den`` on ``y_j``) and one unit of overflow violates its
+    row by a whole unit, never by a tolerance.
+    """
     if horizon is None:
         horizon = ga_lo(instance).length
     if horizon < 2:
         raise ValueError(f"horizon {horizon} < 2 cannot hold a chart")
     if horizon < lower_bounds(instance).combined:
         raise ValueError(f"horizon {horizon} below the combined lower bound")
-    return BlpModel(n=instance.n, horizon=horizon, den=instance.den,
-                    a=tuple(ch.bars[0] for ch in instance.charts),
-                    b=tuple(ch.bars[1] for ch in instance.charts))
-
-
-def export_lp(model: BlpModel) -> str:
-    """Deterministic LP text for the model.
-
-    Every capacity row is scaled by the denominator, so each coefficient is
-    an exact integer (a bar's numerator, and ``den`` on ``y_j``) and one unit
-    of overflow violates its row by a whole unit, never by a tolerance.
-    """
-    first_cells = range(1, model.horizon)  # legal first-bar cells
-    out = ["Minimize"]
-    out.append(" obj: " + " + ".join(f"y_{j}" for j in range(1, model.horizon + 1)))
-    out.append("Subject To")
-    for i in range(1, model.n + 1):
-        terms = " + ".join(f"x_{i}_{j}" for j in first_cells)
-        out.append(f" assign_{i}: {terms} = 1")
-    for j in range(1, model.horizon + 1):
+    cells = range(1, horizon + 1)
+    first_cells = range(1, horizon)  # legal first-bar cells
+    out = ["Minimize", " obj: " + " + ".join(f"y_{j}" for j in cells),
+           "Subject To"]
+    for ch in instance.charts:
+        terms = " + ".join(f"x_{ch.id}_{j}" for j in first_cells)
+        out.append(f" assign_{ch.id}: {terms} = 1")
+    for j in cells:
         terms = []
         if j in first_cells:
-            terms += [f"{model.a[i - 1]} x_{i}_{j}" for i in range(1, model.n + 1)]
+            terms += [f"{ch.bars[0]} x_{ch.id}_{j}" for ch in instance.charts]
         if j - 1 in first_cells:
-            terms += [f"{model.b[i - 1]} x_{i}_{j - 1}"
-                      for i in range(1, model.n + 1)]
-        out.append(f" cap_{j}: " + " + ".join(terms) + f" - {model.den} y_{j} <= 0")
+            terms += [f"{ch.bars[1]} x_{ch.id}_{j - 1}" for ch in instance.charts]
+        out.append(f" cap_{j}: " + " + ".join(terms)
+                   + f" - {instance.den} y_{j} <= 0")
     out.append("Binary")
-    for i in range(1, model.n + 1):
-        out.extend(f" x_{i}_{j}" for j in first_cells)
-    out.extend(f" y_{j}" for j in range(1, model.horizon + 1))
+    for ch in instance.charts:
+        out.extend(f" x_{ch.id}_{j}" for j in first_cells)
+    out.extend(f" y_{j}" for j in cells)
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .blp import build_blp, export_lp
+from .blp import export_lp
 from .generators import FAMILIES, parse_bpp, transform_bpp
 from .harness import (ALGORITHMS, GenSpec, audit, format_records_csv,
                       format_summary_csv, parse_config, run_algorithm, run_suite)
@@ -24,9 +24,10 @@ from .model import (format_instance, format_placement, parse_instance, read_floa
 
 
 def _cmd_gen(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    for inst in GenSpec(args.family, args.n, args.count, args.seed,
-                        args.den).instances():
+    instances = GenSpec(args.family, args.n, args.count, args.seed,
+                        args.den).instances()
+    os.makedirs(args.out_dir, exist_ok=True)  # only once every draw succeeded
+    for inst in instances:
         path = os.path.join(args.out_dir, f"{inst.label}.inst")
         with open(path, "w") as fh:
             fh.write(format_instance(inst))
@@ -42,9 +43,13 @@ def _cmd_solve(args) -> int:
             raise ValueError(f"{flag} must be at least 0 and finite, got {limit}")
     if args.horizon is not None and not args.lp_export:
         raise ValueError("--horizon needs --lp-export")
+    if (args.time_limit or args.node_limit) and args.algorithm != "EXACT":
+        raise ValueError("--node-limit and --time-limit need -a EXACT")
     label = os.path.splitext(os.path.basename(args.instance))[0]
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
+    # a bad --horizon fails before the search; the file waits for the audit
+    lp_text = export_lp(inst, horizon=args.horizon) if args.lp_export else None
 
     dump_dir = args.dump_graphs
     if dump_dir:
@@ -60,12 +65,11 @@ def _cmd_solve(args) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     audit(inst, res)  # before anything is printed or written
 
-    if args.lp_export:
-        model = build_blp(inst, horizon=args.horizon)
+    if lp_text is not None:
         with open(args.lp_export, "w") as fh:
-            fh.write(export_lp(model))
-        print(f"lp model ({model.x_count + model.y_count} binaries) -> "
-              f"{args.lp_export}")
+            fh.write(lp_text)
+        binaries = lp_text.split("Binary\n", 1)[1].count("\n") - 1  # less End
+        print(f"lp model ({binaries} binaries) -> {args.lp_export}")
 
     if args.algorithm == "EXACT":
         print(f"{res.status} {res.length} {res.lower_bound} {res.node_count} "

@@ -14,7 +14,7 @@ from bcpp import (SuiteConfig, UnionEdge, evaluate_packing,
                   lower_bounds, max_cardinality_matching, max_weight_matching,
                   oracle_opt, run_algorithm, run_suite, solve_big_pipeline,
                   solve_exact, solve_mw, transform_bpp)
-from bcpp.blp import build_blp, export_lp
+from bcpp.blp import export_lp
 from bcpp.generators import ffd_bpp, ffd_certified_optimal
 from bcpp.harness import GenSpec
 from bcpp.model import parse_instance
@@ -223,7 +223,7 @@ def test_c9_determinism(tmp_path):
             instance = parse_instance(fh.read(), label=stem)
         with open(os.path.join(fixtures, f"{stem}.lp")) as fh:
             golden = fh.read()
-        golden_ok &= export_lp(build_blp(instance, horizon=horizon)) == golden
+        golden_ok &= export_lp(instance, horizon=horizon) == golden
 
     gate("C9 determinism", first == second and golden_ok,
          f"bench rerun identical={first == second}, goldens={golden_ok}")

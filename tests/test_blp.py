@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bcpp import (build_blp, evaluate_packing, export_lp, format_instance,
+from bcpp import (evaluate_packing, export_lp, format_instance,
                   format_placement, ga_lo, gen_random, lower_bounds, oracle_opt,
                   parse_instance, solve_exact)
 from bcpp.cli import main
@@ -20,50 +20,61 @@ def load_fixture(name):
         return fh.read()
 
 
+def lp_binaries(text):
+    """The variable names of the ``Binary`` section, one per line."""
+    return text.split("Binary\n", 1)[1].split("\nEnd")[0].split()
+
+
+def kind_counts(text):
+    """How many ``x_`` and ``y_`` names the ``Binary`` section lists."""
+    names = lp_binaries(text)
+    return (sum(v.startswith("x_") for v in names),
+            sum(v.startswith("y_") for v in names))
+
+
 def test_model_counts_single_chart():
-    m = build_blp(inst((6, 3)), horizon=2)
-    assert (m.x_count, m.y_count) == (1, 2)
+    text = export_lp(inst((6, 3)), horizon=2)
+    assert kind_counts(text) == (1, 2)
+    assert lp_binaries(text) == ["x_1_1", "y_1", "y_2"]
 
 
 def test_model_counts_two_charts():
-    m = build_blp(inst((6, 3), (4, 5)), horizon=4)
-    assert (m.x_count, m.y_count) == (6, 4)
+    text = export_lp(inst((6, 3), (4, 5)), horizon=4)
+    assert kind_counts(text) == (6, 4)
 
 
 def test_default_horizon_admits_greedy_length():
     for seed in range(20):
         instance = gen_random(seed % 5 + 1, seed, "arbitrary", 20)
-        m = build_blp(instance)
-        assert m.horizon == ga_lo(instance).length
-        assert m.horizon >= lower_bounds(instance).combined
+        horizon = ga_lo(instance).length
+        assert export_lp(instance) == export_lp(instance, horizon=horizon)
+        assert horizon >= lower_bounds(instance).combined
 
 
 def test_model_rejects_bad_horizons():
     with pytest.raises(ValueError, match="< 2"):
-        build_blp(inst((6, 3)), horizon=1)
+        export_lp(inst((6, 3)), horizon=1)
     with pytest.raises(ValueError, match="lower bound"):
-        build_blp(inst((9, 9), (8, 8)), horizon=3)
+        export_lp(inst((9, 9), (8, 8)), horizon=3)
 
 
 @pytest.mark.parametrize("stem,horizon", [("tiny1", 2), ("tiny2", 3),
                                           ("tiny3", 3)])
 def test_export_matches_golden(stem, horizon):
     instance = parse_instance(load_fixture(f"{stem}.inst"), label=stem)
-    text = export_lp(build_blp(instance, horizon=horizon))
+    text = export_lp(instance, horizon=horizon)
     assert text == load_fixture(f"{stem}.lp")
 
 
 def test_export_is_deterministic():
     instance = gen_random(6, 3, "arbitrary", 20)
-    m = build_blp(instance, horizon=8)
-    assert export_lp(m) == export_lp(m)
+    assert export_lp(instance, horizon=8) == export_lp(instance, horizon=8)
 
 
 def test_export_variable_count():
-    m = build_blp(inst((6, 3), (4, 5)), horizon=4)
-    text = export_lp(m)
-    binaries = text.split("Binary\n", 1)[1].split("\nEnd")[0].split()
-    assert len(binaries) == m.x_count + m.y_count == 2 * 3 + 4
+    text = export_lp(inst((6, 3), (4, 5)), horizon=4)
+    binaries = lp_binaries(text)
+    assert len(binaries) == sum(kind_counts(text)) == 2 * 3 + 4
 
 
 def test_fixture_objectives_match_oracle():
@@ -98,7 +109,7 @@ def lp_accepts(text, instance, placement):
     """Whether x from ``placement`` and y_j = 1 on its occupied cells satisfy
     every row of ``text``, in exact integer arithmetic."""
     occupied = evaluate_packing(instance, placement).occupancy
-    binaries = text.split("Binary\n", 1)[1].split("\nEnd")[0].split()
+    binaries = lp_binaries(text)
     values = {var: 0 for var in binaries}
     values.update({f"x_{cid}_{cell}": 1 for cid, cell in placement.items()})
     values.update({f"y_{cell}": 1 for cell in occupied})
@@ -118,7 +129,7 @@ def test_lp_rows_hold_exactly_when_the_placement_is_feasible():
         den = (3, 10, 20, 10 ** 6)[trial % 4]
         instance = gen_random(rng.randint(1, 5), trial, "arbitrary", den)
         horizon = ga_lo(instance).length + 1
-        text = export_lp(build_blp(instance, horizon=horizon))
+        text = export_lp(instance, horizon=horizon)
         for _ in range(40):
             placement = {ch.id: rng.randint(1, horizon - 1)
                          for ch in instance.charts}
@@ -129,7 +140,7 @@ def test_lp_rows_hold_exactly_when_the_placement_is_feasible():
     # one unit over D in cell 1 is rejected; exactly D is accepted
     for second, feasible in ((400001, False), (400000, True)):
         instance = inst((600000, 1), (second, 1), den=10 ** 6)
-        text = export_lp(build_blp(instance, horizon=3))
+        text = export_lp(instance, horizon=3)
         assert evaluate_packing(instance, {1: 1, 2: 1}).feasible == feasible
         assert lp_accepts(text, instance, {1: 1, 2: 1}) == feasible
 

@@ -509,6 +509,9 @@ def test_cli_solve_lp_export_and_dumps(tmp_path, capsys):
     assert main(["solve", str(path), "-a", "Mw", "--lp-export", str(lp_path),
                  "--dump-graphs", str(dump_dir)]) == 0
     assert lp_path.read_text().startswith("Minimize")
+    # 3 charts over the greedy horizon of 4 cells: 3 * 3 x's and 4 y's
+    assert capsys.readouterr().out == (f"lp model (13 binaries) -> {lp_path}\n"
+                                       "Mw 4 rounds=2\n")
     dumped = sorted(os.listdir(dump_dir))
     assert dumped == ["three-round1.txt", "three-round2.txt"]
     assert (dump_dir / "three-round1.txt").read_text() == "1 2 2\n1 3 1\n"
@@ -539,6 +542,46 @@ def test_cli_solve_rejects_a_horizon_without_lp_export(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --horizon needs --lp-export" in captured.err
+
+
+def test_cli_solve_rejects_a_limit_its_algorithm_ignores(tmp_path, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+    for name, flags in (("GA_LO", ["--node-limit", "100"]),
+                        ("Mw", ["--time-limit", "1"]),
+                        ("A1", ["--node-limit", "5", "--dump-graphs",
+                                str(tmp_path / "d")])):
+        placement_path = tmp_path / f"{name}.placement"
+        assert main(["solve", str(path), "-a", name, *flags,
+                     "--write-placement", str(placement_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --node-limit and --time-limit need "
+                                "-a EXACT\n")
+        assert not placement_path.exists()
+    assert not (tmp_path / "d").exists()
+    # 0 means no limit, so a heuristic still takes it
+    for flag in ("--node-limit", "--time-limit"):
+        assert main(["solve", str(path), "-a", "GA_LO", flag, "0"]) == 0
+        assert capsys.readouterr().out == "GA_LO 4\n"
+
+
+def test_cli_solve_checks_the_horizon_before_the_search(tmp_path, monkeypatch,
+                                                         capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+
+    def searched(*_args, **_kwargs):
+        raise AssertionError("solve_exact ran")
+
+    monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
+    lp_path = tmp_path / "m.lp"
+    assert main(["solve", str(path), "-a", "EXACT", "--lp-export", str(lp_path),
+                 "--horizon", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: horizon 1 < 2" in captured.err
+    assert not lp_path.exists()
 
 
 def test_cli_solve_prints_and_dumps_every_heuristic(tmp_path, capsys):
@@ -607,6 +650,15 @@ def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):
         assert main(["gen", "--n", "3", *extra, "--out-dir", str(tmp_path)]) == 2
         assert "error: need count >= 1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_gen_creates_no_directory_when_a_draw_fails(tmp_path, capsys):
+    out_dir = tmp_path / "new"
+    for extra in (["--n", "3", "--count", "0"], ["--n", "0"]):
+        assert main(["gen", *extra, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 def test_cli_reports_errors(tmp_path, capsys):
