@@ -36,7 +36,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    # read like exact_time and exact_nodes in a bench config
+    # a negative, NaN or infinite limit fails before the instance is read
     for flag, limit in (("--time-limit", args.time_limit),
                         ("--node-limit", args.node_limit)):
         if not 0 <= limit < math.inf:  # nor is a NaN
@@ -88,6 +88,9 @@ def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     base_dir = os.path.dirname(os.path.abspath(args.config))
+    if cfg.summary and (os.path.realpath(os.path.join(base_dir, cfg.summary))
+                        == os.path.realpath(os.path.join(base_dir, cfg.output))):
+        raise ValueError("summary and output name the same file")
     records, summary, errors = run_suite(cfg, base_dir=base_dir)
 
     def write(name: str, text: str, what: str) -> None:

@@ -7,8 +7,9 @@ the packing length, the reference value (known optimum when recorded, else
 an exact solve when enabled and it finishes, else the combined lower bound),
 the ratio R = length/reference and the absolute error length - reference.
 
-Records are sorted by (label, algorithm), so a rerun with the same seeds
-writes byte-identical CSV as long as timing output stays disabled.
+A suite budgets its exact searches by nodes only, and records are sorted by
+(label, algorithm), so a rerun with the same seeds writes byte-identical CSV
+as long as timing output stays disabled.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import glob
 import io
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
 from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
-                    lower_bounds, parse_instance, read_float, read_int)
+                    lower_bounds, parse_instance, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved.
 # Every entry looks its solver up in its module when called, so a rebound
@@ -105,8 +105,7 @@ class SuiteConfig:
     generate: list[GenSpec] = field(default_factory=list)
     algorithms: tuple[str, ...] = ("GA_LO",)
     reference: str = "auto"          # auto | lb
-    exact_nodes: int = 0             # 0 disables exact solves for references
-    exact_time: float = 0.0          # seconds; 0 disables the time limit
+    exact_nodes: int = 0             # node budget; 0: EXACT unbounded, no exact reference
     timing: bool = False
     output: str = "results.csv"
     summary: str = ""
@@ -151,14 +150,6 @@ def parse_config(text: str) -> SuiteConfig:
             setattr(cfg, key, {"on": True, "off": False}.get(value, value))
         elif key == "exact_nodes":
             cfg.exact_nodes = _int_at_least(value, no, key, least=0)
-        elif key == "exact_time":
-            try:
-                cfg.exact_time = read_float(value)
-            except ValueError:
-                raise FormatError(f"line {no}: {key} must be a number, "
-                                  f"got {value!r}") from None
-            if not 0 <= cfg.exact_time < math.inf:  # nor is a NaN
-                raise FormatError(f"line {no}: {key} must be at least 0 and finite")
         elif key in ("output", "summary"):
             if key == "output" and not value:
                 raise FormatError(f"line {no}: output needs a file name")
@@ -255,9 +246,8 @@ def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
         if instance.known_opt < bound:
             raise ValueError(f"opt {instance.known_opt} is below the bound {bound}")
         return instance.known_opt, "OPT"
-    if cfg.reference == "auto" and (cfg.exact_nodes or cfg.exact_time):
-        res = blp.solve_exact(instance, time_limit=cfg.exact_time,
-                              node_limit=cfg.exact_nodes)
+    if cfg.reference == "auto" and cfg.exact_nodes:
+        res = blp.solve_exact(instance, node_limit=cfg.exact_nodes)
         return res.lower_bound, "OPT" if res.status == "optimal" else "LB"
     return lower_bounds(instance).combined, "LB"
 
@@ -282,7 +272,7 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
         for name in cfg.algorithms:
             try:
                 t0 = time.perf_counter()
-                solved = run_algorithm(instance, name, cfg.exact_nodes, cfg.exact_time)
+                solved = run_algorithm(instance, name, cfg.exact_nodes)
                 elapsed = (time.perf_counter() - t0) * 1000.0
                 audit(instance, solved)
                 length = solved.length

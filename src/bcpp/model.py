@@ -102,6 +102,8 @@ class Instance:
     def __post_init__(self) -> None:
         if len(self.charts) < 1:
             raise ValueError("instance needs at least one chart")
+        if self.den < 2:
+            raise ValueError(f"denominator {self.den} must be at least 2")
         for k, ch in enumerate(self.charts, start=1):
             if ch.id != k:
                 raise ValueError(f"chart ids must be 1..n, got {ch.id} at slot {k}")

@@ -207,7 +207,8 @@ def test_c9_determinism(tmp_path):
     config.write_text(
         "generate = family=arbitrary n=30 count=10 seed=77 D=1000000\n"
         "generate = family=big n=20 count=5 seed=11 D=1000000\n"
-        "algorithms = GA_LO, M1w, Mw, A1, A2\n"
+        "algorithms = GA_LO, M1w, Mw, A1, A2, EXACT\n"
+        "exact_nodes = 2000\n"
         "output = results.csv\n")
     from bcpp.cli import main
     assert main(["bench", str(config)]) == 0

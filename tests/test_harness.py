@@ -52,13 +52,8 @@ def test_parse_config_rejects_bad_lines():
     bad_values = {
         "exact_nodes = abc": "expected an integer exact_nodes",
         "exact_nodes = -3": "exact_nodes must be at least 0",
-        "exact_time = -1": "exact_time must be at least 0",
-        "exact_time = nan": "exact_time must be at least 0",
-        "exact_time = inf": "exact_time must be at least 0",
         "exact_nodes = 1_0": "expected an integer exact_nodes",
-        "exact_time = abc": "exact_time must be a number, got 'abc'",
-        "exact_time = 1_0": "exact_time must be a number, got '1_0'",
-        "exact_time = １٠": "exact_time must be a number, got '１٠'",
+        "exact_time = 1": "unknown key 'exact_time'",  # suites budget by nodes only
         "timing = maybe": "timing must be on or off",
         "strict = on": "unknown key 'strict'",  # strictness is bench --strict
         "bpp_reference = witness": "unknown key 'bpp_reference'",
@@ -82,9 +77,9 @@ def test_parse_config_rejects_bad_lines():
     for line, message in bad_values.items():
         with pytest.raises(FormatError, match=f"^line 2: {message}"):
             parse_config(f"algorithms = GA_LO\n{line}")
-    cfg = parse_config("exact_nodes = 0\nexact_time = 2.5\n"
+    cfg = parse_config("exact_nodes = 0\n"
                        "generate = family=big n=1 count=1 seed=-4 D=2")
-    assert (cfg.exact_nodes, cfg.exact_time) == (0, 2.5)
+    assert cfg.exact_nodes == 0
     assert cfg.generate == [GenSpec(family="big", n=1, count=1, seed=-4, den=2)]
     assert parse_config("summary =").summary == ""  # no summary file
 
@@ -99,7 +94,7 @@ def test_parse_config_reads_the_readme_example():
     assert cfg.generate == [GenSpec("arbitrary", 200, 30, 1000, 10 ** 6)]
     assert cfg.algorithms == ("GA_LO", "M1w", "Mw", "A1", "A2")
     assert cfg.reference == "auto"
-    assert (cfg.exact_nodes, cfg.exact_time) == (0, 0)
+    assert cfg.exact_nodes == 0
     assert cfg.timing is False
     assert (cfg.output, cfg.summary) == ("results.csv", "summary.csv")
 
@@ -150,15 +145,15 @@ def test_exact_status_and_reference_follow_the_bound():
         "optimal", 19, 19, 98)
 
 
-def test_run_suite_with_only_a_time_limit_stops_cleanly_at_large_n():
+def test_run_suite_with_a_node_budget_stops_cleanly_at_large_n():
     instance = gen_random(1200, 2, "arbitrary", 10**6)
     cfg = SuiteConfig(generate=[GenSpec("arbitrary", 1200, 1, 2, 10**6)],
-                      algorithms=("EXACT",), exact_time=0.05)
+                      algorithms=("EXACT",), exact_nodes=1000)
     records, _, errors = run_suite(cfg)  # run_suite audits the placement
     assert errors == []
     (rec,) = records
     assert (rec.reference, rec.ref_kind) == (lower_bounds(instance).combined, "LB")
-    assert rec.length > rec.reference and rec.rounds > 0
+    assert rec.length > rec.reference and rec.rounds == 1000
 
 
 def test_records_csv_quotes_a_label_with_a_comma_or_a_quote(tmp_path):
@@ -613,6 +608,14 @@ def test_cli_bench_and_strictness(tmp_path, capsys):
     body = (tmp_path / "results.csv").read_text()
     assert len(body.splitlines()) == 7
     assert (tmp_path / "summary.csv").exists()
+    # a summary written over the records would leave only the summary
+    same = tmp_path / "same"
+    same.mkdir()
+    (same / "suite.bench").write_text("generate = family=arbitrary n=5 seed=1 D=20\n"
+                                      "output = r.csv\nsummary = ./r.csv\n")
+    assert main(["bench", str(same / "suite.bench")]) == 2
+    assert capsys.readouterr().err == "error: summary and output name the same file\n"
+    assert os.listdir(same) == ["suite.bench"]
 
     missing = tmp_path / "missing.bench"
     missing.write_text("instances = nowhere/*.inst\nalgorithms = GA_LO\n")
@@ -643,6 +646,14 @@ def test_cli_bpp_import(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert "opt" not in out.read_text()
     assert capsys.readouterr().out == f"2 charts, opt not proven -> {out}\n"
+    # capacity 1 would give D = 1, which no instance reader accepts
+    (tmp_path / "d.bpp").write_text("4\n1\n1\n1\n1\n1\n")
+    (tmp_path / "d.sol").write_text("4\n0\n1\n2\n3\n")
+    out = tmp_path / "d.inst"
+    assert main(["bpp-import", str(tmp_path / "d.bpp"), str(tmp_path / "d.sol"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: denominator 1 must be at least 2\n"
+    assert not out.exists()
 
 
 def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):

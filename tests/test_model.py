@@ -165,3 +165,6 @@ def test_chart_validation():
     for charts, message in bad_instances.items():
         with pytest.raises(ValueError, match=f"^{message}"):
             Instance(charts=charts, den=10)
+    # every reader and generator needs D >= 2, so an Instance does too
+    with pytest.raises(ValueError, match="^denominator 1 must be at least 2$"):
+        Instance(charts=(BarChart(id=1, bars=(1, 1), den=1),), den=1)
