@@ -35,8 +35,6 @@ def export_lp(instance: Instance, horizon: int | None = None) -> str:
     """
     if horizon is None:
         horizon = ga_lo(instance).length
-    if horizon < 2:
-        raise ValueError(f"horizon {horizon} < 2 cannot hold a chart")
     if horizon < lower_bounds(instance).combined:
         raise ValueError(f"horizon {horizon} below the combined lower bound")
     cells = range(1, horizon + 1)

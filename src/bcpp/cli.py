@@ -23,6 +23,15 @@ from .model import (format_instance, format_placement, parse_instance, read_floa
                     read_int)
 
 
+def _file_path(path: str) -> str:
+    """Return ``path`` if a file can be made there, checked before any work."""
+    if os.path.isdir(path):
+        raise ValueError(f"{path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{path}: no such directory")
+    return path
+
+
 def _cmd_gen(args) -> int:
     instances = GenSpec(args.family, args.n, args.count, args.seed,
                         args.den).instances()
@@ -45,6 +54,9 @@ def _cmd_solve(args) -> int:
         raise ValueError("--horizon needs --lp-export")
     if (args.time_limit or args.node_limit) and args.algorithm != "EXACT":
         raise ValueError("--node-limit and --time-limit need -a EXACT")
+    for path in (args.lp_export, args.write_placement):
+        if path:
+            _file_path(path)
     label = os.path.splitext(os.path.basename(args.instance))[0]
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
@@ -88,20 +100,21 @@ def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    if cfg.summary and (os.path.realpath(os.path.join(base_dir, cfg.summary))
-                        == os.path.realpath(os.path.join(base_dir, cfg.output))):
+    # an absolute name stays as given
+    output = _file_path(os.path.join(base_dir, cfg.output))
+    summary_path = cfg.summary and _file_path(os.path.join(base_dir, cfg.summary))
+    if summary_path and os.path.realpath(summary_path) == os.path.realpath(output):
         raise ValueError("summary and output name the same file")
     records, summary, errors = run_suite(cfg, base_dir=base_dir)
 
-    def write(name: str, text: str, what: str) -> None:
-        path = os.path.join(base_dir, name)  # an absolute name stays as given
+    def write(path: str, text: str, what: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
         print(f"{what} -> {path}")
 
-    write(cfg.output, format_records_csv(records), f"{len(records)} records")
-    if cfg.summary:
-        write(cfg.summary, format_summary_csv(summary),
+    write(output, format_records_csv(records), f"{len(records)} records")
+    if summary_path:
+        write(summary_path, format_summary_csv(summary),
               f"{len(summary)} summary rows")
 
     for err in errors:
@@ -118,7 +131,7 @@ def _cmd_bpp_import(args) -> int:
     with open(args.bpp_solution) as fh:
         solution_text = fh.read()
     bpp, sol = parse_bpp(instance_text, solution_text)
-    label = args.label or os.path.splitext(os.path.basename(args.bpp_instance))[0]
+    label = os.path.splitext(os.path.basename(args.bpp_instance))[0]
     inst = transform_bpp(bpp, sol, label=label)
     out = args.out or f"{label}.inst"
     with open(out, "w") as fh:
@@ -173,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("bpp_instance")
     imp.add_argument("bpp_solution")
     imp.add_argument("--out", metavar="PATH")
-    imp.add_argument("--label")
     imp.set_defaults(func=_cmd_bpp_import)
     return parser
 

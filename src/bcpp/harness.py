@@ -105,7 +105,7 @@ class SuiteConfig:
     generate: list[GenSpec] = field(default_factory=list)
     algorithms: tuple[str, ...] = ("GA_LO",)
     reference: str = "auto"          # auto | lb
-    exact_nodes: int = 0             # node budget; 0: EXACT unbounded, no exact reference
+    exact_nodes: int = 0             # node budget; 0: none, and no exact reference
     timing: bool = False
     output: str = "results.csv"
     summary: str = ""
@@ -117,10 +117,12 @@ _CONFIG_WORDS = {"reference": ("auto", "lb"), "timing": ("on", "off")}
 
 def parse_config(text: str) -> SuiteConfig:
     """Read a bench config; ``#`` starts a comment anywhere on a line, only
-    ``instances`` and ``generate`` may repeat, and every fault is a
-    ``FormatError`` that starts ``line N:``."""
+    ``instances`` and ``generate`` may repeat, ``EXACT`` needs an
+    ``exact_nodes`` budget, and every fault is a ``FormatError`` that starts
+    ``line N:``."""
     cfg = SuiteConfig()
     seen: set[str] = set()
+    algorithms_line = 0
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,6 +145,7 @@ def parse_config(text: str) -> SuiteConfig:
                 raise FormatError(f"line {no}: algorithms must name one or more, "
                                   "none twice")
             cfg.algorithms = algos
+            algorithms_line = no
         elif key in _CONFIG_WORDS:
             if value not in _CONFIG_WORDS[key]:
                 raise FormatError(f"line {no}: {key} must be "
@@ -160,6 +163,9 @@ def parse_config(text: str) -> SuiteConfig:
             raise FormatError(f"line {no}: {key} given twice")
         if key not in ("instances", "generate"):
             seen.add(key)
+    if "EXACT" in cfg.algorithms and cfg.exact_nodes < 1:  # else it never ends
+        raise FormatError(f"line {algorithms_line}: EXACT needs exact_nodes "
+                          "of at least 1")
     return cfg
 
 

@@ -80,10 +80,6 @@ class BarChart:
         return len(self.bars)
 
     @property
-    def provenance(self) -> tuple[int, ...]:
-        return tuple(oid for oid, _ in self.origins)
-
-    @property
     def is_big(self) -> bool:
         """True when some bar is strictly higher than 1/2."""
         return any(2 * h > self.den for h in self.bars)
@@ -221,13 +217,13 @@ def compact(instance: Instance, placement: Placement) -> Placement:
 def assemble_placement(charts: list[BarChart] | tuple[BarChart, ...]) -> Placement:
     """Concatenate (possibly merged) charts left to right into a placement.
 
-    Charts are laid out in ascending order of their smallest origin id; the
-    placement is expressed over the original chart ids via each chart's
-    origin offsets.
+    Charts are laid out in ascending order of id, which ``merge_union`` sets
+    to a merged chart's smallest origin id; the placement is expressed over
+    the original chart ids via each chart's origin offsets.
     """
     placement: Placement = {}
     base = 1
-    for ch in sorted(charts, key=lambda c: min(c.provenance)):
+    for ch in sorted(charts, key=lambda c: c.id):
         for oid, off in ch.origins:
             placement[oid] = base + off
         base += ch.width

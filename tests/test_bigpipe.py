@@ -16,8 +16,8 @@ from helpers import (arc_digraph, brute_force_matching,
 
 def test_scan_merges_smalls_into_big():
     res = form_big_scan(inst((3, 2), (6, 7), (4, 3)).charts)
-    assert [(c.bars, c.provenance) for c in res] == [
-        ((6, 7), (2,)), ((7, 5), (1, 3))]
+    assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
+        ((6, 7), [2]), ((7, 5), [1, 3])]
     assert all(c.is_big for c in res)
 
 
@@ -30,7 +30,8 @@ def test_scan_keeps_all_big_input():
 
 def test_scan_keeps_growing_buffer_until_big():
     res = form_big_scan(inst((2, 2), (1, 1), (3, 3)).charts)
-    assert [(c.bars, c.provenance) for c in res] == [((6, 6), (1, 2, 3))]
+    assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
+        ((6, 6), [1, 2, 3])]
     assert all(c.is_big for c in res)
 
 
@@ -46,7 +47,7 @@ def test_scan_emits_at_most_one_small():
         instance = gen_random(rng.randint(1, 12), trial, "arbitrary", 20)
         res = form_big_scan(instance.charts)
         assert all(c.is_big for c in res[:-1])  # a small chart only comes last
-        total = sum(len(c.provenance) for c in res)
+        total = sum(len(c.origins) for c in res)
         assert total == instance.n
 
 

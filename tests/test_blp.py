@@ -52,7 +52,7 @@ def test_default_horizon_admits_greedy_length():
 
 
 def test_model_rejects_bad_horizons():
-    with pytest.raises(ValueError, match="< 2"):
+    with pytest.raises(ValueError, match="lower bound"):
         export_lp(inst((6, 3)), horizon=1)
     with pytest.raises(ValueError, match="lower bound"):
         export_lp(inst((9, 9), (8, 8)), horizon=3)

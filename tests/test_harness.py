@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import bcpp.blp
+import bcpp.cli
 import bcpp.greedy
 from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   format_records_csv, format_summary_csv, gen_bpp_fullbins,
@@ -97,6 +98,18 @@ def test_parse_config_reads_the_readme_example():
     assert cfg.exact_nodes == 0
     assert cfg.timing is False
     assert (cfg.output, cfg.summary) == ("results.csv", "summary.csv")
+
+
+def test_parse_config_needs_a_node_budget_for_exact():
+    # with no budget a suite's EXACT searches without end
+    for text, line in (("algorithms = EXACT\n", 1),
+                       ("# budget\nalgorithms = GA_LO, EXACT\nexact_nodes = 0\n", 2)):
+        with pytest.raises(FormatError,
+                           match=f"^line {line}: EXACT needs exact_nodes of at least 1$"):
+            parse_config(text)
+    cfg = parse_config("exact_nodes = 5\nalgorithms = EXACT\n")  # any key order
+    assert (cfg.algorithms, cfg.exact_nodes) == (("EXACT",), 5)
+    assert SuiteConfig(algorithms=("EXACT",)).exact_nodes == 0  # in code: no limit
 
 
 def test_run_suite_generates_and_audits():
@@ -575,7 +588,7 @@ def test_cli_solve_checks_the_horizon_before_the_search(tmp_path, monkeypatch,
                  "--horizon", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: horizon 1 < 2" in captured.err
+    assert "error: horizon 1 below the combined lower bound" in captured.err
     assert not lp_path.exists()
 
 
@@ -629,7 +642,48 @@ def test_cli_bench_and_strictness(tmp_path, capsys):
         assert proc.returncode == status, proc.stderr
 
 
-def test_cli_bpp_import(tmp_path, capsys):
+def test_cli_bench_checks_its_output_paths_before_the_suite(tmp_path, monkeypatch,
+                                                            capsys):
+    def ran(*_args, **_kwargs):
+        raise AssertionError("run_suite ran")
+
+    monkeypatch.setattr(bcpp.cli, "run_suite", ran)
+    (tmp_path / "taken").mkdir()
+    for line, message in (
+            ("output = nodir/r.csv", f"{tmp_path / 'nodir/r.csv'}: no such directory"),
+            ("summary = nodir/s.csv", f"{tmp_path / 'nodir/s.csv'}: no such directory"),
+            ("output = taken", f"{tmp_path / 'taken'} is a directory")):
+        config = tmp_path / "suite.bench"
+        config.write_text(f"generate = family=arbitrary n=5 seed=1 D=20\n{line}\n")
+        assert main(["bench", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["suite.bench", "taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
+def test_cli_solve_checks_its_output_paths_before_the_search(tmp_path, monkeypatch,
+                                                            capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+
+    def searched(*_args, **_kwargs):
+        raise AssertionError("solve_exact ran")
+
+    monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
+    missing = tmp_path / "nodir" / "out.txt"
+    for flag in ("--write-placement", "--lp-export"):
+        for target, message in ((missing, f"{missing}: no such directory"),
+                                (tmp_path, f"{tmp_path} is a directory")):
+            assert main(["solve", str(path), "-a", "EXACT", flag, str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["three.inst"]
+
+
+def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
     (tmp_path / "b.bpp").write_text("3\n10\n6\n5\n4\n")
     (tmp_path / "b.sol").write_text("2\n0\n1 2\n")
     out = tmp_path / "b.inst"
@@ -654,6 +708,14 @@ def test_cli_bpp_import(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: denominator 1 must be at least 2\n"
     assert not out.exists()
+    # no --label: --out, or else the instance file's stem, names the output
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bpp-import", str(tmp_path / "b.bpp"), str(tmp_path / "b.sol"),
+              "--label", "x"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --label x" in capsys.readouterr().err
+    assert not (tmp_path / "x.inst").exists()
 
 
 def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):

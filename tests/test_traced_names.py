@@ -51,7 +51,8 @@ def test_every_counter_reads_a_real_result():
         "blp.solve_exact": solve_exact(instance),
         "harness.run_suite": run_suite(parse_config(
             "generate = family=big n=6 seed=1 D=100\n"
-            "algorithms = GA_LO, Mw, EXACT\n")),
+            "algorithms = GA_LO, Mw, EXACT\n"
+            "exact_nodes = 100000\n")),
     }
     counters = _tracer().COUNTERS
     assert set(counters) == set(results)

@@ -41,7 +41,7 @@ def test_merge_two_union():
     merged = merge_union(mk(1, 3, 4), mk(2, 5, 5), 2)
     assert merged.bars == (8, 9)
     assert merged.width == 2
-    assert merged.provenance == (1, 2)
+    assert [oid for oid, _ in merged.origins] == [1, 2]
 
 
 def test_merge_one_union():
