@@ -5,8 +5,11 @@ above 1/2), then chain the formed charts through 1-unions: a digraph holds
 an arc (i, j) whenever chart i's last bar and chart j's first bar fit into
 one cell, a path cover of that digraph is selected, and every path is merged
 left to right.  Each selected arc saves one strip cell.  An ``ArcDigraph``
-maps each chart id to its successors in ascending id order, the lists the
-path cover reads; its ``arcs`` view, for dumps and tests, is built on read.
+holds, per position in its ascending chart ids, the ascending positions of
+the chart's successors, the lists the path cover reads; its ``arcs`` view
+of id pairs, for dumps and tests, is built on read.  The build takes the
+charts by ascending cap ``den - last``: one ascending list grows by every
+first bar the cap admits, and each chart gets a copy less its own position.
 
 A1 forms big charts in a single scan with a one-slot buffer: small charts
 are pairwise 2-unioned (always feasible, all four bars are at most 1/2)
@@ -20,12 +23,15 @@ The path cover comes from a Hopcroft-Karp maximum bipartite matching on the
 out-copy / in-copy split of the digraph, which yields a maximum set of arcs
 with all in- and out-degrees at most 1 (vertex-disjoint paths and cycles);
 one walk per path or cycle follows the matched arcs, and every cycle is
-opened by dropping its lexicographically smallest arc.
+opened by dropping its lexicographically smallest arc.  Each phase's
+breadth-first layering stops once every left vertex has a layer and a free
+right vertex has been seen; the depth-first search reads only the layers,
+which no later arc could change, so the mates are those of a full layering.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import insort
 from dataclasses import dataclass
 
 from .model import BarChart, Solved, assemble_placement
@@ -37,12 +43,14 @@ from .unions import merge_union
 @dataclass(frozen=True)
 class ArcDigraph:
     vertices: tuple[int, ...]
-    successors: dict[int, list[int]]
+    successors: list[list[int]]  # ascending positions in ``vertices``
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        """Every arc, in (u, v) order; built anew on each read."""
-        return tuple((u, v) for u in self.vertices for v in self.successors[u])
+        """Every arc as ids, in (u, v) order; built anew on each read."""
+        ids = self.vertices
+        return tuple((u, ids[j]) for u, heads in zip(ids, self.successors)
+                     for j in heads)
 
 
 @dataclass(frozen=True)
@@ -94,15 +102,20 @@ def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
 
 def build_arc_digraph(charts: list[BarChart] | tuple[BarChart, ...]) -> ArcDigraph:
     """Arc (i, j) iff the 1-union with i on the left is feasible: i's heads
-    are the charts whose first bar fits ``den`` minus its last, less i."""
+    are the charts whose first bar fits its cap ``den - last``, less i."""
     rows, den = chart_rows(charts)
-    by_first = sorted(rows, key=lambda row: row[1])
-    firsts, ids = [row[1] for row in by_first], [row[0] for row in by_first]
-    successors = {}
-    for u, first, _, _, last in rows:
-        successors[u] = heads = sorted(ids[:bisect_right(firsts, den - last)])
-        if first <= den - last:
-            heads.remove(u)
+    n = len(rows)
+    by_first = sorted(range(n), key=lambda i: rows[i][1])
+    successors: list[list[int]] = [[]] * n
+    heads, k = [], 0  # the positions whose first bar fits the cap, ascending
+    for i in sorted(range(n), key=lambda i: -rows[i][4]):  # ascending cap
+        cap = den - rows[i][4]
+        while k < n and rows[by_first[k]][1] <= cap:
+            insort(heads, by_first[k])
+            k += 1
+        successors[i] = own = heads.copy()
+        if rows[i][1] <= cap:
+            own.remove(i)
     return ArcDigraph(tuple(row[0] for row in rows), successors)
 
 
@@ -110,50 +123,57 @@ def dump_digraph(g: ArcDigraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.arcs)
 
 
-def _max_bipartite_matching(lefts: list[int],
-                            adj: dict[int, list[int]]) -> dict[int, int]:
-    """Hopcroft-Karp maximum matching on a bipartite graph.
+def _max_bipartite_matching(adj: list[list[int]]) -> list[int]:
+    """Hopcroft-Karp maximum matching on a bipartite graph over positions.
 
-    ``adj`` maps left vertices to sorted right neighbors.  Each phase layers
-    the left vertices breadth-first from the free ones, then searches depth
-    first from each free root in ``lefts`` order, taking a free right vertex
-    at any depth; a dead end stays out for the rest of the phase.  The scan
-    order is fixed, so the left-to-right mate map is deterministic.
+    ``adj[u]`` lists left vertex u's right neighbors in ascending order; the
+    result maps each left vertex to its mate, -1 when it has none.  Each
+    phase layers the left vertices breadth-first from the free ones, then
+    searches depth first from each free root in position order, taking a
+    free right vertex at any depth; a dead end (``dist`` -2) stays out for
+    the rest of the phase.  The scan order is fixed, so the mates are
+    deterministic.  The layering stops once every left vertex has a layer
+    and a free right vertex has been seen: no later arc can change either,
+    and the search reads nothing else of it.
     """
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
+    n = len(adj)
+    match_l, match_r = [-1] * n, [-1] * n
     while True:
-        dist = {u: 0 for u in lefts if u not in match_l}
-        queue = list(dist)
+        dist = [0 if m < 0 else -1 for m in match_l]
+        queue = [u for u in range(n) if match_l[u] < 0]
         reachable = False
         for u in queue:  # the queue grows while it is read
+            layer = dist[u] + 1
             for v in adj[u]:
-                w = match_r.get(v)
-                if w is None:
+                w = match_r[v]
+                if w < 0:
                     reachable = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
+                elif dist[w] < 0:
+                    dist[w] = layer
                     queue.append(w)
+            if reachable and len(queue) == n:
+                break
         if not reachable:
             return match_l
-        for root in lefts:
-            if root in match_l:
+        for root in range(n):
+            if match_l[root] >= 0:
                 continue
             path, its = [root], [iter(adj[root])]
             while path:
                 u = path[-1]
+                layer = dist[u] + 1
                 for v in its[-1]:
-                    w = match_r.get(v)
-                    if w is None or dist.get(w) == dist[u] + 1:
+                    w = match_r[v]
+                    if w < 0 or dist[w] == layer:
                         break
                 else:  # dead end
-                    del dist[u]
+                    dist[u] = -2
                     path.pop()
                     its.pop()
                     continue
-                if w is None:  # each left takes its successor's mate, the last v
+                if w < 0:  # each left takes its successor's mate, the last v
                     for u in reversed(path):
-                        match_l[u], v = v, match_l.get(u)
+                        match_l[u], v = v, match_l[u]
                         match_r[match_l[u]] = u
                     break
                 path.append(w)
@@ -166,26 +186,26 @@ def path_cover(g: ArcDigraph) -> PathCover:
     The selected arc count is the bipartite matching size minus the number of
     broken cycles, hence never below (cycle cover arcs) - (cycles).
     """
-    verts = list(g.vertices)
-    succ = _max_bipartite_matching(verts, g.successors)
-    pred = {v: u for u, v in succ.items()}
+    n = len(g.vertices)
+    succ = _max_bipartite_matching(g.successors)
+    has_pred = set(succ)
 
     paths: list[tuple[int, ...]] = []
     seen: set[int] = set()
     cycles_broken = 0
-    for start in [v for v in verts if v not in pred] + verts:
+    for start in [v for v in range(n) if v not in has_pred] + list(range(n)):
         if start in seen:
             continue
         walk = [start]
-        while walk[-1] in succ and succ[walk[-1]] != start:
+        while succ[walk[-1]] >= 0 and succ[walk[-1]] != start:
             walk.append(succ[walk[-1]])
         seen.update(walk)
-        if start in pred:
+        if start in has_pred:
             # a cycle, entered at its smallest vertex (sorted starts), whose
             # out-arc is the cycle's lexicographically smallest: drop it
             walk = walk[1:] + walk[:1]
             cycles_broken += 1
-        paths.append(tuple(walk))
+        paths.append(tuple(g.vertices[v] for v in walk))
 
     paths.sort(key=lambda p: p[0])
     return PathCover(paths=tuple(paths), cycles_broken=cycles_broken)

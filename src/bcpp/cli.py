@@ -54,9 +54,12 @@ def _cmd_solve(args) -> int:
         raise ValueError("--horizon needs --lp-export")
     if (args.time_limit or args.node_limit) and args.algorithm != "EXACT":
         raise ValueError("--node-limit and --time-limit need -a EXACT")
-    for path in (args.lp_export, args.write_placement):
-        if path:
-            _file_path(path)
+    outputs = [os.path.realpath(_file_path(path))
+               for path in (args.lp_export, args.write_placement) if path]
+    if os.path.realpath(args.instance) in outputs:
+        raise ValueError("an output path names the instance file")
+    if len(set(outputs)) < len(outputs):
+        raise ValueError("--lp-export and --write-placement name the same file")
     label = os.path.splitext(os.path.basename(args.instance))[0]
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)

@@ -34,12 +34,62 @@ def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
 
 
 def arc_digraph(vertices, arcs) -> ArcDigraph:
-    """A digraph from an arc list, with each successor list sorted."""
+    """A digraph from an arc list: sorted, with ids mapped to positions,
+    each successor list ascending."""
     verts = tuple(sorted(vertices))
-    successors: dict[int, list[int]] = {u: [] for u in verts}
+    index = {x: i for i, x in enumerate(verts)}
+    successors: list[list[int]] = [[] for _ in verts]
     for u, v in sorted(arcs):
-        successors[u].append(v)
+        successors[index[u]].append(index[v])
     return ArcDigraph(verts, successors)
+
+
+def reference_bipartite_matching(lefts: list[int],
+                                 adj: dict[int, list[int]]) -> dict[int, int]:
+    """Hopcroft-Karp over dicts keyed by id, as ``bigpipe`` ran it before its
+    lists over positions: the mates ``_max_bipartite_matching`` must keep.
+
+    Each phase layers every left vertex it can reach, then searches depth
+    first from each free root in ``lefts`` order; a dead end leaves ``dist``.
+    """
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+    while True:
+        dist = {u: 0 for u in lefts if u not in match_l}
+        queue = list(dist)
+        reachable = False
+        for u in queue:  # the queue grows while it is read
+            for v in adj[u]:
+                w = match_r.get(v)
+                if w is None:
+                    reachable = True
+                elif w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not reachable:
+            return match_l
+        for root in lefts:
+            if root in match_l:
+                continue
+            path, its = [root], [iter(adj[root])]
+            while path:
+                u = path[-1]
+                for v in its[-1]:
+                    w = match_r.get(v)
+                    if w is None or dist.get(w) == dist[u] + 1:
+                        break
+                else:  # dead end
+                    del dist[u]
+                    path.pop()
+                    its.pop()
+                    continue
+                if w is None:  # each left takes its successor's mate, the last v
+                    for u in reversed(path):
+                        match_l[u], v = v, match_l.get(u)
+                        match_r[match_l[u]] = u
+                    break
+                path.append(w)
+                its.append(iter(adj[w]))
 
 
 def random_charts(rng: random.Random, n: int, den: int) -> list[BarChart]:

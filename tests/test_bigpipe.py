@@ -6,12 +6,12 @@ import pytest
 from bcpp import (BarChart, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
-from bcpp.bigpipe import dump_digraph
+from bcpp.bigpipe import _max_bipartite_matching, dump_digraph
 from bcpp.unions import union_feasible
 from bcpp.harness import SOLVERS
 from helpers import (arc_digraph, brute_force_matching,
                      brute_force_path_cover_arcs, check_path_cover, inst, mk,
-                     random_charts)
+                     random_charts, reference_bipartite_matching)
 
 
 def test_scan_merges_smalls_into_big():
@@ -96,6 +96,17 @@ def test_arc_digraph_matches_definition():
         assert g.arcs == expected
 
 
+def _id_successors(g):
+    """``g.successors`` mapped to ids, once each positional list is checked
+    to be strictly ascending and to leave out its own position."""
+    assert len(g.successors) == len(g.vertices)
+    for i, heads in enumerate(g.successors):
+        assert all(a < b for a, b in zip(heads, heads[1:]))
+        assert i not in heads
+    return {u: [g.vertices[j] for j in heads]
+            for u, heads in zip(g.vertices, g.successors)}
+
+
 def _brute_force_successors(charts):
     ids = sorted(c.id for c in charts)
     by_id = {c.id: c for c in charts}
@@ -118,7 +129,7 @@ def _brute_force_successors(charts):
 def test_arc_digraph_successors_equal_brute_force(charts):
     g = build_arc_digraph(charts)
     assert g.vertices == tuple(sorted(c.id for c in charts))
-    assert g.successors == _brute_force_successors(charts)
+    assert _id_successors(g) == _brute_force_successors(charts)
 
 
 def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
@@ -127,7 +138,7 @@ def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
             charts = gen_random(n, 7, family, 10**6).charts
             for formed in (charts, form_big_scan(charts), form_big_matchings(charts)):
                 g = build_arc_digraph(formed)
-                assert g.successors == _brute_force_successors(formed)
+                assert _id_successors(g) == _brute_force_successors(formed)
 
 
 def test_arc_digraph_rejects_mixed_denominators():
@@ -211,6 +222,43 @@ def test_path_cover_is_pinned():
                 cover = path_cover(build_arc_digraph(form(charts)))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
+
+
+def test_path_cover_is_pinned_at_benchmark_scale():
+    # covers taken before the digraph moved to positions and the layering
+    # learned to stop early, on the benchmark's big-n500 and arbitrary-n200
+    pinned = "57f9b1578178f030cb679017b41ccabb4066aa82c6f1bfd04f90411893957367"
+    covers = []
+    for family, n in (("big", 500), ("arbitrary", 200)):
+        for seed in (1, 2, 3):
+            charts = gen_random(n, seed, family, 10**6).charts
+            for form in (form_big_scan, form_big_matchings):
+                cover = path_cover(build_arc_digraph(form(charts)))
+                covers.append((cover.paths, cover.cycles_broken))
+    assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
+
+
+def test_bipartite_mates_equal_the_dict_reference():
+    rng = random.Random(47)
+    unmatched = 0
+    for trial in range(300):
+        n = rng.randint(1, 60)
+        ids = sorted(rng.sample(range(1, 4 * n + 1), n))
+        if trial % 2:
+            density = rng.choice([0.02, 0.1, 0.3, 0.7])
+            adj = [[j for j in range(n) if j != i and rng.random() < density]
+                   for i in range(n)]
+        else:  # threshold-shaped like the 1-union digraph: first[j] <= cap[i]
+            first = [rng.randint(1, 20) for _ in range(n)]
+            cap = [rng.randint(0, 20) for _ in range(n)]
+            adj = [[j for j in range(n) if j != i and first[j] <= cap[i]]
+                   for i in range(n)]
+        mates = _max_bipartite_matching(adj)
+        expected = reference_bipartite_matching(
+            list(ids), {ids[i]: [ids[j] for j in heads] for i, heads in enumerate(adj)})
+        assert {ids[i]: ids[j] for i, j in enumerate(mates) if j >= 0} == expected
+        unmatched += len(expected) < n
+    assert unmatched > 100  # the phases end with free left vertices
 
 
 def test_pipeline_all_big_chain():

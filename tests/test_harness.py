@@ -683,6 +683,36 @@ def test_cli_solve_checks_its_output_paths_before_the_search(tmp_path, monkeypat
     assert sorted(os.listdir(tmp_path)) == ["three.inst"]
 
 
+def test_cli_solve_writes_no_output_over_another_or_its_input(tmp_path, monkeypatch,
+                                                              capsys):
+    path = tmp_path / "three.inst"
+    text = format_instance(inst((3, 4), (5, 5), (6, 8)))
+    path.write_text(text)
+
+    def searched(*_args, **_kwargs):
+        raise AssertionError("solve_exact ran")
+
+    def read(*_args, **_kwargs):
+        raise AssertionError("the instance was read")
+
+    monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
+    monkeypatch.setattr(bcpp.cli, "parse_instance", read)
+    same = "error: --lp-export and --write-placement name the same file\n"
+    itself = "error: an output path names the instance file\n"
+    (tmp_path / "sub").mkdir()
+    for flags, message in (
+            (["--lp-export", str(tmp_path / "m.txt"),
+              "--write-placement", str(tmp_path / "sub" / ".." / "m.txt")], same),
+            (["--write-placement", str(path)], itself),
+            (["--lp-export", str(tmp_path / "sub" / ".." / "three.inst")], itself)):
+        assert main(["solve", str(path), "-a", "EXACT", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+    assert sorted(os.listdir(tmp_path)) == ["sub", "three.inst"]
+    assert path.read_text() == text
+
+
 def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
     (tmp_path / "b.bpp").write_text("3\n10\n6\n5\n4\n")
     (tmp_path / "b.sol").write_text("2\n0\n1 2\n")
