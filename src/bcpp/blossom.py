@@ -41,7 +41,11 @@ least-slack edges only a delta reads.  If it augments, it followed the same
 edges in the same order as a full scan, so the mates are the same.  If it
 needs a delta, it has moved no mate or dual: its blossoms are undone and the
 stage reruns tracked, scanning every edge for networkx's delta.  A stage with
-at most one single vertex cannot augment and runs tracked.
+at most one single vertex that has an edge cannot augment and runs tracked.
+A vertex with no edge takes part in no stage.  Its dual stays W, at least the
+dual all single vertices share, so no delta or slack changes; the certificate
+gets 0, valid where no edge constrains.  The stages, the substages and every
+walk along blossom links have bounds; passing one raises ``ArithmeticError``.
 
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
@@ -100,6 +104,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         wt2.append(2 * w)
         adj[i].append((j, 2 * k, 2 * w))
         adj[j].append((i, 2 * k + 1, 2 * w))
+    live = [v for v in range(n) if adj[v]]  # the vertices every stage reads
 
     mate = [-1] * n  # the matched edge out of each vertex, -1 if single
     dualvar = [max(wt2, default=0) // 2] * n  # 2 u(v), from maxweight / 2
@@ -124,15 +129,18 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
 
     def leaves(b: int) -> list[int]:
+        # k <= n leaves under < k/2 blossoms of >= 3 children: < 2n pops
         out = []
         stack = list(childs[b])
-        while stack:
+        for _ in range(2 * n):
+            if not stack:
+                return out
             t = stack.pop()
             if t < n:
                 out.append(t)
             else:
                 stack.extend(childs[t])
-        return out
+        raise ArithmeticError("blossom matching: a leaf walk passed its bound")
 
     def assign_label(w: int, t: int, p: int) -> None:
         # label the top-level blossom of w through edge p (-1: none)
@@ -179,9 +187,9 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         labeledge.append(labeledge[bb])
         bestedge.append(-1)
         blossomparent[bb] = b
-        path = []
+        path = []  # distinct top-level blossoms, so at most n of them
         edgs = [p]
-        while bv != bb:
+        while bv != bb and len(path) <= n:
             blossomparent[bv] = b
             path.append(bv)
             edgs.append(labeledge[bv])
@@ -189,11 +197,13 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         path.append(bb)
         path.reverse()
         edgs.reverse()
-        while bw != bb:
+        while bw != bb and len(path) <= n:
             blossomparent[bw] = b
             path.append(bw)
             edgs.append(labeledge[bw] ^ 1)
             bw = inblossom[endpoint[labeledge[bw]]]
+        if len(path) > n:
+            raise ArithmeticError("blossom matching: a blossom path passed its bound")
         childs[b] = path
         ring[b] = edgs
         blossomdual[b] = 0
@@ -250,7 +260,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         # so the worklist's order does not matter.
         work = []
         for s, e in ((endpoint[p], p), (endpoint[p ^ 1], p ^ 1)):
-            while True:
+            for _ in range(n):  # each step passes two top-level blossoms
                 bs = inblossom[s]
                 work.append((bs, s))
                 mate[s] = e
@@ -261,13 +271,17 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                 s, j = endpoint[e], endpoint[e ^ 1]
                 work.append((bt, j))
                 mate[j] = e ^ 1
+            else:
+                raise ArithmeticError("blossom matching: a long augmenting path")
         while work:
             b, v = work.pop()
             if b < n:
                 continue
             t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
+            while (up := blossomparent[t]) != b:
+                if up == -1:  # v is not in b
+                    raise ArithmeticError("blossom matching: a blossom lost its vertex")
+                t = up
             work.append((t, v))
             ch = childs[b]
             i = ch.index(t)
@@ -288,20 +302,25 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             blossombase[b] = v
 
     rerun = False
-    while True:
+    singles = len(live)
+    # each augmenting stage matches two live singles and one final stage
+    # follows them, each run at most twice (tight, then tracked)
+    for _ in range(len(live) + 2):
         # a stage: label from the single vertices until an augmenting path
-        tracked = rerun or mate.count(-1) <= 1
+        tracked = rerun or singles <= 1
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
         mybestedges.clear()
         queue.clear()
-        for v in range(n):
+        for v in live:
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign_label(v, 1, -1)
         mark = None if tracked else (len(blossombase), inblossom[:], blossomparent[:])
 
         augmented = False
-        while True:
+        # a substage after a type-3 delta augments or closes a blossom, which
+        # merges >= 3 of the <= len(live) top-level blossoms: <= len(live)/2 + 1
+        for _ in range(len(live) // 2 + 1):
             # a substage: grow the labelled forest over tight edges
             while queue and not augmented:
                 v = queue.pop()
@@ -343,7 +362,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             # S-blossoms (type 3), doubled like the duals
             delta = min(dualvar, default=0)
             deltaedge = -1
-            for b in chain(range(n), blossomdual):
+            for b in chain(live, blossomdual):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
                     d, odd = divmod(slack(bestedge[b]), 2)
                     if odd:
@@ -351,7 +370,7 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     if d < delta:
                         delta, deltaedge = d, bestedge[b]
 
-            for v in range(n):
+            for v in live:
                 if label[inblossom[v]]:  # S down, T up
                     dualvar[v] += -delta if label[inblossom[v]] == 1 else delta
             for b in blossomdual:
@@ -362,8 +381,11 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             if deltaedge == -1:
                 break
             queue.append(endpoint[deltaedge])
+        else:
+            raise ArithmeticError("blossom matching: a stage passed its delta bound")
 
         if augmented:
+            singles -= 2
             # end of a stage: expand the S-blossoms whose dual fell to zero
             for b in list(blossomdual):
                 if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
@@ -378,7 +400,10 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             for slots in (blossombase, label, labeledge, bestedge):
                 del slots[size:]
         rerun = not augmented
+    else:
+        raise ArithmeticError("blossom matching: the stages passed their bound")
 
+    dualvar = [d if adj[v] else 0 for v, d in enumerate(dualvar)]
     _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring)
     return sorted({e >> 1 for e in mate if e != -1})
 

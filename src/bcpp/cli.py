@@ -61,12 +61,15 @@ def _cmd_solve(args) -> int:
     if len(set(outputs)) < len(outputs):
         raise ValueError("--lp-export and --write-placement name the same file")
     label = os.path.splitext(os.path.basename(args.instance))[0]
+    dump_dir = args.dump_graphs  # receives <label>-<name>.txt during the solve
+    if dump_dir and any(os.path.dirname(p) == os.path.realpath(dump_dir) and
+                        os.path.basename(p).startswith(f"{label}-") for p in outputs):
+        raise ValueError(f"an output path takes a dump's name, {label}-*, in {dump_dir}")
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
     # a bad --horizon fails before the search; the file waits for the audit
     lp_text = export_lp(inst, horizon=args.horizon) if args.lp_export else None
 
-    dump_dir = args.dump_graphs
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
 

@@ -211,9 +211,10 @@ def test_c9_determinism(tmp_path):
         "exact_nodes = 2000\n"
         "output = results.csv\n")
     from bcpp.cli import main
-    assert main(["bench", str(config)]) == 0
+    # --strict: a rerun that repeats the same failed solves is not a result
+    assert main(["bench", str(config), "--strict"]) == 0
     first = (tmp_path / "results.csv").read_bytes()
-    assert main(["bench", str(config)]) == 0
+    assert main(["bench", str(config), "--strict"]) == 0
     second = (tmp_path / "results.csv").read_bytes()
 
     import os

@@ -97,15 +97,20 @@ def test_mates_equal_networkx_where_a_stage_is_rerun(n, edges):
 
 
 # sha256 of the edge indices the port chose before its stages first scanned
-# tight edges only, past the sizes networkx is compared at above
-@pytest.mark.parametrize("family, n, cardinality, digest", [
-    ("arbitrary", 400, False, "c9c56649562322b19c88681138ac0a269a562aa0766121eb6148498ba01b7060"),
-    ("arbitrary", 400, True, "06f484684513be3e18fe7b63e3ea949f63854303fd4f54a707df9274eeb8e07a"),
-    ("big", 500, False, "9f7405b43e2f75a3e894299dd2b54aad112c35e579eae28db8a244c7a427142b"),
-    ("big", 500, True, "2ab8932fba7ac3490b7743f5b93ee476aaed067e636a2bfcc5458580d8b7ee3e"),
-], ids=["arbitrary-400", "arbitrary-400-cardinality", "big-500", "big-500-cardinality"])
-def test_mates_pinned_at_scale(family, n, cardinality, digest):
-    g = build_union_graph(gen_random(n, 1, family, 10**6).charts)
+# tight edges only, past the sizes networkx is compared at above; and of those
+# on A2's graph (2-unions only, every weight 1), where 260 of the 500 vertices
+# have no edge, chosen before the stages left such vertices out
+@pytest.mark.parametrize("family, n, cardinality, two_unions_only, digest", [
+    ("arbitrary", 400, False, False, "c9c56649562322b19c88681138ac0a269a562aa0766121eb6148498ba01b7060"),
+    ("arbitrary", 400, True, False, "06f484684513be3e18fe7b63e3ea949f63854303fd4f54a707df9274eeb8e07a"),
+    ("big", 500, False, False, "9f7405b43e2f75a3e894299dd2b54aad112c35e579eae28db8a244c7a427142b"),
+    ("big", 500, True, False, "2ab8932fba7ac3490b7743f5b93ee476aaed067e636a2bfcc5458580d8b7ee3e"),
+    ("big", 500, True, True, "c8b816aaa063154924190917438ba89b743e3a5a7ffad91def5122e2ea2e768d"),
+], ids=["arbitrary-400", "arbitrary-400-cardinality", "big-500", "big-500-cardinality",
+        "big-500-two-unions"])
+def test_mates_pinned_at_scale(family, n, cardinality, two_unions_only, digest):
+    g = build_union_graph(gen_random(n, 1, family, 10**6).charts,
+                          two_unions_only=two_unions_only)
     index = {x: i for i, x in enumerate(sorted(g.vertices))}
     edges = [(index[e.u], index[e.v], 1 if cardinality else e.weight)
              for e in sorted(g.edges)]
@@ -142,11 +147,32 @@ def test_chosen_edges_ignore_endpoint_order_on_random_graphs():
 
 
 def test_mates_equal_networkx_on_union_graphs():
-    for family, seed in [("arbitrary", 1), ("arbitrary", 2), ("arbitrary", 3),
-                         ("big", 1), ("big", 2)]:
-        g = build_union_graph(gen_random(200, seed, family, 10**6).charts)
+    # the last two are A2's 2-union graphs, where about half the vertices
+    # have no edge
+    for family, seed, two_unions_only in [
+            ("arbitrary", 1, False), ("arbitrary", 2, False), ("arbitrary", 3, False),
+            ("big", 1, False), ("big", 2, False), ("big", 1, True), ("big", 2, True)]:
+        g = build_union_graph(gen_random(200, seed, family, 10**6).charts,
+                              two_unions_only=two_unions_only)
         for cardinality in (False, True):
             assert our_pairs(g, cardinality) == nx_pairs(g, cardinality)
+
+
+def test_edgeless_vertices_leave_the_chosen_edges_alone():
+    rng = random.Random(64)
+    for _ in range(1000):
+        n = rng.randint(0, 14)
+        edges = [(i, j, rng.choice((1, 2))) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        rng.shuffle(edges)
+        # the same graph with six edgeless vertices slotted in anywhere
+        spread = sorted(rng.sample(range(n + 6), n))
+        wider = [(spread[i], spread[j], w) for i, j, w in edges]
+        for weights in (None, 1):
+            given = [(i, j, weights or w) for i, j, w in edges]
+            widened = [(i, j, weights or w) for i, j, w in wider]
+            assert (blossom.max_weight_edges(n + 6, widened)
+                    == blossom.max_weight_edges(n, given)), (n, edges, spread)
 
 
 @pytest.mark.parametrize("g", [

@@ -18,6 +18,7 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
 from bcpp.cli import main
 from bcpp.generators import ffd_bpp
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
+from bcpp.matching import build_union_graph, dump_graph
 from helpers import inst
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -711,6 +712,39 @@ def test_cli_solve_writes_no_output_over_another_or_its_input(tmp_path, monkeypa
         assert captured.err == message
     assert sorted(os.listdir(tmp_path)) == ["sub", "three.inst"]
     assert path.read_text() == text
+
+
+def test_cli_solve_writes_no_output_over_a_graph_dump(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+
+    def read(*_args, **_kwargs):
+        raise AssertionError("the instance was read")
+
+    dumps = tmp_path / "dd"
+    message = f"error: an output path takes a dump's name, three-*, in {dumps}\n"
+    with monkeypatch.context() as m:
+        m.setattr(bcpp.cli, "parse_instance", read)
+        for flag in ("--lp-export", "--write-placement"):
+            for target in (dumps / "three-round1.txt", tmp_path / "sub" / ".." / "dd"
+                           / "three-x.txt"):
+                (tmp_path / "sub").mkdir(exist_ok=True)
+                dumps.mkdir(exist_ok=True)
+                assert main(["solve", str(path), "-a", "Mw", "--dump-graphs",
+                             str(dumps), flag, str(target)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == message
+        assert os.listdir(dumps) == []
+    # other names in the dump directory, and the label's names elsewhere, are
+    # written as before, and every dump survives
+    assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
+                 "--lp-export", str(dumps / "three.lp"),
+                 "--write-placement", str(tmp_path / "three-round1.txt")]) == 0
+    assert sorted(os.listdir(dumps)) == ["three-round1.txt", "three-round2.txt",
+                                         "three.lp"]
+    charts = inst((3, 4), (5, 5), (6, 8)).charts
+    assert (dumps / "three-round1.txt").read_text() == dump_graph(build_union_graph(charts))
 
 
 def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
