@@ -35,14 +35,23 @@ The scan follows an edge exactly when its slack is 0.  S-S slacks are even
 for the stage: an S-T slack does not move under a delta, and a tight S-S edge
 closes a blossom or ends the stage.  An odd S-S slack would repeat a zero
 delta forever, so it raises ``ArithmeticError``.  Most stages augment without
-a delta, so a stage first scans only each vertex's tight edges, listed when it
-is first scanned and kept until a delta moves the duals, and keeps none of the
-least-slack edges only a delta reads.  If it augments, it followed the same
-edges in the same order as a full scan, so the mates are the same.  If it
-needs a delta, it has moved no mate or dual: its blossoms are undone and the
-stage reruns tracked, scanning every edge for networkx's delta.  A stage with
-at most one single vertex that has an edge cannot augment and runs tracked.
-A vertex with no edge takes part in no stage.  Its dual stays W, at least the
+a delta, so a stage first scans only each vertex's tight edges and keeps none
+of the least-slack edges only a delta reads.  Before any delta the tight edges
+are the heaviest ones (on a cardinality graph, all of them), so the lists
+start as those; after a delta each is rebuilt when its vertex is next
+scanned.  If the tight pass augments, it followed the same edges in the same
+order as a full scan, so the mates are the same.  If it fails, no tight edge
+joins two S-blossoms, so a type-3 delta would be at least 1, and it wins only
+below the least dual.  So once a dual is at most 1 (from the start on a
+cardinality graph, and after the first delta on any other) the failed pass
+is the last stage: it takes its type-1 delta and the call ends, where
+networkx's tracked rerun would build the same forest and take the same
+delta.  While every dual is still 2 the pass, which moved no mate or dual, is
+undone and the stage reruns tracked, scanning every edge for networkx's
+delta.  A stage with at most one single vertex that has an edge cannot
+augment and runs tracked.  Stages label from a list of the single vertices
+that have an edge, from which each augmentation drops its two ends.  A
+vertex with no edge takes part in no stage.  Its dual stays W, at least the
 dual all single vertices share, so no delta or slack changes; the certificate
 gets 0, valid where no edge constrains.  The stages, the substages and every
 walk along blossom links have bounds; passing one raises ``ArithmeticError``.
@@ -107,7 +116,8 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     live = [v for v in range(n) if adj[v]]  # the vertices every stage reads
 
     mate = [-1] * n  # the matched edge out of each vertex, -1 if single
-    dualvar = [max(wt2, default=0) // 2] * n  # 2 u(v), from maxweight / 2
+    top = max(wt2, default=0)
+    dualvar = [top // 2] * n  # 2 u(v), from maxweight / 2
     inblossom = list(range(n))  # the top-level blossom of each vertex
     # by vertex or blossom id, grown as blossoms are created: label 0 free,
     # 1 S, 2 T, 5 breadcrumb; labeledge the edge the label came through (-1
@@ -123,7 +133,9 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
     mybestedges: dict[int, list[tuple[int, int, int]]] = {}
     queue: list[int] = []
-    tight: list = [None] * n  # adj[v] cut to slack <= 0, until the duals move
+    # adj[v] cut to slack <= 0, until the duals move; before that, the
+    # heaviest edges
+    tight: list = [[t for t in a if t[2] == 4] for a in adj] if top == 4 else adj[:]
 
     def slack(p: int) -> int:
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
@@ -302,18 +314,23 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             blossombase[b] = v
 
     rerun = False
-    singles = len(live)
+    singles = live  # the live single vertices, ascending
     # each augmenting stage matches two live singles and one final stage
     # follows them, each run at most twice (tight, then tracked)
     for _ in range(len(live) + 2):
         # a stage: label from the single vertices until an augmenting path
-        tracked = rerun or singles <= 1
+        tracked = rerun or len(singles) <= 1
+        rerun = False
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
         mybestedges.clear()
         queue.clear()
-        for v in live:
-            if mate[v] == -1 and label[inblossom[v]] == 0:
+        for v in singles:
+            if inblossom[v] == v:
+                label[v] = 1
+                labeledge[v] = -1
+                queue.append(v)
+            else:  # the base of a blossom, its only single vertex
                 assign_label(v, 1, -1)
         mark = None if tracked else (len(blossombase), inblossom[:], blossomparent[:])
 
@@ -354,7 +371,10 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                         bv = inblossom[v]
                         be = bestedge[bv]
                         bs = slack(be) if be != -1 else 0
-            if augmented or not tracked:
+            if augmented:
+                break
+            if not tracked and min(dualvar) > 1:
+                rerun = True  # every dual is still 2: a type-3 delta may win
                 break
 
             # no augmenting path over tight edges: move the duals by the least
@@ -385,21 +405,20 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             raise ArithmeticError("blossom matching: a stage passed its delta bound")
 
         if augmented:
-            singles -= 2
+            singles = [v for v in singles if mate[v] == -1]
             # end of a stage: expand the S-blossoms whose dual fell to zero
             for b in list(blossomdual):
                 if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
                     expand_blossom(b)
-        elif tracked:
-            break
-        else:
-            # a delta is needed: undo the tight pass and rerun the stage tracked
+        elif rerun:
+            # undo the tight pass, and rerun the stage tracked
             size, inblossom[:], blossomparent[:] = mark
             for b in range(size, len(blossombase)):
                 del childs[b], ring[b], blossomdual[b]
             for slots in (blossombase, label, labeledge, bestedge):
                 del slots[size:]
-        rerun = not augmented
+        else:
+            break
     else:
         raise ArithmeticError("blossom matching: the stages passed their bound")
 

@@ -17,13 +17,18 @@ t bars of the right chart, and only t <= 2 is ever tried, so no other bar
 can decide a pair.  Each chart becomes one flat row ``(id, bars[0], bars[1],
 bars[-2], bars[-1])`` and each pair costs a few exact integer comparisons
 against ``den - bar`` capacities; ``pair_weight`` in ``tests/helpers.py``
-is the per-pair definition the rows reproduce.
+is the per-pair definition the rows reproduce.  A 2-union graph over many
+charts, as A2's formation rounds build, first drops every row that no other
+row can meet in a 2-union, found from two sorted staircases, so the pair
+loop walks only rows that may have an edge and lists the same pairs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from .blossom import max_weight_edges
 from .model import BarChart, Instance, Solved, assemble_placement
@@ -91,6 +96,24 @@ def chart_rows(charts: list[BarChart] | tuple[BarChart, ...],
     return rows, den
 
 
+# from this many rows on, A2's 2-union builds first drop the rows that cannot
+# 2-unite; below it the sorts cost more than the pair tests they save
+STAIRCASE_MIN_ROWS = 64
+
+
+def _staircase(points: list[tuple[int, int]]) -> Callable[[int, int], bool]:
+    """A test of whether some point (x, y) has x <= a and y <= b, read off
+    the points sorted by x and the least y over each prefix of that order."""
+    points.sort()
+    xs = [x for x, _ in points]
+    least = list(accumulate((y for _, y in points), min))
+
+    def under(a: int, b: int) -> bool:
+        k = bisect_right(xs, a)
+        return k > 0 and least[k - 1] <= b
+    return under
+
+
 def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
                       two_unions_only: bool = False) -> WeightedGraph:
     """Graph over the given charts with one edge per pair that can unite.
@@ -101,11 +124,19 @@ def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
     """
     rows, den = chart_rows(charts)
     ranked = [(i, *row[1:]) for i, row in enumerate(rows)]  # positions, not ids
+    if two_unions_only and len(ranked) >= STAIRCASE_MIN_ROWS:
+        # a left chart needs a row whose first two bars fit its last two, a
+        # right chart one whose last two bars fit its first two; a row that
+        # fits itself is kept too, and the loop never pairs it with itself
+        firsts = _staircase([(r[1], r[2]) for r in ranked])
+        lasts = _staircase([(r[3], r[4]) for r in ranked])
+        ranked = [r for r in ranked if firsts(den - r[3], den - r[4])
+                  or lasts(den - r[1], den - r[2])]
     pairs: list[tuple[int, int, int]] = []
     add = pairs.append
-    for i, f0, f1, l2, l1 in ranked:
+    for a, (i, f0, f1, l2, l1) in enumerate(ranked):
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
-        for j, g0, g1, m2, m1 in ranked[i + 1:]:
+        for j, g0, g1, m2, m1 in ranked[a + 1:]:
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, i left
                 add((i, j, 2))
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left

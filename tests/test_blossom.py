@@ -84,6 +84,10 @@ UNDONE_STAGES = [
     # a rerun that kept the undone blossom would match other edges
     (4, [(0, 1, 2), (0, 2, 2), (0, 3, 1), (1, 2, 2), (2, 3, 1)]),
     (4, [(0, 1, 2), (0, 2, 1), (0, 3, 2), (1, 3, 2), (2, 3, 1)]),
+    # after the rerun's first type-3 delta edge 1-3 turns tight too, and
+    # only a zero type-3 delta finds it: the least-slack edges must still be
+    # tracked after a stage's first delta
+    (4, [(2, 0, 2), (0, 3, 1), (1, 3, 1), (2, 3, 2)]),
 ]
 
 

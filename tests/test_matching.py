@@ -99,11 +99,33 @@ def test_union_graph_mixed_weights():
     assert [(e.u, e.v, e.weight) for e in g.edges] == [(1, 2, 2), (1, 3, 1)]
 
 
+def a2_round_two_sample(n: int) -> list[BarChart]:
+    """150 of A2's round-2 charts, pooled from big, arbitrary and
+    big_nonincreasing instances of size n and given fresh ids: no family
+    2-unites within itself after round 1, so some rows pass the staircase
+    and most do not."""
+    pool = []
+    for family in ("big", "arbitrary", "big_nonincreasing"):
+        charts = gen_random(n, 7, family, 10**6).charts
+        g = build_union_graph(charts, two_unions_only=True)
+        pool += merge_matched(charts, max_cardinality_matching(g))
+    picked = random.Random(n).sample(pool, 150)
+    return [BarChart(id=3 * k + 2, bars=c.bars, den=c.den) for k, c in enumerate(picked)]
+
+
 def test_union_graph_matches_pair_weight_on_every_pair():
     rng = random.Random(24)
+    inputs = []
     for _ in range(150):
         den = rng.choice([2, 10, 20, 100])
-        charts = random_charts(rng, rng.randint(0, 16), den)
+        inputs.append(random_charts(rng, rng.randint(0, 16), den))
+    # just below, at and past the row count from which 2-union graphs drop
+    # the rows that cannot 2-unite, and A2's round-2 charts
+    for n in (matching.STAIRCASE_MIN_ROWS - 1, matching.STAIRCASE_MIN_ROWS, 150):
+        for den in (3, 4, 100):
+            inputs.append(random_charts(random.Random(n * den), n, den))
+    inputs += [a2_round_two_sample(n) for n in (200, 500)]
+    for charts in inputs:
         ordered = sorted(charts, key=lambda c: c.id)
         expected = []
         for a, i in enumerate(ordered):
