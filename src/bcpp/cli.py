@@ -9,6 +9,7 @@ solution into a packing instance, with its optimum where one is proved.
 from __future__ import annotations
 
 import argparse
+import glob
 import math
 import os
 import sys
@@ -23,23 +24,37 @@ from .model import (format_instance, format_placement, parse_instance, read_floa
                     read_int)
 
 
-def _file_path(path: str) -> str:
-    """Return ``path`` if a file can be made there, checked before any work."""
-    if os.path.isdir(path):
-        raise ValueError(f"{path} is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValueError(f"{path}: no such directory")
-    return path
+def _check_outputs(outputs: dict[str, str], inputs: list[str]) -> None:
+    """Refuse, before any work, an output path that is a directory, lies in a
+    missing one, or resolves to another output or to a path in ``inputs``."""
+    taken = {os.path.realpath(path): path for path in inputs}
+    for name, path in outputs.items():
+        if os.path.isdir(path):
+            raise ValueError(f"{path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{path}: no such directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"{name} and {taken[real]} name the same file")
+        taken[real] = name
+
+
+def _write(path: str, text: str, what: str = "") -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    if what:
+        print(f"{what} -> {path}")
 
 
 def _cmd_gen(args) -> int:
     instances = GenSpec(args.family, args.n, args.count, args.seed,
                         args.den).instances()
-    os.makedirs(args.out_dir, exist_ok=True)  # only once every draw succeeded
-    for inst in instances:
-        path = os.path.join(args.out_dir, f"{inst.label}.inst")
-        with open(path, "w") as fh:
-            fh.write(format_instance(inst))
+    paths = [os.path.join(args.out_dir, f"{inst.label}.inst") for inst in instances]
+    # made only once every draw succeeded; a directory made here holds no file
+    os.makedirs(args.out_dir, exist_ok=True)
+    _check_outputs(dict(zip(paths, paths)), [])
+    for inst, path in zip(instances, paths):
+        _write(path, format_instance(inst))
         print(path)
     return 0
 
@@ -54,40 +69,33 @@ def _cmd_solve(args) -> int:
         raise ValueError("--horizon needs --lp-export")
     if (args.time_limit or args.node_limit) and args.algorithm != "EXACT":
         raise ValueError("--node-limit and --time-limit need -a EXACT")
-    outputs = [os.path.realpath(_file_path(path))
-               for path in (args.lp_export, args.write_placement) if path]
-    if os.path.realpath(args.instance) in outputs:
-        raise ValueError("an output path names the instance file")
-    if len(set(outputs)) < len(outputs):
-        raise ValueError("--lp-export and --write-placement name the same file")
+    outputs = {flag: path for flag, path in (("--write-placement", args.write_placement),
+                                             ("--lp-export", args.lp_export)) if path}
+    dump_dir = args.dump_graphs  # made before the search, filled after the audit
+    _check_outputs(outputs, [path for path in (args.instance, dump_dir) if path])
     label = os.path.splitext(os.path.basename(args.instance))[0]
-    dump_dir = args.dump_graphs  # receives <label>-<name>.txt during the solve
     if dump_dir and any(os.path.dirname(p) == os.path.realpath(dump_dir) and
-                        os.path.basename(p).startswith(f"{label}-") for p in outputs):
+                        os.path.basename(p).startswith(f"{label}-")
+                        for p in map(os.path.realpath, outputs.values())):
         raise ValueError(f"an output path takes a dump's name, {label}-*, in {dump_dir}")
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
     # a bad --horizon fails before the search; the file waits for the audit
     lp_text = export_lp(inst, horizon=args.horizon) if args.lp_export else None
-
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
-
-    def dump(name: str, text: str) -> None:
-        with open(os.path.join(dump_dir, f"{label}-{name}.txt"), "w") as fh:
-            fh.write(text)
-
+    dumps: dict[str, str] = {}  # written only once the audit has passed
     t0 = time.perf_counter()
     res = run_algorithm(inst, args.algorithm, args.node_limit, args.time_limit,
-                        dump=dump if dump_dir else None)
+                        dump=dumps.__setitem__ if dump_dir else None)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     audit(inst, res)  # before anything is printed or written
+    for name, text in dumps.items():
+        _write(os.path.join(dump_dir, f"{label}-{name}.txt"), text)
 
     if lp_text is not None:
-        with open(args.lp_export, "w") as fh:
-            fh.write(lp_text)
         binaries = lp_text.split("Binary\n", 1)[1].count("\n") - 1  # less End
-        print(f"lp model ({binaries} binaries) -> {args.lp_export}")
+        _write(args.lp_export, lp_text, f"lp model ({binaries} binaries)")
 
     if args.algorithm == "EXACT":
         print(f"{res.status} {res.length} {res.lower_bound} {res.node_count} "
@@ -97,8 +105,7 @@ def _cmd_solve(args) -> int:
         print(f"{args.algorithm} {res.length}{rounds}")
 
     if args.write_placement:
-        with open(args.write_placement, "w") as fh:
-            fh.write(format_placement(res.placement))
+        _write(args.write_placement, format_placement(res.placement))
     return 0
 
 
@@ -106,22 +113,17 @@ def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    # an absolute name stays as given
-    output = _file_path(os.path.join(base_dir, cfg.output))
-    summary_path = cfg.summary and _file_path(os.path.join(base_dir, cfg.summary))
-    if summary_path and os.path.realpath(summary_path) == os.path.realpath(output):
-        raise ValueError("summary and output name the same file")
+    # an absolute name stays as given; inputs are found as load_instances finds them
+    outputs = {key: os.path.join(base_dir, name) for key, name
+               in (("output", cfg.output), ("summary", cfg.summary)) if name}
+    inputs = [path for pattern in cfg.instances
+              for path in glob.glob(os.path.join(base_dir, pattern))]
+    _check_outputs(outputs, [args.config, *inputs])
     records, summary, errors = run_suite(cfg, base_dir=base_dir)
-
-    def write(path: str, text: str, what: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"{what} -> {path}")
-
-    write(output, format_records_csv(records), f"{len(records)} records")
-    if summary_path:
-        write(summary_path, format_summary_csv(summary),
-              f"{len(summary)} summary rows")
+    _write(outputs["output"], format_records_csv(records), f"{len(records)} records")
+    if "summary" in outputs:
+        _write(outputs["summary"], format_summary_csv(summary),
+               f"{len(summary)} summary rows")
 
     for err in errors:
         print(f"error: {err.label} [{err.algorithm}]: {err.message}",
@@ -132,18 +134,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bpp_import(args) -> int:
+    label = os.path.splitext(os.path.basename(args.bpp_instance))[0]
+    out = args.out or f"{label}.inst"
+    _check_outputs({"--out": out}, [args.bpp_instance, args.bpp_solution])
     with open(args.bpp_instance) as fh:
         instance_text = fh.read()
     with open(args.bpp_solution) as fh:
         solution_text = fh.read()
-    bpp, sol = parse_bpp(instance_text, solution_text)
-    label = os.path.splitext(os.path.basename(args.bpp_instance))[0]
-    inst = transform_bpp(bpp, sol, label=label)
-    out = args.out or f"{label}.inst"
-    with open(out, "w") as fh:
-        fh.write(format_instance(inst))
+    inst = transform_bpp(*parse_bpp(instance_text, solution_text), label=label)
     opt = "opt not proven" if inst.known_opt is None else f"opt {inst.known_opt}"
-    print(f"{inst.n} charts, {opt} -> {out}")
+    _write(out, format_instance(inst), f"{inst.n} charts, {opt}")
     return 0
 
 

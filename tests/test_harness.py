@@ -10,6 +10,7 @@ import pytest
 import bcpp.blp
 import bcpp.cli
 import bcpp.greedy
+import bcpp.matching
 from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   format_records_csv, format_summary_csv, gen_bpp_fullbins,
                   gen_random, lower_bounds, oracle_opt, parse_config,
@@ -542,6 +543,21 @@ def test_cli_solve_audits_before_it_prints_or_writes(tmp_path, monkeypatch, caps
                             "reported=5\n")
     assert not placement_path.exists()
     assert not (tmp_path / "model.lp").exists()
+    # the graph dumps wait for the audit too
+    solve_mw = bcpp.matching.solve_mw
+
+    def misreported(*args, **kwargs):
+        solved = solve_mw(*args, **kwargs)
+        return replace(solved, length=solved.length + 1)
+
+    monkeypatch.setattr(bcpp.matching, "solve_mw", misreported)
+    dump_dir = tmp_path / "dumps"
+    assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dump_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: audit failed: feasible=True length=4 "
+                            "reported=5\n")
+    assert list(dump_dir.glob("three-round*.txt")) == []
 
 
 def test_cli_solve_rejects_a_horizon_without_lp_export(tmp_path, capsys):
@@ -650,18 +666,31 @@ def test_cli_bench_checks_its_output_paths_before_the_suite(tmp_path, monkeypatc
 
     monkeypatch.setattr(bcpp.cli, "run_suite", ran)
     (tmp_path / "taken").mkdir()
+    instance = tmp_path / "a.inst"
+    text = format_instance(inst((3, 4), (5, 5)))
+    instance.write_text(text)
+    config = tmp_path / "suite.bench"
+    # a suite may not write over its own config, nor over a file it reads
     for line, message in (
             ("output = nodir/r.csv", f"{tmp_path / 'nodir/r.csv'}: no such directory"),
             ("summary = nodir/s.csv", f"{tmp_path / 'nodir/s.csv'}: no such directory"),
-            ("output = taken", f"{tmp_path / 'taken'} is a directory")):
-        config = tmp_path / "suite.bench"
-        config.write_text(f"generate = family=arbitrary n=5 seed=1 D=20\n{line}\n")
+            ("output = taken", f"{tmp_path / 'taken'} is a directory"),
+            ("output = suite.bench", f"output and {config} name the same file"),
+            ("summary = ./suite.bench", f"summary and {config} name the same file"),
+            ("instances = *.inst\noutput = a.inst",
+             f"output and {instance} name the same file"),
+            ("instances = *.inst\nsummary = taken/../a.inst",
+             f"summary and {instance} name the same file")):
+        body = f"generate = family=arbitrary n=5 seed=1 D=20\n{line}\n"
+        config.write_text(body)
         assert main(["bench", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-    assert sorted(os.listdir(tmp_path)) == ["suite.bench", "taken"]
+        assert config.read_text() == body
+    assert sorted(os.listdir(tmp_path)) == ["a.inst", "suite.bench", "taken"]
     assert os.listdir(tmp_path / "taken") == []
+    assert instance.read_text() == text
 
 
 def test_cli_solve_checks_its_output_paths_before_the_search(tmp_path, monkeypatch,
@@ -699,13 +728,19 @@ def test_cli_solve_writes_no_output_over_another_or_its_input(tmp_path, monkeypa
     monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
     monkeypatch.setattr(bcpp.cli, "parse_instance", read)
     same = "error: --lp-export and --write-placement name the same file\n"
-    itself = "error: an output path names the instance file\n"
     (tmp_path / "sub").mkdir()
+    dumps = tmp_path / "dd"
     for flags, message in (
             (["--lp-export", str(tmp_path / "m.txt"),
               "--write-placement", str(tmp_path / "sub" / ".." / "m.txt")], same),
-            (["--write-placement", str(path)], itself),
-            (["--lp-export", str(tmp_path / "sub" / ".." / "three.inst")], itself)):
+            (["--write-placement", str(path)],
+             f"error: --write-placement and {path} name the same file\n"),
+            (["--lp-export", str(tmp_path / "sub" / ".." / "three.inst")],
+             f"error: --lp-export and {path} name the same file\n"),
+            # the dump directory is made before the search, so no output may take it
+            (["--dump-graphs", str(dumps),
+              "--lp-export", str(tmp_path / "sub" / ".." / "dd")],
+             f"error: --lp-export and {dumps} name the same file\n")):
         assert main(["solve", str(path), "-a", "EXACT", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -781,12 +816,49 @@ def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
     assert "unrecognized arguments: --label x" in capsys.readouterr().err
     assert not (tmp_path / "x.inst").exists()
 
+    def read(*_args, **_kwargs):
+        raise AssertionError("the inputs were read")
+
+    # --out, or else <stem>.inst, is checked before either input is read, and
+    # may not name an input
+    monkeypatch.setattr(bcpp.cli, "parse_bpp", read)
+    (tmp_path / "e.inst").write_text("3\n10\n6\n5\n4\n")
+    (tmp_path / "e.sol").write_text("2\n0\n1 2\n")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    bpp, sol = str(tmp_path / "b.bpp"), str(tmp_path / "b.sol")
+    missing = tmp_path / "nodir" / "b.inst"
+    for argv, message in (
+            ([bpp, sol, "--out", bpp], f"--out and {bpp} name the same file"),
+            ([bpp, sol, "--out", str(tmp_path / "." / "b.sol")],
+             f"--out and {sol} name the same file"),
+            ([bpp, sol, "--out", str(missing)], f"{missing}: no such directory"),
+            ([bpp, sol, "--out", str(tmp_path)], f"{tmp_path} is a directory"),
+            (["e.inst", "e.sol"], "--out and e.inst name the same file")):
+        assert main(["bpp-import", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert {name: (tmp_path / name).read_bytes()
+            for name in os.listdir(tmp_path)} == before
+
 
 def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):
     for extra in (["--count", "0"], ["--count", "-2", "--den", "1"]):
         assert main(["gen", "--n", "3", *extra, "--out-dir", str(tmp_path)]) == 2
         assert "error: need count >= 1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_gen_writes_no_file_when_a_target_is_a_directory(tmp_path, capsys):
+    taken = tmp_path / "arbitrary-n6-d20-s4.inst"
+    taken.mkdir()
+    assert main(["gen", "--n", "6", "--count", "2", "--seed", "3", "-D", "20",
+                 "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {taken} is a directory\n"
+    assert os.listdir(tmp_path) == [taken.name]
+    assert os.listdir(taken) == []
 
 
 def test_cli_gen_creates_no_directory_when_a_draw_fails(tmp_path, capsys):
