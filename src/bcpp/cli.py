@@ -24,19 +24,28 @@ from .model import (format_instance, format_placement, parse_instance, read_floa
                     read_int)
 
 
-def _check_outputs(outputs: dict[str, str], inputs: list[str]) -> None:
-    """Refuse, before any work, an output path that is a directory, lies in a
-    missing one, or resolves to another output or to a path in ``inputs``."""
-    taken = {os.path.realpath(path): path for path in inputs}
+def _check_outputs(outputs: dict[str, str], inputs: list[str],
+                   directory: str | None = None) -> None:
+    """Refuse, before any work, a ``directory`` that is not one, or an output that is a
+    directory, lies in a missing one but ``directory``, or is the same file as an
+    input, another output or ``directory``; then make ``directory``."""
+    def file_id(path: str) -> tuple[int, int] | str:  # inode and device, or real path
+        return os.stat(path)[1:3] if os.path.exists(path) else os.path.realpath(path)
+    if directory and os.path.lexists(directory) and not os.path.isdir(directory):
+        raise ValueError(f"{directory} is not a directory")
+    made = directory and os.path.dirname(os.path.join(directory, ""))  # less a final /
+    taken = {file_id(path): path for path in (*inputs, directory) if path}
     for name, path in outputs.items():
         if os.path.isdir(path):
             raise ValueError(f"{path} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        folder = os.path.dirname(path)
+        if not (os.path.isdir(folder or ".") or folder == made):
             raise ValueError(f"{path}: no such directory")
-        real = os.path.realpath(path)
-        if real in taken:
-            raise ValueError(f"{name} and {taken[real]} name the same file")
-        taken[real] = name
+        if (key := file_id(path)) in taken:
+            raise ValueError(f"{name} and {taken[key]} name the same file")
+        taken[key] = name
+    if directory:
+        os.makedirs(directory, exist_ok=True)
 
 
 def _write(path: str, text: str, what: str = "") -> None:
@@ -50,9 +59,7 @@ def _cmd_gen(args) -> int:
     instances = GenSpec(args.family, args.n, args.count, args.seed,
                         args.den).instances()
     paths = [os.path.join(args.out_dir, f"{inst.label}.inst") for inst in instances]
-    # made only once every draw succeeded; a directory made here holds no file
-    os.makedirs(args.out_dir, exist_ok=True)
-    _check_outputs(dict(zip(paths, paths)), [])
+    _check_outputs(dict(zip(paths, paths)), [], args.out_dir)
     for inst, path in zip(instances, paths):
         _write(path, format_instance(inst))
         print(path)
@@ -71,19 +78,17 @@ def _cmd_solve(args) -> int:
         raise ValueError("--node-limit and --time-limit need -a EXACT")
     outputs = {flag: path for flag, path in (("--write-placement", args.write_placement),
                                              ("--lp-export", args.lp_export)) if path}
-    dump_dir = args.dump_graphs  # made before the search, filled after the audit
-    _check_outputs(outputs, [path for path in (args.instance, dump_dir) if path])
     label = os.path.splitext(os.path.basename(args.instance))[0]
+    dump_dir = args.dump_graphs  # made by the check, filled after the audit
     if dump_dir and any(os.path.dirname(p) == os.path.realpath(dump_dir) and
                         os.path.basename(p).startswith(f"{label}-")
                         for p in map(os.path.realpath, outputs.values())):
         raise ValueError(f"an output path takes a dump's name, {label}-*, in {dump_dir}")
+    _check_outputs(outputs, [args.instance], dump_dir)
     with open(args.instance) as fh:
         inst = parse_instance(fh.read(), label=label)
     # a bad --horizon fails before the search; the file waits for the audit
     lp_text = export_lp(inst, horizon=args.horizon) if args.lp_export else None
-    if dump_dir:
-        os.makedirs(dump_dir, exist_ok=True)
     dumps: dict[str, str] = {}  # written only once the audit has passed
     t0 = time.perf_counter()
     res = run_algorithm(inst, args.algorithm, args.node_limit, args.time_limit,

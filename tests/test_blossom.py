@@ -6,6 +6,7 @@ M1w, Mw and A2 keep their answers.  ``brute_force_matching`` in
 test_matching and C4 stays the independent check of exactness.
 """
 
+import functools
 import hashlib
 import os
 import random
@@ -268,10 +269,21 @@ def test_loops_and_endpoints_out_of_range_are_rejected(edges):
         blossom.max_weight_edges(3, edges)
 
 
-def test_import_does_not_load_networkx():
+@functools.cache
+def loaded_by_import():
+    """The modules that ``import bcpp`` loads in a fresh interpreter, run once."""
     src = os.path.dirname(os.path.dirname(bcpp.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import bcpp; "
-            "print('networkx' in sys.modules)")
+            "print(*sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_networkx():
+    assert "networkx" not in loaded_by_import()
+
+
+def test_import_does_not_load_scipy():
+    # HiGHS, through scipy, checks the exported model in test_blp only
+    assert "scipy" not in loaded_by_import()

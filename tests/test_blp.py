@@ -1,10 +1,12 @@
 import hashlib
+import math
 import os
 import random
 import re
 import time
 
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from bcpp import (evaluate_packing, export_lp, format_instance,
                   format_placement, ga_lo, gen_random, lower_bounds, oracle_opt,
@@ -143,6 +145,37 @@ def test_lp_rows_hold_exactly_when_the_placement_is_feasible():
         text = export_lp(instance, horizon=3)
         assert evaluate_packing(instance, {1: 1, 2: 1}).feasible == feasible
         assert lp_accepts(text, instance, {1: 1, 2: 1}) == feasible
+
+
+def highs_opt(text):
+    """The optimum of exported LP text, every ``y_j`` at cost 1, found by HiGHS
+    through ``scipy.optimize.milp``."""
+    names = lp_binaries(text)
+    column = {name: k for k, name in enumerate(names)}
+    matrix, low, high = [], [], []
+    for _name, coeffs, sense, rhs in lp_rows(text):
+        row = [0] * len(names)
+        for var, coeff in coeffs.items():
+            row[column[var]] = coeff
+        matrix.append(row)
+        low.append(rhs if sense == "=" else -math.inf)
+        high.append(rhs)
+    cost = [int(name.startswith("y_")) for name in names]
+    res = milp(cost, constraints=LinearConstraint(matrix, low, high),
+               integrality=[1] * len(names), bounds=Bounds(0, 1))
+    assert res.success, res.message
+    return round(res.fun)
+
+
+def test_highs_solves_the_exported_model_to_the_oracle_optimum():
+    # the paper solved this 0/1 model with CPLEX; any MILP solver must agree;
+    # seeds 0-39 give every pair of n <= 5 and D twice per family
+    for family in ("arbitrary", "big"):
+        for seed in range(40):
+            instance = gen_random(seed % 5 + 1, seed, family,
+                                  (3, 10, 100, 10 ** 6)[seed % 4])
+            assert highs_opt(export_lp(instance)) == oracle_opt(instance), \
+                (family, seed)
 
 
 def test_exact_blocked_pair():

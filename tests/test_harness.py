@@ -670,6 +670,10 @@ def test_cli_bench_checks_its_output_paths_before_the_suite(tmp_path, monkeypatc
     text = format_instance(inst((3, 4), (5, 5)))
     instance.write_text(text)
     config = tmp_path / "suite.bench"
+    config.write_text("")
+    # a hard link is the file it links to, whatever its name
+    os.link(config, tmp_path / "c.csv")
+    os.link(instance, tmp_path / "s.csv")
     # a suite may not write over its own config, nor over a file it reads
     for line, message in (
             ("output = nodir/r.csv", f"{tmp_path / 'nodir/r.csv'}: no such directory"),
@@ -680,6 +684,9 @@ def test_cli_bench_checks_its_output_paths_before_the_suite(tmp_path, monkeypatc
             ("instances = *.inst\noutput = a.inst",
              f"output and {instance} name the same file"),
             ("instances = *.inst\nsummary = taken/../a.inst",
+             f"summary and {instance} name the same file"),
+            ("output = c.csv", f"output and {config} name the same file"),
+            ("instances = *.inst\nsummary = s.csv",
              f"summary and {instance} name the same file")):
         body = f"generate = family=arbitrary n=5 seed=1 D=20\n{line}\n"
         config.write_text(body)
@@ -688,9 +695,10 @@ def test_cli_bench_checks_its_output_paths_before_the_suite(tmp_path, monkeypatc
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert config.read_text() == body
-    assert sorted(os.listdir(tmp_path)) == ["a.inst", "suite.bench", "taken"]
+    assert sorted(os.listdir(tmp_path)) == ["a.inst", "c.csv", "s.csv", "suite.bench",
+                                            "taken"]
     assert os.listdir(tmp_path / "taken") == []
-    assert instance.read_text() == text
+    assert instance.read_text() == (tmp_path / "s.csv").read_text() == text
 
 
 def test_cli_solve_checks_its_output_paths_before_the_search(tmp_path, monkeypatch,
@@ -729,6 +737,8 @@ def test_cli_solve_writes_no_output_over_another_or_its_input(tmp_path, monkeypa
     monkeypatch.setattr(bcpp.cli, "parse_instance", read)
     same = "error: --lp-export and --write-placement name the same file\n"
     (tmp_path / "sub").mkdir()
+    linked = tmp_path / "sub" / "linked.txt"
+    os.link(path, linked)
     dumps = tmp_path / "dd"
     for flags, message in (
             (["--lp-export", str(tmp_path / "m.txt"),
@@ -737,6 +747,8 @@ def test_cli_solve_writes_no_output_over_another_or_its_input(tmp_path, monkeypa
              f"error: --write-placement and {path} name the same file\n"),
             (["--lp-export", str(tmp_path / "sub" / ".." / "three.inst")],
              f"error: --lp-export and {path} name the same file\n"),
+            (["--write-placement", str(linked)],
+             f"error: --write-placement and {path} name the same file\n"),
             # the dump directory is made before the search, so no output may take it
             (["--dump-graphs", str(dumps),
               "--lp-export", str(tmp_path / "sub" / ".." / "dd")],
@@ -782,6 +794,79 @@ def test_cli_solve_writes_no_output_over_a_graph_dump(tmp_path, monkeypatch, cap
     assert (dumps / "three-round1.txt").read_text() == dump_graph(build_union_graph(charts))
 
 
+def test_cli_gen_and_solve_refuse_a_file_as_their_directory(tmp_path, monkeypatch,
+                                                           capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+
+    def read(*_args, **_kwargs):
+        raise AssertionError("the instance was read")
+
+    monkeypatch.setattr(bcpp.cli, "parse_instance", read)
+    plain = tmp_path / "plain"
+    plain.write_text("kept\n")
+    # a symlink to nowhere is no directory either
+    os.symlink(tmp_path / "nowhere", tmp_path / "dangling")
+    for target in (plain, tmp_path / "dangling"):
+        for argv in (["gen", "--n", "3", "--out-dir", str(target)],
+                     ["solve", str(path), "-a", "Mw", "--dump-graphs", str(target),
+                      "--lp-export", str(tmp_path / "m.lp")]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {target} is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["dangling", "plain", "three.inst"]
+    assert plain.read_text() == "kept\n"
+
+
+def test_cli_solve_writes_an_output_in_a_dump_directory_it_makes(tmp_path, capsys):
+    path = tmp_path / "three.inst"
+    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
+    dumps = tmp_path / "new"
+    # the dump directory is made only once every check has passed
+    for target, message in ((dumps / "three-x.lp",
+                             f"an output path takes a dump's name, three-*, in {dumps}"),
+                            (dumps / "sub" / "m.lp",
+                             f"{dumps / 'sub' / 'm.lp'}: no such directory")):
+        assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
+                     "--lp-export", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not dumps.exists()
+    # until it is made, an output lies in it only when spelled as the directory is:
+    # a ".." may cross a directory that is missing, a symlink may point elsewhere
+    (tmp_path / "sub").mkdir()
+    os.symlink(dumps, tmp_path / "alias")
+    for target in (tmp_path / "sub" / ".." / "new" / "p.txt",
+                   tmp_path / "alias" / "p.txt"):
+        assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
+                     "--write-placement", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {target}: no such directory\n"
+        assert not dumps.exists()
+    assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
+                 "--lp-export", str(dumps / "m.lp"),
+                 "--write-placement", str(dumps / "p.txt")]) == 0
+    assert capsys.readouterr().out == (f"lp model (13 binaries) -> {dumps / 'm.lp'}\n"
+                                       "Mw 4 rounds=2\n")
+    assert sorted(os.listdir(dumps)) == ["m.lp", "p.txt", "three-round1.txt",
+                                         "three-round2.txt"]
+
+
+def test_cli_gen_makes_its_directory_and_every_missing_parent(tmp_path, monkeypatch,
+                                                              capsys):
+    label = "arbitrary-n3-d1000000-s0.inst"
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    # a ".." after a missing directory resolves once the directories are made
+    for out_dir, made in ((str(tmp_path / "a" / "b"), tmp_path / "a" / "b"),
+                          (str(tmp_path / "sub" / ".." / "new"), tmp_path / "new"),
+                          (os.path.join("..", "rel", ""), tmp_path / "rel")):
+        assert main(["gen", "--n", "3", "--out-dir", out_dir]) == 0
+        assert capsys.readouterr().out == f"{os.path.join(out_dir, label)}\n"
+        assert os.listdir(made) == [label]
+
+
 def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
     (tmp_path / "b.bpp").write_text("3\n10\n6\n5\n4\n")
     (tmp_path / "b.sol").write_text("2\n0\n1 2\n")
@@ -824,13 +909,16 @@ def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bcpp.cli, "parse_bpp", read)
     (tmp_path / "e.inst").write_text("3\n10\n6\n5\n4\n")
     (tmp_path / "e.sol").write_text("2\n0\n1 2\n")
-    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     bpp, sol = str(tmp_path / "b.bpp"), str(tmp_path / "b.sol")
+    linked = tmp_path / "linked.inst"
+    os.link(sol, linked)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     missing = tmp_path / "nodir" / "b.inst"
     for argv, message in (
             ([bpp, sol, "--out", bpp], f"--out and {bpp} name the same file"),
             ([bpp, sol, "--out", str(tmp_path / "." / "b.sol")],
              f"--out and {sol} name the same file"),
+            ([bpp, sol, "--out", str(linked)], f"--out and {sol} name the same file"),
             ([bpp, sol, "--out", str(missing)], f"{missing}: no such directory"),
             ([bpp, sol, "--out", str(tmp_path)], f"{tmp_path} is a directory"),
             (["e.inst", "e.sol"], "--out and e.inst name the same file")):
