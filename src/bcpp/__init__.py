@@ -16,9 +16,9 @@ from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       path_cover, solve_big_pipeline)
 from .blp import export_lp, oracle_opt, solve_exact
 from .generators import (BppInstance, BppSolution, bpp_witness_placement,
-                         ffd_bpp, ffd_certified_optimal, format_bpp_instance,
-                         format_bpp_solution, gen_bpp_fullbins, gen_random,
-                         parse_bpp, parse_bpp_instance, transform_bpp)
+                         format_bpp_instance, format_bpp_solution,
+                         gen_bpp_fullbins, gen_random, parse_bpp,
+                         parse_bpp_instance, transform_bpp)
 from .harness import (SOLVERS, RunRecord, SuiteConfig, SummaryRow,
                       format_records_csv, format_summary_csv, parse_config,
                       run_algorithm, run_suite, summarize)

@@ -81,14 +81,14 @@ def parse_bpp_instance(text: str) -> BppInstance:
     lines = text.splitlines()
     if len(lines) < 2:
         raise FormatError("line 1: expected item count and capacity lines")
-    count = read_int(lines[0], 1, "the item count")
-    capacity = read_int(lines[1], 2, "the bin capacity")
+    count = read_int(lines[0].strip(), 1, "the item count")
+    capacity = read_int(lines[1].strip(), 2, "the bin capacity")
     if capacity < 1:
         raise FormatError("line 2: capacity must be positive")
     sizes: list[int] = []
     for no, raw in enumerate(lines[2:], start=3):
         if raw.strip():
-            size = read_int(raw, no, "an item size")
+            size = read_int(raw.strip(), no, "an item size")
             if not 0 < size <= capacity:
                 raise FormatError(f"line {no}: item {len(sizes)}: size {size} "
                                   f"outside (0, capacity]")
@@ -107,7 +107,7 @@ def parse_bpp(instance_text: str, solution_text: str,
     lines = solution_text.splitlines()
     if not lines:
         raise FormatError("line 1: empty solution file")
-    count = read_int(lines[0], 1, "the bin count")
+    count = read_int(lines[0].strip(), 1, "the bin count")
     bins = []
     seen: dict[int, int] = {}  # item -> line it first appeared on
     for no, raw in enumerate(lines[1:], start=2):
@@ -147,49 +147,30 @@ def format_bpp_solution(sol: BppSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ffd_bpp(bpp: BppInstance) -> BppSolution:
-    """First Fit Decreasing: place each item, largest first, into the first
-    bin that still has room."""
-    order = sorted(range(len(bpp.sizes)), key=lambda i: (-bpp.sizes[i], i))
-    bins: list[list[int]] = []
-    loads: list[int] = []
-    for item in order:
-        s = bpp.sizes[item]
-        for k, load in enumerate(loads):
-            if load + s <= bpp.capacity:
-                bins[k].append(item)
-                loads[k] += s
-                break
-        else:
-            bins.append([item])
-            loads.append(s)
-    return BppSolution(bins=tuple(tuple(b) for b in bins))
-
-
-def ffd_certified_optimal(bpp: BppInstance, sol: BppSolution) -> bool:
-    """True when the bin count meets the area bound, proving optimality."""
-    area_bound = -(-sum(bpp.sizes) // bpp.capacity)
-    return len(sol.bins) == area_bound
-
-
-def _pairing(bpp: BppInstance, sol: BppSolution) -> list[tuple[int, int, int]]:
-    """Chart blueprint (left item, right item, source bin rank) for the
-    chained construction; bins ranked by non-decreasing item count."""
+def _chain(bpp: BppInstance, sol: BppSolution,
+           ) -> tuple[tuple[BarChart, ...], Placement]:
+    """Charts of the chained construction with its own packing: bins ranked
+    by non-decreasing item count, and the chart pairing bins i and i+1
+    starts in cell i, giving length at most the bin count."""
     if len(sol.bins) < 2:
         raise ValueError("need at least two bins to pair items")
     ranked = sorted(range(len(sol.bins)),
                     key=lambda k: (len(sol.bins[k]), k))
     bins = [sorted(sol.bins[k]) for k in ranked]  # pair ascending item indices
-    pairs = []
+    charts: list[BarChart] = []
+    witness: Placement = {}
     used_right = 0  # items of the current bin consumed as right bars
     for rank in range(len(bins) - 1):
         left_items = bins[rank][used_right:]
         right_items = bins[rank + 1][:len(left_items)]
         assert len(right_items) == len(left_items), "bins not rank-sorted"
         for li, ri in zip(left_items, right_items):
-            pairs.append((li, ri, rank + 1))
+            cid = len(charts) + 1
+            charts.append(BarChart(id=cid, bars=(bpp.sizes[li], bpp.sizes[ri]),
+                                   den=bpp.capacity))
+            witness[cid] = rank + 1
         used_right = len(left_items)
-    return pairs
+    return tuple(charts), witness
 
 
 def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instance:
@@ -198,13 +179,11 @@ def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instan
     length becomes ``known_opt`` only when it meets the combined lower
     bound, which proves it optimal; an overfull cell raises ``ValueError``.
     """
-    charts = tuple(
-        BarChart(id=cid, bars=(bpp.sizes[li], bpp.sizes[ri]), den=bpp.capacity)
-        for cid, (li, ri, _) in enumerate(_pairing(bpp, sol), start=1))
+    charts, witness = _chain(bpp, sol)
     instance = Instance(charts=charts, den=bpp.capacity,
                         label=label or f"bpp-c{bpp.capacity}-n{len(charts)}",
                         family="bpp")
-    check = evaluate_packing(instance, bpp_witness_placement(bpp, sol))
+    check = evaluate_packing(instance, witness)
     if not check.feasible:
         raise ValueError("the chained packing overfills a cell")
     if check.length == lower_bounds(instance).combined:
@@ -213,30 +192,34 @@ def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instan
 
 
 def bpp_witness_placement(bpp: BppInstance, sol: BppSolution) -> Placement:
-    """The chained construction's own packing: the chart pairing bins i and
-    i+1 starts in cell i, giving length = bin count."""
-    return {cid: rank for cid, (_, _, rank) in enumerate(_pairing(bpp, sol),
-                                                         start=1)}
+    """The chained construction's own packing, which ``transform_bpp``
+    audits."""
+    return _chain(bpp, sol)[1]
 
 
-def gen_bpp_fullbins(num_bins: int, capacity: int, seed: int,
-                     max_parts: int = 4) -> BppInstance:
-    """Random bin-packing instance built from exactly-full bins.
+def gen_bpp_fullbins(num_bins: int, capacity: int, seed: int, max_parts: int = 4,
+                     ) -> tuple[BppInstance, BppSolution]:
+    """Random bin-packing instance built from exactly-full bins, with those
+    bins as its solution.
 
     Each bin's capacity is split into 2..max_parts item sizes, so the area
-    bound equals ``num_bins`` and any solution with that many bins (FFD
-    often finds one) is provably optimal.
+    bound equals ``num_bins`` and the planted bins are optimal.  They come in
+    the order drawn, each listing its item indices ascending.
     """
     if num_bins < 1 or capacity < 2 or max_parts < 2:
         raise ValueError("need num_bins >= 1, capacity >= 2, max_parts >= 2")
     rng = _rng(f"bpp:{num_bins}:{capacity}:{max_parts}:{seed}")
-    sizes: list[int] = []
-    for _ in range(num_bins):
+    items: list[tuple[int, int]] = []  # (bin, size), then shuffled
+    for b in range(num_bins):
         parts = rng.randint(2, min(max_parts, capacity))
         cuts = sorted(rng.sample(range(1, capacity), parts - 1))
         prev = 0
         for cut in cuts + [capacity]:
-            sizes.append(cut - prev)
+            items.append((b, cut - prev))
             prev = cut
-    rng.shuffle(sizes)
-    return BppInstance(sizes=tuple(sizes), capacity=capacity)
+    rng.shuffle(items)
+    bins: list[list[int]] = [[] for _ in range(num_bins)]
+    for k, (b, _) in enumerate(items):
+        bins[b].append(k)
+    return (BppInstance(sizes=tuple(size for _, size in items), capacity=capacity),
+            BppSolution(bins=tuple(map(tuple, bins))))

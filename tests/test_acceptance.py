@@ -15,7 +15,6 @@ from bcpp import (SuiteConfig, UnionEdge, evaluate_packing,
                   oracle_opt, run_algorithm, run_suite, solve_big_pipeline,
                   solve_exact, solve_mw, transform_bpp)
 from bcpp.blp import export_lp
-from bcpp.generators import ffd_bpp, ffd_certified_optimal
 from bcpp.harness import GenSpec
 from bcpp.model import parse_instance
 
@@ -145,16 +144,10 @@ def test_c7_bpp_derived_instances():
     for seed in range(150):
         bins = 20 + seed % 21
         capacity = (50, 75, 100, 120, 150)[seed % 5]
-        bpp = gen_bpp_fullbins(bins, capacity, seed, max_parts=2)
-        sol = ffd_bpp(bpp)
-        if not ffd_certified_optimal(bpp, sol):
-            continue
+        bpp, sol = gen_bpp_fullbins(bins, capacity, seed, max_parts=2)
         instances.append(transform_bpp(bpp, sol, label=f"bpp-m{seed}"))
     for seed in range(12):
-        bpp = gen_bpp_fullbins(3 + seed % 2, 12, 10_000 + seed, max_parts=2)
-        sol = ffd_bpp(bpp)
-        if not ffd_certified_optimal(bpp, sol):
-            continue
+        bpp, sol = gen_bpp_fullbins(3 + seed % 2, 12, 10_000 + seed, max_parts=2)
         instances.append(transform_bpp(bpp, sol, label=f"bpp-t{seed}"))
     assert len(instances) >= 100
 

@@ -1,12 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from bcpp import (BppInstance, BppSolution, FormatError, bpp_witness_placement,
-                  evaluate_packing, ffd_bpp, ffd_certified_optimal,
-                  format_bpp_instance, format_bpp_solution, gen_bpp_fullbins,
-                  gen_random, lower_bounds, oracle_opt, parse_bpp,
-                  parse_bpp_instance, transform_bpp)
+                  evaluate_packing, format_bpp_instance, format_bpp_solution,
+                  gen_bpp_fullbins, gen_random, lower_bounds, oracle_opt,
+                  parse_bpp, parse_bpp_instance, transform_bpp)
 
 
 def test_family_constraints_hold():
@@ -77,37 +77,14 @@ def test_bpp_errors_name_their_own_line():
         (lambda: parse_bpp("3\n10\n6\n5\n4\n", "3\n0\n\n1\n\n7\n"), "line 6:"),
         (lambda: parse_bpp("3\n10\n6\n5\n4\n", "2\n\n\n0\n1 2 2\n"), "line 5:"),
         (lambda: parse_bpp_instance("4\n"), "line 1:"),  # no capacity line
+        # spaces around a number are ignored, but not between two
+        (lambda: parse_bpp_instance("2 \n 10 5\n1\n1\n"), "line 2:"),
         (lambda: parse_bpp("3\n10\n6\n5\n4\n", ""), "line 1:"),  # no solution
     ]
     for parse, line in cases:
         with pytest.raises(FormatError) as info:
             parse()
         assert str(info.value).startswith(line)
-
-
-def test_ffd_hand_simulation():
-    sol = ffd_bpp(BppInstance(sizes=(6, 5, 4, 3, 2), capacity=10))
-    assert sol.bins == ((0, 2), (1, 3, 4))
-
-
-def test_ffd_all_full_items():
-    sol = ffd_bpp(BppInstance(sizes=(10, 10, 10), capacity=10))
-    assert sol.bins == ((0,), (1,), (2,))
-
-
-def test_ffd_single_item():
-    assert ffd_bpp(BppInstance(sizes=(4,), capacity=10)).bins == ((0,),)
-
-
-def test_ffd_solutions_are_valid_partitions():
-    rng = random.Random(61)
-    for _ in range(50):
-        sizes = tuple(rng.randint(1, 50) for _ in range(rng.randint(1, 40)))
-        bpp = BppInstance(sizes=sizes, capacity=50)
-        sol = ffd_bpp(bpp)
-        items = sorted(i for b in sol.bins for i in b)
-        assert items == list(range(len(sizes)))
-        assert all(sum(sizes[i] for i in b) <= 50 for b in sol.bins)
 
 
 def test_transform_chained_bins():
@@ -151,9 +128,10 @@ def test_transform_needs_two_bins():
 def test_transform_heights_bounded_by_capacity():
     rng = random.Random(62)
     for seed in range(30):
-        bpp = gen_bpp_fullbins(rng.randint(2, 8), rng.choice([20, 50, 75]), seed)
-        sol = ffd_bpp(bpp)
+        bpp, sol = gen_bpp_fullbins(rng.randint(2, 8), rng.choice([20, 50, 75]),
+                                    seed)
         instance = transform_bpp(bpp, sol)
+        assert instance.known_opt is not None
         assert all(h <= bpp.capacity for c in instance.charts for h in c.bars)
         witness = bpp_witness_placement(bpp, sol)
         assert evaluate_packing(instance, witness).feasible
@@ -162,8 +140,7 @@ def test_transform_heights_bounded_by_capacity():
 def test_transform_chart_count_identity():
     rng = random.Random(63)
     for seed in range(30):
-        bpp = gen_bpp_fullbins(rng.randint(2, 8), 50, 100 + seed)
-        sol = ffd_bpp(bpp)
+        bpp, sol = gen_bpp_fullbins(rng.randint(2, 8), 50, 100 + seed)
         counts = sorted(len(b) for b in sol.bins)
         residual = 0
         expected = 0
@@ -176,17 +153,27 @@ def test_transform_chart_count_identity():
 
 def test_fullbin_generator_area_bound():
     for seed in range(20):
-        bpp = gen_bpp_fullbins(7, 100, seed)
+        bpp, sol = gen_bpp_fullbins(7, 100, seed)
         assert sum(bpp.sizes) == 7 * 100
-        assert gen_bpp_fullbins(7, 100, seed) == bpp
-    sol = ffd_bpp(gen_bpp_fullbins(7, 100, 0, max_parts=2))
-    assert ffd_certified_optimal(gen_bpp_fullbins(7, 100, 0, max_parts=2), sol)
+        assert gen_bpp_fullbins(7, 100, seed) == (bpp, sol)
+        # the planted bins are an optimal solution: each item once, each bin
+        # full, as many bins as the area bound
+        assert sorted(i for b in sol.bins for i in b) == list(range(len(bpp.sizes)))
+        assert all(sum(bpp.sizes[i] for i in b) == 100 for b in sol.bins)
+        assert len(sol.bins) == 7 == -(-sum(bpp.sizes) // bpp.capacity)
+        assert parse_bpp(format_bpp_instance(bpp),
+                         format_bpp_solution(sol)) == (bpp, sol)
+    # the sizes drawn before the generator returned its bins, pinned
+    text = "".join(f"{b} {c} {s} {p}: {gen_bpp_fullbins(b, c, s, p)[0].sizes}\n"
+                   for b in range(1, 7) for c in (2, 3, 12, 100, 10 ** 6)
+                   for s in range(10) for p in (2, 3, 4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2f505f33b458e7ad490dd7c9fb4457e346d32eb55a89a188b0d0e6d7e661a512")
 
 
 def test_transformed_witness_respects_lower_bound():
     for seed in range(20):
-        bpp = gen_bpp_fullbins(5, 50, 200 + seed, max_parts=2)
-        sol = ffd_bpp(bpp)
+        bpp, sol = gen_bpp_fullbins(5, 50, 200 + seed, max_parts=2)
         instance = transform_bpp(bpp, sol)
         n_bins = len(sol.bins)
         assert lower_bounds(instance).combined <= n_bins
@@ -200,12 +187,9 @@ def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():
     # it meets the combined bound: here it does on every instance.
     full = dropped = 0
     for s in range(200):
-        bpp = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
-        sol = ffd_bpp(bpp)
-        if not ffd_certified_optimal(bpp, sol):
-            continue
+        bpp, sol = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
         instance = transform_bpp(bpp, sol)
-        assert instance.n <= 7
+        assert instance.n <= 8  # keeps the oracle calls small
         n_bins = len(sol.bins)
         opt = oracle_opt(instance)
         assert instance.known_opt == opt
@@ -215,4 +199,4 @@ def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():
         else:
             assert opt in (n_bins - 1, n_bins)
             dropped += 1
-    assert (full, dropped) == (69, 121)
+    assert (full, dropped) == (80, 120)

@@ -17,7 +17,6 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   run_algorithm, run_suite, solve_exact, summarize,
                   transform_bpp)
 from bcpp.cli import main
-from bcpp.generators import ffd_bpp
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
 from bcpp.matching import build_union_graph, dump_graph
 from helpers import inst
@@ -197,14 +196,14 @@ def test_run_suite_known_opt_reference(tmp_path):
 
 
 def test_every_opt_reference_on_tiny_bpp_files_is_the_optimum(tmp_path):
-    # FFD on full bins gives optimal solutions and one bin per item poor
+    # the planted full bins are optimal solutions and one bin per item poor
     # ones; the references come from the files' proved opt lines or, where a
     # file has none, from the exact search
     written = {}
     for s in range(40):
-        bpp = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
+        bpp, full = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
         singles = BppSolution(tuple((i,) for i in range(len(bpp.sizes))))
-        for kind, sol in (("ffd", ffd_bpp(bpp)), ("single", singles)):
+        for kind, sol in (("full", full), ("single", singles)):
             instance = transform_bpp(bpp, sol, label=f"{kind}-{s}")
             if instance.n <= 7:
                 written[instance.label] = instance
@@ -217,9 +216,9 @@ def test_every_opt_reference_on_tiny_bpp_files_is_the_optimum(tmp_path):
     opts = [r for r in records if r.ref_kind == "OPT"]
     for rec in opts:
         assert rec.reference == oracle_opt(written[rec.label]), rec.label
-    # 39 opt lines and 41 search proofs: every reference here is an optimum
+    # 40 opt lines and 40 search proofs: every reference here is an optimum
     recorded = sum(written[r.label].known_opt is not None for r in opts)
-    assert (recorded, len(opts)) == (39, 80)
+    assert (recorded, len(opts)) == (40, 80)
 
 
 def test_run_suite_rejects_an_opt_below_the_bound_and_keeps_the_rest(tmp_path):

@@ -1,8 +1,9 @@
 """One-line mutations of valid files: every text reader names the faulty line.
 
 Each case builds a valid instance, bin-packing instance or bin-packing
-solution text, with blank lines wherever its format allows them, corrupts
-exactly one line k and expects a ``FormatError`` whose message starts with
+solution text, with blank lines wherever its format allows them and, in the
+bin-packing texts, spaces or a tab around some lines, corrupts exactly one
+line k and expects a ``FormatError`` whose message starts with
 ``line k:``.  Any other exception fails the test.
 """
 
@@ -10,9 +11,8 @@ import random
 
 import pytest
 
-from bcpp import (FormatError, ffd_bpp, ffd_certified_optimal,
-                  format_bpp_instance, gen_bpp_fullbins, parse_bpp,
-                  parse_bpp_instance, parse_instance)
+from bcpp import (FormatError, format_bpp_instance, gen_bpp_fullbins,
+                  parse_bpp, parse_bpp_instance, parse_instance)
 from bcpp.model import read_float, read_int
 
 # an underscore or a non-ASCII digit, which int() alone reads, is no integer
@@ -32,6 +32,13 @@ def spread(rng, head, body):
         if line is not None:
             lines.append(line)
     return lines
+
+
+def padded(rng, line):
+    """``line``, or in some draws ``line`` with spaces or a tab around it."""
+    if rng.random() < 0.3:
+        return rng.choice(("", " ", "\t")) + line + rng.choice(("", "  ", "\t"))
+    return line
 
 
 def filled(lines, first=1):
@@ -79,7 +86,8 @@ def instance_case(rng):
 def bpp_instance_case(rng):
     capacity = rng.randint(1, 20)
     sizes = [rng.randint(1, capacity) for _ in range(rng.randint(0, 6))]
-    lines = spread(rng, [str(len(sizes)), str(capacity)], [str(s) for s in sizes])
+    lines = spread(rng, [padded(rng, str(len(sizes))), padded(rng, str(capacity))],
+                   [padded(rng, str(s)) for s in sizes])
     valid = list(lines)
     fault = rng.choice(("token", "size", "count"))
     if fault == "token":
@@ -95,17 +103,15 @@ def bpp_instance_case(rng):
 
 
 def bpp_solution_case(rng):
-    while True:  # certified solutions fill every bin, so any extra item overflows
-        bpp = gen_bpp_fullbins(rng.randint(2, 4), rng.randint(2, 12),
-                               rng.randrange(10 ** 6), max_parts=rng.randint(2, 4))
-        sol = ffd_bpp(bpp)
-        if ffd_certified_optimal(bpp, sol):
-            break
+    # the planted bins are full, so any extra item overflows
+    bpp, sol = gen_bpp_fullbins(rng.randint(2, 4), rng.randint(2, 12),
+                                rng.randrange(10 ** 6), max_parts=rng.randint(2, 4))
     bins = [list(b) for b in sol.bins]
     rng.shuffle(bins)
     for items in bins:
         rng.shuffle(items)
-    lines = spread(rng, [str(len(bins))], [" ".join(map(str, b)) for b in bins])
+    lines = spread(rng, [padded(rng, str(len(bins)))],
+                   [padded(rng, " ".join(map(str, b))) for b in bins])
     valid = list(lines)
     rows = filled(lines, first=2)
     fault = rng.choice(("token", "range", "repeat", "overfull", "count", "missing"))
