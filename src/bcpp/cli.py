@@ -24,16 +24,22 @@ from .model import (format_instance, format_placement, parse_instance, read_floa
                     read_int)
 
 
+def read_path(text: str) -> str:  # argparse would take "", which names no file
+    if not text:
+        raise ValueError("empty path")
+    return text
+
+
 def _check_outputs(outputs: dict[str, str], inputs: list[str],
                    directory: str | None = None) -> None:
     """Refuse, before any work, a ``directory`` that is not one, or an output that is a
     directory, lies in a missing one but ``directory``, or is the same file as an
-    input, another output or ``directory``; then make ``directory``."""
+    input, another output or ``directory``."""
     def file_id(path: str) -> tuple[int, int] | str:  # inode and device, or real path
         return os.stat(path)[1:3] if os.path.exists(path) else os.path.realpath(path)
-    if directory and os.path.lexists(directory) and not os.path.isdir(directory):
-        raise ValueError(f"{directory} is not a directory")
     made = directory and os.path.dirname(os.path.join(directory, ""))  # less a final /
+    if made and os.path.lexists(made) and not os.path.isdir(made):
+        raise ValueError(f"{directory} is not a directory")
     taken = {file_id(path): path for path in (*inputs, directory) if path}
     for name, path in outputs.items():
         if os.path.isdir(path):
@@ -44,8 +50,6 @@ def _check_outputs(outputs: dict[str, str], inputs: list[str],
         if (key := file_id(path)) in taken:
             raise ValueError(f"{name} and {taken[key]} name the same file")
         taken[key] = name
-    if directory:
-        os.makedirs(directory, exist_ok=True)
 
 
 def _write(path: str, text: str, what: str = "") -> None:
@@ -60,6 +64,7 @@ def _cmd_gen(args) -> int:
                         args.den).instances()
     paths = [os.path.join(args.out_dir, f"{inst.label}.inst") for inst in instances]
     _check_outputs(dict(zip(paths, paths)), [], args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     for inst, path in zip(instances, paths):
         _write(path, format_instance(inst))
         print(path)
@@ -79,7 +84,7 @@ def _cmd_solve(args) -> int:
     outputs = {flag: path for flag, path in (("--write-placement", args.write_placement),
                                              ("--lp-export", args.lp_export)) if path}
     label = os.path.splitext(os.path.basename(args.instance))[0]
-    dump_dir = args.dump_graphs  # made by the check, filled after the audit
+    dump_dir = args.dump_graphs  # made and filled after the audit
     if dump_dir and any(os.path.dirname(p) == os.path.realpath(dump_dir) and
                         os.path.basename(p).startswith(f"{label}-")
                         for p in map(os.path.realpath, outputs.values())):
@@ -95,6 +100,8 @@ def _cmd_solve(args) -> int:
                         dump=dumps.__setitem__ if dump_dir else None)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     audit(inst, res)  # before anything is printed or written
+    if dump_dir:
+        os.makedirs(dump_dir, exist_ok=True)
     for name, text in dumps.items():
         _write(os.path.join(dump_dir, f"{label}-{name}.txt"), text)
 
@@ -166,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=read_int, default=0)
     gen.add_argument("--den", "-D", type=read_int, default=10 ** 6,
                      help="height denominator (default 10^6)")
-    gen.add_argument("--out-dir", default=".")
+    gen.add_argument("--out-dir", type=read_path, default=".")
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="run one algorithm on an instance")
@@ -176,14 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="EXACT time limit in seconds (0: none)")
     solve.add_argument("--node-limit", type=read_int, default=0,
                        help="EXACT node limit (0: none)")
-    solve.add_argument("--lp-export", metavar="PATH",
+    solve.add_argument("--lp-export", type=read_path, metavar="PATH",
                        help="write the model in LP format")
     solve.add_argument("--horizon", type=read_int, default=None,
                        help="cell horizon for --lp-export")
-    solve.add_argument("--dump-graphs", metavar="DIR",
+    solve.add_argument("--dump-graphs", type=read_path, metavar="DIR",
                        help="dump per-round union graphs (M1w, Mw) / the 1-union "
                        "digraph (A1, A2)")
-    solve.add_argument("--write-placement", metavar="PATH")
+    solve.add_argument("--write-placement", type=read_path, metavar="PATH")
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a config-driven suite")
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="derive an instance from a solved BPP instance")
     imp.add_argument("bpp_instance")
     imp.add_argument("bpp_solution")
-    imp.add_argument("--out", metavar="PATH")
+    imp.add_argument("--out", type=read_path, metavar="PATH")
     imp.set_defaults(func=_cmd_bpp_import)
     return parser
 

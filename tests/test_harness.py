@@ -1,6 +1,5 @@
 import csv
 import os
-import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import bcpp.blp
-import bcpp.cli
 import bcpp.greedy
 import bcpp.matching
 from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
@@ -18,7 +16,7 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   transform_bpp)
 from bcpp.cli import main
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
-from bcpp.matching import build_union_graph, dump_graph
+import cli_cases
 from helpers import inst
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -439,524 +437,60 @@ def test_summarize_constant_ratios():
     assert rows[0].r_sd == 0
 
 
-# --- CLI ---------------------------------------------------------------------
+# --- CLI: the rows of tests/cli_cases.py, and what they cannot say -----------
 
 
-def test_cli_gen_solve_roundtrip(tmp_path, capsys):
-    out_dir = tmp_path / "data"
-    assert main(["gen", "--family", "arbitrary", "--n", "6", "--count", "2",
-                 "--seed", "3", "-D", "20", "--out-dir", str(out_dir)]) == 0
-    paths = sorted(os.listdir(out_dir))
-    assert paths == ["arbitrary-n6-d20-s3.inst", "arbitrary-n6-d20-s4.inst"]
-
-    placement_path = tmp_path / "sol.txt"
-    code = main(["solve", str(out_dir / paths[0]), "-a", "GA_LO",
-                 "--write-placement", str(placement_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1].startswith("GA_LO ")
-    assert placement_path.read_text().count("\n") == 6
-
-
-def test_cli_solve_exact_report(tmp_path, capsys):
-    path = tmp_path / "two.inst"
-    path.write_text(format_instance(inst((5, 5), (5, 5))))
-    assert main(["solve", str(path), "-a", "EXACT"]) == 0
-    line = capsys.readouterr().out.strip().split()
-    assert line[0] == "optimal"
-    assert line[1] == line[2] == "2"
+def _check_row(row, root: str, monkeypatch, capsys) -> None:
+    """Run ``row`` through ``main`` in ``root``, a new directory."""
+    os.mkdir(root)
+    argv, before = cli_cases.prepare(row, root)
+    monkeypatch.chdir(root)
+    with monkeypatch.context() as patched:
+        for name in row.never:
+            patched.setattr(name, _never(name))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusals
+            code = exc.code
+    wrong = cli_cases.mismatches(row, root, before, code, *capsys.readouterr())
+    assert wrong == [], row.cmd
 
 
-def test_cli_solve_exact_rejects_a_negative_or_nan_limit(tmp_path, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
-    for flag, value in (("--node-limit", "-3"), ("--time-limit", "-1"),
-                        ("--time-limit", "nan"), ("--time-limit", "inf")):
-        assert main(["solve", str(path), "-a", "EXACT", flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: {flag} must be at least 0" in captured.err
+def _never(name: str):
+    def called(*_args, **_kwargs):
+        raise AssertionError(f"{name} was called")
+    return called
 
 
-def test_cli_numbers_take_only_ascii_digits(tmp_path, capsys):
-    # the rule of the file readers: no underscore, no non-ASCII digit, no
-    # surrounding whitespace
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
-    gen = ["gen", "--n", "3", "--out-dir", str(tmp_path / "gen")]
-    solve = ["solve", str(path), "-a", "EXACT"]
-    for argv, flag in ([(gen, f) for f in ("--n", "--count", "--seed", "--den")]
-                       + [(solve, f) for f in ("--node-limit", "--horizon",
-                                               "--time-limit")]):
-        for value in ("1_0", "１٠", " 1"):
-            with pytest.raises(SystemExit) as exit_info:
-                main([*argv, flag, value])
-            assert exit_info.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"error: argument {flag}" in captured.err
-            assert f"value: {value!r}" in captured.err
-    assert not (tmp_path / "gen").exists()
+def _rows_test(group: str):
+    def test(tmp_path, monkeypatch, capsys):
+        for i, row in enumerate(cli_cases.CASES[group]):
+            _check_row(row, os.path.realpath(tmp_path / str(i)), monkeypatch, capsys)
+    return test
 
 
-def test_cli_solve_exact_reads_a_zero_limit_as_none(tmp_path, capsys):
-    # greedy packs 5 and the bound is 4, so one node cannot prove 4
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((5, 9), (7, 2), (7, 4))))
-    assert main(["solve", str(path), "-a", "EXACT", "--node-limit", "1"]) == 0
-    assert capsys.readouterr().out.split()[:4] == ["bounded", "5", "4", "1"]
-    for flag in ("--node-limit", "--time-limit"):
-        assert main(["solve", str(path), "-a", "EXACT", flag, "0"]) == 0
-        assert capsys.readouterr().out.split()[:4] == ["optimal", "4", "4", "5"]
+for _group in cli_cases.CASES:  # one test for each group of rows
+    globals()[f"test_cli_{_group}"] = _rows_test(_group)
 
 
-def test_cli_solve_lp_export_and_dumps(tmp_path, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-    lp_path = tmp_path / "model.lp"
-    dump_dir = tmp_path / "dumps"
-    assert main(["solve", str(path), "-a", "Mw", "--lp-export", str(lp_path),
-                 "--dump-graphs", str(dump_dir)]) == 0
-    assert lp_path.read_text().startswith("Minimize")
-    # 3 charts over the greedy horizon of 4 cells: 3 * 3 x's and 4 y's
-    assert capsys.readouterr().out == (f"lp model (13 binaries) -> {lp_path}\n"
-                                       "Mw 4 rounds=2\n")
-    dumped = sorted(os.listdir(dump_dir))
-    assert dumped == ["three-round1.txt", "three-round2.txt"]
-    assert (dump_dir / "three-round1.txt").read_text() == "1 2 2\n1 3 1\n"
+def test_cli_cases_run_as_subprocesses():
+    # the reader CI runs against the console script, here through the module
+    rows = [row for row in cli_cases.CASES["bench_and_strictness"]
+            if row.cmd.startswith("bench missing.bench")]
+    assert [row.code for row in rows] == [0, 1]
+    assert cli_cases.run([sys.executable, "-m", "bcpp.cli"], rows) == []
 
 
 def test_cli_solve_audits_before_it_prints_or_writes(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-    original = bcpp.greedy.ga_lo
-    monkeypatch.setattr(bcpp.greedy, "ga_lo", lambda instance: replace(
-        original(instance), length=original(instance).length + 1))
-    placement_path = tmp_path / "sol.txt"
-    assert main(["solve", str(path), "-a", "GA_LO", "--lp-export",
-                 str(tmp_path / "model.lp"),
-                 "--write-placement", str(placement_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: audit failed: feasible=True length=4 "
-                            "reported=5\n")
-    assert not placement_path.exists()
-    assert not (tmp_path / "model.lp").exists()
-    # the graph dumps wait for the audit too
-    solve_mw = bcpp.matching.solve_mw
+    # a solver that misreports its length leaves no output, dump or dump directory
+    for module, name, alg in ((bcpp.greedy, "ga_lo", "GA_LO"),
+                              (bcpp.matching, "solve_mw", "Mw")):
+        def misreported(*args, solve=getattr(module, name), **kwargs):
+            solved = solve(*args, **kwargs)
+            return replace(solved, length=solved.length + 1)
 
-    def misreported(*args, **kwargs):
-        solved = solve_mw(*args, **kwargs)
-        return replace(solved, length=solved.length + 1)
-
-    monkeypatch.setattr(bcpp.matching, "solve_mw", misreported)
-    dump_dir = tmp_path / "dumps"
-    assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dump_dir)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: audit failed: feasible=True length=4 "
-                            "reported=5\n")
-    assert list(dump_dir.glob("three-round*.txt")) == []
-
-
-def test_cli_solve_rejects_a_horizon_without_lp_export(tmp_path, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-    assert main(["solve", str(path), "--horizon", "9"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: --horizon needs --lp-export" in captured.err
-
-
-def test_cli_solve_rejects_a_limit_its_algorithm_ignores(tmp_path, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-    for name, flags in (("GA_LO", ["--node-limit", "100"]),
-                        ("Mw", ["--time-limit", "1"]),
-                        ("A1", ["--node-limit", "5", "--dump-graphs",
-                                str(tmp_path / "d")])):
-        placement_path = tmp_path / f"{name}.placement"
-        assert main(["solve", str(path), "-a", name, *flags,
-                     "--write-placement", str(placement_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: --node-limit and --time-limit need "
-                                "-a EXACT\n")
-        assert not placement_path.exists()
-    assert not (tmp_path / "d").exists()
-    # 0 means no limit, so a heuristic still takes it
-    for flag in ("--node-limit", "--time-limit"):
-        assert main(["solve", str(path), "-a", "GA_LO", flag, "0"]) == 0
-        assert capsys.readouterr().out == "GA_LO 4\n"
-
-
-def test_cli_solve_checks_the_horizon_before_the_search(tmp_path, monkeypatch,
-                                                         capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-
-    def searched(*_args, **_kwargs):
-        raise AssertionError("solve_exact ran")
-
-    monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
-    lp_path = tmp_path / "m.lp"
-    assert main(["solve", str(path), "-a", "EXACT", "--lp-export", str(lp_path),
-                 "--horizon", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: horizon 1 below the combined lower bound" in captured.err
-    assert not lp_path.exists()
-
-
-def test_cli_solve_prints_and_dumps_every_heuristic(tmp_path, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-    expected = {"GA_LO": ([], "GA_LO 4"),
-                "M1w": (["three-round1.txt"], "M1w 4"),
-                "Mw": (["three-round1.txt", "three-round2.txt"], "Mw 4 rounds=2"),
-                "A1": (["three-digraph.txt"], "A1 4"),
-                "A2": (["three-digraph.txt"], "A2 4")}
-    for name, (files, line) in expected.items():
-        dump_dir = tmp_path / f"dumps-{name}"
-        assert main(["solve", str(path), "-a", name,
-                     "--dump-graphs", str(dump_dir)]) == 0
-        assert capsys.readouterr().out.strip() == line
-        assert sorted(os.listdir(dump_dir)) == files
-    assert (tmp_path / "dumps-M1w" / "three-round1.txt").read_text() == \
-        "1 2 2\n1 3 1\n"
-
-
-def test_cli_bench_and_strictness(tmp_path, capsys):
-    config = tmp_path / "suite.bench"
-    config.write_text(
-        "generate = family=arbitrary n=5 count=3 seed=1 D=20\n"
-        "algorithms = GA_LO, Mw\n"
-        "output = results.csv\n"
-        "summary = summary.csv\n")
-    assert main(["bench", str(config)]) == 0
-    body = (tmp_path / "results.csv").read_text()
-    assert len(body.splitlines()) == 7
-    assert (tmp_path / "summary.csv").exists()
-    # a summary written over the records would leave only the summary
-    same = tmp_path / "same"
-    same.mkdir()
-    (same / "suite.bench").write_text("generate = family=arbitrary n=5 seed=1 D=20\n"
-                                      "output = r.csv\nsummary = ./r.csv\n")
-    assert main(["bench", str(same / "suite.bench")]) == 2
-    assert capsys.readouterr().err == "error: summary and output name the same file\n"
-    assert os.listdir(same) == ["suite.bench"]
-
-    missing = tmp_path / "missing.bench"
-    missing.write_text("instances = nowhere/*.inst\nalgorithms = GA_LO\n")
-    assert main(["bench", str(missing)]) == 0
-    assert main(["bench", str(missing), "--strict"]) == 1
-    # the same exit statuses through the module entry point
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bcpp.__file__))}
-    for flags, status in (([], 0), (["--strict"], 1)):
-        proc = subprocess.run([sys.executable, "-m", "bcpp.cli", "bench", str(missing),
-                               *flags], env=env, capture_output=True, text=True)
-        assert proc.returncode == status, proc.stderr
-
-
-def test_cli_bench_checks_its_output_paths_before_the_suite(tmp_path, monkeypatch,
-                                                            capsys):
-    def ran(*_args, **_kwargs):
-        raise AssertionError("run_suite ran")
-
-    monkeypatch.setattr(bcpp.cli, "run_suite", ran)
-    (tmp_path / "taken").mkdir()
-    instance = tmp_path / "a.inst"
-    text = format_instance(inst((3, 4), (5, 5)))
-    instance.write_text(text)
-    config = tmp_path / "suite.bench"
-    config.write_text("")
-    # a hard link is the file it links to, whatever its name
-    os.link(config, tmp_path / "c.csv")
-    os.link(instance, tmp_path / "s.csv")
-    # a suite may not write over its own config, nor over a file it reads
-    for line, message in (
-            ("output = nodir/r.csv", f"{tmp_path / 'nodir/r.csv'}: no such directory"),
-            ("summary = nodir/s.csv", f"{tmp_path / 'nodir/s.csv'}: no such directory"),
-            ("output = taken", f"{tmp_path / 'taken'} is a directory"),
-            ("output = suite.bench", f"output and {config} name the same file"),
-            ("summary = ./suite.bench", f"summary and {config} name the same file"),
-            ("instances = *.inst\noutput = a.inst",
-             f"output and {instance} name the same file"),
-            ("instances = *.inst\nsummary = taken/../a.inst",
-             f"summary and {instance} name the same file"),
-            ("output = c.csv", f"output and {config} name the same file"),
-            ("instances = *.inst\nsummary = s.csv",
-             f"summary and {instance} name the same file")):
-        body = f"generate = family=arbitrary n=5 seed=1 D=20\n{line}\n"
-        config.write_text(body)
-        assert main(["bench", str(config)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-        assert config.read_text() == body
-    assert sorted(os.listdir(tmp_path)) == ["a.inst", "c.csv", "s.csv", "suite.bench",
-                                            "taken"]
-    assert os.listdir(tmp_path / "taken") == []
-    assert instance.read_text() == (tmp_path / "s.csv").read_text() == text
-
-
-def test_cli_solve_checks_its_output_paths_before_the_search(tmp_path, monkeypatch,
-                                                            capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-
-    def searched(*_args, **_kwargs):
-        raise AssertionError("solve_exact ran")
-
-    monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
-    missing = tmp_path / "nodir" / "out.txt"
-    for flag in ("--write-placement", "--lp-export"):
-        for target, message in ((missing, f"{missing}: no such directory"),
-                                (tmp_path, f"{tmp_path} is a directory")):
-            assert main(["solve", str(path), "-a", "EXACT", flag, str(target)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: {message}\n"
-    assert sorted(os.listdir(tmp_path)) == ["three.inst"]
-
-
-def test_cli_solve_writes_no_output_over_another_or_its_input(tmp_path, monkeypatch,
-                                                              capsys):
-    path = tmp_path / "three.inst"
-    text = format_instance(inst((3, 4), (5, 5), (6, 8)))
-    path.write_text(text)
-
-    def searched(*_args, **_kwargs):
-        raise AssertionError("solve_exact ran")
-
-    def read(*_args, **_kwargs):
-        raise AssertionError("the instance was read")
-
-    monkeypatch.setattr(bcpp.blp, "solve_exact", searched)
-    monkeypatch.setattr(bcpp.cli, "parse_instance", read)
-    same = "error: --lp-export and --write-placement name the same file\n"
-    (tmp_path / "sub").mkdir()
-    linked = tmp_path / "sub" / "linked.txt"
-    os.link(path, linked)
-    dumps = tmp_path / "dd"
-    for flags, message in (
-            (["--lp-export", str(tmp_path / "m.txt"),
-              "--write-placement", str(tmp_path / "sub" / ".." / "m.txt")], same),
-            (["--write-placement", str(path)],
-             f"error: --write-placement and {path} name the same file\n"),
-            (["--lp-export", str(tmp_path / "sub" / ".." / "three.inst")],
-             f"error: --lp-export and {path} name the same file\n"),
-            (["--write-placement", str(linked)],
-             f"error: --write-placement and {path} name the same file\n"),
-            # the dump directory is made before the search, so no output may take it
-            (["--dump-graphs", str(dumps),
-              "--lp-export", str(tmp_path / "sub" / ".." / "dd")],
-             f"error: --lp-export and {dumps} name the same file\n")):
-        assert main(["solve", str(path), "-a", "EXACT", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == message
-    assert sorted(os.listdir(tmp_path)) == ["sub", "three.inst"]
-    assert path.read_text() == text
-
-
-def test_cli_solve_writes_no_output_over_a_graph_dump(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-
-    def read(*_args, **_kwargs):
-        raise AssertionError("the instance was read")
-
-    dumps = tmp_path / "dd"
-    message = f"error: an output path takes a dump's name, three-*, in {dumps}\n"
-    with monkeypatch.context() as m:
-        m.setattr(bcpp.cli, "parse_instance", read)
-        for flag in ("--lp-export", "--write-placement"):
-            for target in (dumps / "three-round1.txt", tmp_path / "sub" / ".." / "dd"
-                           / "three-x.txt"):
-                (tmp_path / "sub").mkdir(exist_ok=True)
-                dumps.mkdir(exist_ok=True)
-                assert main(["solve", str(path), "-a", "Mw", "--dump-graphs",
-                             str(dumps), flag, str(target)]) == 2
-                captured = capsys.readouterr()
-                assert captured.out == ""
-                assert captured.err == message
-        assert os.listdir(dumps) == []
-    # other names in the dump directory, and the label's names elsewhere, are
-    # written as before, and every dump survives
-    assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
-                 "--lp-export", str(dumps / "three.lp"),
-                 "--write-placement", str(tmp_path / "three-round1.txt")]) == 0
-    assert sorted(os.listdir(dumps)) == ["three-round1.txt", "three-round2.txt",
-                                         "three.lp"]
-    charts = inst((3, 4), (5, 5), (6, 8)).charts
-    assert (dumps / "three-round1.txt").read_text() == dump_graph(build_union_graph(charts))
-
-
-def test_cli_gen_and_solve_refuse_a_file_as_their_directory(tmp_path, monkeypatch,
-                                                           capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-
-    def read(*_args, **_kwargs):
-        raise AssertionError("the instance was read")
-
-    monkeypatch.setattr(bcpp.cli, "parse_instance", read)
-    plain = tmp_path / "plain"
-    plain.write_text("kept\n")
-    # a symlink to nowhere is no directory either
-    os.symlink(tmp_path / "nowhere", tmp_path / "dangling")
-    for target in (plain, tmp_path / "dangling"):
-        for argv in (["gen", "--n", "3", "--out-dir", str(target)],
-                     ["solve", str(path), "-a", "Mw", "--dump-graphs", str(target),
-                      "--lp-export", str(tmp_path / "m.lp")]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: {target} is not a directory\n"
-    assert sorted(os.listdir(tmp_path)) == ["dangling", "plain", "three.inst"]
-    assert plain.read_text() == "kept\n"
-
-
-def test_cli_solve_writes_an_output_in_a_dump_directory_it_makes(tmp_path, capsys):
-    path = tmp_path / "three.inst"
-    path.write_text(format_instance(inst((3, 4), (5, 5), (6, 8))))
-    dumps = tmp_path / "new"
-    # the dump directory is made only once every check has passed
-    for target, message in ((dumps / "three-x.lp",
-                             f"an output path takes a dump's name, three-*, in {dumps}"),
-                            (dumps / "sub" / "m.lp",
-                             f"{dumps / 'sub' / 'm.lp'}: no such directory")):
-        assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
-                     "--lp-export", str(target)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-        assert not dumps.exists()
-    # until it is made, an output lies in it only when spelled as the directory is:
-    # a ".." may cross a directory that is missing, a symlink may point elsewhere
-    (tmp_path / "sub").mkdir()
-    os.symlink(dumps, tmp_path / "alias")
-    for target in (tmp_path / "sub" / ".." / "new" / "p.txt",
-                   tmp_path / "alias" / "p.txt"):
-        assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
-                     "--write-placement", str(target)]) == 2
-        assert capsys.readouterr().err == f"error: {target}: no such directory\n"
-        assert not dumps.exists()
-    assert main(["solve", str(path), "-a", "Mw", "--dump-graphs", str(dumps),
-                 "--lp-export", str(dumps / "m.lp"),
-                 "--write-placement", str(dumps / "p.txt")]) == 0
-    assert capsys.readouterr().out == (f"lp model (13 binaries) -> {dumps / 'm.lp'}\n"
-                                       "Mw 4 rounds=2\n")
-    assert sorted(os.listdir(dumps)) == ["m.lp", "p.txt", "three-round1.txt",
-                                         "three-round2.txt"]
-
-
-def test_cli_gen_makes_its_directory_and_every_missing_parent(tmp_path, monkeypatch,
-                                                              capsys):
-    label = "arbitrary-n3-d1000000-s0.inst"
-    (tmp_path / "cwd").mkdir()
-    monkeypatch.chdir(tmp_path / "cwd")
-    # a ".." after a missing directory resolves once the directories are made
-    for out_dir, made in ((str(tmp_path / "a" / "b"), tmp_path / "a" / "b"),
-                          (str(tmp_path / "sub" / ".." / "new"), tmp_path / "new"),
-                          (os.path.join("..", "rel", ""), tmp_path / "rel")):
-        assert main(["gen", "--n", "3", "--out-dir", out_dir]) == 0
-        assert capsys.readouterr().out == f"{os.path.join(out_dir, label)}\n"
-        assert os.listdir(made) == [label]
-
-
-def test_cli_bpp_import(tmp_path, monkeypatch, capsys):
-    (tmp_path / "b.bpp").write_text("3\n10\n6\n5\n4\n")
-    (tmp_path / "b.sol").write_text("2\n0\n1 2\n")
-    out = tmp_path / "b.inst"
-    assert main(["bpp-import", str(tmp_path / "b.bpp"), str(tmp_path / "b.sol"),
-                 "--out", str(out)]) == 0
-    # the pair (6, 5) packs in 2 cells, which its bound proves optimal
-    assert out.read_text().endswith("opt 2\n")
-    assert capsys.readouterr().out == f"1 charts, opt 2 -> {out}\n"
-    # the chained packing takes 3 cells, but (6, 5) and (4, 3) pack in 2
-    (tmp_path / "c.bpp").write_text("6\n10\n6\n5\n4\n3\n3\n2\n")
-    (tmp_path / "c.sol").write_text("3\n0\n1 2\n3 4 5\n")
-    out = tmp_path / "c.inst"
-    assert main(["bpp-import", str(tmp_path / "c.bpp"), str(tmp_path / "c.sol"),
-                 "--out", str(out)]) == 0
-    assert "opt" not in out.read_text()
-    assert capsys.readouterr().out == f"2 charts, opt not proven -> {out}\n"
-    # capacity 1 would give D = 1, which no instance reader accepts
-    (tmp_path / "d.bpp").write_text("4\n1\n1\n1\n1\n1\n")
-    (tmp_path / "d.sol").write_text("4\n0\n1\n2\n3\n")
-    out = tmp_path / "d.inst"
-    assert main(["bpp-import", str(tmp_path / "d.bpp"), str(tmp_path / "d.sol"),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: denominator 1 must be at least 2\n"
-    assert not out.exists()
-    # no --label: --out, or else the instance file's stem, names the output
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["bpp-import", str(tmp_path / "b.bpp"), str(tmp_path / "b.sol"),
-              "--label", "x"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --label x" in capsys.readouterr().err
-    assert not (tmp_path / "x.inst").exists()
-
-    def read(*_args, **_kwargs):
-        raise AssertionError("the inputs were read")
-
-    # --out, or else <stem>.inst, is checked before either input is read, and
-    # may not name an input
-    monkeypatch.setattr(bcpp.cli, "parse_bpp", read)
-    (tmp_path / "e.inst").write_text("3\n10\n6\n5\n4\n")
-    (tmp_path / "e.sol").write_text("2\n0\n1 2\n")
-    bpp, sol = str(tmp_path / "b.bpp"), str(tmp_path / "b.sol")
-    linked = tmp_path / "linked.inst"
-    os.link(sol, linked)
-    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-    missing = tmp_path / "nodir" / "b.inst"
-    for argv, message in (
-            ([bpp, sol, "--out", bpp], f"--out and {bpp} name the same file"),
-            ([bpp, sol, "--out", str(tmp_path / "." / "b.sol")],
-             f"--out and {sol} name the same file"),
-            ([bpp, sol, "--out", str(linked)], f"--out and {sol} name the same file"),
-            ([bpp, sol, "--out", str(missing)], f"{missing}: no such directory"),
-            ([bpp, sol, "--out", str(tmp_path)], f"{tmp_path} is a directory"),
-            (["e.inst", "e.sol"], "--out and e.inst name the same file")):
-        assert main(["bpp-import", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-    assert {name: (tmp_path / name).read_bytes()
-            for name in os.listdir(tmp_path)} == before
-
-
-def test_cli_gen_rejects_a_count_below_one(tmp_path, capsys):
-    for extra in (["--count", "0"], ["--count", "-2", "--den", "1"]):
-        assert main(["gen", "--n", "3", *extra, "--out-dir", str(tmp_path)]) == 2
-        assert "error: need count >= 1" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
-
-
-def test_cli_gen_writes_no_file_when_a_target_is_a_directory(tmp_path, capsys):
-    taken = tmp_path / "arbitrary-n6-d20-s4.inst"
-    taken.mkdir()
-    assert main(["gen", "--n", "6", "--count", "2", "--seed", "3", "-D", "20",
-                 "--out-dir", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {taken} is a directory\n"
-    assert os.listdir(tmp_path) == [taken.name]
-    assert os.listdir(taken) == []
-
-
-def test_cli_gen_creates_no_directory_when_a_draw_fails(tmp_path, capsys):
-    out_dir = tmp_path / "new"
-    for extra in (["--n", "3", "--count", "0"], ["--n", "0"]):
-        assert main(["gen", *extra, "--out-dir", str(out_dir)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert not out_dir.exists()
-
-
-def test_cli_reports_errors(tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "absent.inst")]) == 2
-    assert "error:" in capsys.readouterr().err
+        monkeypatch.setattr(module, name, misreported)
+        row = cli_cases.refused(f"solve three.inst -a {alg} --lp-export m --dump-graphs d"
+                                " --write-placement p",
+                                "audit failed: feasible=True length=4 reported=5")
+        _check_row(row, os.path.realpath(tmp_path / alg), monkeypatch, capsys)
