@@ -67,10 +67,11 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     Charts are branched in greedy lexicographic order with ascending cells,
     bounded by the current incumbent (a strictly better compacted packing
     never needs a cell beyond incumbent - 2).  The greedy solution seeds the
-    incumbent.  A node is cut when the cells already occupied, plus the room
-    the unplaced area still needs beyond the free capacity of those cells,
-    plus the unplaced big bars that cannot share any cell, reach the
-    incumbent.  A limit of 0 means none (a negative, NaN or infinite one
+    incumbent.  A node is cut when the cells already occupied, plus the
+    unplaced big bars that find no under-half cell among them, reach the
+    incumbent.  That test runs only while the area bound, which holds at
+    every node, is below the incumbent; once an incumbent meets it, every
+    node is cut.  A limit of 0 means none (a negative, NaN or infinite one
     raises ``ValueError``), and with no limits the result is optimal; when a
     limit expires the incumbent is returned with the bound proven before the
     search.  The result's ``length`` and ``placement`` are the incumbent,
@@ -82,84 +83,89 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
             raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
     den = instance.den
-    combined = lower_bounds(instance).combined
+    bounds = lower_bounds(instance)
+    combined = bounds.combined
 
     greedy = ga_lo(instance)
     best_len = greedy.length
     best_placement = greedy.placement  # GA_LO leaves no gap to compact
-    nodes = 0
-
-    def result(lower: int) -> Solved:
-        return Solved(placement=best_placement, length=best_len,
-                      lower_bound=lower, node_count=nodes)
-
     if best_len == combined:
-        return result(best_len)
+        return Solved(placement=best_placement, length=best_len,
+                      lower_bound=best_len, node_count=0)
 
     order = [instance.charts[cid - 1] for cid in lex_order(instance)]
     n = len(order)
-    area = sum(sum(c.bars) for c in order)  # numerator area of all charts
+    ids = [c.id for c in order]
+    # each chart's bars, and the most a cell may hold before each goes in
+    rows = [(a, b, den - a, den - b) for a, b in (c.bars for c in order)]
+    # identical charts take non-decreasing positions
+    same = [k > 0 and order[k - 1].bars == order[k].bars for k in range(n)]
+    half = (den - 1) // 2  # a cell holding at most this is under half full
     big_suffix = [0] * (n + 1)  # bars above 1/2 among charts order[k:]
     for k in range(n - 1, -1, -1):
         big_suffix[k] = big_suffix[k + 1] + sum(2 * h > den for h in order[k].bars)
+    # occupied + ceil((area - occupied*den) / den) is max(occupied, area_lb):
+    # the area term never moves, so it is tested once per incumbent
+    cut_at = best_len  # best_len > combined >= area_lb here; 0 cuts every node
 
     occ = [0] * (2 * n + 2)
     positions = [0] * n
     next_pos = [0] * n  # the cell chart k tries next
+    next_pos[0] = 1
     # with charts order[:k] placed: cells in use, and those under half full;
     # set on each place from depth k's, so unplacing only restores occ
     occupied = [0] * (n + 1)
     big_slots = [0] * (n + 1)
 
-    def opens(k: int) -> bool:
-        # reach depth k: keep a full packing or cut the node, else go on
-        nonlocal best_len, best_placement
-        if k == n:
-            if occupied[n] < best_len:
-                best_len = occupied[n]
-                best_placement = compact(
-                    instance, {order[i].id: positions[i] for i in range(n)})
-            return False
-        # all area beyond the used cells = unplaced area beyond their free room
-        area_need = area - occupied[k] * den
-        need_cells = -(-area_need // den) if area_need > 0 else 0
-        if occupied[k] + max(need_cells, big_suffix[k] - big_slots[k]) >= best_len:
-            return False
-        # identical charts take non-decreasing positions
-        next_pos[k] = positions[k - 1] if k and order[k - 1].bars == order[k].bars else 1
-        return True
-
-    k = 0 if opens(0) else -1
+    k = nodes = 0
     while k >= 0:
-        a, b = order[k].bars
+        a, b, room_a, room_b = rows[k]
         pos = next_pos[k]
-        while pos <= best_len - 2 and (occ[pos] + a > den or occ[pos + 1] + b > den):
-            pos += 1
-        if pos > best_len - 2:  # chart k tried every cell: back to k - 1
+        last = best_len - 2
+        while pos <= last:
+            oa = occ[pos]
+            if oa > room_a:
+                pos += 1
+                continue
+            ob = occ[pos + 1]
+            if ob > room_b:
+                pos += 1
+                continue
+            nodes += 1
+            if (node_limit and nodes >= node_limit
+                    or time_limit and time.perf_counter() - start > time_limit):
+                return Solved(placement=best_placement, length=best_len,
+                              lower_bound=combined, node_count=nodes)
+            used = occupied[k] + (oa == 0) + (ob == 0)
+            if k + 1 == n:  # a full packing: keep it if it is shorter
+                if used < best_len:
+                    best_len, last = used, used - 2
+                    cut_at = best_len if bounds.area_lb < best_len else 0
+                    positions[k] = pos
+                    best_placement = compact(instance, dict(zip(ids, positions)))
+                pos += 1
+                continue
+            na, nb = oa + a, ob + b
+            slots = (big_slots[k] + (na <= half) + (nb <= half)
+                     - (0 < oa <= half) - (0 < ob <= half))
+            rest = big_suffix[k + 1] - slots
+            if used + (rest if rest > 0 else 0) >= cut_at:  # cut, before any write
+                pos += 1
+                continue
+            occ[pos], occ[pos + 1] = na, nb
+            occupied[k + 1], big_slots[k + 1], positions[k] = used, slots, pos
+            k += 1
+            next_pos[k] = pos if same[k] else 1
+            break
+        else:  # chart k tried every cell: back to k - 1
             k -= 1
             if k >= 0:
-                a, b = order[k].bars
-                occ[positions[k]] -= a
-                occ[positions[k] + 1] -= b
-                next_pos[k] = positions[k] + 1
-            continue
-        nodes += 1
-        if (node_limit and nodes >= node_limit
-                or time_limit and time.perf_counter() - start > time_limit):
-            return result(combined)
-        oa, ob = occ[pos], occ[pos + 1]
-        occ[pos] = na = oa + a
-        occ[pos + 1] = nb = ob + b
-        occupied[k + 1] = occupied[k] + (oa == 0) + (ob == 0)
-        big_slots[k + 1] = (big_slots[k] + (2 * na < den) + (2 * nb < den)
-                            - (0 < 2 * oa < den) - (0 < 2 * ob < den))
-        positions[k] = pos
-        if opens(k + 1):
-            k += 1
-        else:  # a leaf or a cut: take chart k off, try its next cell
-            occ[pos], occ[pos + 1] = oa, ob
-            next_pos[k] = pos + 1
-    return result(best_len)
+                pos = positions[k]
+                occ[pos] -= rows[k][0]
+                occ[pos + 1] -= rows[k][1]
+                next_pos[k] = pos + 1
+    return Solved(placement=best_placement, length=best_len,
+                  lower_bound=best_len, node_count=nodes)
 
 
 def oracle_opt(instance: Instance) -> int:

@@ -125,11 +125,11 @@ def _cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    # an absolute name stays as given; inputs are found as load_instances finds them
+    # an absolute name stays as given; inputs are named from the config's path as given
     outputs = {key: os.path.join(base_dir, name) for key, name
                in (("output", cfg.output), ("summary", cfg.summary)) if name}
     inputs = [path for pattern in cfg.instances
-              for path in glob.glob(os.path.join(base_dir, pattern))]
+              for path in glob.glob(os.path.join(os.path.dirname(args.config), pattern))]
     _check_outputs(outputs, [args.config, *inputs])
     records, summary, errors = run_suite(cfg, base_dir=base_dir)
     _write(outputs["output"], format_records_csv(records), f"{len(records)} records")

@@ -176,20 +176,25 @@ CASES = {
     # a suite may not write over its config (a hard link is the file it links to,
     # whatever its name), nor over a file it reads
     "bench_checks_its_output_paths_before_the_suite": [
-        bench(f"generate = family=arbitrary n=5 seed=1 D=20\n{config}\n", message)
-        for config, message in (
-            ("output = nodir/r.csv", "{tmp}/nodir/r.csv: no such directory"),
-            ("summary = nodir/s.csv", "{tmp}/nodir/s.csv: no such directory"),
-            ("output = taken", "{tmp}/taken is a directory"),
-            ("output = s.bench", SAME.format("output", "s.bench")),
-            ("summary = ./s.bench", SAME.format("summary", "s.bench")),
-            ("output = c.csv", SAME.format("output", "s.bench")),
-            ("instances = t*.inst\noutput = two.inst",
-             SAME.format("output", "{tmp}/two.inst")),
-            ("instances = t*.inst\nsummary = taken/../three.inst",
-             SAME.format("summary", "{tmp}/three.inst")),
-            ("instances = t*.inst\nsummary = linked.inst",
-             SAME.format("summary", "{tmp}/three.inst")))],
+        *(bench(f"generate = family=arbitrary n=5 seed=1 D=20\n{config}\n", message)
+          for config, message in (
+              ("output = nodir/r.csv", "{tmp}/nodir/r.csv: no such directory"),
+              ("summary = nodir/s.csv", "{tmp}/nodir/s.csv: no such directory"),
+              ("output = taken", "{tmp}/taken is a directory"),
+              ("output = s.bench", SAME.format("output", "s.bench")),
+              ("summary = ./s.bench", SAME.format("summary", "s.bench")),
+              ("output = c.csv", SAME.format("output", "s.bench")),
+              ("instances = t*.inst\noutput = two.inst",
+               SAME.format("output", "two.inst")),
+              ("instances = t*.inst\nsummary = taken/../three.inst",
+               SAME.format("summary", "three.inst")),
+              ("instances = t*.inst\nsummary = linked.inst",
+               SAME.format("summary", "three.inst")))),
+        # an instance is named from the config's folder, as the config is given
+        refused("bench sub/s.bench", SAME.format("output", "sub/two.inst"),
+                never=("bcpp.cli.run_suite",), adds={
+                    "sub/s.bench": "instances = t*.inst\noutput = two.inst\n",
+                    "sub/two.inst": "2 10\n5 5\n5 5\n"})],
     "solve_checks_its_output_paths_before_the_search": [
         refused(f"solve three.inst -a EXACT {flag} {target}", message, never=(SEARCH,))
         for flag in ("--write-placement", "--lp-export")

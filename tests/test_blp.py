@@ -246,6 +246,21 @@ def test_exact_search_matches_pinned_nodes_and_placements():
     assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
 
 
+def test_exact_search_matches_pinned_results_at_bench_shapes():
+    # arbitrary n=10 and big n=12 at D=100, the shapes and budgets the exact
+    # benchmark solves; pinned before the node loop was rewritten
+    pinned = "d95524c7e2e1d2629052758cf041a30251f73a1f8d251d6d573d92b79df1a800"
+    text = []
+    for family, n in (("arbitrary", 10), ("big", 12)):
+        for seed in range(1, 16):
+            instance = gen_random(n, seed, family, 100)
+            for limit in (1, 7, 300, 5000):
+                r = solve_exact(instance, node_limit=limit)
+                text.append(f"{r.status} {r.length} {r.lower_bound} "
+                            f"{r.node_count}\n{format_placement(r.placement)}")
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
+
+
 def test_exact_node_limit_holds_at_large_n():
     # one chart per search level: the recursive search raised RecursionError
     instance = gen_random(1200, 2, "arbitrary", 10**6)

@@ -112,3 +112,25 @@ def test_matchings_on_union_graphs_equal_brute_force(instance):
         [(e.u, e.v, e.weight) for e in g.edges])
     assert max_weight_matching(g).total_weight == best_weight
     assert len(max_cardinality_matching(g).edges) == best_card
+
+
+@SWEEP
+@given(instances(), st.data())
+def test_a_node_limit_stops_the_same_search_early(instance, data):
+    # the limited search is a prefix of the unlimited one: it counts the same
+    # nodes up to the limit, its incumbent never worsens as the limit grows,
+    # and it claims only the combined bound unless it ran to the end
+    full = solve_exact(instance)
+    combined = lower_bounds(instance).combined
+    low = data.draw(st.integers(1, full.node_count + 1))  # limits on both sides of it
+    high = data.draw(st.integers(low + 1, full.node_count + 2))
+    lengths = []
+    for limit in (low, high):
+        r = solve_exact(instance, node_limit=limit)
+        assert r.node_count == min(limit, full.node_count)
+        if limit <= full.node_count:
+            assert r.lower_bound == combined
+        else:
+            assert r == full
+        lengths.append(r.length)
+    assert lengths[0] >= lengths[1] >= full.length
