@@ -15,49 +15,59 @@ placed is the first unplaced chart in the order that fits at c, and when
 none fits the sweep moves on to c + 1.  The first bars are non-increasing
 along the order, so the charts whose first bar fits at c form a suffix of
 it, found by one bisection; a forward scan over that suffix takes the first
-unplaced chart whose second bar fits too.
+unplaced chart whose second bar fits too.  The scan skips placed charts
+through next-unplaced links, compressed on every lookup (a disjoint-set
+"find"), so it tests only unplaced charts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 
 from .model import Instance, Placement, Solved
 
 
 def lex_order(instance: Instance) -> tuple[int, ...]:
-    """Chart ids sorted by non-increasing (a, b), ties by ascending id."""
+    """Chart ids sorted by non-increasing (a, b), ties by ascending id: the
+    ids are 1..n in slot order, and a reverse sort keeps ties in input order."""
     return tuple(ch.id for ch in sorted(
-        instance.charts, key=lambda c: (-c.bars[0], -c.bars[1], c.id)))
+        instance.charts, key=attrgetter("bars"), reverse=True))
 
 
 def ga_lo(instance: Instance) -> Solved:
-    den, n = instance.den, instance.n
+    den, n, charts = instance.den, instance.n, instance.charts
     order = lex_order(instance)
-    bars = {ch.id: ch.bars for ch in instance.charts}
-    neg_firsts = [-bars[cid][0] for cid in order]  # non-decreasing
-    seconds = [bars[cid][1] for cid in order]
-    free = [True] * n
+    neg_firsts = [-charts[cid - 1].bars[0] for cid in order]  # non-decreasing
+    seconds = [charts[cid - 1].bars[1] for cid in order]
+    # nxt leads from any position to the first unplaced one at or after it;
+    # a placed position links to the next, and n stands for "none left"
+    nxt = list(range(n + 1))
+
+    def find(pos: int) -> int:
+        while nxt[pos] != pos:  # path halving: each step skips a link ahead
+            nxt[pos] = pos = nxt[nxt[pos]]
+        return pos
 
     # occ[c] = numerator sum at cell c; occ[0] unused.  After k placements
     # no cell beyond 2k is occupied, so the next chart fits at 2k + 1 at the
     # latest and the sweep reads no cell past 2n.
     occ = [0] * (2 * n + 2)
     placement: Placement = {}
-    probes = 0
+    probes = 0  # unplaced charts tested
     cell = 1
     while len(placement) < n:
         room = den - occ[cell + 1]
-        start = bisect_left(neg_firsts, occ[cell] - den)  # first bars fit from here
-        for pos in range(start, n):
-            if free[pos] and seconds[pos] <= room:
+        pos = find(bisect_left(neg_firsts, occ[cell] - den))  # first bars fit
+        while pos < n:
+            probes += 1
+            if seconds[pos] <= room:
                 break
+            pos = find(pos + 1)
         else:
-            probes += n - start
             cell += 1
             continue
-        probes += pos - start + 1
-        free[pos] = False
+        nxt[pos] = pos + 1
         placement[order[pos]] = cell
         occ[cell] -= neg_firsts[pos]
         occ[cell + 1] += seconds[pos]

@@ -128,10 +128,10 @@ class Evaluation:
 class Solved:
     """The result of every solver, EXACT included.
 
-    ``probes`` counts the charts GA_LO's cell sweep scans past the
-    bisection, placed ones included; ``rounds`` counts the union graphs Mw
-    built, the final edgeless one included; ``unions`` holds Mw's
-    matchings, one per round that merged, so ``unions[0]`` is M1w's.
+    ``probes`` counts the unplaced charts GA_LO's cell sweep tests (it
+    skips placed ones through next-unplaced links); ``rounds`` counts the
+    union graphs Mw built, the final edgeless one included; ``unions`` holds
+    Mw's matchings, one per round that merged, so ``unions[0]`` is M1w's.
     ``lower_bound`` and ``node_count`` are EXACT's: the bound it proved and
     the nodes it expanded, ``None`` on a heuristic.
     """

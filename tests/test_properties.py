@@ -84,6 +84,21 @@ def test_ga_lo_equals_the_round_based_reference(instance):
 
 
 @SWEEP
+@given(st.data())
+def test_ga_lo_is_a_function_of_the_chart_multiset(data):
+    # relabeling the charts moves no bar kind to another cell, so the stable
+    # sort's tie rule (ascending id) never shows in GA_LO's packing
+    def packed(instance):
+        res = ga_lo(instance)
+        return res.length, sorted((instance.charts[cid - 1].bars, cell)
+                                  for cid, cell in res.placement.items())
+
+    instance = data.draw(instances())
+    bars = data.draw(st.permutations([ch.bars for ch in instance.charts]))
+    assert packed(inst(*bars, den=instance.den)) == packed(instance)
+
+
+@SWEEP
 @given(instances())
 def test_ga_lo_leaves_no_gap_to_compact(instance):
     # the sweep never leaves an empty cell while charts remain
