@@ -4,12 +4,13 @@ Both algorithms first turn the instance into big charts (at least one bar
 above 1/2), then chain the formed charts through 1-unions: a digraph holds
 an arc (i, j) whenever chart i's last bar and chart j's first bar fit into
 one cell, a path cover of that digraph is selected, and every path is merged
-left to right.  Each selected arc saves one strip cell.  An ``ArcDigraph``
-holds, per position in its ascending chart ids, the ascending positions of
-the chart's successors, the lists the path cover reads; its ``arcs`` view
-of id pairs, for dumps and tests, is built on read.  The build takes the
-charts by ascending cap ``den - last``: one ascending list grows by every
-first bar the cap admits, and each chart gets a copy less its own position.
+left to right.  Each selected arc saves one strip cell.
+
+The digraph is a chain graph: sorted by first bar, chart i's heads are a
+prefix less i, the charts whose first bar fits its cap ``den - last``, and
+the prefixes nest.  An ``ArcDigraph`` holds ``order``, the positions by
+first bar, ties by position, and each position's ``reach``, the length of
+the prefix its cap admits; its ``arcs`` view is built on read.
 
 A1 forms big charts in a single scan with a one-slot buffer: small charts
 are pairwise 2-unioned (always feasible, all four bars are at most 1/2)
@@ -19,19 +20,21 @@ pair admits a 2-union.  Both formations return the formed charts as one
 tuple, and ``solve_big_pipeline`` chains any such tuple, so A1 and A2 differ
 only in the formation their ``harness.SOLVERS`` entry calls.
 
-The path cover comes from a Hopcroft-Karp maximum bipartite matching on the
-out-copy / in-copy split of the digraph, which yields a maximum set of arcs
-with all in- and out-degrees at most 1 (vertex-disjoint paths and cycles);
-one walk per path or cycle follows the matched arcs, and every cycle is
-opened by dropping its lexicographically smallest arc.  Each phase's
-breadth-first layering stops once every left vertex has a layer and a free
-right vertex has been seen; the depth-first search reads only the layers,
-which no later arc could change, so the mates are those of a full layering.
+The path cover comes from a maximum matching of tails to heads (the
+out-copy / in-copy split of the digraph): vertex-disjoint paths and cycles,
+one walk each, every cycle opened by dropping its lexicographically smallest
+arc.  Nested prefixes need no augmenting paths (Glover, "Maximum matching in
+a convex bipartite graph", 1967).  The tails come by ascending reach, and
+each takes the free head with the largest first bar in its prefix but its
+own, passing over one that would close a cycle while a smaller one is free.
+Any free head will do: the last tail left unmatched and the tails before it
+reach only heads matched among them (``_chain_matching`` gives the exchange
+argument).  The cover is thus a function of the bars, ties broken by position.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import BarChart, Solved, assemble_placement
@@ -42,15 +45,17 @@ from .unions import merge_union
 
 @dataclass(frozen=True)
 class ArcDigraph:
-    vertices: tuple[int, ...]
-    successors: list[list[int]]  # ascending positions in ``vertices``
+    vertices: tuple[int, ...]  # chart ids, ascending; positions index them
+    order: tuple[int, ...]  # positions by ascending first bar, ties by position
+    reach: tuple[int, ...]  # per position: how many of ``order`` its cap admits
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Every arc as ids, in (u, v) order; built anew on each read."""
         ids = self.vertices
-        return tuple((u, ids[j]) for u, heads in zip(ids, self.successors)
-                     for j in heads)
+        by_first = [ids[j] for j in self.order]
+        return tuple((u, v) for u, r in zip(ids, self.reach)
+                     for v in sorted(by_first[:r]) if v != u)
 
 
 @dataclass(frozen=True)
@@ -104,80 +109,60 @@ def build_arc_digraph(charts: list[BarChart] | tuple[BarChart, ...]) -> ArcDigra
     """Arc (i, j) iff the 1-union with i on the left is feasible: i's heads
     are the charts whose first bar fits its cap ``den - last``, less i."""
     rows, den = chart_rows(charts)
-    n = len(rows)
-    by_first = sorted(range(n), key=lambda i: rows[i][1])
-    successors: list[list[int]] = [[]] * n
-    heads, k = [], 0  # the positions whose first bar fits the cap, ascending
-    for i in sorted(range(n), key=lambda i: -rows[i][4]):  # ascending cap
-        cap = den - rows[i][4]
-        while k < n and rows[by_first[k]][1] <= cap:
-            insort(heads, by_first[k])
-            k += 1
-        successors[i] = own = heads.copy()
-        if rows[i][1] <= cap:
-            own.remove(i)
-    return ArcDigraph(tuple(row[0] for row in rows), successors)
+    order = sorted(range(len(rows)), key=lambda i: rows[i][1])
+    firsts = [rows[i][1] for i in order]
+    return ArcDigraph(tuple(row[0] for row in rows), tuple(order),
+                      tuple(bisect_right(firsts, den - row[4]) for row in rows))
 
 
 def dump_digraph(g: ArcDigraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.arcs)
 
 
-def _max_bipartite_matching(adj: list[list[int]]) -> list[int]:
-    """Hopcroft-Karp maximum matching on a bipartite graph over positions.
+def _chain_matching(g: ArcDigraph) -> list[int]:
+    """Maximum matching of tails to heads over positions: each tail's mate or
+    -1.  Tail i may take any head of ``order[:reach[i]]`` but itself.
 
-    ``adj[u]`` lists left vertex u's right neighbors in ascending order; the
-    result maps each left vertex to its mate, -1 when it has none.  Each
-    phase layers the left vertices breadth-first from the free ones, then
-    searches depth first from each free root in position order, taking a
-    free right vertex at any depth; a dead end (``dist`` -2) stays out for
-    the rest of the phase.  The scan order is fixed, so the mates are
-    deterministic.  The layering stops once every left vertex has a layer
-    and a free right vertex has been seen: no later arc can change either,
-    and the search reads nothing else of it.
+    The tails come by ascending reach, ties by position.  Each takes the free
+    head with the largest first bar in its prefix, found through links to
+    the next free head below, but passes over its own head, and over the
+    start of its own path, which would close a cycle, while a smaller head
+    is free.  A tail left only its own head swaps with the last matched tail
+    if that tail's prefix holds it.  Why this is maximum: let j be the last
+    tail left unmatched and S the tails taken up to j, whose prefixes lie in
+    j's.  Every head S can take is matched within S, for j found none free
+    but its own, which no other prefix in S holds: not the last matched
+    tail's, the largest matched one, nor an unmatched one's, whose tail
+    would have taken it.  So every matching leaves at least as many tails
+    of S unmatched as this one leaves in all, whichever free heads it took.
     """
-    n = len(adj)
-    match_l, match_r = [-1] * n, [-1] * n
-    while True:
-        dist = [0 if m < 0 else -1 for m in match_l]
-        queue = [u for u in range(n) if match_l[u] < 0]
-        reachable = False
-        for u in queue:  # the queue grows while it is read
-            layer = dist[u] + 1
-            for v in adj[u]:
-                w = match_r[v]
-                if w < 0:
-                    reachable = True
-                elif dist[w] < 0:
-                    dist[w] = layer
-                    queue.append(w)
-            if reachable and len(queue) == n:
-                break
-        if not reachable:
-            return match_l
-        for root in range(n):
-            if match_l[root] >= 0:
-                continue
-            path, its = [root], [iter(adj[root])]
-            while path:
-                u = path[-1]
-                layer = dist[u] + 1
-                for v in its[-1]:
-                    w = match_r[v]
-                    if w < 0 or dist[w] == layer:
-                        break
-                else:  # dead end
-                    dist[u] = -2
-                    path.pop()
-                    its.pop()
-                    continue
-                if w < 0:  # each left takes its successor's mate, the last v
-                    for u in reversed(path):
-                        match_l[u], v = v, match_l[u]
-                        match_r[match_l[u]] = u
-                    break
-                path.append(w)
-                its.append(iter(adj[w]))
+    order, reach, n = g.order, g.reach, len(g.vertices)
+    # link[k + 1] leads to the last free head at or before order[k]; 0: none
+    link = list(range(n + 1))
+
+    def find(k: int) -> int:
+        while link[k] != k:  # path halving, as in GA_LO's sweep
+            link[k] = k = link[link[k]]
+        return k
+
+    start, end = list(range(n)), list(range(n))  # path ends' starts, starts' ends
+    mate, last = [-1] * n, -1
+    for i in sorted(range(n), key=reach.__getitem__):
+        k = find(reach[i])
+        passed = k if k and order[k - 1] == start[i] else 0  # own, or a cycle
+        if passed:
+            k = find(k - 1) or (0 if start[i] == i else k)
+        if k:
+            mate[i] = h = order[k - 1]
+            start[end[h]], end[start[i]] = start[i], end[h]
+        elif passed and last >= 0 and passed <= reach[last]:  # swap
+            k = passed
+            mate[i], mate[last] = mate[last], i
+        else:
+            continue
+        link[k] = k - 1
+        last = i
+    return mate
 
 
 def path_cover(g: ArcDigraph) -> PathCover:
@@ -187,7 +172,7 @@ def path_cover(g: ArcDigraph) -> PathCover:
     broken cycles, hence never below (cycle cover arcs) - (cycles).
     """
     n = len(g.vertices)
-    succ = _max_bipartite_matching(g.successors)
+    succ = _chain_matching(g)
     has_pred = set(succ)
 
     paths: list[tuple[int, ...]] = []

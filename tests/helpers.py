@@ -33,21 +33,10 @@ def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
                                  for e in sorted(edges)])
 
 
-def arc_digraph(vertices, arcs) -> ArcDigraph:
-    """A digraph from an arc list: sorted, with ids mapped to positions,
-    each successor list ascending."""
-    verts = tuple(sorted(vertices))
-    index = {x: i for i, x in enumerate(verts)}
-    successors: list[list[int]] = [[] for _ in verts]
-    for u, v in sorted(arcs):
-        successors[index[u]].append(index[v])
-    return ArcDigraph(verts, successors)
-
-
 def reference_bipartite_matching(lefts: list[int],
                                  adj: dict[int, list[int]]) -> dict[int, int]:
-    """Hopcroft-Karp over dicts keyed by id, as ``bigpipe`` ran it before its
-    lists over positions: the mates ``_max_bipartite_matching`` must keep.
+    """Hopcroft-Karp over dicts keyed by id, as ``bigpipe`` once ran it: an
+    independent check of the size of ``bigpipe``'s greedy chain matching.
 
     Each phase layers every left vertex it can reach, then searches depth
     first from each free root in ``lefts`` order; a dead end leaves ``dist``.

@@ -6,12 +6,11 @@ import pytest
 from bcpp import (BarChart, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
-from bcpp.bigpipe import _max_bipartite_matching, dump_digraph
+from bcpp.bigpipe import dump_digraph
 from bcpp.unions import union_feasible
 from bcpp.harness import SOLVERS
-from helpers import (arc_digraph, brute_force_matching,
-                     brute_force_path_cover_arcs, check_path_cover, inst, mk,
-                     random_charts, reference_bipartite_matching)
+from helpers import (brute_force_matching, brute_force_path_cover_arcs,
+                     check_path_cover, inst, mk, random_charts)
 
 
 def test_scan_merges_smalls_into_big():
@@ -96,22 +95,11 @@ def test_arc_digraph_matches_definition():
         assert g.arcs == expected
 
 
-def _id_successors(g):
-    """``g.successors`` mapped to ids, once each positional list is checked
-    to be strictly ascending and to leave out its own position."""
-    assert len(g.successors) == len(g.vertices)
-    for i, heads in enumerate(g.successors):
-        assert all(a < b for a, b in zip(heads, heads[1:]))
-        assert i not in heads
-    return {u: [g.vertices[j] for j in heads]
-            for u, heads in zip(g.vertices, g.successors)}
-
-
-def _brute_force_successors(charts):
+def _brute_force_arcs(charts):
     ids = sorted(c.id for c in charts)
     by_id = {c.id: c for c in charts}
-    return {u: [v for v in ids if v != u and union_feasible(by_id[u], by_id[v], 1)]
-            for u in ids}
+    return tuple((u, v) for u in ids for v in ids
+                 if v != u and union_feasible(by_id[u], by_id[v], 1))
 
 
 @pytest.mark.parametrize("charts", [
@@ -129,7 +117,7 @@ def _brute_force_successors(charts):
 def test_arc_digraph_successors_equal_brute_force(charts):
     g = build_arc_digraph(charts)
     assert g.vertices == tuple(sorted(c.id for c in charts))
-    assert _id_successors(g) == _brute_force_successors(charts)
+    assert g.arcs == _brute_force_arcs(charts)
 
 
 def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
@@ -137,8 +125,7 @@ def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
         for n in (5, 50, 200):
             charts = gen_random(n, 7, family, 10**6).charts
             for formed in (charts, form_big_scan(charts), form_big_matchings(charts)):
-                g = build_arc_digraph(formed)
-                assert _id_successors(g) == _brute_force_successors(formed)
+                assert build_arc_digraph(formed).arcs == _brute_force_arcs(formed)
 
 
 def test_arc_digraph_rejects_mixed_denominators():
@@ -158,63 +145,78 @@ def test_path_cover_chain():
 
 
 def test_path_cover_breaks_cycle():
-    g = arc_digraph((1, 2, 3), ((1, 2), (2, 3), (3, 1)))
+    # three charts that 1-unite every way round: a perfect matching is a
+    # 3-cycle, and opening it keeps two arcs
+    g = build_arc_digraph(inst((2, 2), (3, 3), (4, 4)).charts)
+    assert len(g.arcs) == 6
     cover = path_cover(g)
     check_path_cover(g, cover)
     assert cover.arc_count == 2
     assert cover.cycles_broken == 1
 
 
+def test_path_cover_passes_over_a_head_that_closes_a_cycle():
+    # tail 1 takes head 3 first; tail 3's largest free head is then 1, whose
+    # arc would close 1 -> 3 -> 1, so it takes head 2 and keeps both arcs
+    g = build_arc_digraph(inst((6, 6), (5, 8), (1, 1), den=8).charts)
+    assert g.arcs == ((1, 3), (3, 1), (3, 2))
+    cover = path_cover(g)
+    check_path_cover(g, cover)
+    assert cover.paths == ((1, 3, 2),)
+    assert cover.cycles_broken == 0
+
+
 def test_path_cover_out_degree_limits_fan():
-    g = arc_digraph((1, 2, 3), ((1, 2), (1, 3)))
+    g = build_arc_digraph(inst((9, 1), (8, 9), (8, 9)).charts)
+    assert g.arcs == ((1, 2), (1, 3))
     cover = path_cover(g)
     check_path_cover(g, cover)
     assert cover.arc_count == 1
 
 
 def test_path_cover_edgeless():
-    g = arc_digraph((1, 2), ())
+    g = build_arc_digraph(inst((6, 7), (7, 5)).charts)
+    assert g.arcs == ()
     cover = path_cover(g)
     assert cover.paths == ((1,), (2,))
     assert cover.arc_count == 0
 
 
 def test_path_cover_against_brute_force():
+    # charts at small D, whose 1-union digraphs are dense and varied
     rng = random.Random(43)
+    broken = 0
     for trial in range(120):
-        n = rng.randint(2, 8)
-        density = 0.35 if trial % 2 else 0.7
-        verts = tuple(range(1, n + 1))
-        arcs = tuple(sorted((u, v) for u in verts for v in verts
-                            if u != v and rng.random() < density))
-        g = arc_digraph(verts, arcs)
+        charts = random_charts(rng, rng.randint(2, 8), rng.choice([2, 3, 4, 6, 10]))
+        g = build_arc_digraph(charts)
+        verts, arcs = g.vertices, g.arcs
         cover = path_cover(g)
         check_path_cover(g, cover)
         assert cover.arc_count <= brute_force_path_cover_arcs(verts, arcs)
         # the split-graph matching is a maximum cycle-plus-path cover, so the
         # cover keeps at least (cycle cover arcs) - (number of cycles); since
         # arc_count is exactly (matching size) - (cycles), this also pins the
-        # bipartite matcher to brute-force maximality
+        # matcher to brute-force maximality
+        n = max(verts)
         split_edges = [(u, n + v, 1) for u, v in arcs]
         cycle_cover_arcs, _ = brute_force_matching(split_edges)
         assert cover.arc_count >= cycle_cover_arcs - cover.cycles_broken
+        broken += cover.cycles_broken
+    assert broken > 20  # the cycle branch runs
 
 
 def test_path_cover_is_pinned():
-    # covers taken before the matcher and the walk were rewritten as plain
-    # loops: the same mates must give the same paths and broken cycles
-    pinned = "384e38d78361fbe358849eaa2d5f43507da2fd32f020b4a863f8f063c5a8635c"
+    # covers of the greedy chain-graph matching: the same mates must give
+    # the same paths and broken cycles
+    pinned = "830d965f43eeba450c8e9a51079968840e31527925c0ae8254e3624620b7ebcb"
     rng = random.Random(46)
     covers, broken = [], 0
     for _ in range(300):
-        verts = tuple(sorted(rng.sample(range(1, 40), rng.randint(1, 12))))
-        density = rng.choice([0.1, 0.3, 0.6, 0.9])
-        arcs = tuple((u, v) for u in verts for v in verts
-                     if u != v and rng.random() < density)
-        cover = path_cover(arc_digraph(verts, arcs))
+        charts = random_charts(rng, rng.randint(1, 12), rng.choice([2, 3, 5, 10, 100]))
+        cover = path_cover(build_arc_digraph(charts))
         covers.append((cover.paths, cover.cycles_broken))
         broken += cover.cycles_broken
-    assert broken > 100  # the cycle branch runs
+    assert broken > 30  # the cycle branch runs
     for family, n in (("arbitrary", 60), ("big", 80)):
         for seed in range(1, 21):
             charts = gen_random(n, seed, family).charts
@@ -225,9 +227,9 @@ def test_path_cover_is_pinned():
 
 
 def test_path_cover_is_pinned_at_benchmark_scale():
-    # covers taken before the digraph moved to positions and the layering
-    # learned to stop early, on the benchmark's big-n500 and arbitrary-n200
-    pinned = "57f9b1578178f030cb679017b41ccabb4066aa82c6f1bfd04f90411893957367"
+    # covers of the greedy chain-graph matching on the benchmark's big-n500
+    # and arbitrary-n200
+    pinned = "0b0057fd2020fe34d2380ba56da1dd38ba68fd0538db7c26c447f22002d16781"
     covers = []
     for family, n in (("big", 500), ("arbitrary", 200)):
         for seed in (1, 2, 3):
@@ -236,29 +238,6 @@ def test_path_cover_is_pinned_at_benchmark_scale():
                 cover = path_cover(build_arc_digraph(form(charts)))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
-
-
-def test_bipartite_mates_equal_the_dict_reference():
-    rng = random.Random(47)
-    unmatched = 0
-    for trial in range(300):
-        n = rng.randint(1, 60)
-        ids = sorted(rng.sample(range(1, 4 * n + 1), n))
-        if trial % 2:
-            density = rng.choice([0.02, 0.1, 0.3, 0.7])
-            adj = [[j for j in range(n) if j != i and rng.random() < density]
-                   for i in range(n)]
-        else:  # threshold-shaped like the 1-union digraph: first[j] <= cap[i]
-            first = [rng.randint(1, 20) for _ in range(n)]
-            cap = [rng.randint(0, 20) for _ in range(n)]
-            adj = [[j for j in range(n) if j != i and first[j] <= cap[i]]
-                   for i in range(n)]
-        mates = _max_bipartite_matching(adj)
-        expected = reference_bipartite_matching(
-            list(ids), {ids[i]: [ids[j] for j in heads] for i, heads in enumerate(adj)})
-        assert {ids[i]: ids[j] for i, j in enumerate(mates) if j >= 0} == expected
-        unmatched += len(expected) < n
-    assert unmatched > 100  # the phases end with free left vertices
 
 
 def test_pipeline_all_big_chain():

@@ -6,13 +6,16 @@ on loose charts of widths 1 to 4, as unions leave them.  Hypothesis runs
 derandomized, so every run checks the same examples.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcpp import (SOLVERS, BarChart, build_arc_digraph, build_union_graph, compact,
-                  evaluate_packing, ga_lo, lower_bounds, max_cardinality_matching,
+from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
+                  build_union_graph, compact, evaluate_packing, form_big_matchings,
+                  form_big_scan, ga_lo, lower_bounds, max_cardinality_matching,
                   max_weight_matching, oracle_opt, solve_exact, union_feasible)
-from helpers import brute_force_matching, inst, naive_ga_lo, pair_weight
+from bcpp.bigpipe import _chain_matching
+from helpers import (brute_force_matching, inst, naive_ga_lo, pair_weight,
+                     reference_bipartite_matching)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -117,6 +120,63 @@ def test_union_rows_match_their_definitions_at_every_width(charts):
     arcs = [(i.id, j.id) for i in ordered for j in ordered
             if i.id != j.id and union_feasible(i, j, 1)]
     assert list(build_arc_digraph(charts).arcs) == arcs
+
+
+@SWEEP
+@given(st.one_of(st.builds(lambda instance, form: form(instance.charts),
+                           st.one_of(instances(), instances(big=True)),
+                           st.sampled_from([tuple, form_big_scan, form_big_matchings])),
+                 chart_lists()))
+@example(inst((7, 2), (4, 1), (4, 5), den=7).charts)  # needs the swap
+def test_chain_matching_is_maximum_and_feasible(charts):
+    # the greedy matching of the 1-union digraph has Hopcroft-Karp's size on
+    # raw charts, on both formations and on loose charts as unions leave
+    # them, and every pair it matches is a feasible 1-union taking each head
+    # once
+    by_id = {c.id: c for c in charts}
+    g = build_arc_digraph(charts)
+    pairs = [(g.vertices[i], g.vertices[j])
+             for i, j in enumerate(_chain_matching(g)) if j >= 0]
+    assert len({v for _, v in pairs}) == len(pairs)
+    assert all(u != v and union_feasible(by_id[u], by_id[v], 1) for u, v in pairs)
+    heads = {u: [] for u in g.vertices}
+    for u, v in g.arcs:
+        heads[u].append(v)
+    assert len(pairs) == len(reference_bipartite_matching(list(g.vertices), heads))
+
+
+def _relabeled(data, instance):
+    bars = data.draw(st.permutations([ch.bars for ch in instance.charts]))
+    return inst(*bars, den=instance.den)
+
+
+@SWEEP
+@given(st.data())
+def test_m1w_length_is_a_function_of_the_chart_multiset(data):
+    instance = data.draw(instances())
+    relabeled = _relabeled(data, instance)
+    assert SOLVERS["M1w"](relabeled).length == SOLVERS["M1w"](instance).length
+
+
+@SWEEP
+@given(instances(), st.randoms(use_true_random=False))
+def test_m1w_length_is_the_width_less_the_matching_weight(instance, rnd):
+    # one round merges each matched pair, saving its weight in cells, so the
+    # length is fixed by the weight, whatever order the edges are listed in
+    g = build_union_graph(instance.charts)
+    shuffled = WeightedGraph(g.vertices, rnd.sample(g.pairs, len(g.pairs)))
+    width = sum(ch.width for ch in instance.charts)
+    length = SOLVERS["M1w"](instance).length
+    assert length == width - max_weight_matching(g).total_weight
+    assert length == width - max_weight_matching(shuffled).total_weight
+
+
+@SWEEP
+@given(st.data())
+def test_mw_is_no_longer_than_m1w_in_every_order(data):
+    instance = data.draw(instances())
+    for case in (instance, _relabeled(data, instance)):
+        assert SOLVERS["Mw"](case).length <= SOLVERS["M1w"](case).length
 
 
 @SWEEP
