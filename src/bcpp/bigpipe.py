@@ -14,11 +14,13 @@ the prefix its cap admits; its ``arcs`` view is built on read.
 
 A1 forms big charts in a single scan with a one-slot buffer: small charts
 are pairwise 2-unioned (always feasible, all four bars are at most 1/2)
-until the merge turns big, so at most one small chart survives.  A2 instead
-repeats exact maximum-cardinality matchings on the 2-union graph until no
-pair admits a 2-union.  Both formations return the formed charts as one
-tuple, and ``solve_big_pipeline`` chains any such tuple, so A1 and A2 differ
-only in the formation their ``harness.SOLVERS`` entry calls.
+until the merge turns big, so at most one small chart survives.  A2 merges
+the pairs of maximum 2-union matchings until no pair unites.  On big two-bar
+charts the graph is bipartite and one greedy matching ends it: merged pairs
+have both bars above 1/2, and free charts cannot 2-unite.  Small or wider
+charts run the exact blossom, round after round.  Both formations return a
+tuple of formed charts that ``solve_big_pipeline`` chains, so A1 and A2
+differ only in the formation their ``harness.SOLVERS`` entry calls.
 
 The path cover comes from a maximum matching of tails to heads (the
 out-copy / in-copy split of the digraph): vertex-disjoint paths and cycles,
@@ -34,12 +36,12 @@ argument).  The cover is thus a function of the bars, ties broken by position.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .model import BarChart, Solved, assemble_placement
-from .matching import (build_union_graph, chart_rows, max_cardinality_matching,
-                       merge_matched)
+from .matching import (Matching, UnionEdge, build_union_graph, chart_rows,
+                       max_cardinality_matching, merge_matched)
 from .unions import merge_union
 
 
@@ -93,16 +95,50 @@ def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...],
     return tuple(formed) if buffer is None else (*formed, buffer)
 
 
+def _dominance_matching(charts: list[BarChart] | tuple[BarChart, ...]) -> Matching:
+    """Maximum matching of the 2-union graph of big two-bar charts.
+
+    Charts (a_i, b_i), (a_j, b_j) 2-unite iff a_i + a_j <= D and b_i + b_j
+    <= D, so each edge joins an F chart (a > D/2 >= b) to an S chart
+    (b > D/2 >= a).  The F charts come by ascending D - a_i, ties by id; each
+    lists, by (b_j, id), the S charts with a_j <= D - a_i, and takes the
+    free one with the largest b_j <= D - b_i.  It is maximum: let a maximum
+    matching M agree with the greedy before F chart i, which takes j.  Later
+    F charts admit every listed S chart in a, and a listed chart that fits i
+    has a b no larger than j's, so it fits wherever j fits.  If M gives i
+    another chart j' and j to a later k, k takes j'; if M leaves j free, i
+    takes j; if M leaves i free, i takes j from its mate, or M was not
+    maximum.  If the greedy leaves i free, no free chart fits i, so M leaves
+    it free too.  So a maximum matching agrees with the greedy on one more
+    chart, and by induction on all.
+    """
+    rows, den = chart_rows(charts)
+    firsts = sorted((den - a, i, den - b) for i, a, b, *_ in rows if 2 * b <= den < 2 * a)
+    seconds = sorted((a, b, j) for j, a, b, *_ in rows if 2 * a <= den < 2 * b)
+    listed: list[tuple[int, int]] = []  # (b, id) of the admitted S charts still free
+    edges, k = [], 0
+    for cap_a, i, cap_b in firsts:
+        while k < len(seconds) and seconds[k][0] <= cap_a:
+            insort(listed, seconds[k][1:])
+            k += 1
+        p = bisect_left(listed, (cap_b + 1,))
+        if p:
+            u, v = sorted((i, listed.pop(p - 1)[1]))
+            edges.append(UnionEdge(u, v, 2, u, v))
+    return Matching(tuple(edges))
+
+
 def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
                        ) -> tuple[BarChart, ...]:
-    """Merge 2-union pairs via exact max-cardinality matchings until none remain."""
-    current = list(charts)
+    """Merge the pairs of maximum 2-union matchings until no pair remains."""
+    if all(c.width == 2 and c.is_big for c in charts):
+        return tuple(merge_matched(charts, _dominance_matching(charts)))
     while True:
-        graph = build_union_graph(current, two_unions_only=True)
+        graph = build_union_graph(charts, two_unions_only=True)
         if not graph.pairs:
-            return tuple(current)
+            return tuple(charts)
         matching = max_cardinality_matching(graph)
-        current = merge_matched(current, matching)
+        charts = merge_matched(charts, matching)
 
 
 def build_arc_digraph(charts: list[BarChart] | tuple[BarChart, ...]) -> ArcDigraph:
@@ -119,9 +155,10 @@ def dump_digraph(g: ArcDigraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.arcs)
 
 
-def _chain_matching(g: ArcDigraph) -> list[int]:
+def _chain_matching(g: ArcDigraph) -> tuple[list[int], list[int]]:
     """Maximum matching of tails to heads over positions: each tail's mate or
-    -1.  Tail i may take any head of ``order[:reach[i]]`` but itself.
+    -1, and each path end's start, kept as it was when that end took a head.
+    Tail i may take any head of ``order[:reach[i]]`` but itself.
 
     The tails come by ascending reach, ties by position.  Each takes the free
     head with the largest first bar in its prefix, found through links to
@@ -162,7 +199,7 @@ def _chain_matching(g: ArcDigraph) -> list[int]:
             continue
         link[k] = k - 1
         last = i
-    return mate
+    return mate, start
 
 
 def path_cover(g: ArcDigraph) -> PathCover:
@@ -171,26 +208,20 @@ def path_cover(g: ArcDigraph) -> PathCover:
     The selected arc count is the bipartite matching size minus the number of
     broken cycles, hence never below (cycle cover arcs) - (cycles).
     """
-    n = len(g.vertices)
-    succ = _chain_matching(g)
-    has_pred = set(succ)
-
+    succ, start = _chain_matching(g)
     paths: list[tuple[int, ...]] = []
-    seen: set[int] = set()
     cycles_broken = 0
-    for start in [v for v in range(n) if v not in has_pred] + list(range(n)):
-        if start in seen:
-            continue
-        walk = [start]
-        while succ[walk[-1]] >= 0 and succ[walk[-1]] != start:
+    for v, head in enumerate(succ):
+        if head >= 0 and head != start[v]:
+            continue  # neither a path's end nor a tail that took its own start
+        walk = [start[v]]
+        while walk[-1] != v:
             walk.append(succ[walk[-1]])
-        seen.update(walk)
-        if start in has_pred:
-            # a cycle, entered at its smallest vertex (sorted starts), whose
-            # out-arc is the cycle's lexicographically smallest: drop it
-            walk = walk[1:] + walk[:1]
+        if head >= 0:  # a cycle: drop its lexicographically smallest arc
+            k = walk.index(min(walk)) + 1
+            walk = walk[k:] + walk[:k]
             cycles_broken += 1
-        paths.append(tuple(g.vertices[v] for v in walk))
+        paths.append(tuple(g.vertices[x] for x in walk))
 
     paths.sort(key=lambda p: p[0])
     return PathCover(paths=tuple(paths), cycles_broken=cycles_broken)

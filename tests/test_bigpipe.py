@@ -208,7 +208,7 @@ def test_path_cover_against_brute_force():
 def test_path_cover_is_pinned():
     # covers of the greedy chain-graph matching: the same mates must give
     # the same paths and broken cycles
-    pinned = "830d965f43eeba450c8e9a51079968840e31527925c0ae8254e3624620b7ebcb"
+    pinned = "cb7209151fbee369cd784a6b7a539c140fb5b956dd6af22f1a85e6030fe13139"
     rng = random.Random(46)
     covers, broken = [], 0
     for _ in range(300):
@@ -229,7 +229,7 @@ def test_path_cover_is_pinned():
 def test_path_cover_is_pinned_at_benchmark_scale():
     # covers of the greedy chain-graph matching on the benchmark's big-n500
     # and arbitrary-n200
-    pinned = "0b0057fd2020fe34d2380ba56da1dd38ba68fd0538db7c26c447f22002d16781"
+    pinned = "087ec39d8da7790fa063dcaf84b680713684cbba3ee4606d3ca4b61f21c5d284"
     covers = []
     for family, n in (("big", 500), ("arbitrary", 200)):
         for seed in (1, 2, 3):

@@ -21,7 +21,7 @@ GOLDEN = {
     ("arbitrary", 60, 6): (59, 64, 62, 64, 64),
     ("arbitrary", 60, 10): (64, 70, 70, 65, 67),
     ("big", 80, 2): (119, 121, 121, 119, 121),
-    ("big", 80, 6): (124, 124, 124, 124, 125),
+    ("big", 80, 6): (124, 124, 124, 124, 124),
     ("big", 80, 9): (125, 124, 124, 124, 124),
 }
 

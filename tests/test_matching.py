@@ -100,10 +100,10 @@ def test_union_graph_mixed_weights():
 
 
 def a2_round_two_sample(n: int) -> list[BarChart]:
-    """150 of A2's round-2 charts, pooled from big, arbitrary and
-    big_nonincreasing instances of size n and given fresh ids: no family
-    2-unites within itself after round 1, so some rows pass the staircase
-    and most do not."""
+    """150 charts as one maximum 2-union matching leaves them, pooled from
+    big, arbitrary and big_nonincreasing instances of size n and given fresh
+    ids: no family 2-unites within itself after that round, so few pairs
+    2-unite."""
     pool = []
     for family in ("big", "arbitrary", "big_nonincreasing"):
         charts = gen_random(n, 7, family, 10**6).charts
@@ -119,9 +119,8 @@ def test_union_graph_matches_pair_weight_on_every_pair():
     for _ in range(150):
         den = rng.choice([2, 10, 20, 100])
         inputs.append(random_charts(rng, rng.randint(0, 16), den))
-    # just below, at and past the row count from which 2-union graphs drop
-    # the rows that cannot 2-unite, and A2's round-2 charts
-    for n in (matching.STAIRCASE_MIN_ROWS - 1, matching.STAIRCASE_MIN_ROWS, 150):
+    # larger graphs at small and large D, and charts after one 2-union matching
+    for n in (63, 64, 150):
         for den in (3, 4, 100):
             inputs.append(random_charts(random.Random(n * den), n, den))
     inputs += [a2_round_two_sample(n) for n in (200, 500)]

@@ -2,8 +2,9 @@
 
 Instances have a denominator D from 2 to 100 and 1 to 8 charts; bars equal
 to D and repeated charts are drawn often.  The union rows are also checked
-on loose charts of widths 1 to 4, as unions leave them.  Hypothesis runs
-derandomized, so every run checks the same examples.
+on loose charts of widths 1 to 4, as unions leave them, and A2's greedy
+formation on ``gen_random`` big charts, up to 40 at D <= 10.  Hypothesis
+runs derandomized, so every run checks the same examples.
 """
 
 from hypothesis import example, given, settings
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
                   build_union_graph, compact, evaluate_packing, form_big_matchings,
-                  form_big_scan, ga_lo, lower_bounds, max_cardinality_matching,
-                  max_weight_matching, oracle_opt, solve_exact, union_feasible)
-from bcpp.bigpipe import _chain_matching
+                  form_big_scan, ga_lo, gen_random, lower_bounds,
+                  max_cardinality_matching, max_weight_matching, oracle_opt,
+                  solve_exact, union_feasible)
+from bcpp.bigpipe import _chain_matching, _dominance_matching
 from helpers import (brute_force_matching, inst, naive_ga_lo, pair_weight,
                      reference_bipartite_matching)
 
@@ -136,7 +138,7 @@ def test_chain_matching_is_maximum_and_feasible(charts):
     by_id = {c.id: c for c in charts}
     g = build_arc_digraph(charts)
     pairs = [(g.vertices[i], g.vertices[j])
-             for i, j in enumerate(_chain_matching(g)) if j >= 0]
+             for i, j in enumerate(_chain_matching(g)[0]) if j >= 0]
     assert len({v for _, v in pairs}) == len(pairs)
     assert all(u != v and union_feasible(by_id[u], by_id[v], 1) for u, v in pairs)
     heads = {u: [] for u in g.vertices}
@@ -177,6 +179,29 @@ def test_mw_is_no_longer_than_m1w_in_every_order(data):
     instance = data.draw(instances())
     for case in (instance, _relabeled(data, instance)):
         assert SOLVERS["Mw"](case).length <= SOLVERS["M1w"](case).length
+
+
+@SWEEP
+@given(st.one_of(instances(big=True),
+                 st.builds(gen_random, st.integers(2, 40), st.integers(1, 10**6),
+                           st.sampled_from(["big", "big_nonincreasing"]),
+                           st.sampled_from([10, 3, 4, 5, 6, 8]))))
+@example(inst((9, 1), (8, 4), (1, 6), (1, 9), den=10))  # the smallest fitting b is one short
+def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
+    # on big two-bar charts the greedy matches as many pairs as the blossom,
+    # each a feasible 2-union with the smaller id on the left, and no two
+    # formed charts 2-unite
+    charts = instance.charts
+    by_id = {c.id: c for c in charts}
+    edges = _dominance_matching(charts).edges
+    graph = build_union_graph(charts, two_unions_only=True)
+    assert len(edges) == len(max_cardinality_matching(graph).edges)
+    assert len({c for e in edges for c in (e.u, e.v)}) == 2 * len(edges)
+    assert all(e.left == e.u < e.v == e.right and e.weight == 2
+               and union_feasible(by_id[e.u], by_id[e.v], 2) for e in edges)
+    formed = form_big_matchings(charts)
+    assert len(formed) == len(charts) - len(edges)
+    assert build_union_graph(formed, two_unions_only=True).pairs == []
 
 
 @SWEEP
