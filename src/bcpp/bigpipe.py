@@ -3,8 +3,8 @@
 Both algorithms first turn the instance into big charts (at least one bar
 above 1/2), then chain the formed charts through 1-unions: a digraph holds
 an arc (i, j) whenever chart i's last bar and chart j's first bar fit into
-one cell, a path cover of that digraph is selected, and every path is merged
-left to right.  Each selected arc saves one strip cell.
+one cell, a path cover of that digraph is selected, and every path is laid
+out left to right, one cell shared per arc.  Each arc saves one strip cell.
 
 The digraph is a chain graph: sorted by first bar, chart i's heads are a
 prefix less i, the charts whose first bar fits its cap ``den - last``, and
@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .model import BarChart, Solved, assemble_placement
+from .model import BarChart, Placement, Solved
 from .matching import (Matching, UnionEdge, build_union_graph, chart_rows,
                        max_cardinality_matching, merge_matched)
 from .unions import merge_union
@@ -229,10 +229,11 @@ def path_cover(g: ArcDigraph) -> PathCover:
 
 def solve_big_pipeline(formed: list[BarChart] | tuple[BarChart, ...],
                        dump=None) -> Solved:
-    """Chain the formed charts through the 1-union digraph's path cover.
-
-    When ``dump`` is given, the arc list is passed to it as
-    ``("digraph", text)``.
+    """Lay the formed charts out along the 1-union digraph's path cover:
+    paths by least chart id, each arc's two charts sharing a cell, where a
+    width-1 chart adds up with both neighbours.  An overfull cell raises
+    ``ValueError`` naming it.  When ``dump`` is given, the arc list is
+    passed to it as ``("digraph", text)``.
     """
     digraph = build_arc_digraph(formed)
     if dump is not None:
@@ -240,12 +241,21 @@ def solve_big_pipeline(formed: list[BarChart] | tuple[BarChart, ...],
     cover = path_cover(digraph)
 
     by_id = {c.id: c for c in formed}
-    final = []
-    for path in cover.paths:
-        chart = by_id[path[0]]
-        for nxt in path[1:]:
-            chart = merge_union(chart, by_id[nxt], 1)
-        final.append(chart)
-
-    return Solved(placement=assemble_placement(final),
-                  length=sum(c.width for c in final))
+    placement: Placement = {}
+    end = 0  # the last strip cell used
+    for path in sorted(cover.paths, key=min):  # a merged chart's id is its least
+        top, end = 0, end + 1  # the height in cell ``end`` the next chart shares
+        for cid in path:
+            chart = by_id[cid]
+            bars = chart.bars
+            top += bars[0]
+            if top > chart.den:
+                raise ValueError(f"strip cell {end} holds {top}/{chart.den} > 1")
+            for oid, off in chart.origins:
+                placement[oid] = end + off
+            if len(bars) > 1:  # a width-1 chart keeps the running sum
+                top, end = bars[-1], end + len(bars) - 1
+    if (len(placement) != sum(len(c.origins) for c in formed)
+            or sum(map(len, cover.paths)) != len(formed)):
+        raise ValueError("the path cover must place every original chart once")
+    return Solved(placement=placement, length=end)

@@ -82,7 +82,7 @@ class BarChart:
     @property
     def is_big(self) -> bool:
         """True when some bar is strictly higher than 1/2."""
-        return any(2 * h > self.den for h in self.bars)
+        return 2 * max(self.bars) > self.den
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from bcpp import (ArcDigraph, BarChart, Instance, PathCover, UnionEdge,
-                  WeightedGraph, evaluate_packing, lex_order, union_feasible)
+from bcpp import (ArcDigraph, BarChart, Instance, PathCover, Solved, UnionEdge,
+                  WeightedGraph, assemble_placement, bigpipe, evaluate_packing,
+                  lex_order, merge_union, union_feasible)
 
 
 def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
@@ -232,3 +233,19 @@ def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
                 raise AssertionError(f"cover uses missing arc ({u}, {v})")
     if sorted(seen) != sorted(g.vertices):
         raise AssertionError("cover does not partition the vertex set")
+
+
+def reference_big_pipeline(formed) -> Solved:
+    """``solve_big_pipeline`` as it once ran: every cover path merged into
+    one chart by ``merge_union``, then the charts laid out by
+    ``assemble_placement``.  It looks ``bigpipe.path_cover`` up on each call,
+    so a test that replaces the cover replaces it here too."""
+    by_id = {c.id: c for c in formed}
+    final = []
+    for path in bigpipe.path_cover(bigpipe.build_arc_digraph(formed)).paths:
+        chart = by_id[path[0]]
+        for nxt in path[1:]:
+            chart = merge_union(chart, by_id[nxt], 1)
+        final.append(chart)
+    return Solved(placement=assemble_placement(final),
+                  length=sum(c.width for c in final))

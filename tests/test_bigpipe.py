@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, build_arc_digraph, evaluate_packing,
+from bcpp import (BarChart, PathCover, build_arc_digraph, evaluate_packing,
                   form_big_matchings, form_big_scan, gen_random, lower_bounds,
                   oracle_opt, path_cover, solve_big_pipeline)
+from bcpp import bigpipe
 from bcpp.bigpipe import dump_digraph
 from bcpp.unions import union_feasible
 from bcpp.harness import SOLVERS
 from helpers import (brute_force_matching, brute_force_path_cover_arcs,
-                     check_path_cover, inst, mk, random_charts)
+                     check_path_cover, inst, mk, random_charts,
+                     reference_big_pipeline)
 
 
 def test_scan_merges_smalls_into_big():
@@ -253,6 +255,26 @@ def test_pipeline_all_big_chain():
 def test_pipeline_a2_merges_boundary_pair():
     res = solve_big_pipeline(form_big_matchings(inst((5, 5), (5, 5)).charts))
     assert res.length == 2
+
+
+def test_pipeline_rejects_an_overfull_arc(monkeypatch):
+    # a cover arc whose shared cell holds 7/10 + 7/10 fails at strip cell 2
+    monkeypatch.setattr(bigpipe, "path_cover", lambda g: PathCover(((1, 2),)))
+    with pytest.raises(ValueError, match="strip cell 2 holds 14/10"):
+        solve_big_pipeline(inst((6, 7), (7, 5)).charts)
+
+
+def test_pipeline_adds_a_width_one_chart_to_both_neighbours(monkeypatch):
+    # formed charts are never one bar wide, so the cover is given: cell 2
+    # holds the last bar of 1, the bar of 2 and the first bar of 3
+    monkeypatch.setattr(bigpipe, "path_cover", lambda g: PathCover(((1, 2, 3),)))
+    formed = (BarChart(1, (9, 4), 10), BarChart(2, (3,), 10), BarChart(3, (3, 8), 10))
+    solved = solve_big_pipeline(formed)
+    assert (solved.placement, solved.length) == ({1: 1, 2: 2, 3: 2}, 3)
+    reference = reference_big_pipeline(formed)
+    assert (solved.placement, solved.length) == (reference.placement, reference.length)
+    with pytest.raises(ValueError, match="strip cell 2 holds 11/10"):
+        solve_big_pipeline(formed[:2] + (BarChart(3, (4, 8), 10),))
 
 
 def test_pipeline_blocked_digraph_sums_widths():

@@ -14,10 +14,10 @@ from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
                   build_union_graph, compact, evaluate_packing, form_big_matchings,
                   form_big_scan, ga_lo, gen_random, lower_bounds,
                   max_cardinality_matching, max_weight_matching, oracle_opt,
-                  solve_exact, union_feasible)
+                  solve_big_pipeline, solve_exact, union_feasible)
 from bcpp.bigpipe import _chain_matching, _dominance_matching
 from helpers import (brute_force_matching, inst, naive_ga_lo, pair_weight,
-                     reference_bipartite_matching)
+                     reference_big_pipeline, reference_bipartite_matching)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -145,6 +145,17 @@ def test_chain_matching_is_maximum_and_feasible(charts):
     for u, v in g.arcs:
         heads[u].append(v)
     assert len(pairs) == len(reference_bipartite_matching(list(g.vertices), heads))
+
+
+@SWEEP
+@given(st.one_of(instances(), instances(big=True)),
+       st.sampled_from([form_big_scan, form_big_matchings]))
+def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
+    # A1's and A2's layout of the cover paths equals merging each path by
+    # 1-unions and concatenating the merged charts by id
+    formed = form(instance.charts)
+    solved, reference = solve_big_pipeline(formed), reference_big_pipeline(formed)
+    assert (solved.placement, solved.length) == (reference.placement, reference.length)
 
 
 def _relabeled(data, instance):
