@@ -18,9 +18,12 @@ until the merge turns big, so at most one small chart survives.  A2 merges
 the pairs of maximum 2-union matchings until no pair unites.  On big two-bar
 charts the graph is bipartite and one greedy matching ends it: merged pairs
 have both bars above 1/2, and free charts cannot 2-unite.  Small or wider
-charts run the exact blossom, round after round.  Both formations return a
-tuple of formed charts that ``solve_big_pipeline`` chains, so A1 and A2
-differ only in the formation their ``harness.SOLVERS`` entry calls.
+charts run the exact blossom, round after round.  A 2-union of two-bar
+charts is two bars wide, holds the bar sums and keeps every origin at
+offset 0, so both formations return flat ``Formed`` tuples, ``(id, first
+bar, last bar, width, origins)`` in ascending id, which ``solve_big_pipeline``
+chains: A1 and A2 differ only in the formation their ``harness.SOLVERS``
+entry calls.
 
 The path cover comes from a maximum matching of tails to heads (the
 out-copy / in-copy split of the digraph): vertex-disjoint paths and cycles,
@@ -40,9 +43,11 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .model import BarChart, Placement, Solved
-from .matching import (Matching, UnionEdge, build_union_graph, chart_rows,
+from .matching import (ChartRow, build_union_graph, chart_rows,
                        max_cardinality_matching, merge_matched)
-from .unions import merge_union
+
+# (id, bars[0], bars[-1], width, origins) of a formed chart, id its least origin
+Formed = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -73,30 +78,37 @@ class PathCover:
 
 
 def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...],
-                  ) -> tuple[BarChart, ...]:
-    """One pass in id order; merges buffered small charts until they turn big.
-
-    Returns the big charts in scan order, then the small leftover if any.
-    """
-    formed: list[BarChart] = []
-    buffer: BarChart | None = None
+                  ) -> tuple[Formed, ...]:
+    """One pass in id order; sums buffered small charts' bars until a sum
+    passes D/2, as ``is_big`` decides.  The buffer and the new chart are both
+    small, so each sum is at most D without an overflow test.  The buffer keeps
+    its least id's slot, so the formed charts come in ascending id, the
+    leftover buffer the only small one.  A chart not two bars wide, or of
+    another denominator, raises ``ValueError``."""
+    formed: list[Formed] = []
+    slot, den = -1, charts[0].den if charts else 1  # the buffer's index; -1: none
     for ch in sorted(charts, key=lambda c: c.id):
-        if ch.is_big:
-            formed.append(ch)
-        elif buffer is None:
-            buffer = ch
+        if ch.width != 2 or ch.den != den:
+            raise ValueError(f"chart {ch.id}: A1 forms two-bar charts "
+                             "that share one denominator")
+        a, b = ch.bars
+        small = 2 * a <= den and 2 * b <= den
+        if small and slot >= 0:
+            cid, c, d, _, origins = formed[slot]
+            a, b = a + c, b + d
+            formed[slot] = (cid, a, b, 2, origins + ch.origins)
+            if 2 * a > den or 2 * b > den:
+                slot = -1
         else:
-            merged = merge_union(buffer, ch, 2)
-            if merged.is_big:
-                formed.append(merged)
-                buffer = None
-            else:
-                buffer = merged
-    return tuple(formed) if buffer is None else (*formed, buffer)
+            if small:
+                slot = len(formed)
+            formed.append((ch.id, a, b, 2, ch.origins))
+    return tuple(formed)
 
 
-def _dominance_matching(charts: list[BarChart] | tuple[BarChart, ...]) -> Matching:
-    """Maximum matching of the 2-union graph of big two-bar charts.
+def _dominance_matching(rows: list[ChartRow], den: int) -> list[tuple[int, int]]:
+    """Maximum matching of the 2-union graph of big two-bar charts, as id
+    pairs (u, v) with u < v, given ``chart_rows``' rows.
 
     Charts (a_i, b_i), (a_j, b_j) 2-unite iff a_i + a_j <= D and b_i + b_j
     <= D, so each edge joins an F chart (a > D/2 >= b) to an S chart
@@ -112,43 +124,52 @@ def _dominance_matching(charts: list[BarChart] | tuple[BarChart, ...]) -> Matchi
     it free too.  So a maximum matching agrees with the greedy on one more
     chart, and by induction on all.
     """
-    rows, den = chart_rows(charts)
     firsts = sorted((den - a, i, den - b) for i, a, b, *_ in rows if 2 * b <= den < 2 * a)
     seconds = sorted((a, b, j) for j, a, b, *_ in rows if 2 * a <= den < 2 * b)
     listed: list[tuple[int, int]] = []  # (b, id) of the admitted S charts still free
-    edges, k = [], 0
+    pairs, k = [], 0
     for cap_a, i, cap_b in firsts:
         while k < len(seconds) and seconds[k][0] <= cap_a:
             insort(listed, seconds[k][1:])
             k += 1
         p = bisect_left(listed, (cap_b + 1,))
         if p:
-            u, v = sorted((i, listed.pop(p - 1)[1]))
-            edges.append(UnionEdge(u, v, 2, u, v))
-    return Matching(tuple(edges))
+            j = listed.pop(p - 1)[1]
+            pairs.append((min(i, j), max(i, j)))
+    return pairs
 
 
 def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
-                       ) -> tuple[BarChart, ...]:
-    """Merge the pairs of maximum 2-union matchings until no pair remains."""
+                       ) -> tuple[Formed, ...]:
+    """Merge the pairs of maximum 2-union matchings until no pair remains; on
+    big two-bar charts one greedy round sums each pair under the smaller id."""
     if all(c.width == 2 and c.is_big for c in charts):
-        return tuple(merge_matched(charts, _dominance_matching(charts)))
+        rows, den = chart_rows(charts)
+        origins = {c.id: c.origins for c in charts}
+        formed = {i: (i, a, b, 2, origins[i]) for i, a, b, *_ in rows}
+        for u, v in _dominance_matching(rows, den):
+            _, a, b, _, left = formed[u]
+            _, c, d, _, right = formed.pop(v)
+            formed[u] = (u, a + c, b + d, 2, left + right)
+        return tuple(formed.values())
     while True:
         graph = build_union_graph(charts, two_unions_only=True)
         if not graph.pairs:
-            return tuple(charts)
+            return tuple((c.id, c.bars[0], c.bars[-1], c.width, c.origins)
+                         for c in sorted(charts, key=lambda c: c.id))
         matching = max_cardinality_matching(graph)
         charts = merge_matched(charts, matching)
 
 
-def build_arc_digraph(charts: list[BarChart] | tuple[BarChart, ...]) -> ArcDigraph:
+def build_arc_digraph(formed: list[Formed] | tuple[Formed, ...], den: int) -> ArcDigraph:
     """Arc (i, j) iff the 1-union with i on the left is feasible: i's heads
-    are the charts whose first bar fits its cap ``den - last``, less i."""
-    rows, den = chart_rows(charts)
-    order = sorted(range(len(rows)), key=lambda i: rows[i][1])
-    firsts = [rows[i][1] for i in order]
-    return ArcDigraph(tuple(row[0] for row in rows), tuple(order),
-                      tuple(bisect_right(firsts, den - row[4]) for row in rows))
+    are the charts whose first bar fits its cap ``den - last``, less i;
+    ``formed`` comes in ascending id."""
+    firsts = [f[1] for f in formed]
+    order = sorted(range(len(formed)), key=firsts.__getitem__)
+    firsts.sort()
+    return ArcDigraph(tuple(f[0] for f in formed), tuple(order),
+                      tuple(bisect_right(firsts, den - f[2]) for f in formed))
 
 
 def dump_digraph(g: ArcDigraph) -> str:
@@ -227,7 +248,7 @@ def path_cover(g: ArcDigraph) -> PathCover:
     return PathCover(paths=tuple(paths), cycles_broken=cycles_broken)
 
 
-def solve_big_pipeline(formed: list[BarChart] | tuple[BarChart, ...],
+def solve_big_pipeline(formed: list[Formed] | tuple[Formed, ...], den: int,
                        dump=None) -> Solved:
     """Lay the formed charts out along the 1-union digraph's path cover:
     paths by least chart id, each arc's two charts sharing a cell, where a
@@ -235,27 +256,26 @@ def solve_big_pipeline(formed: list[BarChart] | tuple[BarChart, ...],
     ``ValueError`` naming it.  When ``dump`` is given, the arc list is
     passed to it as ``("digraph", text)``.
     """
-    digraph = build_arc_digraph(formed)
+    digraph = build_arc_digraph(formed, den)
     if dump is not None:
         dump("digraph", dump_digraph(digraph))
     cover = path_cover(digraph)
 
-    by_id = {c.id: c for c in formed}
+    by_id = {f[0]: f for f in formed}
     placement: Placement = {}
     end = 0  # the last strip cell used
     for path in sorted(cover.paths, key=min):  # a merged chart's id is its least
         top, end = 0, end + 1  # the height in cell ``end`` the next chart shares
         for cid in path:
-            chart = by_id[cid]
-            bars = chart.bars
-            top += bars[0]
-            if top > chart.den:
-                raise ValueError(f"strip cell {end} holds {top}/{chart.den} > 1")
-            for oid, off in chart.origins:
+            _, first, last, width, origins = by_id[cid]
+            top += first
+            if top > den:
+                raise ValueError(f"strip cell {end} holds {top}/{den} > 1")
+            for oid, off in origins:
                 placement[oid] = end + off
-            if len(bars) > 1:  # a width-1 chart keeps the running sum
-                top, end = bars[-1], end + len(bars) - 1
-    if (len(placement) != sum(len(c.origins) for c in formed)
+            if width > 1:  # a width-1 chart keeps the running sum
+                top, end = last, end + width - 1
+    if (len(placement) != sum(len(f[4]) for f in formed)
             or sum(map(len, cover.paths)) != len(formed)):
         raise ValueError("the path cover must place every original chart once")
     return Solved(placement=placement, length=end)

@@ -150,6 +150,17 @@ CASES = {
             ("A2", "A2 4\n", PLACED, {"dd/": None, "dd/three-digraph.txt": ""}),
             ("EXACT --node-limit 100", "optimal 4 4 0 {ms}\n", "1 3\n2 3\n3 1\n",
              dumps("dd")))],
+    # A1 sums charts 1 and 2, both small, and chains 3 -> 1 -> 4; A2 pairs
+    # first-big chart 1 with second-big chart 2 and chains 3 -> 4
+    "solve_a1_and_a2_form_then_chain": [
+        Row(f"solve {stem}.inst -a {alg} --dump-graphs dd --write-placement p.txt",
+            adds={f"{stem}.inst": text}, out=out,
+            makes={"p.txt": placed, "dd/": None, f"dd/{stem}-digraph.txt": arcs})
+        for alg, stem, text, out, placed, arcs in (
+            ("A1", "smalls", "4 10\n2 3\n4 1\n9 2\n6 7\n", "A1 4\n",
+             "1 2\n2 2\n3 1\n4 3\n", "1 4\n3 1\n3 4\n"),
+            ("A2", "bigs", "4 10\n7 2\n3 8\n9 3\n2 9\n", "A2 5\n",
+             "1 1\n2 1\n3 3\n4 4\n", "3 4\n"))],
     "bench_and_strictness": [
         Row("bench s.bench", adds={"s.bench": (
                 "generate = family=arbitrary n=5 count=3 seed=1 D=20\n"

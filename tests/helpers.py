@@ -13,6 +13,8 @@ from itertools import product
 from bcpp import (ArcDigraph, BarChart, Instance, PathCover, Solved, UnionEdge,
                   WeightedGraph, assemble_placement, bigpipe, evaluate_packing,
                   lex_order, merge_union, union_feasible)
+from bcpp.bigpipe import Formed
+from bcpp.matching import chart_rows
 
 
 def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
@@ -235,14 +237,30 @@ def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
         raise AssertionError("cover does not partition the vertex set")
 
 
-def reference_big_pipeline(formed) -> Solved:
+def as_formed(charts) -> tuple[tuple[Formed, ...], int]:
+    """Charts as the formed tuples ``build_arc_digraph`` and
+    ``solve_big_pipeline`` read, in ascending id, and their shared
+    denominator; ``chart_rows`` refuses mixed ones."""
+    _, den = chart_rows(charts)
+    return tuple((c.id, c.bars[0], c.bars[-1], c.width, c.origins)
+                 for c in sorted(charts, key=lambda c: c.id)), den
+
+
+def formed_charts(formed, den: int) -> list[BarChart]:
+    """Formed tuples back as ``BarChart``s; a bar between the first and the
+    last, which no 1-union reads, is D."""
+    return [BarChart(cid, (first,) if width == 1 else (first, *(den,) * (width - 2), last),
+                     den, origins) for cid, first, last, width, origins in formed]
+
+
+def reference_big_pipeline(formed, den: int) -> Solved:
     """``solve_big_pipeline`` as it once ran: every cover path merged into
     one chart by ``merge_union``, then the charts laid out by
     ``assemble_placement``.  It looks ``bigpipe.path_cover`` up on each call,
     so a test that replaces the cover replaces it here too."""
-    by_id = {c.id: c for c in formed}
+    by_id = {c.id: c for c in formed_charts(formed, den)}
     final = []
-    for path in bigpipe.path_cover(bigpipe.build_arc_digraph(formed)).paths:
+    for path in bigpipe.path_cover(bigpipe.build_arc_digraph(formed, den)).paths:
         chart = by_id[path[0]]
         for nxt in path[1:]:
             chart = merge_union(chart, by_id[nxt], 1)

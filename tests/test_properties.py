@@ -7,17 +7,21 @@ formation on ``gen_random`` big charts, up to 40 at D <= 10.  Hypothesis
 runs derandomized, so every run checks the same examples.
 """
 
+from functools import reduce
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
                   build_union_graph, compact, evaluate_packing, form_big_matchings,
                   form_big_scan, ga_lo, gen_random, lower_bounds,
-                  max_cardinality_matching, max_weight_matching, oracle_opt,
-                  solve_big_pipeline, solve_exact, union_feasible)
+                  max_cardinality_matching, max_weight_matching, merge_union,
+                  oracle_opt, solve_big_pipeline, solve_exact, union_feasible)
 from bcpp.bigpipe import _chain_matching, _dominance_matching
-from helpers import (brute_force_matching, inst, naive_ga_lo, pair_weight,
-                     reference_big_pipeline, reference_bipartite_matching)
+from bcpp.matching import chart_rows
+from helpers import (as_formed, brute_force_matching, formed_charts, inst,
+                     naive_ga_lo, pair_weight, reference_big_pipeline,
+                     reference_bipartite_matching)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -121,13 +125,15 @@ def test_union_rows_match_their_definitions_at_every_width(charts):
     assert [tuple(e) for e in build_union_graph(charts).edges] == edges
     arcs = [(i.id, j.id) for i in ordered for j in ordered
             if i.id != j.id and union_feasible(i, j, 1)]
-    assert list(build_arc_digraph(charts).arcs) == arcs
+    assert list(build_arc_digraph(*as_formed(charts)).arcs) == arcs
 
 
 @SWEEP
-@given(st.one_of(st.builds(lambda instance, form: form(instance.charts),
+@given(st.one_of(st.builds(lambda instance, form: formed_charts(form(instance.charts),
+                                                                instance.den),
                            st.one_of(instances(), instances(big=True)),
-                           st.sampled_from([tuple, form_big_scan, form_big_matchings])),
+                           st.sampled_from([lambda charts: as_formed(charts)[0],
+                                            form_big_scan, form_big_matchings])),
                  chart_lists()))
 @example(inst((7, 2), (4, 1), (4, 5), den=7).charts)  # needs the swap
 def test_chain_matching_is_maximum_and_feasible(charts):
@@ -136,7 +142,7 @@ def test_chain_matching_is_maximum_and_feasible(charts):
     # them, and every pair it matches is a feasible 1-union taking each head
     # once
     by_id = {c.id: c for c in charts}
-    g = build_arc_digraph(charts)
+    g = build_arc_digraph(*as_formed(charts))
     pairs = [(g.vertices[i], g.vertices[j])
              for i, j in enumerate(_chain_matching(g)[0]) if j >= 0]
     assert len({v for _, v in pairs}) == len(pairs)
@@ -154,8 +160,39 @@ def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
     # A1's and A2's layout of the cover paths equals merging each path by
     # 1-unions and concatenating the merged charts by id
     formed = form(instance.charts)
-    solved, reference = solve_big_pipeline(formed), reference_big_pipeline(formed)
+    solved = solve_big_pipeline(formed, instance.den)
+    reference = reference_big_pipeline(formed, instance.den)
     assert (solved.placement, solved.length) == (reference.placement, reference.length)
+
+
+@SWEEP
+@given(st.one_of(instances(), instances(big=True),
+                 st.builds(gen_random, st.integers(2, 40), st.integers(1, 10**6),
+                           st.sampled_from(["arbitrary", "big", "big_nonincreasing"]),
+                           st.sampled_from([4, 6, 10]))),
+       st.sampled_from([form_big_scan, form_big_matchings]))
+def test_formed_tuples_are_their_origins_merged(instance, form):
+    # each formed tuple is what merging its origins in id order by 2-unions
+    # gives: the least origin id, two bars, the bar sums and every offset 0
+    by_id = {c.id: c for c in instance.charts}
+    formed = form(instance.charts)
+    assert [f[0] for f in formed] == sorted(f[0] for f in formed)
+    assert sorted(oid for *_, origins in formed for oid, _ in origins) == list(by_id)
+    for cid, first, last, width, origins in formed:
+        parts = [by_id[oid] for oid in sorted(oid for oid, _ in origins)]
+        merged = reduce(lambda left, right: merge_union(left, right, 2), parts)
+        assert (cid, (first, last), width, tuple(sorted(origins))) == (
+            merged.id, merged.bars, merged.width, merged.origins)
+        assert width == 2 and all(off == 0 for _, off in origins)
+        assert merged.bars == tuple(map(sum, zip(*(c.bars for c in parts))))
+    if form is form_big_scan:
+        # a small formed chart is the buffer left at the end, which holds
+        # every small chart after its least id
+        small = [f for f in formed if 2 * max(f[1], f[2]) <= instance.den]
+        assert len(small) <= 1
+        for cid, *_, origins in small:
+            later = {c.id for c in instance.charts if c.id > cid and not c.is_big}
+            assert later <= {oid for oid, _ in origins}
 
 
 def _relabeled(data, instance):
@@ -200,19 +237,19 @@ def test_mw_is_no_longer_than_m1w_in_every_order(data):
 @example(inst((9, 1), (8, 4), (1, 6), (1, 9), den=10))  # the smallest fitting b is one short
 def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     # on big two-bar charts the greedy matches as many pairs as the blossom,
-    # each a feasible 2-union with the smaller id on the left, and no two
-    # formed charts 2-unite
+    # each a feasible 2-union with the smaller id first, and no two formed
+    # charts 2-unite
     charts = instance.charts
     by_id = {c.id: c for c in charts}
-    edges = _dominance_matching(charts).edges
+    pairs = _dominance_matching(*chart_rows(charts))
     graph = build_union_graph(charts, two_unions_only=True)
-    assert len(edges) == len(max_cardinality_matching(graph).edges)
-    assert len({c for e in edges for c in (e.u, e.v)}) == 2 * len(edges)
-    assert all(e.left == e.u < e.v == e.right and e.weight == 2
-               and union_feasible(by_id[e.u], by_id[e.v], 2) for e in edges)
+    assert len(pairs) == len(max_cardinality_matching(graph).edges)
+    assert len({c for pair in pairs for c in pair}) == 2 * len(pairs)
+    assert all(u < v and union_feasible(by_id[u], by_id[v], 2) for u, v in pairs)
     formed = form_big_matchings(charts)
-    assert len(formed) == len(charts) - len(edges)
-    assert build_union_graph(formed, two_unions_only=True).pairs == []
+    assert len(formed) == len(charts) - len(pairs)
+    assert build_union_graph(formed_charts(formed, instance.den),
+                             two_unions_only=True).pairs == []
 
 
 @SWEEP

@@ -40,7 +40,7 @@ def test_every_traced_function_exists():
 def test_every_counter_reads_a_real_result():
     instance = gen_random(8, 6, "arbitrary", 100)  # EXACT expands 41 nodes
     graph = build_union_graph(instance.charts)
-    digraph = build_arc_digraph(form_big_scan(instance.charts))
+    digraph = build_arc_digraph(form_big_scan(instance.charts), instance.den)
     results = {
         "matching.build_union_graph": graph,
         "matching.max_weight_matching": max_weight_matching(graph),
