@@ -154,11 +154,10 @@ def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
         return tuple(formed.values())
     while True:
         graph = build_union_graph(charts, two_unions_only=True)
-        if not graph.pairs:
+        if not graph.wt2:
             return tuple((c.id, c.bars[0], c.bars[-1], c.width, c.origins)
                          for c in sorted(charts, key=lambda c: c.id))
-        matching = max_cardinality_matching(graph)
-        charts = merge_matched(charts, matching)
+        charts = merge_matched(charts, max_cardinality_matching(graph))
 
 
 def build_arc_digraph(formed: list[Formed] | tuple[Formed, ...], den: int) -> ArcDigraph:

@@ -9,10 +9,12 @@ same vertex order and edge list give the same mates: vertices ascending,
 neighbours in edge-list order, blossoms in creation order (ids are never
 reused), leaves in stack-pop order, ties to the first candidate.  The layout
 is new: vertices are ``0..n-1`` and blossoms get ids from ``n`` up, so every
-label, link and dual is a list slot; the oriented edge ``p`` runs
-``endpoint[p] -> endpoint[p ^ 1]``.  Vertex duals are doubled, so all
-arithmetic is exact.  Every call ends by checking the dual optimality
-conditions and raises ``ArithmeticError`` if one fails.
+label, link and dual is a list slot.  Edge k has doubled weight ``wt2[k]``,
+its oriented edge ``p`` (2k or 2k + 1) runs ``endpoint[p] -> endpoint[p ^ 1]``,
+``adj[v]`` lists the ``p`` out of v as bare ints and ``heavy[v]`` those of
+weight 2, as the union graph's pair scan writes them.  Vertex duals are
+doubled, so all arithmetic is exact.  Every call ends by checking the dual
+optimality conditions and raises ``ArithmeticError`` if one fails.
 
 Every weight is 1 or 2, the overlap of a union, so two of Galil's four
 delta types never occur and are left out.  In doubled units the duals start
@@ -36,22 +38,22 @@ for the stage: an S-T slack does not move under a delta, and a tight S-S edge
 closes a blossom or ends the stage.  An odd S-S slack would repeat a zero
 delta forever, so it raises ``ArithmeticError``.  Most stages augment without
 a delta, so a stage first scans only each vertex's tight edges and keeps none
-of the least-slack edges only a delta reads.  Before any delta the tight edges
-are the heaviest ones (on a cardinality graph, all of them), so the lists
-start as those; after a delta each is rebuilt when its vertex is next
-scanned.  If the tight pass augments, it followed the same edges in the same
-order as a full scan, so the mates are the same.  If it fails, no tight edge
-joins two S-blossoms, so a type-3 delta would be at least 1, and it wins only
-below the least dual.  So once a dual is at most 1 (from the start on a
-cardinality graph, and after the first delta on any other) the failed pass
-is the last stage: it takes its type-1 delta and the call ends, where
-networkx's tracked rerun would build the same forest and take the same
-delta.  While every dual is still 2 the pass, which moved no mate or dual, is
-undone and the stage reruns tracked, scanning every edge for networkx's
-delta.  A stage with at most one single vertex that has an edge cannot
-augment and runs tracked.  Stages label from a list of the single vertices
-that have an edge, from which each augmentation drops its two ends.  A
-vertex with no edge takes part in no stage.  Its dual stays W, at least the
+of the least-slack edges only a delta reads.  Before any delta the tight
+edges are the heaviest ones, so the lists start as ``heavy`` (``adj`` when no
+weight is 2, as on a cardinality graph); after a delta each is rebuilt when
+its vertex is next scanned.  If the tight pass augments, it followed the same
+edges in the same order as a full scan, so the mates are the same.  If it
+fails, no tight edge joins two S-blossoms, so a type-3 delta would be at
+least 1, and it wins only below the least dual.  So once a dual is at most 1
+(from the start on a cardinality graph, and after the first delta on any
+other) the failed pass is the last stage: it takes its type-1 delta and the
+call ends, where networkx's tracked rerun would build the same forest and
+take the same delta.  While every dual is still 2 the pass, which moved no
+mate or dual, is undone and the stage reruns tracked, scanning every edge for
+networkx's delta.  A stage with at most one single vertex that has an edge
+cannot augment and runs tracked.  Stages label from a list of the single
+vertices that have an edge, from which each augmentation drops its two ends.
+A vertex with no edge takes part in no stage.  Its dual stays W, at least the
 dual all single vertices share, so no delta or slack changes; the certificate
 gets 0, valid where no edge constrains.  The stages, the substages and every
 walk along blossom links have bounds; passing one raises ``ArithmeticError``.
@@ -95,15 +97,15 @@ from itertools import chain
 
 
 def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-    """Indices, ascending, of the edges in a maximum-weight matching.
+    """Indices, ascending, of the edges in a maximum-weight matching of ``edges``."""
+    return match_edges(*edge_lists(n, edges))
 
-    ``edges`` holds ``(i, j, weight)``, at most one per pair; a loop, an
-    endpoint outside ``0..n-1`` or a weight not 1 or 2 raises ``ValueError``.
-    """
-    endpoint: list[int] = []
-    wt2: list[int] = []
-    # adj[v]: (neighbour, edge out of v, doubled weight) in edge-list order
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+
+def edge_lists(n: int, edges: list[tuple[int, int, int]]) -> tuple[list, ...]:
+    """``match_edges``'s lists from ``edges``, ``(i, j, weight)`` at most one per
+    pair; a loop, an endpoint outside ``0..n-1`` or a weight not 1 or 2 raises
+    ``ValueError``."""
+    endpoint, wt2, adj, heavy = [], [], [[] for _ in range(n)], [[] for _ in range(n)]
     for k, (i, j, w) in enumerate(edges):
         if w not in (1, 2):
             raise ValueError(f"edge {k}: weights must be 1 or 2, not {w}")
@@ -111,8 +113,15 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             raise ValueError(f"edge {k}: ({i}, {j}) is a loop or leaves 0..{n - 1}")
         endpoint += (i, j)
         wt2.append(2 * w)
-        adj[i].append((j, 2 * k, 2 * w))
-        adj[j].append((i, 2 * k + 1, 2 * w))
+        for lists in (adj, heavy) if w == 2 else (adj,):
+            lists[i].append(2 * k)
+            lists[j].append(2 * k + 1)
+    return endpoint, wt2, adj, heavy
+
+
+def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> list[int]:
+    """``max_weight_edges`` on ``edge_lists``'s lists, unchecked and unchanged."""
+    n = len(adj)
     live = [v for v in range(n) if adj[v]]  # the vertices every stage reads
 
     mate = [-1] * n  # the matched edge out of each vertex, -1 if single
@@ -131,11 +140,10 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     blossomdual: dict[int, int] = {}
     childs: dict[int, list[int]] = {}   # sub-blossoms, base first
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
-    mybestedges: dict[int, list[tuple[int, int, int]]] = {}
+    mybestedges: dict[int, list[int]] = {}
     queue: list[int] = []
-    # adj[v] cut to slack <= 0, until the duals move; before that, the
-    # heaviest edges
-    tight: list = [[t for t in a if t[2] == 4] for a in adj] if top == 4 else adj[:]
+    # adj[v] cut to slack <= 0; until the duals move, the heaviest edges
+    tight: list = (heavy if top == 4 else adj)[:]
 
     def slack(p: int) -> int:
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
@@ -225,28 +233,22 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             inblossom[v] = b
         if not tracked:
             return
-        # least-slack edge to each neighbouring S-blossom, by first reach.
-        # Every edge listed runs out of b, as networkx's lists do, and the
-        # duals do not move while a blossom is built, so slacks are kept.
-        bestedgeto: dict[int, tuple[int, tuple[int, int, int]]] = {}
+        # least-slack edge to each neighbouring S-blossom (by first reach) and
+        # the first least.  Every edge listed runs out of b, as networkx's
+        # lists do, and the duals do not move while a blossom is built.
+        bestedgeto: dict[int, tuple[int, int]] = {}
         for bv in path:
-            if bv < n:
-                nblist = adj[bv]
-            else:
-                nblist = mybestedges.pop(bv, None)
-                if nblist is None:
-                    nblist = [t for x in leaves(bv) for t in adj[x]]
-            for t in nblist:
-                w, q, w2 = t
-                bj = inblossom[w]
+            nblist = adj[bv] if bv < n else mybestedges.pop(bv, None)
+            if nblist is None:
+                nblist = [q for x in leaves(bv) for q in adj[x]]
+            for q in nblist:
+                bj = inblossom[endpoint[q ^ 1]]
                 if bj != b and label[bj] == 1:
-                    s = dualvar[endpoint[q]] + dualvar[w] - w2
-                    old = bestedgeto.get(bj)
-                    if old is None or s < old[0]:
-                        bestedgeto[bj] = (s, t)
-        mybestedges[b] = [t for _, t in bestedgeto.values()]
-        best = min(bestedgeto.values(), key=lambda st: st[0], default=None)
-        bestedge[b] = -1 if best is None else best[1][1]  # first least slack
+                    s = dualvar[endpoint[q]] + dualvar[endpoint[q ^ 1]] - wt2[q >> 1]
+                    if bj not in bestedgeto or s < bestedgeto[bj][0]:
+                        bestedgeto[bj] = (s, q)
+        mybestedges[b] = [q for _, q in bestedgeto.values()]
+        bestedge[b] = min(bestedgeto.values(), key=lambda sq: sq[0], default=(0, -1))[1]
 
     def expand_blossom(b: int) -> None:
         # dissolve b and every zero-dual sub-blossom (each slot is set once)
@@ -345,14 +347,16 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                 dv = dualvar[v]
                 nbrs = adj[v] if tracked else tight[v]
                 if nbrs is None:
-                    nbrs = tight[v] = [t for t in adj[v] if dv + dualvar[t[0]] <= t[2]]
+                    nbrs = tight[v] = [p for p in adj[v]
+                                       if dv + dualvar[endpoint[p ^ 1]] <= wt2[p >> 1]]
                 be = bestedge[bv]  # with its slack bs, kept for the scan
                 bs = slack(be) if be != -1 else 0
-                for w, p, w2 in nbrs:
+                for p in nbrs:
+                    w = endpoint[p ^ 1]
                     bw = inblossom[w]
                     if bw == bv:
                         continue
-                    kslack = dv + dualvar[w] - w2
+                    kslack = dv + dualvar[w] - wt2[p >> 1]
                     if kslack > 0:
                         # not tight: keep the least-slack edge to an S-blossom
                         if label[bw] == 1 and (be == -1 or kslack < bs):

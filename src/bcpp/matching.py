@@ -1,15 +1,15 @@
 """Union graphs, exact matchings, and the matching-driven packers M1w / Mw.
 
 Vertices are chart ids; an edge carries the best overlap (weight 2 or 1) a
-pair admits together with the orientation that realizes it.  Matchings are
-computed exactly by ``blossom.max_weight_edges``, Edmonds' primal-dual
-blossom algorithm ported from networkx, which checks its dual optimality
-certificate on every call.  A ``WeightedGraph`` holds its edges in the
-blossom's own form: ``pairs[k] = (left, right, weight)`` over positions in
-the ascending ``vertices``, the left chart first, listed in (i, j) order
-of the pair's positions i < j, so equal-weight ties resolve the same way
-on every run.  A ``UnionEdge`` is made only for a matched edge, or when
-``edges``, the view that dumps and tests read, is asked for.
+pair admits together with the orientation that realizes it.  A
+``WeightedGraph`` is the input of ``blossom.match_edges``, the certified
+exact matcher, as the pair scan writes it: edge k runs from the left chart's
+position ``endpoint[2k]`` in the ascending ``vertices`` to ``endpoint[2k + 1]``
+at doubled weight ``wt2[k]``; ``adj[i]`` lists the oriented edges ``p`` out
+of i (to ``endpoint[p ^ 1]``), ``heavy[i]`` those of weight 2, in (i, j)
+order of positions i < j, so ties resolve the same way on every run.  A
+``UnionEdge`` is made only for a matched edge, or for the ``edges`` and
+``pairs`` views.
 
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .blossom import max_weight_edges
+from .blossom import edge_lists, match_edges
 from .model import BarChart, Instance, Solved, assemble_placement
 from .unions import merge_union
 
@@ -44,17 +44,28 @@ class UnionEdge(NamedTuple):
 @dataclass(frozen=True)
 class WeightedGraph:
     vertices: tuple[int, ...]
-    pairs: list[tuple[int, int, int]]
+    endpoint: list[int]
+    wt2: list[int]
+    adj: list[list[int]]
+    heavy: list[list[int]]
+
+    @classmethod
+    def from_pairs(cls, vertices, pairs: list[tuple[int, int, int]]) -> WeightedGraph:
+        """From ``(left, right, weight)`` over positions, checked by the blossom."""
+        return cls(tuple(vertices), *edge_lists(len(vertices), pairs))
+
+    @property
+    def pairs(self) -> list[tuple[int, int, int]]:
+        return [(*self.endpoint[2 * k:2 * k + 2], w >> 1) for k, w in enumerate(self.wt2)]
 
     def edge(self, k: int) -> UnionEdge:
-        i, j, w = self.pairs[k]
-        left, right = self.vertices[i], self.vertices[j]
-        return UnionEdge(min(left, right), max(left, right), w, left, right)
+        a, b = (self.vertices[x] for x in self.endpoint[2 * k:2 * k + 2])
+        return UnionEdge(min(a, b), max(a, b), self.wt2[k] >> 1, a, b)
 
     @property
     def edges(self) -> tuple[UnionEdge, ...]:
-        """Every edge, in ``pairs`` order; built anew on each read."""
-        return tuple(map(self.edge, range(len(self.pairs))))
+        """Every edge, in edge-list order; built anew on each read."""
+        return tuple(map(self.edge, range(len(self.wt2))))
 
 
 @dataclass(frozen=True)
@@ -97,37 +108,43 @@ def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
 
     Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
     With ``two_unions_only`` only the weight-2 edges are built, as A2's
-    formation rounds need.
+    formation rounds need, and ``heavy`` is ``adj``.
     """
     rows, den = chart_rows(charts)
     ranked = [(i, *row[1:]) for i, row in enumerate(rows)]  # positions, not ids
-    pairs: list[tuple[int, int, int]] = []
-    add = pairs.append
-    for a, (i, f0, f1, l2, l1) in enumerate(ranked):
+    endpoint, wt2, adj = [], [], [[] for _ in rows]
+    heavy = adj if two_unions_only else [[] for _ in rows]
+    for i, f0, f1, l2, l1 in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
-        for j, g0, g1, m2, m1 in ranked[a + 1:]:
+        for j, g0, g1, m2, m1 in ranked[i + 1:]:
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, i left
-                add((i, j, 2))
+                w, d = 4, 0
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left
-                add((j, i, 2))
-            elif two_unions_only:
+                w, d = 4, 1
+            elif two_unions_only or (g0 > cap_l1 and m1 > cap_f0):  # none built
                 continue
-            elif g0 <= cap_l1:                     # 1-union, i left
-                add((i, j, 1))
-            elif m1 <= cap_f0:                     # 1-union, j left
-                add((j, i, 1))
-    return WeightedGraph(tuple(r[0] for r in rows), pairs)
+            else:                                  # 1-union, i left if it fits
+                w, d = 2, g0 > cap_l1
+            p = len(endpoint) + d  # the new edge oriented out of i
+            endpoint += (j, i) if d else (i, j)
+            wt2.append(w)
+            adj[i].append(p)
+            adj[j].append(p ^ 1)
+            if w == 4 and not two_unions_only:
+                heavy[i].append(p)
+                heavy[j].append(p ^ 1)
+    return WeightedGraph(tuple(r[0] for r in rows), endpoint, wt2, adj, heavy)
 
 
 def max_weight_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-weight matching (not merely maximal)."""
-    return Matching(tuple(map(g.edge, max_weight_edges(len(g.vertices), g.pairs))))
+    return Matching(tuple(map(g.edge, match_edges(g.endpoint, g.wt2, g.adj, g.heavy))))
 
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-cardinality matching; total_weight still sums edge weights."""
-    ones = [(left, right, 1) for left, right, _ in g.pairs]
-    return Matching(tuple(map(g.edge, max_weight_edges(len(g.vertices), ones))))
+    ones = [2] * len(g.wt2)  # every weight 1, doubled, so every edge is heavy
+    return Matching(tuple(map(g.edge, match_edges(g.endpoint, ones, g.adj, g.adj))))
 
 
 def dump_graph(g: WeightedGraph) -> str:
@@ -163,7 +180,7 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
         rounds += 1
         if dump is not None:
             dump(f"round{rounds}", dump_graph(graph))
-        if not graph.pairs:
+        if not graph.wt2:
             break
         unions.append(max_weight_matching(graph))
         charts = merge_matched(charts, unions[-1])

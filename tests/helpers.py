@@ -32,8 +32,8 @@ def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
     each pair listing its ``left`` chart first."""
     verts = tuple(sorted(vertices))
     index = {x: i for i, x in enumerate(verts)}
-    return WeightedGraph(verts, [(index[e.left], index[e.right], e.weight)
-                                 for e in sorted(edges)])
+    return WeightedGraph.from_pairs(verts, [(index[e.left], index[e.right], e.weight)
+                                            for e in sorted(edges)])
 
 
 def reference_bipartite_matching(lefts: list[int],

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, UnionEdge, assemble_placement,
+from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
                   build_union_graph, dump_graph, evaluate_packing,
                   format_placement, gen_random, max_cardinality_matching,
                   max_weight_matching, merge_union, oracle_opt, solve_mw)
-from bcpp import matching
+from bcpp import blossom
 from bcpp.matching import merge_matched
 from helpers import (brute_force_matching, inst, pair_weight, random_charts,
                      union_graph)
@@ -141,17 +141,11 @@ def test_union_graph_matches_pair_weight_on_every_pair():
 
 
 @pytest.mark.parametrize("family", ["arbitrary", "big", "big_nonincreasing"])
-def test_blossom_input_is_the_sorted_indexed_edge_list(family, monkeypatch):
+def test_blossom_input_is_the_sorted_indexed_edge_list(family):
     # the reference list: every uniting pair by pair_weight as a UnionEdge,
-    # sorted, its ids mapped to positions, and w = 1 for cardinality
-    handed = []
-
-    def spy(n, edges):
-        handed.append((edges, max_weight_edges(n, edges)))
-        return handed[-1][1]
-
-    max_weight_edges = matching.max_weight_edges
-    monkeypatch.setattr(matching, "max_weight_edges", spy)
+    # sorted, its ids mapped to positions; the graph holds the lists the
+    # blossom builds from it, and each matcher chooses what the blossom
+    # chooses on it, with w = 1 for cardinality
     for n in (5, 50, 200):
         charts = gen_random(n, 7, family, 10**6).charts
         for two_unions_only in (False, True):
@@ -161,17 +155,27 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family, monkeypatch):
                 for pw in [pair_weight(i, j)]
                 if pw.weight == 2 or pw.weight and not two_unions_only)
             index = {c.id: k for k, c in enumerate(charts)}
+            reference = [(index[e.left], index[e.right], e.weight) for e in expected]
             g = build_union_graph(charts, two_unions_only=two_unions_only)
             assert g.edges == tuple(expected)
+            assert g.pairs == reference
+            assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, reference)
             for solve, cardinality in ((max_weight_matching, False),
                                        (max_cardinality_matching, True)):
-                handed.clear()
-                matched = solve(g).edges
-                [(edges, chosen)] = handed
-                assert edges == [(index[e.left], index[e.right],
-                                  1 if cardinality else e.weight)
-                                 for e in expected]
-                assert matched == tuple(expected[k] for k in chosen)
+                given = [(i, j, 1 if cardinality else w) for i, j, w in reference]
+                chosen = blossom.max_weight_edges(n, given)
+                assert solve(g).edges == tuple(expected[k] for k in chosen)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1, 1), (1, 1, 2)], r"^edge 1: \(1, 1\) is a loop or leaves 0\.\.2$"),
+    ([(0, 1, 1), (1, 3, 1)], r"^edge 1: \(1, 3\) is a loop or leaves 0\.\.2$"),
+    ([(0, 1, 1), (-1, 0, 2)], r"^edge 1: \(-1, 0\) is a loop or leaves 0\.\.2$"),
+    ([(0, 1, 1), (1, 2, 3)], r"^edge 1: weights must be 1 or 2, not 3$"),
+], ids=["loop", "endpoint-past-n", "negative-endpoint", "weight-3"])
+def test_a_bad_hand_made_graph_is_rejected_when_built(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph.from_pairs((4, 7, 9), pairs)
 
 
 def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():

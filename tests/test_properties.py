@@ -7,6 +7,7 @@ formation on ``gen_random`` big charts, up to 40 at D <= 10.  Hypothesis
 runs derandomized, so every run checks the same examples.
 """
 
+from copy import deepcopy
 from functools import reduce
 
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
                   form_big_scan, ga_lo, gen_random, lower_bounds,
                   max_cardinality_matching, max_weight_matching, merge_union,
                   oracle_opt, solve_big_pipeline, solve_exact, union_feasible)
+from bcpp import blossom
 from bcpp.bigpipe import _chain_matching, _dominance_matching
 from bcpp.matching import chart_rows
 from helpers import (as_formed, brute_force_matching, formed_charts, inst,
@@ -214,7 +216,7 @@ def test_m1w_length_is_the_width_less_the_matching_weight(instance, rnd):
     # one round merges each matched pair, saving its weight in cells, so the
     # length is fixed by the weight, whatever order the edges are listed in
     g = build_union_graph(instance.charts)
-    shuffled = WeightedGraph(g.vertices, rnd.sample(g.pairs, len(g.pairs)))
+    shuffled = WeightedGraph.from_pairs(g.vertices, rnd.sample(g.pairs, len(g.pairs)))
     width = sum(ch.width for ch in instance.charts)
     length = SOLVERS["M1w"](instance).length
     assert length == width - max_weight_matching(g).total_weight
@@ -250,6 +252,25 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     assert len(formed) == len(charts) - len(pairs)
     assert build_union_graph(formed_charts(formed, instance.den),
                              two_unions_only=True).pairs == []
+
+
+@SWEEP
+@given(st.one_of(instances(), instances(big=True)), st.booleans())
+def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance, two_unions_only):
+    # the pair scan writes the blossom's lists itself; they must be those the
+    # validating builder makes from the edge list, so the matchers choose
+    # what max_weight_edges chooses, and matching reads the graph only
+    g = build_union_graph(instance.charts, two_unions_only=two_unions_only)
+    n, pairs = len(g.vertices), g.pairs
+    assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, pairs)
+    before = deepcopy(g)
+    for solve, cardinality in ((max_weight_matching, False),
+                               (max_cardinality_matching, True)):
+        listed = [(i, j, 1 if cardinality else w) for i, j, w in pairs]
+        chosen = blossom.max_weight_edges(n, listed)
+        assert solve(g).edges == tuple(map(g.edge, chosen))
+        assert solve(g) == solve(g)
+    assert g == before
 
 
 @SWEEP
