@@ -6,10 +6,10 @@ from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
                     Placement, Solved, assemble_placement, compact,
                     evaluate_packing, format_instance, format_placement,
                     lower_bounds, parse_instance)
-from .unions import merge_union, union_feasible
+from .unions import merge_union
 from .greedy import ga_lo, lex_order
 from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
-                       dump_graph, max_cardinality_matching,
+                       chart_rows, dump_graph, max_cardinality_matching,
                        max_weight_matching, solve_mw)
 from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,

@@ -12,18 +12,19 @@ the prefixes nest.  An ``ArcDigraph`` holds ``order``, the positions by
 first bar, ties by position, and each position's ``reach``, the length of
 the prefix its cap admits; its ``arcs`` view is built on read.
 
-A1 forms big charts in a single scan with a one-slot buffer: small charts
-are pairwise 2-unioned (always feasible, all four bars are at most 1/2)
-until the merge turns big, so at most one small chart survives.  A2 merges
-the pairs of maximum 2-union matchings until no pair unites.  On big two-bar
-charts the graph is bipartite and one greedy matching ends it: merged pairs
-have both bars above 1/2, and free charts cannot 2-unite.  Small or wider
-charts run the exact blossom, round after round.  A 2-union of two-bar
-charts is two bars wide, holds the bar sums and keeps every origin at
-offset 0, so both formations return flat ``Formed`` tuples, ``(id, first
-bar, last bar, width, origins)`` in ascending id, which ``solve_big_pipeline``
-chains: A1 and A2 differ only in the formation their ``harness.SOLVERS``
-entry calls.
+Both formations read and return ``ChartRow``s in ascending id, as
+``matching.chart_rows`` makes them.  A1 forms big charts in a single scan
+with a one-slot buffer: small charts are pairwise 2-unioned (always
+feasible, all four bars are at most 1/2) until the merge turns big, so at
+most one small chart survives.  A2 merges the pairs of maximum 2-union
+matchings until no pair unites.  On big two-bar charts the graph is
+bipartite and one greedy matching ends it: merged pairs have both bars
+above 1/2, and free charts cannot 2-unite.  Otherwise the exact blossom
+runs, round after round, and ``merge_matched`` merges the rows.  A 2-union
+of two-bar charts is two bars wide, holds the bar sums and keeps every
+origin at offset 0, so every formed row is two bars wide, which
+``solve_big_pipeline`` chains: A1 and A2 differ only in the formation their
+``harness.SOLVERS`` entry calls.
 
 The path cover comes from a maximum matching of tails to heads (the
 out-copy / in-copy split of the digraph): vertex-disjoint paths and cycles,
@@ -42,12 +43,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .model import BarChart, Placement, Solved
-from .matching import (ChartRow, build_union_graph, chart_rows,
-                       max_cardinality_matching, merge_matched)
-
-# (id, bars[0], bars[-1], width, origins) of a formed chart, id its least origin
-Formed = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
+from .model import ChartRow, Placement, Solved
+from .matching import build_union_graph, max_cardinality_matching, merge_matched
 
 
 @dataclass(frozen=True)
@@ -77,38 +74,36 @@ class PathCover:
         return sum(len(p) - 1 for p in self.paths)
 
 
-def form_big_scan(charts: list[BarChart] | tuple[BarChart, ...],
-                  ) -> tuple[Formed, ...]:
+def form_big_scan(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
     """One pass in id order; sums buffered small charts' bars until a sum
     passes D/2, as ``is_big`` decides.  The buffer and the new chart are both
     small, so each sum is at most D without an overflow test.  The buffer keeps
     its least id's slot, so the formed charts come in ascending id, the
-    leftover buffer the only small one.  A chart not two bars wide, or of
-    another denominator, raises ``ValueError``."""
-    formed: list[Formed] = []
-    slot, den = -1, charts[0].den if charts else 1  # the buffer's index; -1: none
-    for ch in sorted(charts, key=lambda c: c.id):
-        if ch.width != 2 or ch.den != den:
-            raise ValueError(f"chart {ch.id}: A1 forms two-bar charts "
-                             "that share one denominator")
-        a, b = ch.bars
+    leftover buffer the only small one.  A row not two bars wide raises
+    ``ValueError``."""
+    formed: list[ChartRow] = []
+    slot = -1  # the buffer's index; -1: none
+    for row in rows:
+        cid, a, b, _, _, width, origins = row
+        if width != 2:
+            raise ValueError(f"chart {cid}: A1 forms two-bar charts")
         small = 2 * a <= den and 2 * b <= den
         if small and slot >= 0:
-            cid, c, d, _, origins = formed[slot]
+            kept, c, d, _, _, _, before = formed[slot]
             a, b = a + c, b + d
-            formed[slot] = (cid, a, b, 2, origins + ch.origins)
+            formed[slot] = (kept, a, b, a, b, 2, before + origins)
             if 2 * a > den or 2 * b > den:
                 slot = -1
         else:
             if small:
                 slot = len(formed)
-            formed.append((ch.id, a, b, 2, ch.origins))
+            formed.append(row)
     return tuple(formed)
 
 
 def _dominance_matching(rows: list[ChartRow], den: int) -> list[tuple[int, int]]:
     """Maximum matching of the 2-union graph of big two-bar charts, as id
-    pairs (u, v) with u < v, given ``chart_rows``' rows.
+    pairs (u, v) with u < v, given their rows.
 
     Charts (a_i, b_i), (a_j, b_j) 2-unite iff a_i + a_j <= D and b_i + b_j
     <= D, so each edge joins an F chart (a > D/2 >= b) to an S chart
@@ -139,28 +134,25 @@ def _dominance_matching(rows: list[ChartRow], den: int) -> list[tuple[int, int]]
     return pairs
 
 
-def form_big_matchings(charts: list[BarChart] | tuple[BarChart, ...],
-                       ) -> tuple[Formed, ...]:
+def form_big_matchings(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
     """Merge the pairs of maximum 2-union matchings until no pair remains; on
     big two-bar charts one greedy round sums each pair under the smaller id."""
-    if all(c.width == 2 and c.is_big for c in charts):
-        rows, den = chart_rows(charts)
-        origins = {c.id: c.origins for c in charts}
-        formed = {i: (i, a, b, 2, origins[i]) for i, a, b, *_ in rows}
+    if all(w == 2 and 2 * max(a, b) > den for _, a, b, _, _, w, _ in rows):
+        formed = {row[0]: row for row in rows}
         for u, v in _dominance_matching(rows, den):
-            _, a, b, _, left = formed[u]
-            _, c, d, _, right = formed.pop(v)
-            formed[u] = (u, a + c, b + d, 2, left + right)
+            _, a, b, _, _, _, left = formed[u]
+            _, c, d, _, _, _, right = formed.pop(v)
+            formed[u] = (u, a + c, b + d, a + c, b + d, 2, left + right)
         return tuple(formed.values())
-    while True:
-        graph = build_union_graph(charts, two_unions_only=True)
-        if not graph.wt2:
-            return tuple((c.id, c.bars[0], c.bars[-1], c.width, c.origins)
-                         for c in sorted(charts, key=lambda c: c.id))
-        charts = merge_matched(charts, max_cardinality_matching(graph))
+    graph = build_union_graph(rows, den, two_unions_only=True)
+    while graph.wt2:
+        rows = merge_matched(rows, max_cardinality_matching(graph))
+        graph = build_union_graph(rows, den, two_unions_only=True)
+    return tuple(rows)
 
 
-def build_arc_digraph(formed: list[Formed] | tuple[Formed, ...], den: int) -> ArcDigraph:
+def build_arc_digraph(formed: list[ChartRow] | tuple[ChartRow, ...],
+                      den: int) -> ArcDigraph:
     """Arc (i, j) iff the 1-union with i on the left is feasible: i's heads
     are the charts whose first bar fits its cap ``den - last``, less i;
     ``formed`` comes in ascending id."""
@@ -168,7 +160,7 @@ def build_arc_digraph(formed: list[Formed] | tuple[Formed, ...], den: int) -> Ar
     order = sorted(range(len(formed)), key=firsts.__getitem__)
     firsts.sort()
     return ArcDigraph(tuple(f[0] for f in formed), tuple(order),
-                      tuple(bisect_right(firsts, den - f[2]) for f in formed))
+                      tuple(bisect_right(firsts, den - f[4]) for f in formed))
 
 
 def dump_digraph(g: ArcDigraph) -> str:
@@ -247,12 +239,11 @@ def path_cover(g: ArcDigraph) -> PathCover:
     return PathCover(paths=tuple(paths), cycles_broken=cycles_broken)
 
 
-def solve_big_pipeline(formed: list[Formed] | tuple[Formed, ...], den: int,
+def solve_big_pipeline(formed: list[ChartRow] | tuple[ChartRow, ...], den: int,
                        dump=None) -> Solved:
-    """Lay the formed charts out along the 1-union digraph's path cover:
-    paths by least chart id, each arc's two charts sharing a cell, where a
-    width-1 chart adds up with both neighbours.  An overfull cell raises
-    ``ValueError`` naming it.  When ``dump`` is given, the arc list is
+    """Lay the formed rows out along the 1-union digraph's path cover: paths
+    by least chart id, each arc's two charts sharing a cell.  An overfull cell
+    raises ``ValueError`` naming it.  When ``dump`` is given, the arc list is
     passed to it as ``("digraph", text)``.
     """
     digraph = build_arc_digraph(formed, den)
@@ -266,15 +257,14 @@ def solve_big_pipeline(formed: list[Formed] | tuple[Formed, ...], den: int,
     for path in sorted(cover.paths, key=min):  # a merged chart's id is its least
         top, end = 0, end + 1  # the height in cell ``end`` the next chart shares
         for cid in path:
-            _, first, last, width, origins = by_id[cid]
+            _, first, _, _, last, width, origins = by_id[cid]
             top += first
             if top > den:
                 raise ValueError(f"strip cell {end} holds {top}/{den} > 1")
             for oid, off in origins:
                 placement[oid] = end + off
-            if width > 1:  # a width-1 chart keeps the running sum
-                top, end = last, end + width - 1
-    if (len(placement) != sum(len(f[4]) for f in formed)
+            top, end = last, end + width - 1
+    if (len(placement) != sum(len(f[6]) for f in formed)
             or sum(map(len, cover.paths)) != len(formed)):
         raise ValueError("the path cover must place every original chart once")
     return Solved(placement=placement, length=end)

@@ -37,9 +37,10 @@ SOLVERS = {
         matching.solve_mw(inst, max_rounds=1, dump=dump), rounds=None),
     "Mw": lambda inst, dump=None: matching.solve_mw(inst, dump=dump),
     "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(
-        bigpipe.form_big_scan(inst.charts), inst.den, dump=dump),
+        bigpipe.form_big_scan(*matching.chart_rows(inst.charts)), inst.den, dump=dump),
     "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(
-        bigpipe.form_big_matchings(inst.charts), inst.den, dump=dump),
+        bigpipe.form_big_matchings(*matching.chart_rows(inst.charts)), inst.den,
+        dump=dump),
 }
 
 ALGORITHMS = (*SOLVERS, "EXACT")

@@ -14,19 +14,22 @@ order of positions i < j, so ties resolve the same way on every run.  A
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
 t bars of the right chart, and only t <= 2 is ever tried, so no other bar
-can decide a pair.  Each chart becomes one flat row ``(id, bars[0], bars[1],
-bars[-2], bars[-1])`` and each pair costs a few exact integer comparisons
-against ``den - bar`` capacities; ``pair_weight`` in ``tests/helpers.py``
-is the per-pair definition the rows reproduce.
+can decide a pair.  ``chart_rows`` turns the raw charts into ``ChartRow``s
+once; each pair costs a few exact integer comparisons against ``den - bar``
+capacities, and each round merges the matched rows by ``merge_union``, so
+Mw never rebuilds a chart.  ``pair_weight`` in ``tests/helpers.py`` is the
+per-pair definition the rows reproduce, and its reference merge the charts
+they stand for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .blossom import edge_lists, match_edges
-from .model import BarChart, Instance, Solved, assemble_placement
+from .model import BarChart, ChartRow, Instance, Solved, assemble_placement
 from .unions import merge_union
 
 
@@ -77,41 +80,29 @@ class Matching:
         return sum(e.weight for e in self.edges)
 
 
-# (id, bars[0], bars[1], bars[-2], bars[-1]) of one chart
-ChartRow = tuple[int, int, int, int, int]
-
-
 def chart_rows(charts: list[BarChart] | tuple[BarChart, ...],
                ) -> tuple[list[ChartRow], int]:
-    """Charts in id order as flat rows, plus their shared denominator.
-
-    A width-1 chart has no second bar: its ``bars[1]`` and ``bars[-2]``
-    slots hold ``den + 1``, so every 2-union test involving it fails.
-    """
+    """Charts of two bars or more in id order as rows, each its own origin at
+    offset 0, plus their shared denominator."""
     dens = {c.den for c in charts}
     if len(dens) > 1:
         raise ValueError("charts must share one denominator")
-    den = dens.pop() if dens else 1
     rows = []
-    for c in sorted(charts, key=lambda c: c.id):
-        bars = c.bars
-        if len(bars) > 1:
-            rows.append((c.id, bars[0], bars[1], bars[-2], bars[-1]))
-        else:
-            rows.append((c.id, bars[0], den + 1, den + 1, bars[0]))
-    return rows, den
+    for c in sorted(charts, key=attrgetter("id")):
+        i, b = c.id, c.bars
+        rows.append((i, b[0], b[1], b[-2], b[-1], len(b), ((i, 0),)))
+    return rows, dens.pop() if dens else 1
 
 
-def build_union_graph(charts: list[BarChart] | tuple[BarChart, ...],
+def build_union_graph(rows: list[ChartRow], den: int,
                       two_unions_only: bool = False) -> WeightedGraph:
-    """Graph over the given charts with one edge per pair that can unite.
+    """Graph over rows in ascending id with one edge per pair that can unite.
 
     Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
     With ``two_unions_only`` only the weight-2 edges are built, as A2's
     formation rounds need, and ``heavy`` is ``adj``.
     """
-    rows, den = chart_rows(charts)
-    ranked = [(i, *row[1:]) for i, row in enumerate(rows)]  # positions, not ids
+    ranked = [(i, *row[1:5]) for i, row in enumerate(rows)]  # positions, not ids
     endpoint, wt2, adj = [], [], [[] for _ in rows]
     heavy = adj if two_unions_only else [[] for _ in rows]
     for i, f0, f1, l2, l1 in ranked:
@@ -152,15 +143,15 @@ def dump_graph(g: WeightedGraph) -> str:
     return "".join(f"{e.u} {e.v} {e.weight}\n" for e in g.edges)
 
 
-def merge_matched(charts: list[BarChart] | tuple[BarChart, ...],
-                  matching: Matching) -> list[BarChart]:
-    """Merge every matched pair along its stored orientation and overlap;
-    the result is in id order."""
-    by_id = {c.id: c for c in charts}
+def merge_matched(rows: list[ChartRow], matching: Matching) -> list[ChartRow]:
+    """Merge every matched pair of rows in ascending id along its stored
+    orientation and overlap; a union keeps its least id's slot, so the result
+    is in id order too."""
+    by_id = {row[0]: row for row in rows}
     for e in matching.edges:
         by_id[e.u] = merge_union(by_id[e.left], by_id[e.right], e.weight)
         del by_id[e.v]
-    return sorted(by_id.values(), key=lambda c: c.id)
+    return list(by_id.values())
 
 
 def solve_mw(instance: Instance, max_rounds: int | None = None,
@@ -172,18 +163,18 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
     matchings of the rounds before it.  When ``dump`` is given, each round's
     graph dump is passed to it as ``("round<k>", text)``.
     """
-    charts: list[BarChart] = list(instance.charts)
+    rows, den = chart_rows(instance.charts)
     unions: list[Matching] = []
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
-        graph = build_union_graph(charts)
+        graph = build_union_graph(rows, den)
         rounds += 1
         if dump is not None:
             dump(f"round{rounds}", dump_graph(graph))
         if not graph.wt2:
             break
         unions.append(max_weight_matching(graph))
-        charts = merge_matched(charts, unions[-1])
-    return Solved(placement=assemble_placement(charts),
-                  length=sum(c.width for c in charts),
+        rows = merge_matched(rows, unions[-1])
+    return Solved(placement=assemble_placement(rows),
+                  length=sum(row[5] for row in rows),
                   rounds=rounds, unions=tuple(unions))

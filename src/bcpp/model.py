@@ -10,6 +10,11 @@ tolerance.
 Chart ids are 1-based.  A placement maps each chart id to the cell of its
 first bar; the packing length counts occupied cells only, so placements may
 contain gaps.
+
+A ``BarChart`` is what parsing and generation make.  The heuristics merge
+and lay out flat ``ChartRow`` tuples instead: a t-union (t <= 2) reads no
+bar but a chart's first two and last two, so a row keeps those, its width
+and the original charts it holds.
 """
 
 from __future__ import annotations
@@ -48,17 +53,11 @@ def read_float(token: str) -> float:
 
 @dataclass(frozen=True)
 class BarChart:
-    """A chart of ``len(bars)`` unit-width bars; heights are ``bars[i]/den``.
-
-    ``origins`` tracks, for charts produced by unions, which original chart
-    ids contribute bars and at which offset their first bar sits inside this
-    chart.  A raw chart is its own origin at offset 0.
-    """
+    """A chart of ``len(bars)`` unit-width bars; heights are ``bars[i]/den``."""
 
     id: int
     bars: tuple[int, ...]
     den: int
-    origins: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.den < 1:
@@ -69,11 +68,6 @@ class BarChart:
             if not 0 < h <= self.den:
                 raise ValueError(
                     f"chart {self.id}: bar height {h}/{self.den} outside (0, 1]")
-        if not self.origins:
-            object.__setattr__(self, "origins", ((self.id, 0),))
-        ids = [oid for oid, _ in self.origins]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"chart {self.id}: duplicate origin ids {ids}")
 
     @property
     def width(self) -> int:
@@ -115,6 +109,11 @@ class Instance:
 
 # A placement assigns each chart id the 1-based cell of its first bar.
 Placement = dict[int, int]
+
+# What every heuristic merges and lays out: (id, bars[0], bars[1], bars[-2],
+# bars[-1], width, origins), where origins pairs each original chart id in
+# the chart with the offset of its first bar, and id is the least of them.
+ChartRow = tuple[int, int, int, int, int, int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -214,19 +213,15 @@ def compact(instance: Instance, placement: Placement) -> Placement:
     return {cid: new_cell[pos] for cid, pos in placement.items()}
 
 
-def assemble_placement(charts: list[BarChart] | tuple[BarChart, ...]) -> Placement:
-    """Concatenate (possibly merged) charts left to right into a placement.
-
-    Charts are laid out in ascending order of id, which ``merge_union`` sets
-    to a merged chart's smallest origin id; the placement is expressed over
-    the original chart ids via each chart's origin offsets.
-    """
+def assemble_placement(rows: list[ChartRow]) -> Placement:
+    """Lay the rows out left to right, in the given order (ascending id, as
+    ``merge_matched`` returns them), placing each origin at its offset."""
     placement: Placement = {}
     base = 1
-    for ch in sorted(charts, key=lambda c: c.id):
-        for oid, off in ch.origins:
+    for *_, width, origins in rows:
+        for oid, off in origins:
             placement[oid] = base + off
-        base += ch.width
+        base += width
     return placement
 
 

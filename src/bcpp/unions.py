@@ -1,44 +1,30 @@
-"""t-unions of bar charts: overlap feasibility and merging.
+"""t-unions of chart rows.
 
 Two charts form a t-union when the last t bars of the left chart share their
 cells with the first t bars of the right chart and every shared cell stays
-within height 1.  Merging a feasible t-union yields one chart whose width is
-the sum of the two widths minus t.
+within height 1.  The union is one chart, t bars narrower than the two side
+by side.  Only t in {1, 2} is ever tried, and only on a pair the union graph
+found feasible, so the merge reads a chart's first two and last two bars
+and checks nothing.
 """
 
 from __future__ import annotations
 
-from .model import BarChart
+from .model import ChartRow
 
 
-def union_feasible(left: BarChart, right: BarChart, t: int) -> bool:
-    """True iff every overlapped cell sum stays within the strip height."""
-    if left.den != right.den:
-        raise ValueError("charts must share one denominator")
-    if not 1 <= t <= min(left.width, right.width):
-        raise ValueError(f"overlap t={t} out of range for widths "
-                         f"{left.width}, {right.width}")
-    base = left.width - t
-    return all(left.bars[base + j] + right.bars[j] <= left.den for j in range(t))
+def merge_union(left: ChartRow, right: ChartRow, t: int) -> ChartRow:
+    """The row of the t-union (t in {1, 2}) of two rows, two bars wide or wider.
 
-
-def merge_union(left: BarChart, right: BarChart, t: int) -> BarChart:
-    """Merge a feasible t-union into one chart.
-
-    Bars in the overlap carry the height sums; the merged chart keeps both
-    origin sets (right offsets shifted past the left chart) and takes the
-    smallest origin id as its id.  When ``union_feasible`` says no, it raises
-    ``ValueError`` naming the first overflowing cell.
+    ``(b0, b1)[:width - 2] + (b2, b3)`` is a row's every bar up to width 4,
+    and its first two and last two beyond, so the union's outer bars come from
+    the outer chart or the overlap sums as the widths decide.  The id is the
+    least, and the right origins move past the left chart's other bars.
     """
-    feasible = union_feasible(left, right, t)  # raises on mixed D or bad t
-    base = left.width - t
-    overlap = tuple(left.bars[base + j] + right.bars[j] for j in range(t))
-    if not feasible:
-        j = next(j for j, total in enumerate(overlap) if total > left.den)
-        raise ValueError(f"cell {base + j} of the union "
-                         f"holds {overlap[j]}/{left.den} > 1")
-
-    bars = left.bars[:base] + overlap + right.bars[t:]
-    origins = left.origins + tuple((oid, off + base) for oid, off in right.origins)
-    return BarChart(id=min(oid for oid, _ in origins), bars=bars, den=left.den,
-                    origins=origins)
+    lid, a0, a1, a2, a3, lw, lo = left
+    rid, b0, b1, b2, b3, rw, ro = right
+    head = ((a0, a1)[:lw - 2] + (a2, a3))[:-t]
+    tail = ((b0, b1)[:rw - 2] + (b2, b3))[t:]
+    bars = head + ((a2 + b0, a3 + b1) if t == 2 else (a3 + b0,)) + tail
+    return (min(lid, rid), *bars[:2], *bars[-2:], lw + rw - t,
+            lo + tuple((oid, off + lw - t) for oid, off in ro))

@@ -10,11 +10,11 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from bcpp import (ArcDigraph, BarChart, Instance, PathCover, Solved, UnionEdge,
-                  WeightedGraph, assemble_placement, bigpipe, evaluate_packing,
-                  lex_order, merge_union, union_feasible)
-from bcpp.bigpipe import Formed
-from bcpp.matching import chart_rows
+from bcpp import (ArcDigraph, BarChart, Instance, Matching, PathCover, Placement,
+                  Solved, UnionEdge, WeightedGraph, bigpipe, build_union_graph,
+                  evaluate_packing, lex_order, max_cardinality_matching,
+                  max_weight_matching)
+from bcpp.model import ChartRow
 
 
 def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
@@ -237,33 +237,138 @@ def check_path_cover(g: ArcDigraph, cover: PathCover) -> None:
         raise AssertionError("cover does not partition the vertex set")
 
 
-def as_formed(charts) -> tuple[tuple[Formed, ...], int]:
-    """Charts as the formed tuples ``build_arc_digraph`` and
-    ``solve_big_pipeline`` read, in ascending id, and their shared
-    denominator; ``chart_rows`` refuses mixed ones."""
-    _, den = chart_rows(charts)
-    return tuple((c.id, c.bars[0], c.bars[-1], c.width, c.origins)
-                 for c in sorted(charts, key=lambda c: c.id)), den
+@dataclass(frozen=True)
+class Merged(BarChart):
+    """A chart the reference merge made: ``origins`` pairs each original
+    chart id in it with the offset of its first bar."""
+
+    origins: tuple[tuple[int, int], ...]
 
 
-def formed_charts(formed, den: int) -> list[BarChart]:
-    """Formed tuples back as ``BarChart``s; a bar between the first and the
-    last, which no 1-union reads, is D."""
-    return [BarChart(cid, (first,) if width == 1 else (first, *(den,) * (width - 2), last),
-                     den, origins) for cid, first, last, width, origins in formed]
+def origins(chart: BarChart) -> tuple[tuple[int, int], ...]:
+    """A merged chart's origins; a raw chart is its own origin at offset 0."""
+    return chart.origins if isinstance(chart, Merged) else ((chart.id, 0),)
+
+
+def union_feasible(left: BarChart, right: BarChart, t: int) -> bool:
+    """True iff every overlapped cell sum stays within the strip height."""
+    if left.den != right.den:
+        raise ValueError("charts must share one denominator")
+    if not 1 <= t <= min(left.width, right.width):
+        raise ValueError(f"overlap t={t} out of range for widths "
+                         f"{left.width}, {right.width}")
+    base = left.width - t
+    return all(left.bars[base + j] + right.bars[j] <= left.den for j in range(t))
+
+
+def merge_charts(left: BarChart, right: BarChart, t: int) -> Merged:
+    """The reference merge of a feasible t-union of charts of any width.
+
+    Bars in the overlap carry the height sums; the merged chart keeps both
+    origin sets (right offsets shifted past the left chart) and takes the
+    smallest origin id as its id.  When ``union_feasible`` says no, it raises
+    ``ValueError`` naming the first overflowing cell.
+    """
+    feasible = union_feasible(left, right, t)  # raises on mixed D or bad t
+    base = left.width - t
+    overlap = tuple(left.bars[base + j] + right.bars[j] for j in range(t))
+    if not feasible:
+        j = next(j for j, total in enumerate(overlap) if total > left.den)
+        raise ValueError(f"cell {base + j} of the union "
+                         f"holds {overlap[j]}/{left.den} > 1")
+
+    bars = left.bars[:base] + overlap + right.bars[t:]
+    merged = origins(left) + tuple((oid, off + base) for oid, off in origins(right))
+    return Merged(id=min(oid for oid, _ in merged), bars=bars, den=left.den,
+                  origins=merged)
+
+
+def reference_layout(charts) -> Placement:
+    """The reference layout: charts by ascending id, left to right, each
+    origin at its offset."""
+    placement: Placement = {}
+    base = 1
+    for ch in sorted(charts, key=lambda c: c.id):
+        for oid, off in origins(ch):
+            placement[oid] = base + off
+        base += ch.width
+    return placement
+
+
+def as_rows(charts) -> tuple[tuple[ChartRow, ...], int]:
+    """Charts of any width, merged ones with their origins, as the rows the
+    solvers read, in ascending id, and their shared denominator.  A width-1
+    chart, which no instance forms, gets D + 1 for its missing second bar,
+    so no 2-union test passes; the union graph and the 1-union digraph read
+    it as that chart."""
+    dens = {c.den for c in charts}
+    if len(dens) > 1:
+        raise ValueError("charts must share one denominator")
+    den = dens.pop() if dens else 1
+    rows = []
+    for c in sorted(charts, key=lambda c: c.id):
+        bars = c.bars if c.width > 1 else (c.bars[0], den + 1, c.bars[0])
+        rows.append((c.id, bars[0], bars[1], bars[-2], bars[-1], c.width, origins(c)))
+    return tuple(rows), den
+
+
+def row_charts(rows, den: int) -> list[Merged]:
+    """Rows back as charts; a bar between the first two and the last two,
+    which no union reads, is D."""
+    return [Merged(cid, (b0,) if width == 1 else
+                   (b0, b1)[:width - 2] + (den,) * (width - 4) + (b2, b3), den, kept)
+            for cid, b0, b1, b2, b3, width, kept in rows]
+
+
+def merge_along(charts, matching: Matching) -> list[Merged]:
+    """The reference merge of every matched pair, in ascending id."""
+    by_id = {c.id: c for c in charts}
+    for e in matching.edges:
+        by_id[e.u] = merge_charts(by_id[e.left], by_id[e.right], e.weight)
+        del by_id[e.v]
+    return sorted(by_id.values(), key=lambda c: c.id)
+
+
+def reference_mw(instance: Instance, max_rounds: int | None = None) -> Solved:
+    """Mw as it once ran: each round's matching merged chart by chart by the
+    reference merge, its rows made anew from the merged charts, and the last
+    charts laid out by the reference layout."""
+    charts: list[BarChart] = list(instance.charts)
+    unions: list[Matching] = []
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        graph = build_union_graph(*as_rows(charts))
+        rounds += 1
+        if not graph.wt2:
+            break
+        unions.append(max_weight_matching(graph))
+        charts = merge_along(charts, unions[-1])
+    return Solved(placement=reference_layout(charts),
+                  length=sum(c.width for c in charts),
+                  rounds=rounds, unions=tuple(unions))
+
+
+def reference_blossom_formation(charts) -> tuple[ChartRow, ...]:
+    """A2's formation on charts that are not all big, as it once ran: maximum
+    2-union matchings merged by the reference merge until none remains."""
+    while True:
+        graph = build_union_graph(*as_rows(charts), two_unions_only=True)
+        if not graph.wt2:
+            return as_rows(charts)[0]
+        charts = merge_along(charts, max_cardinality_matching(graph))
 
 
 def reference_big_pipeline(formed, den: int) -> Solved:
     """``solve_big_pipeline`` as it once ran: every cover path merged into
-    one chart by ``merge_union``, then the charts laid out by
-    ``assemble_placement``.  It looks ``bigpipe.path_cover`` up on each call,
+    one chart by ``merge_charts``, then the charts laid out by
+    ``reference_layout``.  It looks ``bigpipe.path_cover`` up on each call,
     so a test that replaces the cover replaces it here too."""
-    by_id = {c.id: c for c in formed_charts(formed, den)}
+    by_id = {c.id: c for c in row_charts(formed, den)}
     final = []
     for path in bigpipe.path_cover(bigpipe.build_arc_digraph(formed, den)).paths:
         chart = by_id[path[0]]
         for nxt in path[1:]:
-            chart = merge_union(chart, by_id[nxt], 1)
+            chart = merge_charts(chart, by_id[nxt], 1)
         final.append(chart)
-    return Solved(placement=assemble_placement(final),
+    return Solved(placement=reference_layout(final),
                   length=sum(c.width for c in final))

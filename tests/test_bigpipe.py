@@ -3,21 +3,20 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, PathCover, build_arc_digraph, evaluate_packing,
-                  form_big_matchings, form_big_scan, gen_random, lower_bounds,
-                  oracle_opt, path_cover, solve_big_pipeline)
+from bcpp import (BarChart, PathCover, build_arc_digraph, chart_rows,
+                  evaluate_packing, form_big_matchings, form_big_scan, gen_random,
+                  lower_bounds, oracle_opt, path_cover, solve_big_pipeline)
 from bcpp import bigpipe, matching, unions
 from bcpp.bigpipe import dump_digraph
-from bcpp.unions import union_feasible
 from bcpp.harness import SOLVERS
-from helpers import (as_formed, brute_force_matching, brute_force_path_cover_arcs,
-                     check_path_cover, formed_charts, inst, mk, random_charts,
-                     reference_big_pipeline)
+from helpers import (as_rows, brute_force_matching, brute_force_path_cover_arcs,
+                     check_path_cover, inst, mk, random_charts, row_charts,
+                     union_feasible)
 
 
 def test_scan_merges_smalls_into_big():
     # the merged chart keeps the slot of its least id
-    res = formed_charts(form_big_scan(inst((3, 2), (6, 7), (4, 3)).charts), 10)
+    res = row_charts(form_big_scan(*chart_rows(inst((3, 2), (6, 7), (4, 3)).charts)), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((7, 5), [1, 3]), ((6, 7), [2])]
     assert all(c.is_big for c in res)
@@ -25,13 +24,13 @@ def test_scan_merges_smalls_into_big():
 
 def test_scan_keeps_all_big_input():
     charts = inst((9, 9), (8, 8)).charts
-    res = form_big_scan(charts)
-    assert res == as_formed(charts)[0]
-    assert all(c.is_big for c in formed_charts(res, 10))
+    res = form_big_scan(*chart_rows(charts))
+    assert res == as_rows(charts)[0]
+    assert all(c.is_big for c in row_charts(res, 10))
 
 
 def test_scan_keeps_growing_buffer_until_big():
-    res = formed_charts(form_big_scan(inst((2, 2), (1, 1), (3, 3)).charts), 10)
+    res = row_charts(form_big_scan(*chart_rows(inst((2, 2), (1, 1), (3, 3)).charts)), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((6, 6), [1, 2, 3])]
     assert all(c.is_big for c in res)
@@ -39,7 +38,7 @@ def test_scan_keeps_growing_buffer_until_big():
 
 def test_scan_leftover_small():
     # the leftover keeps the slot of its least id, before the later big chart
-    res = formed_charts(form_big_scan(inst((2, 2), (6, 6)).charts), 10)
+    res = row_charts(form_big_scan(*chart_rows(inst((2, 2), (6, 6)).charts)), 10)
     assert [c.bars for c in res[1:]] == [(6, 6)]
     assert not res[0].is_big and res[0].bars == (2, 2)
 
@@ -47,31 +46,32 @@ def test_scan_leftover_small():
 def test_scan_refuses_a_chart_not_two_bars_wide():
     for bars in ((4,), (4, 4, 4)):
         with pytest.raises(ValueError, match="chart 2: A1 forms two-bar charts"):
-            form_big_scan([mk(1, 3, 3), BarChart(2, bars, 10)])
+            form_big_scan(*as_rows([mk(1, 3, 3), BarChart(2, bars, 10)]))
 
 
 def test_scan_emits_at_most_one_small():
     rng = random.Random(41)
     for trial in range(80):
         instance = gen_random(rng.randint(1, 12), trial, "arbitrary", 20)
-        res = formed_charts(form_big_scan(instance.charts), 20)
+        res = row_charts(form_big_scan(*chart_rows(instance.charts)), 20)
         assert sum(not c.is_big for c in res) <= 1
         total = sum(len(c.origins) for c in res)
         assert total == instance.n
 
 
 def test_matchings_formation_keeps_a_small():
-    out = formed_charts(form_big_matchings(inst((4, 4), (4, 4), (4, 4)).charts), 10)
+    rows = chart_rows(inst((4, 4), (4, 4), (4, 4)).charts)
+    out = row_charts(form_big_matchings(*rows), 10)
     assert sorted(c.bars for c in out) == [(4, 4), (8, 8)]
 
 
 def test_matchings_formation_all_big_fixed_point():
     charts = inst((9, 9), (8, 8)).charts
-    assert form_big_matchings(charts) == as_formed(charts)[0]
+    assert form_big_matchings(*chart_rows(charts)) == as_rows(charts)[0]
 
 
 def test_matchings_formation_boundary_pair():
-    out = formed_charts(form_big_matchings(inst((5, 5), (5, 5)).charts), 10)
+    out = row_charts(form_big_matchings(*chart_rows(inst((5, 5), (5, 5)).charts)), 10)
     assert [c.bars for c in out] == [(10, 10)]
 
 
@@ -79,14 +79,14 @@ def test_matchings_formation_idempotent():
     rng = random.Random(42)
     for trial in range(40):
         instance = gen_random(rng.randint(1, 10), trial, "arbitrary", 20)
-        once = form_big_matchings(instance.charts)
-        assert form_big_matchings(formed_charts(once, 20)) == once
+        once = form_big_matchings(*chart_rows(instance.charts))
+        assert form_big_matchings(list(once), 20) == once
 
 
 def test_arc_digraph_examples():
-    assert build_arc_digraph(*as_formed(inst((6, 7), (7, 5)).charts)).arcs == ()
-    assert build_arc_digraph(*as_formed(inst((9, 2), (7, 6)).charts)).arcs == ((1, 2),)
-    g = build_arc_digraph(*as_formed(inst((9, 2), (7, 6), (8, 3)).charts))
+    assert build_arc_digraph(*as_rows(inst((6, 7), (7, 5)).charts)).arcs == ()
+    assert build_arc_digraph(*as_rows(inst((9, 2), (7, 6)).charts)).arcs == ((1, 2),)
+    g = build_arc_digraph(*as_rows(inst((9, 2), (7, 6), (8, 3)).charts))
     assert g.arcs == ((1, 2), (1, 3), (3, 2))
     assert dump_digraph(g) == "1 2\n1 3\n3 2\n"
 
@@ -100,7 +100,7 @@ def test_arc_digraph_matches_definition():
         by_id = {c.id: c for c in charts}
         expected = tuple((i, j) for i in ids for j in ids
                          if i != j and by_id[i].bars[-1] + by_id[j].bars[0] <= den)
-        g = build_arc_digraph(*as_formed(charts))
+        g = build_arc_digraph(*as_rows(charts))
         assert g.vertices == tuple(ids)
         assert g.arcs == expected
 
@@ -119,13 +119,10 @@ def _brute_force_arcs(charts):
     [mk(1, 2, 3), mk(2, 1, 1), mk(3, 4, 6)],
     # first == den - last, exactly full cells
     [mk(1, 4, 6), mk(2, 6, 4), mk(3, 5, 5), mk(4, 10, 10)],
-    # width-1 charts, whose first bar is their last
-    [BarChart(id=2, bars=(4,), den=10), BarChart(id=7, bars=(6,), den=10),
-     BarChart(id=5, bars=(7,), den=10), mk(9, 3, 3)],
     [],
-], ids=["repeated-firsts", "self-fit", "exactly-full", "width-1", "empty"])
+], ids=["repeated-firsts", "self-fit", "exactly-full", "empty"])
 def test_arc_digraph_successors_equal_brute_force(charts):
-    g = build_arc_digraph(*as_formed(charts))
+    g = build_arc_digraph(*as_rows(charts))
     assert g.vertices == tuple(sorted(c.id for c in charts))
     assert g.arcs == _brute_force_arcs(charts)
 
@@ -133,25 +130,25 @@ def test_arc_digraph_successors_equal_brute_force(charts):
 def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
     for family in ("arbitrary", "big", "big_nonincreasing"):
         for n in (5, 50, 200):
-            charts = gen_random(n, 7, family, 10**6).charts
-            for formed in (as_formed(charts)[0], form_big_scan(charts),
-                           form_big_matchings(charts)):
+            rows = chart_rows(gen_random(n, 7, family, 10**6).charts)
+            for formed in (rows[0], form_big_scan(*rows), form_big_matchings(*rows)):
                 assert (build_arc_digraph(formed, 10**6).arcs
-                        == _brute_force_arcs(formed_charts(formed, 10**6)))
+                        == _brute_force_arcs(row_charts(formed, 10**6)))
 
 
 def test_arc_digraph_rejects_mixed_denominators():
     # 50/100 + 9/10 > 1, although the numerators sum to 59 <= 100
     charts = [BarChart(id=1, bars=(9, 9), den=10),
               BarChart(id=2, bars=(50, 50), den=100)]
-    # the digraph takes D as data, so the makers of its tuples refuse them
-    for form in (lambda cs: as_formed(cs)[0], form_big_scan, form_big_matchings):
+    # the digraph and the formations take D as data, so the makers of their
+    # rows refuse them
+    for make in (chart_rows, as_rows):
         with pytest.raises(ValueError, match="share one denominator"):
-            build_arc_digraph(form(charts), 10)
+            make(charts)
 
 
 def test_path_cover_chain():
-    g = build_arc_digraph(*as_formed(inst((9, 2), (7, 6), (8, 3)).charts))
+    g = build_arc_digraph(*as_rows(inst((9, 2), (7, 6), (8, 3)).charts))
     cover = path_cover(g)
     check_path_cover(g, cover)
     assert cover.paths == ((1, 3, 2),)
@@ -161,7 +158,7 @@ def test_path_cover_chain():
 def test_path_cover_breaks_cycle():
     # three charts that 1-unite every way round: a perfect matching is a
     # 3-cycle, and opening it keeps two arcs
-    g = build_arc_digraph(*as_formed(inst((2, 2), (3, 3), (4, 4)).charts))
+    g = build_arc_digraph(*as_rows(inst((2, 2), (3, 3), (4, 4)).charts))
     assert len(g.arcs) == 6
     cover = path_cover(g)
     check_path_cover(g, cover)
@@ -172,7 +169,7 @@ def test_path_cover_breaks_cycle():
 def test_path_cover_passes_over_a_head_that_closes_a_cycle():
     # tail 1 takes head 3 first; tail 3's largest free head is then 1, whose
     # arc would close 1 -> 3 -> 1, so it takes head 2 and keeps both arcs
-    g = build_arc_digraph(*as_formed(inst((6, 6), (5, 8), (1, 1), den=8).charts))
+    g = build_arc_digraph(*as_rows(inst((6, 6), (5, 8), (1, 1), den=8).charts))
     assert g.arcs == ((1, 3), (3, 1), (3, 2))
     cover = path_cover(g)
     check_path_cover(g, cover)
@@ -181,7 +178,7 @@ def test_path_cover_passes_over_a_head_that_closes_a_cycle():
 
 
 def test_path_cover_out_degree_limits_fan():
-    g = build_arc_digraph(*as_formed(inst((9, 1), (8, 9), (8, 9)).charts))
+    g = build_arc_digraph(*as_rows(inst((9, 1), (8, 9), (8, 9)).charts))
     assert g.arcs == ((1, 2), (1, 3))
     cover = path_cover(g)
     check_path_cover(g, cover)
@@ -189,7 +186,7 @@ def test_path_cover_out_degree_limits_fan():
 
 
 def test_path_cover_edgeless():
-    g = build_arc_digraph(*as_formed(inst((6, 7), (7, 5)).charts))
+    g = build_arc_digraph(*as_rows(inst((6, 7), (7, 5)).charts))
     assert g.arcs == ()
     cover = path_cover(g)
     assert cover.paths == ((1,), (2,))
@@ -202,7 +199,7 @@ def test_path_cover_against_brute_force():
     broken = 0
     for trial in range(120):
         charts = random_charts(rng, rng.randint(2, 8), rng.choice([2, 3, 4, 6, 10]))
-        g = build_arc_digraph(*as_formed(charts))
+        g = build_arc_digraph(*as_rows(charts))
         verts, arcs = g.vertices, g.arcs
         cover = path_cover(g)
         check_path_cover(g, cover)
@@ -227,7 +224,7 @@ def test_path_cover_is_pinned():
     covers, broken = [], 0
     for _ in range(300):
         charts = random_charts(rng, rng.randint(1, 12), rng.choice([2, 3, 5, 10, 100]))
-        cover = path_cover(build_arc_digraph(*as_formed(charts)))
+        cover = path_cover(build_arc_digraph(*as_rows(charts)))
         covers.append((cover.paths, cover.cycles_broken))
         broken += cover.cycles_broken
     assert broken > 30  # the cycle branch runs
@@ -235,7 +232,7 @@ def test_path_cover_is_pinned():
         for seed in range(1, 21):
             charts = gen_random(n, seed, family).charts
             for form in (form_big_scan, form_big_matchings):
-                cover = path_cover(build_arc_digraph(form(charts), 10**6))
+                cover = path_cover(build_arc_digraph(form(*chart_rows(charts)), 10**6))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
@@ -249,7 +246,7 @@ def test_path_cover_is_pinned_at_benchmark_scale():
         for seed in (1, 2, 3):
             charts = gen_random(n, seed, family, 10**6).charts
             for form in (form_big_scan, form_big_matchings):
-                cover = path_cover(build_arc_digraph(form(charts), 10**6))
+                cover = path_cover(build_arc_digraph(form(*chart_rows(charts)), 10**6))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
@@ -265,7 +262,8 @@ def test_pipeline_all_big_chain():
 
 
 def test_pipeline_a2_merges_boundary_pair():
-    res = solve_big_pipeline(form_big_matchings(inst((5, 5), (5, 5)).charts), 10)
+    rows = chart_rows(inst((5, 5), (5, 5)).charts)
+    res = solve_big_pipeline(form_big_matchings(*rows), 10)
     assert res.length == 2
 
 
@@ -273,20 +271,7 @@ def test_pipeline_rejects_an_overfull_arc(monkeypatch):
     # a cover arc whose shared cell holds 7/10 + 7/10 fails at strip cell 2
     monkeypatch.setattr(bigpipe, "path_cover", lambda g: PathCover(((1, 2),)))
     with pytest.raises(ValueError, match="strip cell 2 holds 14/10"):
-        solve_big_pipeline(*as_formed(inst((6, 7), (7, 5)).charts))
-
-
-def test_pipeline_adds_a_width_one_chart_to_both_neighbours(monkeypatch):
-    # formed charts are never one bar wide, so the cover is given: cell 2
-    # holds the last bar of 1, the bar of 2 and the first bar of 3
-    monkeypatch.setattr(bigpipe, "path_cover", lambda g: PathCover(((1, 2, 3),)))
-    charts = (BarChart(1, (9, 4), 10), BarChart(2, (3,), 10), BarChart(3, (3, 8), 10))
-    solved = solve_big_pipeline(*as_formed(charts))
-    assert (solved.placement, solved.length) == ({1: 1, 2: 2, 3: 2}, 3)
-    reference = reference_big_pipeline(*as_formed(charts))
-    assert (solved.placement, solved.length) == (reference.placement, reference.length)
-    with pytest.raises(ValueError, match="strip cell 2 holds 11/10"):
-        solve_big_pipeline(*as_formed(charts[:2] + (BarChart(3, (4, 8), 10),)))
+        solve_big_pipeline(*as_rows(inst((6, 7), (7, 5)).charts))
 
 
 def test_a1_and_a2_on_two_bar_input_merge_no_chart(monkeypatch):
@@ -297,7 +282,8 @@ def test_a1_and_a2_on_two_bar_input_merge_no_chart(monkeypatch):
              for family, variant in (("arbitrary", "A1"), ("big", "A1"), ("big", "A2"))]
     expected = [SOLVERS[variant](instance) for instance, variant in cases]
     form = {"A1": form_big_scan, "A2": form_big_matchings}
-    assert {v for instance, v in cases if len(form[v](instance.charts)) < instance.n} == {
+    assert {v for instance, v in cases
+            if len(form[v](*chart_rows(instance.charts))) < instance.n} == {
         "A1", "A2"}  # both formations merge
 
     def refuse(*args, **kwargs):
@@ -321,8 +307,8 @@ def test_pipeline_accounting_identity():
         n = rng.randint(1, 12)
         family = rng.choice(["arbitrary", "big"])
         instance = gen_random(n, trial, family, 20)
-        formed = {"A1": form_big_scan(instance.charts),
-                  "A2": form_big_matchings(instance.charts)}
+        rows = chart_rows(instance.charts)
+        formed = {"A1": form_big_scan(*rows), "A2": form_big_matchings(*rows)}
         for variant in ("A1", "A2"):
             res = SOLVERS[variant](instance)
             formation_unions = instance.n - len(formed[variant])

@@ -1,5 +1,6 @@
 import csv
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -494,3 +495,36 @@ def test_cli_solve_audits_before_it_prints_or_writes(tmp_path, monkeypatch, caps
                                 " --write-placement p",
                                 "audit failed: feasible=True length=4 reported=5")
         _check_row(row, os.path.realpath(tmp_path / alg), monkeypatch, capsys)
+
+
+STDLIB_ONLY = """
+import os, sys, sysconfig
+src, tmp = sys.argv[1:]
+sys.path.insert(0, src)
+import bcpp
+from bcpp.cli import main
+from bcpp.harness import ALGORITHMS, audit, run_algorithm
+instance = bcpp.parse_instance("3 10\\n3 4\\n5 5\\n6 8\\n")
+for name in ALGORITHMS:
+    audit(instance, run_algorithm(instance, name, exact_nodes=1000))
+path = os.path.join(tmp, "three.inst")
+with open(path, "w") as fh:
+    fh.write(bcpp.format_instance(instance))
+assert main(["solve", path, "-a", "A2"]) == 0
+homes = [os.path.realpath(sysconfig.get_path(key)) for key in ("stdlib", "platstdlib")]
+homes.append(os.path.realpath(src))
+print(sorted(name for name, m in sys.modules.items()
+             if getattr(m, "__file__", None)
+             and not os.path.realpath(m.__file__).startswith(tuple(homes))))
+"""
+
+
+def test_bcpp_runs_on_the_standard_library_alone(tmp_path):
+    # -S leaves site-packages off sys.path and -E ignores PYTHONPATH, so the
+    # child sees the standard library and src alone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", STDLIB_ONLY, src, str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "A2 4\n[]\n"

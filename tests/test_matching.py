@@ -4,13 +4,13 @@ import random
 import pytest
 
 from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
-                  build_union_graph, dump_graph, evaluate_packing,
+                  build_union_graph, chart_rows, dump_graph, evaluate_packing,
                   format_placement, gen_random, max_cardinality_matching,
-                  max_weight_matching, merge_union, oracle_opt, solve_mw)
+                  max_weight_matching, oracle_opt, solve_mw)
 from bcpp import blossom
 from bcpp.matching import merge_matched
-from helpers import (brute_force_matching, inst, pair_weight, random_charts,
-                     union_graph)
+from helpers import (as_rows, brute_force_matching, inst, merge_along,
+                     merge_charts, pair_weight, random_charts, union_graph)
 
 
 def edge(u, v, w):
@@ -85,17 +85,17 @@ def test_matching_deterministic_for_canonical_input():
 
 
 def test_union_graph_single_heavy_pair():
-    g = build_union_graph(inst((40, 45), (50, 50), (90, 90), den=100).charts)
+    g = build_union_graph(*chart_rows(inst((40, 45), (50, 50), (90, 90), den=100).charts))
     assert [(e.u, e.v, e.weight) for e in g.edges] == [(1, 2, 2)]
 
 
 def test_union_graph_edgeless_when_everything_collides():
-    g = build_union_graph(inst((9, 9), (8, 8), (9, 8)).charts)
+    g = build_union_graph(*chart_rows(inst((9, 9), (8, 8), (9, 8)).charts))
     assert g.edges == ()
 
 
 def test_union_graph_mixed_weights():
-    g = build_union_graph(inst((3, 4), (5, 5), (6, 8)).charts)
+    g = build_union_graph(*chart_rows(inst((3, 4), (5, 5), (6, 8)).charts))
     assert [(e.u, e.v, e.weight) for e in g.edges] == [(1, 2, 2), (1, 3, 1)]
 
 
@@ -107,8 +107,8 @@ def a2_round_two_sample(n: int) -> list[BarChart]:
     pool = []
     for family in ("big", "arbitrary", "big_nonincreasing"):
         charts = gen_random(n, 7, family, 10**6).charts
-        g = build_union_graph(charts, two_unions_only=True)
-        pool += merge_matched(charts, max_cardinality_matching(g))
+        g = build_union_graph(*chart_rows(charts), two_unions_only=True)
+        pool += merge_along(charts, max_cardinality_matching(g))
     picked = random.Random(n).sample(pool, 150)
     return [BarChart(id=3 * k + 2, bars=c.bars, den=c.den) for k, c in enumerate(picked)]
 
@@ -132,10 +132,10 @@ def test_union_graph_matches_pair_weight_on_every_pair():
                 pw = pair_weight(i, j)
                 if pw.weight:
                     expected.append((i.id, j.id, pw.weight, pw.left, pw.right))
-        g = build_union_graph(charts)
+        g = build_union_graph(*as_rows(charts))
         assert g.vertices == tuple(c.id for c in ordered)
         assert [(e.u, e.v, e.weight, e.left, e.right) for e in g.edges] == expected
-        two = build_union_graph(charts, two_unions_only=True)
+        two = build_union_graph(*as_rows(charts), two_unions_only=True)
         assert two.vertices == g.vertices
         assert two.edges == tuple(e for e in g.edges if e.weight == 2)
 
@@ -156,7 +156,7 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
                 if pw.weight == 2 or pw.weight and not two_unions_only)
             index = {c.id: k for k, c in enumerate(charts)}
             reference = [(index[e.left], index[e.right], e.weight) for e in expected]
-            g = build_union_graph(charts, two_unions_only=two_unions_only)
+            g = build_union_graph(*chart_rows(charts), two_unions_only=two_unions_only)
             assert g.edges == tuple(expected)
             assert g.pairs == reference
             assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, reference)
@@ -179,18 +179,20 @@ def test_a_bad_hand_made_graph_is_rejected_when_built(pairs, message):
 
 
 def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():
+    # the rows of the reference merge; no union leaves a chart one bar wide
     rng = random.Random(25)
     merges = 0
     for _ in range(150):
-        charts = random_charts(rng, rng.randint(0, 16), rng.choice([2, 10, 20, 100]))
+        charts = [c for c in random_charts(rng, rng.randint(0, 16),
+                                           rng.choice([2, 10, 20, 100])) if c.width > 1]
         by_id = {c.id: c for c in charts}
-        m = max_weight_matching(build_union_graph(charts))
-        merged = [merge_union(by_id[e.left], by_id[e.right], e.weight)
+        rows, den = as_rows(charts)
+        m = max_weight_matching(build_union_graph(rows, den))
+        merged = [merge_charts(by_id[e.left], by_id[e.right], e.weight)
                   for e in m.edges]
         matched = {x for e in m.edges for x in (e.u, e.v)}
         untouched = [c for c in charts if c.id not in matched]
-        assert merge_matched(charts, m) == sorted(
-            merged + untouched, key=lambda c: c.id)
+        assert merge_matched(list(rows), m) == list(as_rows(merged + untouched)[0])
         assert [c.id for c in merged] == [e.u for e in m.edges]
         merges += len(merged)
     assert merges > 100
@@ -199,13 +201,12 @@ def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():
 def test_union_graph_rejects_mixed_denominators():
     charts = [BarChart(id=1, bars=(9, 9), den=10),
               BarChart(id=2, bars=(50, 50), den=100)]
-    for two_unions_only in (False, True):
-        with pytest.raises(ValueError, match="share one denominator"):
-            build_union_graph(charts, two_unions_only=two_unions_only)
+    with pytest.raises(ValueError, match="share one denominator"):
+        chart_rows(charts)
 
 
 def test_dump_graph_format():
-    g = build_union_graph(inst((3, 4), (5, 5), (6, 8)).charts)
+    g = build_union_graph(*chart_rows(inst((3, 4), (5, 5), (6, 8)).charts))
     assert dump_graph(g) == "1 2 2\n1 3 1\n"
 
 
@@ -239,9 +240,10 @@ def test_m1w_is_mw_first_round():
         m1w = solve_mw(instance, max_rounds=1)
         assert m1w.rounds == 1
         assert m1w.unions == solve_mw(instance).unions[:1]
-        matched = max_weight_matching(build_union_graph(instance.charts))
+        rows, den = chart_rows(instance.charts)
+        matched = max_weight_matching(build_union_graph(rows, den))
         assert m1w.unions == ((matched,) if matched.edges else ())
-        one_round = assemble_placement(merge_matched(instance.charts, matched))
+        one_round = assemble_placement(merge_matched(rows, matched))
         assert m1w.placement == one_round
         text.append(format_placement(m1w.placement))
     assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned

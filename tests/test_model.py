@@ -154,8 +154,6 @@ def test_chart_validation():
         BarChart(id=1, bars=(1,), den=0)
     with pytest.raises(ValueError, match="needs at least one bar"):
         BarChart(id=1, bars=(), den=10)
-    with pytest.raises(ValueError, match=r"duplicate origin ids \[1, 1\]"):
-        BarChart(id=1, bars=(3, 3), den=10, origins=((1, 0), (1, 1)))
     bad_instances = {
         (): "instance needs at least one chart",
         (mk(2, 3, 3),): "chart ids must be 1..n, got 2 at slot 1",

@@ -2,9 +2,11 @@
 
 Instances have a denominator D from 2 to 100 and 1 to 8 charts; bars equal
 to D and repeated charts are drawn often.  The union rows are also checked
-on loose charts of widths 1 to 4, as unions leave them, and A2's greedy
-formation on ``gen_random`` big charts, up to 40 at D <= 10.  Hypothesis
-runs derandomized, so every run checks the same examples.
+on loose charts of widths 1 to 4, as unions leave them, A2's greedy
+formation on ``gen_random`` big charts, up to 40 at D <= 10, and the rows
+M1w, Mw and A2 merge against the reference merge on ``gen_random`` charts,
+up to 60.  Hypothesis runs derandomized, so every run checks the same
+examples.
 """
 
 from copy import deepcopy
@@ -14,16 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
-                  build_union_graph, compact, evaluate_packing, form_big_matchings,
-                  form_big_scan, ga_lo, gen_random, lower_bounds,
-                  max_cardinality_matching, max_weight_matching, merge_union,
-                  oracle_opt, solve_big_pipeline, solve_exact, union_feasible)
+                  build_union_graph, chart_rows, compact, evaluate_packing,
+                  form_big_matchings, form_big_scan, ga_lo, gen_random,
+                  lower_bounds, max_cardinality_matching, max_weight_matching,
+                  oracle_opt, solve_big_pipeline, solve_exact, solve_mw)
 from bcpp import blossom
 from bcpp.bigpipe import _chain_matching, _dominance_matching
-from bcpp.matching import chart_rows
-from helpers import (as_formed, brute_force_matching, formed_charts, inst,
+from bcpp.matching import merge_matched
+from helpers import (as_rows, brute_force_matching, inst, merge_along, merge_charts,
                      naive_ga_lo, pair_weight, reference_big_pipeline,
-                     reference_bipartite_matching)
+                     reference_bipartite_matching, reference_blossom_formation,
+                     reference_mw, row_charts, union_feasible)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -124,17 +127,17 @@ def test_union_rows_match_their_definitions_at_every_width(charts):
     edges = [(i.id, j.id, pw.weight, pw.left, pw.right)
              for a, i in enumerate(ordered) for j in ordered[a + 1:]
              for pw in [pair_weight(i, j)] if pw.weight]
-    assert [tuple(e) for e in build_union_graph(charts).edges] == edges
+    assert [tuple(e) for e in build_union_graph(*as_rows(charts)).edges] == edges
     arcs = [(i.id, j.id) for i in ordered for j in ordered
             if i.id != j.id and union_feasible(i, j, 1)]
-    assert list(build_arc_digraph(*as_formed(charts)).arcs) == arcs
+    assert list(build_arc_digraph(*as_rows(charts)).arcs) == arcs
 
 
 @SWEEP
-@given(st.one_of(st.builds(lambda instance, form: formed_charts(form(instance.charts),
-                                                                instance.den),
+@given(st.one_of(st.builds(lambda instance, form: row_charts(
+                               form(*chart_rows(instance.charts)), instance.den),
                            st.one_of(instances(), instances(big=True)),
-                           st.sampled_from([lambda charts: as_formed(charts)[0],
+                           st.sampled_from([lambda rows, den: rows,
                                             form_big_scan, form_big_matchings])),
                  chart_lists()))
 @example(inst((7, 2), (4, 1), (4, 5), den=7).charts)  # needs the swap
@@ -144,7 +147,7 @@ def test_chain_matching_is_maximum_and_feasible(charts):
     # them, and every pair it matches is a feasible 1-union taking each head
     # once
     by_id = {c.id: c for c in charts}
-    g = build_arc_digraph(*as_formed(charts))
+    g = build_arc_digraph(*as_rows(charts))
     pairs = [(g.vertices[i], g.vertices[j])
              for i, j in enumerate(_chain_matching(g)[0]) if j >= 0]
     assert len({v for _, v in pairs}) == len(pairs)
@@ -161,10 +164,33 @@ def test_chain_matching_is_maximum_and_feasible(charts):
 def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
     # A1's and A2's layout of the cover paths equals merging each path by
     # 1-unions and concatenating the merged charts by id
-    formed = form(instance.charts)
+    formed = form(*chart_rows(instance.charts))
     solved = solve_big_pipeline(formed, instance.den)
     reference = reference_big_pipeline(formed, instance.den)
     assert (solved.placement, solved.length) == (reference.placement, reference.length)
+
+
+@SWEEP
+@given(st.one_of(instances(), st.builds(gen_random, st.integers(1, 60),
+                                        st.integers(1, 10**6),
+                                        st.sampled_from(["arbitrary", "big",
+                                                         "big_nonincreasing"]),
+                                        st.sampled_from([4, 10, 100, 10**6]))))
+@example(inst((1, 1), (1, 1), (2, 6), (4, 1), den=6))  # round 2 2-unites widths 3 and 2
+def test_merged_rows_follow_the_reference_merge(instance):
+    # M1w and Mw merge rows, never charts: each round's graph, matching and
+    # merge, and the layout, equal merging the charts by the reference merge
+    # along each matching and laying them out; so do A2's blossom rounds
+    assert solve_mw(instance, max_rounds=1) == reference_mw(instance, max_rounds=1)
+    reference = reference_mw(instance)
+    assert solve_mw(instance) == reference
+    rows, charts = chart_rows(instance.charts)[0], instance.charts
+    for matching in reference.unions:
+        rows, charts = merge_matched(rows, matching), merge_along(charts, matching)
+        assert rows == list(as_rows(charts)[0])
+    if not all(ch.is_big for ch in instance.charts):
+        assert (form_big_matchings(*chart_rows(instance.charts))
+                == reference_blossom_formation(instance.charts))
 
 
 @SWEEP
@@ -174,17 +200,16 @@ def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
                            st.sampled_from([4, 6, 10]))),
        st.sampled_from([form_big_scan, form_big_matchings]))
 def test_formed_tuples_are_their_origins_merged(instance, form):
-    # each formed tuple is what merging its origins in id order by 2-unions
+    # each formed row is what merging its origins in id order by 2-unions
     # gives: the least origin id, two bars, the bar sums and every offset 0
     by_id = {c.id: c for c in instance.charts}
-    formed = form(instance.charts)
+    formed = form(*chart_rows(instance.charts))
     assert [f[0] for f in formed] == sorted(f[0] for f in formed)
     assert sorted(oid for *_, origins in formed for oid, _ in origins) == list(by_id)
-    for cid, first, last, width, origins in formed:
+    for *row, width, origins in formed:
         parts = [by_id[oid] for oid in sorted(oid for oid, _ in origins)]
-        merged = reduce(lambda left, right: merge_union(left, right, 2), parts)
-        assert (cid, (first, last), width, tuple(sorted(origins))) == (
-            merged.id, merged.bars, merged.width, merged.origins)
+        merged = reduce(lambda left, right: merge_charts(left, right, 2), parts)
+        assert (*row, width, tuple(sorted(origins))) == as_rows([merged])[0][0]
         assert width == 2 and all(off == 0 for _, off in origins)
         assert merged.bars == tuple(map(sum, zip(*(c.bars for c in parts))))
     if form is form_big_scan:
@@ -215,7 +240,7 @@ def test_m1w_length_is_a_function_of_the_chart_multiset(data):
 def test_m1w_length_is_the_width_less_the_matching_weight(instance, rnd):
     # one round merges each matched pair, saving its weight in cells, so the
     # length is fixed by the weight, whatever order the edges are listed in
-    g = build_union_graph(instance.charts)
+    g = build_union_graph(*chart_rows(instance.charts))
     shuffled = WeightedGraph.from_pairs(g.vertices, rnd.sample(g.pairs, len(g.pairs)))
     width = sum(ch.width for ch in instance.charts)
     length = SOLVERS["M1w"](instance).length
@@ -243,15 +268,15 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     # charts 2-unite
     charts = instance.charts
     by_id = {c.id: c for c in charts}
-    pairs = _dominance_matching(*chart_rows(charts))
-    graph = build_union_graph(charts, two_unions_only=True)
+    rows = chart_rows(charts)
+    pairs = _dominance_matching(*rows)
+    graph = build_union_graph(*rows, two_unions_only=True)
     assert len(pairs) == len(max_cardinality_matching(graph).edges)
     assert len({c for pair in pairs for c in pair}) == 2 * len(pairs)
     assert all(u < v and union_feasible(by_id[u], by_id[v], 2) for u, v in pairs)
-    formed = form_big_matchings(charts)
+    formed = form_big_matchings(*rows)
     assert len(formed) == len(charts) - len(pairs)
-    assert build_union_graph(formed_charts(formed, instance.den),
-                             two_unions_only=True).pairs == []
+    assert build_union_graph(formed, instance.den, two_unions_only=True).pairs == []
 
 
 @SWEEP
@@ -260,7 +285,8 @@ def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance, two_un
     # the pair scan writes the blossom's lists itself; they must be those the
     # validating builder makes from the edge list, so the matchers choose
     # what max_weight_edges chooses, and matching reads the graph only
-    g = build_union_graph(instance.charts, two_unions_only=two_unions_only)
+    g = build_union_graph(*chart_rows(instance.charts),
+                          two_unions_only=two_unions_only)
     n, pairs = len(g.vertices), g.pairs
     assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, pairs)
     before = deepcopy(g)
@@ -276,7 +302,7 @@ def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance, two_un
 @SWEEP
 @given(instances())
 def test_matchings_on_union_graphs_equal_brute_force(instance):
-    g = build_union_graph(instance.charts)
+    g = build_union_graph(*chart_rows(instance.charts))
     best_weight, best_card = brute_force_matching(
         [(e.u, e.v, e.weight) for e in g.edges])
     assert max_weight_matching(g).total_weight == best_weight

@@ -10,9 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from bcpp import (build_arc_digraph, build_union_graph, form_big_scan, ga_lo,
-                  gen_random, max_cardinality_matching, max_weight_matching,
-                  parse_config, path_cover, run_suite, solve_exact)
+from bcpp import (build_arc_digraph, build_union_graph, chart_rows, form_big_scan,
+                  ga_lo, gen_random, max_cardinality_matching,
+                  max_weight_matching, parse_config, path_cover, run_suite,
+                  solve_exact)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,8 +40,9 @@ def test_every_traced_function_exists():
 
 def test_every_counter_reads_a_real_result():
     instance = gen_random(8, 6, "arbitrary", 100)  # EXACT expands 41 nodes
-    graph = build_union_graph(instance.charts)
-    digraph = build_arc_digraph(form_big_scan(instance.charts), instance.den)
+    rows = chart_rows(instance.charts)
+    graph = build_union_graph(*rows)
+    digraph = build_arc_digraph(form_big_scan(*rows), instance.den)
     results = {
         "matching.build_union_graph": graph,
         "matching.max_weight_matching": max_weight_matching(graph),
