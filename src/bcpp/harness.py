@@ -7,6 +7,12 @@ the packing length, the reference value (known optimum when recorded, else
 an exact solve when enabled and it finishes, else the combined lower bound),
 the ratio R = length/reference and the absolute error length - reference.
 
+A suite first resolves every instance's reference, then runs each algorithm
+over all instances in turn, M1w before Mw whatever the config order, so no
+algorithm is always timed right after an exact search.  Where M1w's record
+on an instance passed its checks, Mw goes on from M1w's round 1, and its
+``elapsed_ms`` is M1w's time plus the continuation's: what Mw costs alone.
+
 A suite budgets its exact searches by nodes only, and records are sorted by
 (label, algorithm), so a rerun with the same seeds writes byte-identical CSV
 as long as timing output stays disabled.
@@ -27,7 +33,8 @@ from .generators import FAMILIES, gen_random
 from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
                     lower_bounds, parse_instance, read_int)
 
-# The heuristics by name, each called as solver(instance, dump=None) -> Solved.
+# The heuristics by name, each called as solver(instance, dump=None) -> Solved;
+# Mw also takes ``start=``, M1w's ``Solved``, to go on from round 2.
 # Every entry looks its solver up in its module when called, so a rebound
 # module attribute (a tracer's wrapper, a test's double) sees every call.
 SOLVERS = {
@@ -35,7 +42,8 @@ SOLVERS = {
     # the CSV rounds column holds Mw's rounds; M1w's cell stays blank
     "M1w": lambda inst, dump=None: replace(
         matching.solve_mw(inst, max_rounds=1, dump=dump), rounds=None),
-    "Mw": lambda inst, dump=None: matching.solve_mw(inst, dump=dump),
+    "Mw": lambda inst, dump=None, start=None: matching.solve_mw(
+        inst, dump=dump, start=start),
     "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(
         bigpipe.form_big_scan(*matching.chart_rows(inst.charts)), inst.den, dump=dump),
     "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(
@@ -230,12 +238,16 @@ def load_instances(cfg: SuiteConfig, base_dir: str = ".",
 
 
 def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
-                  exact_time: float = 0.0, dump=None) -> Solved:
-    """Run one algorithm; returns its solver's own ``Solved``, unchanged."""
+                  exact_time: float = 0.0, dump=None,
+                  start: Solved | None = None) -> Solved:
+    """Run one algorithm; returns its solver's own ``Solved``, unchanged.
+    ``start`` is M1w's ``Solved`` for Mw to go on from."""
     if name == "EXACT":
         return blp.solve_exact(instance, time_limit=exact_time, node_limit=exact_nodes)
     if name not in SOLVERS:
         raise ValueError(f"unknown algorithm {name!r}")
+    if start is not None:
+        return SOLVERS[name](instance, dump=dump, start=start)
     return SOLVERS[name](instance, dump=dump)
 
 
@@ -262,7 +274,7 @@ def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
 def run_suite(cfg: SuiteConfig, base_dir: str = ".",
               ) -> tuple[list[RunRecord], list[SummaryRow], list[ErrorRecord]]:
     instances, errors = load_instances(cfg, base_dir)
-    records: list[RunRecord] = []
+    resolved: list[tuple[Instance, int, str]] = []
     labels: set[str] = set()
     for instance in instances:
         if instance.label in labels:
@@ -271,16 +283,20 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
             continue
         labels.add(instance.label)
         try:
-            reference, ref_kind = _resolve_reference(instance, cfg)
+            resolved.append((instance, *_resolve_reference(instance, cfg)))
         except Exception as exc:  # noqa: BLE001 - reported per instance
             errors.append(ErrorRecord(label=instance.label, algorithm="-",
                                       message=f"reference failed: {exc}"))
-            continue
-        for name in cfg.algorithms:
+    records: list[RunRecord] = []
+    # (label, "Mw"): M1w's checked solve there, for Mw to go on from, and its ms
+    starts: dict[tuple[str, str], tuple[Solved, float]] = {}
+    for name in sorted(cfg.algorithms, key=lambda a: a == "Mw"):
+        for instance, reference, ref_kind in resolved:
+            start, before = starts.get((instance.label, name), (None, 0.0))
             try:
                 t0 = time.perf_counter()
-                solved = run_algorithm(instance, name, cfg.exact_nodes)
-                elapsed = (time.perf_counter() - t0) * 1000.0
+                solved = run_algorithm(instance, name, cfg.exact_nodes, start=start)
+                elapsed = before + (time.perf_counter() - t0) * 1000.0
                 audit(instance, solved)
                 length = solved.length
                 if length < reference:
@@ -294,6 +310,8 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
                     elapsed_ms=elapsed if cfg.timing else None,
                     rounds=solved.node_count if name == "EXACT" else solved.rounds,
                     placement=solved.placement))
+                if name == "M1w":
+                    starts[instance.label, "Mw"] = solved, elapsed
             except Exception as exc:  # noqa: BLE001 - reported per instance
                 errors.append(ErrorRecord(label=instance.label, algorithm=name,
                                           message=str(exc)))

@@ -155,26 +155,34 @@ def merge_matched(rows: list[ChartRow], matching: Matching) -> list[ChartRow]:
 
 
 def solve_mw(instance: Instance, max_rounds: int | None = None,
-             dump=None) -> Solved:
+             dump=None, start: Solved | None = None) -> Solved:
     """Iterate maximum-weight matchings, merging pairs, until no pair unites.
 
     M1w is ``max_rounds=1``: one matching on the raw charts.  ``rounds``
-    counts built graphs including a final edgeless one, and ``unions`` the
-    matchings of the rounds before it.  When ``dump`` is given, each round's
-    graph dump is passed to it as ``("round<k>", text)``.
+    counts built graphs including a final edgeless one, ``unions`` the
+    matchings of the rounds before it, and ``rows`` are the rows the last
+    round left.  ``start``, M1w's ``Solved`` on the same instance, makes the
+    solve go on from round 2 with its rows and matching, so it equals a
+    solve from scratch in every field.  When ``dump`` is given, each graph
+    the call builds is passed to it as ``("round<k>", text)``.
     """
-    rows, den = chart_rows(instance.charts)
-    unions: list[Matching] = []
-    rounds = 0
-    while max_rounds is None or rounds < max_rounds:
+    if start is None:
+        rows, den = chart_rows(instance.charts)
+        unions: list[Matching] = []
+        rounds = 0
+    else:
+        rows, den = start.rows, instance.den
+        unions, rounds = list(start.unions), 1
+    # every round that built an edge merged, so an edgeless one leaves
+    # rounds above len(unions) and ends the solve
+    while rounds == len(unions) and (max_rounds is None or rounds < max_rounds):
         graph = build_union_graph(rows, den)
         rounds += 1
         if dump is not None:
             dump(f"round{rounds}", dump_graph(graph))
-        if not graph.wt2:
-            break
-        unions.append(max_weight_matching(graph))
-        rows = merge_matched(rows, unions[-1])
+        if graph.wt2:
+            unions.append(max_weight_matching(graph))
+            rows = merge_matched(rows, unions[-1])
     return Solved(placement=assemble_placement(rows),
                   length=sum(row[5] for row in rows),
-                  rounds=rounds, unions=tuple(unions))
+                  rounds=rounds, unions=tuple(unions), rows=tuple(rows))

@@ -130,9 +130,11 @@ class Solved:
     ``probes`` counts the unplaced charts GA_LO's cell sweep tests (it
     skips placed ones through next-unplaced links); ``rounds`` counts the
     union graphs Mw built, the final edgeless one included; ``unions`` holds
-    Mw's matchings, one per round that merged, so ``unions[0]`` is M1w's.
-    ``lower_bound`` and ``node_count`` are EXACT's: the bound it proved and
-    the nodes it expanded, ``None`` on a heuristic.
+    Mw's matchings, one per round that merged, so ``unions[0]`` is M1w's,
+    and ``rows`` the rows its last round left, from which Mw can go on
+    (``()`` on the other solvers).  ``lower_bound`` and ``node_count`` are
+    EXACT's: the bound it proved and the nodes it expanded, ``None`` on a
+    heuristic.
     """
 
     placement: Placement
@@ -140,6 +142,7 @@ class Solved:
     probes: int = 0
     rounds: int | None = None
     unions: tuple[Matching, ...] = ()
+    rows: tuple[ChartRow, ...] = ()
     lower_bound: int | None = None
     node_count: int | None = None
 

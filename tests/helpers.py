@@ -332,7 +332,7 @@ def merge_along(charts, matching: Matching) -> list[Merged]:
 def reference_mw(instance: Instance, max_rounds: int | None = None) -> Solved:
     """Mw as it once ran: each round's matching merged chart by chart by the
     reference merge, its rows made anew from the merged charts, and the last
-    charts laid out by the reference layout."""
+    charts laid out by the reference layout and kept as rows."""
     charts: list[BarChart] = list(instance.charts)
     unions: list[Matching] = []
     rounds = 0
@@ -345,7 +345,7 @@ def reference_mw(instance: Instance, max_rounds: int | None = None) -> Solved:
         charts = merge_along(charts, unions[-1])
     return Solved(placement=reference_layout(charts),
                   length=sum(c.width for c in charts),
-                  rounds=rounds, unions=tuple(unions))
+                  rounds=rounds, unions=tuple(unions), rows=as_rows(charts)[0])
 
 
 def reference_blossom_formation(charts) -> tuple[ChartRow, ...]:

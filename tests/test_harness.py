@@ -9,6 +9,7 @@ import pytest
 
 import bcpp.blp
 import bcpp.greedy
+import bcpp.harness
 import bcpp.matching
 from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   format_records_csv, format_summary_csv, gen_bpp_fullbins,
@@ -16,6 +17,7 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
                   run_algorithm, run_suite, solve_exact, summarize,
                   transform_bpp)
 from bcpp.cli import main
+from bcpp.generators import FAMILIES
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
 import cli_cases
 from helpers import inst
@@ -401,6 +403,96 @@ def test_csv_shape_and_determinism():
     assert format_records_csv(again) == text
     assert format_summary_csv(summary).startswith(
         "family,n,algorithm,count,err_min,err_max,err_av,r_mean,r_sd")
+
+
+def test_mw_goes_on_from_m1w_with_the_same_answers(monkeypatch):
+    # a suite that runs both builds M1w's round-1 graph once per instance,
+    # and its records equal those of M1w and Mw run in suites of their own;
+    # n=1 leaves round 1 edgeless
+    specs = [GenSpec(family, n, 2, 40 + n, 20)
+             for family in FAMILIES for n in (1, 2, 5, 12, 60)]
+    builds = []
+    build = bcpp.matching.build_union_graph
+    monkeypatch.setattr(bcpp.matching, "build_union_graph",
+                        lambda *args, **kwargs: builds.append(1) or build(*args, **kwargs))
+
+    def suite(*algorithms):
+        before = len(builds)
+        records, _, errors = run_suite(SuiteConfig(generate=specs, algorithms=algorithms))
+        assert errors == []
+        return records, len(builds) - before
+
+    (m1w, m1w_builds), (mw, mw_builds) = suite("M1w"), suite("Mw")
+    assert len(m1w) == 30 and any(r.rounds == 1 for r in mw)
+    alone = sorted(m1w + mw, key=lambda r: (r.label, r.algorithm))
+    for algorithms in (("M1w", "Mw"), ("Mw", "M1w")):
+        records, both_builds = suite(*algorithms)
+        assert format_records_csv(records) == format_records_csv(alone)
+        assert records == alone  # placements and rounds too
+        assert both_builds == m1w_builds + mw_builds - len(m1w)
+
+
+_ORDER_SPECS = [GenSpec("arbitrary", 5, 3, 11, 20), GenSpec("big", 6, 3, 4, 20)]
+
+
+def _logged_suite(monkeypatch, algorithms, timing=False, misreport=None):
+    """Run a suite over ``_ORDER_SPECS`` with an exact reference, logging
+    each reference as ``("ref", label)`` and each algorithm call as
+    ``(name, label, start)``; M1w on the label ``misreport`` reports one
+    cell too many."""
+    events = []
+    resolve, run = bcpp.harness._resolve_reference, bcpp.harness.run_algorithm
+
+    def resolving(instance, cfg):
+        events.append(("ref", instance.label))
+        return resolve(instance, cfg)
+
+    def running(instance, name, *args, **kwargs):
+        events.append((name, instance.label, kwargs.get("start")))
+        solved = run(instance, name, *args, **kwargs)
+        if name == "M1w" and instance.label == misreport:
+            return replace(solved, length=solved.length + 1)
+        return solved
+
+    monkeypatch.setattr(bcpp.harness, "_resolve_reference", resolving)
+    monkeypatch.setattr(bcpp.harness, "run_algorithm", running)
+    cfg = SuiteConfig(generate=_ORDER_SPECS, algorithms=algorithms,
+                      exact_nodes=2000, timing=timing)
+    records, _, errors = run_suite(cfg)
+    return records, errors, events
+
+
+def test_run_suite_resolves_every_reference_then_runs_each_algorithm_in_turn(
+        monkeypatch):
+    labels = [i.label for spec in _ORDER_SPECS for i in spec.instances()]
+    algorithms = ("Mw", "GA_LO", "EXACT", "M1w")
+    records, errors, events = _logged_suite(monkeypatch, algorithms, timing=True)
+    assert errors == []
+    assert events[:len(labels)] == [("ref", label) for label in labels]
+    calls = events[len(labels):]
+    order = list(dict.fromkeys(name for name, _, _ in calls))
+    assert sorted(order) == sorted(algorithms)
+    assert order.index("M1w") < order.index("Mw")
+    # each algorithm's calls are contiguous and in instance order
+    assert [(name, label) for name, label, _ in calls] == [
+        (name, label) for name in order for label in labels]
+    assert all((start is not None) == (name == "Mw") for name, _, start in calls)
+    by = {(r.label, r.algorithm): r for r in records}
+    assert all(by[label, "Mw"].elapsed_ms >= by[label, "M1w"].elapsed_ms
+               for label in labels)
+
+
+def test_mw_solves_alone_where_m1w_failed_its_checks(monkeypatch):
+    labels = [i.label for spec in _ORDER_SPECS for i in spec.instances()]
+    bad = labels[2]
+    records, errors, events = _logged_suite(monkeypatch, ("M1w", "Mw"), misreport=bad)
+    assert [(e.label, e.algorithm, e.message[:12]) for e in errors] == [
+        (bad, "M1w", "audit failed")]
+    starts = {event[1]: event[2] for event in events if event[0] == "Mw"}
+    assert [label for label in labels if starts[label] is None] == [bad]
+    alone, _, _ = run_suite(SuiteConfig(generate=_ORDER_SPECS, algorithms=("Mw",),
+                                        exact_nodes=2000))
+    assert [r for r in records if r.algorithm == "Mw"] == alone
 
 
 def _record(label, algorithm, length, reference, n=5):

@@ -239,7 +239,10 @@ def test_m1w_is_mw_first_round():
         instance = gen_random(n, 500 + trial, rng.choice(["arbitrary", "big"]), 20)
         m1w = solve_mw(instance, max_rounds=1)
         assert m1w.rounds == 1
-        assert m1w.unions == solve_mw(instance).unions[:1]
+        mw = solve_mw(instance)
+        assert m1w.unions == mw.unions[:1]
+        # going on from round 1 gives Mw in every field, its rows included
+        assert solve_mw(instance, start=m1w) == mw
         rows, den = chart_rows(instance.charts)
         matched = max_weight_matching(build_union_graph(rows, den))
         assert m1w.unions == ((matched,) if matched.edges else ())
