@@ -9,7 +9,7 @@ from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
 from .unions import merge_union
 from .greedy import ga_lo, lex_order
 from .matching import (Matching, UnionEdge, WeightedGraph, build_union_graph,
-                       chart_rows, dump_graph, max_cardinality_matching,
+                       dump_graph, max_cardinality_matching,
                        max_weight_matching, solve_mw)
 from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,

@@ -13,7 +13,7 @@ first bar, ties by position, and each position's ``reach``, the length of
 the prefix its cap admits; its ``arcs`` view is built on read.
 
 Both formations read and return ``ChartRow``s in ascending id, as
-``matching.chart_rows`` makes them.  A1 forms big charts in a single scan
+``Instance.rows`` holds them.  A1 forms big charts in a single scan
 with a one-slot buffer: small charts are pairwise 2-unioned (always
 feasible, all four bars are at most 1/2) until the merge turns big, so at
 most one small chart survives.  A2 merges the pairs of maximum 2-union

@@ -45,10 +45,9 @@ SOLVERS = {
     "Mw": lambda inst, dump=None, start=None: matching.solve_mw(
         inst, dump=dump, start=start),
     "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(
-        bigpipe.form_big_scan(*matching.chart_rows(inst.charts)), inst.den, dump=dump),
+        bigpipe.form_big_scan(inst.rows, inst.den), inst.den, dump=dump),
     "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(
-        bigpipe.form_big_matchings(*matching.chart_rows(inst.charts)), inst.den,
-        dump=dump),
+        bigpipe.form_big_matchings(inst.rows, inst.den), inst.den, dump=dump),
 }
 
 ALGORITHMS = (*SOLVERS, "EXACT")
@@ -242,6 +241,8 @@ def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
                   start: Solved | None = None) -> Solved:
     """Run one algorithm; returns its solver's own ``Solved``, unchanged.
     ``start`` is M1w's ``Solved`` for Mw to go on from."""
+    if start is not None and name != "Mw":
+        raise ValueError(f"only Mw goes on from a start, not {name!r}")
     if name == "EXACT":
         return blp.solve_exact(instance, time_limit=exact_time, node_limit=exact_nodes)
     if name not in SOLVERS:

@@ -14,22 +14,21 @@ order of positions i < j, so ties resolve the same way on every run.  A
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
 t bars of the right chart, and only t <= 2 is ever tried, so no other bar
-can decide a pair.  ``chart_rows`` turns the raw charts into ``ChartRow``s
-once; each pair costs a few exact integer comparisons against ``den - bar``
-capacities, and each round merges the matched rows by ``merge_union``, so
-Mw never rebuilds a chart.  ``pair_weight`` in ``tests/helpers.py`` is the
-per-pair definition the rows reproduce, and its reference merge the charts
-they stand for.
+can decide a pair.  Round 1 reads ``Instance.rows``, the raw charts as
+``ChartRow``s; each pair costs a few exact integer comparisons against
+``den - bar`` capacities, and each round merges the matched rows by
+``merge_union``, so Mw never rebuilds a chart.  ``pair_weight`` in
+``tests/helpers.py`` is the per-pair definition the rows reproduce, and its
+reference merge the charts they stand for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from .blossom import edge_lists, match_edges
-from .model import BarChart, ChartRow, Instance, Solved, assemble_placement
+from .model import ChartRow, Instance, Solved, assemble_placement
 from .unions import merge_union
 
 
@@ -78,20 +77,6 @@ class Matching:
     @property
     def total_weight(self) -> int:
         return sum(e.weight for e in self.edges)
-
-
-def chart_rows(charts: list[BarChart] | tuple[BarChart, ...],
-               ) -> tuple[list[ChartRow], int]:
-    """Charts of two bars or more in id order as rows, each its own origin at
-    offset 0, plus their shared denominator."""
-    dens = {c.den for c in charts}
-    if len(dens) > 1:
-        raise ValueError("charts must share one denominator")
-    rows = []
-    for c in sorted(charts, key=attrgetter("id")):
-        i, b = c.id, c.bars
-        rows.append((i, b[0], b[1], b[-2], b[-1], len(b), ((i, 0),)))
-    return rows, dens.pop() if dens else 1
 
 
 def build_union_graph(rows: list[ChartRow], den: int,
@@ -167,16 +152,13 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
     the call builds is passed to it as ``("round<k>", text)``.
     """
     if start is None:
-        rows, den = chart_rows(instance.charts)
-        unions: list[Matching] = []
-        rounds = 0
+        rows, unions, rounds = instance.rows, [], 0
     else:
-        rows, den = start.rows, instance.den
-        unions, rounds = list(start.unions), 1
+        rows, unions, rounds = start.rows, list(start.unions), 1
     # every round that built an edge merged, so an edgeless one leaves
     # rounds above len(unions) and ends the solve
     while rounds == len(unions) and (max_rounds is None or rounds < max_rounds):
-        graph = build_union_graph(rows, den)
+        graph = build_union_graph(rows, instance.den)
         rounds += 1
         if dump is not None:
             dump(f"round{rounds}", dump_graph(graph))

@@ -14,12 +14,14 @@ contain gaps.
 A ``BarChart`` is what parsing and generation make.  The heuristics merge
 and lay out flat ``ChartRow`` tuples instead: a t-union (t <= 2) reads no
 bar but a chart's first two and last two, so a row keeps those, its width
-and the original charts it holds.
+and the original charts it holds.  ``Instance.rows`` makes an instance's
+rows on the first read and keeps them, for every heuristic to start from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -105,6 +107,13 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.charts)
+
+    @cached_property
+    def rows(self) -> tuple[ChartRow, ...]:
+        """The charts as rows in id order, each its own origin at offset 0;
+        not a field, so made on the first read, kept, and never compared."""
+        return tuple((c.id, a, b, a, b, 2, ((c.id, 0),))
+                     for c in self.charts for a, b in [c.bars])
 
 
 # A placement assigns each chart id the 1-based cell of its first bar.

@@ -297,7 +297,9 @@ def reference_layout(charts) -> Placement:
 
 def as_rows(charts) -> tuple[tuple[ChartRow, ...], int]:
     """Charts of any width, merged ones with their origins, as the rows the
-    solvers read, in ascending id, and their shared denominator.  A width-1
+    solvers read, in ascending id, and their shared denominator: the
+    reference for ``Instance.rows`` and ``Instance.den``, and the maker of
+    rows from loose charts, which no instance holds.  A width-1
     chart, which no instance forms, gets D + 1 for its missing second bar,
     so no 2-union test passes; the union graph and the 1-union digraph read
     it as that chart."""

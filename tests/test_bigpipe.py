@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, PathCover, build_arc_digraph, chart_rows,
+from bcpp import (BarChart, PathCover, build_arc_digraph,
                   evaluate_packing, form_big_matchings, form_big_scan, gen_random,
                   lower_bounds, oracle_opt, path_cover, solve_big_pipeline)
 from bcpp import bigpipe, matching, unions
@@ -16,21 +16,23 @@ from helpers import (as_rows, brute_force_matching, brute_force_path_cover_arcs,
 
 def test_scan_merges_smalls_into_big():
     # the merged chart keeps the slot of its least id
-    res = row_charts(form_big_scan(*chart_rows(inst((3, 2), (6, 7), (4, 3)).charts)), 10)
+    instance = inst((3, 2), (6, 7), (4, 3))
+    res = row_charts(form_big_scan(instance.rows, instance.den), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((7, 5), [1, 3]), ((6, 7), [2])]
     assert all(c.is_big for c in res)
 
 
 def test_scan_keeps_all_big_input():
-    charts = inst((9, 9), (8, 8)).charts
-    res = form_big_scan(*chart_rows(charts))
-    assert res == as_rows(charts)[0]
+    instance = inst((9, 9), (8, 8))
+    res = form_big_scan(instance.rows, instance.den)
+    assert res == instance.rows
     assert all(c.is_big for c in row_charts(res, 10))
 
 
 def test_scan_keeps_growing_buffer_until_big():
-    res = row_charts(form_big_scan(*chart_rows(inst((2, 2), (1, 1), (3, 3)).charts)), 10)
+    instance = inst((2, 2), (1, 1), (3, 3))
+    res = row_charts(form_big_scan(instance.rows, instance.den), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((6, 6), [1, 2, 3])]
     assert all(c.is_big for c in res)
@@ -38,7 +40,8 @@ def test_scan_keeps_growing_buffer_until_big():
 
 def test_scan_leftover_small():
     # the leftover keeps the slot of its least id, before the later big chart
-    res = row_charts(form_big_scan(*chart_rows(inst((2, 2), (6, 6)).charts)), 10)
+    instance = inst((2, 2), (6, 6))
+    res = row_charts(form_big_scan(instance.rows, instance.den), 10)
     assert [c.bars for c in res[1:]] == [(6, 6)]
     assert not res[0].is_big and res[0].bars == (2, 2)
 
@@ -53,25 +56,26 @@ def test_scan_emits_at_most_one_small():
     rng = random.Random(41)
     for trial in range(80):
         instance = gen_random(rng.randint(1, 12), trial, "arbitrary", 20)
-        res = row_charts(form_big_scan(*chart_rows(instance.charts)), 20)
+        res = row_charts(form_big_scan(instance.rows, instance.den), 20)
         assert sum(not c.is_big for c in res) <= 1
         total = sum(len(c.origins) for c in res)
         assert total == instance.n
 
 
 def test_matchings_formation_keeps_a_small():
-    rows = chart_rows(inst((4, 4), (4, 4), (4, 4)).charts)
-    out = row_charts(form_big_matchings(*rows), 10)
+    instance = inst((4, 4), (4, 4), (4, 4))
+    out = row_charts(form_big_matchings(instance.rows, instance.den), 10)
     assert sorted(c.bars for c in out) == [(4, 4), (8, 8)]
 
 
 def test_matchings_formation_all_big_fixed_point():
-    charts = inst((9, 9), (8, 8)).charts
-    assert form_big_matchings(*chart_rows(charts)) == as_rows(charts)[0]
+    instance = inst((9, 9), (8, 8))
+    assert form_big_matchings(instance.rows, instance.den) == instance.rows
 
 
 def test_matchings_formation_boundary_pair():
-    out = row_charts(form_big_matchings(*chart_rows(inst((5, 5), (5, 5)).charts)), 10)
+    instance = inst((5, 5), (5, 5))
+    out = row_charts(form_big_matchings(instance.rows, instance.den), 10)
     assert [c.bars for c in out] == [(10, 10)]
 
 
@@ -79,7 +83,7 @@ def test_matchings_formation_idempotent():
     rng = random.Random(42)
     for trial in range(40):
         instance = gen_random(rng.randint(1, 10), trial, "arbitrary", 20)
-        once = form_big_matchings(*chart_rows(instance.charts))
+        once = form_big_matchings(instance.rows, instance.den)
         assert form_big_matchings(list(once), 20) == once
 
 
@@ -130,7 +134,8 @@ def test_arc_digraph_successors_equal_brute_force(charts):
 def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
     for family in ("arbitrary", "big", "big_nonincreasing"):
         for n in (5, 50, 200):
-            rows = chart_rows(gen_random(n, 7, family, 10**6).charts)
+            instance = gen_random(n, 7, family, 10**6)
+            rows = instance.rows, instance.den
             for formed in (rows[0], form_big_scan(*rows), form_big_matchings(*rows)):
                 assert (build_arc_digraph(formed, 10**6).arcs
                         == _brute_force_arcs(row_charts(formed, 10**6)))
@@ -140,11 +145,10 @@ def test_arc_digraph_rejects_mixed_denominators():
     # 50/100 + 9/10 > 1, although the numerators sum to 59 <= 100
     charts = [BarChart(id=1, bars=(9, 9), den=10),
               BarChart(id=2, bars=(50, 50), den=100)]
-    # the digraph and the formations take D as data, so the makers of their
-    # rows refuse them
-    for make in (chart_rows, as_rows):
-        with pytest.raises(ValueError, match="share one denominator"):
-            make(charts)
+    # the digraph and the formations take D as data, so the reference maker
+    # of their rows refuses them, as Instance does (test_chart_validation)
+    with pytest.raises(ValueError, match="share one denominator"):
+        as_rows(charts)
 
 
 def test_path_cover_chain():
@@ -230,9 +234,10 @@ def test_path_cover_is_pinned():
     assert broken > 30  # the cycle branch runs
     for family, n in (("arbitrary", 60), ("big", 80)):
         for seed in range(1, 21):
-            charts = gen_random(n, seed, family).charts
+            instance = gen_random(n, seed, family)
             for form in (form_big_scan, form_big_matchings):
-                cover = path_cover(build_arc_digraph(form(*chart_rows(charts)), 10**6))
+                cover = path_cover(build_arc_digraph(form(instance.rows, instance.den),
+                                                     10**6))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
@@ -244,9 +249,10 @@ def test_path_cover_is_pinned_at_benchmark_scale():
     covers = []
     for family, n in (("big", 500), ("arbitrary", 200)):
         for seed in (1, 2, 3):
-            charts = gen_random(n, seed, family, 10**6).charts
+            instance = gen_random(n, seed, family, 10**6)
             for form in (form_big_scan, form_big_matchings):
-                cover = path_cover(build_arc_digraph(form(*chart_rows(charts)), 10**6))
+                cover = path_cover(build_arc_digraph(form(instance.rows, instance.den),
+                                                     10**6))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
@@ -262,8 +268,8 @@ def test_pipeline_all_big_chain():
 
 
 def test_pipeline_a2_merges_boundary_pair():
-    rows = chart_rows(inst((5, 5), (5, 5)).charts)
-    res = solve_big_pipeline(form_big_matchings(*rows), 10)
+    instance = inst((5, 5), (5, 5))
+    res = solve_big_pipeline(form_big_matchings(instance.rows, instance.den), 10)
     assert res.length == 2
 
 
@@ -283,7 +289,7 @@ def test_a1_and_a2_on_two_bar_input_merge_no_chart(monkeypatch):
     expected = [SOLVERS[variant](instance) for instance, variant in cases]
     form = {"A1": form_big_scan, "A2": form_big_matchings}
     assert {v for instance, v in cases
-            if len(form[v](*chart_rows(instance.charts))) < instance.n} == {
+            if len(form[v](instance.rows, instance.den)) < instance.n} == {
         "A1", "A2"}  # both formations merge
 
     def refuse(*args, **kwargs):
@@ -307,7 +313,7 @@ def test_pipeline_accounting_identity():
         n = rng.randint(1, 12)
         family = rng.choice(["arbitrary", "big"])
         instance = gen_random(n, trial, family, 20)
-        rows = chart_rows(instance.charts)
+        rows = instance.rows, instance.den
         formed = {"A1": form_big_scan(*rows), "A2": form_big_matchings(*rows)}
         for variant in ("A1", "A2"):
             res = SOLVERS[variant](instance)

@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 import bcpp
-from bcpp import (UnionEdge, WeightedGraph, build_union_graph, chart_rows,
+from bcpp import (UnionEdge, WeightedGraph, build_union_graph,
                   gen_random, max_cardinality_matching, max_weight_matching)
 from bcpp import blossom
 from helpers import union_graph
@@ -114,8 +114,8 @@ def test_mates_equal_networkx_where_a_stage_is_rerun(n, edges):
 ], ids=["arbitrary-400", "arbitrary-400-cardinality", "big-500", "big-500-cardinality",
         "big-500-two-unions"])
 def test_mates_pinned_at_scale(family, n, cardinality, two_unions_only, digest):
-    g = build_union_graph(*chart_rows(gen_random(n, 1, family, 10**6).charts),
-                          two_unions_only=two_unions_only)
+    instance = gen_random(n, 1, family, 10**6)
+    g = build_union_graph(instance.rows, instance.den, two_unions_only=two_unions_only)
     index = {x: i for i, x in enumerate(sorted(g.vertices))}
     edges = [(index[e.u], index[e.v], 1 if cardinality else e.weight)
              for e in sorted(g.edges)]
@@ -140,7 +140,8 @@ def assert_endpoint_order_is_free(n, edges, rng):
 
 @pytest.mark.parametrize("family, n", [("arbitrary", 400), ("big", 500)])
 def test_chosen_edges_ignore_endpoint_order_at_scale(family, n):
-    g = build_union_graph(*chart_rows(gen_random(n, 1, family, 10**6).charts))
+    instance = gen_random(n, 1, family, 10**6)
+    g = build_union_graph(instance.rows, instance.den)
     assert_endpoint_order_is_free(len(g.vertices), g.pairs, random.Random(n))
 
 
@@ -157,7 +158,8 @@ def test_mates_equal_networkx_on_union_graphs():
     for family, seed, two_unions_only in [
             ("arbitrary", 1, False), ("arbitrary", 2, False), ("arbitrary", 3, False),
             ("big", 1, False), ("big", 2, False), ("big", 1, True), ("big", 2, True)]:
-        g = build_union_graph(*chart_rows(gen_random(200, seed, family, 10**6).charts),
+        instance = gen_random(200, seed, family, 10**6)
+        g = build_union_graph(instance.rows, instance.den,
                               two_unions_only=two_unions_only)
         for cardinality in (False, True):
             assert our_pairs(g, cardinality) == nx_pairs(g, cardinality)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import bcpp.bigpipe
 import bcpp.blp
 import bcpp.greedy
 import bcpp.harness
@@ -329,9 +330,22 @@ def test_run_suite_reports_a_failed_audit_and_keeps_the_rest(tmp_path, monkeypat
         for label, message in zip("ab", expected)]
 
 
-def test_run_algorithm_rejects_an_unknown_name():
+def test_run_algorithm_rejects_an_unknown_name(monkeypatch):
     with pytest.raises(ValueError, match="unknown algorithm 'NOPE'"):
         run_algorithm(inst((5, 5)), "NOPE")
+    # only Mw goes on from a start; every other name refuses one unsolved
+    instance = inst((5, 9), (7, 2), (7, 4))
+    start = run_algorithm(instance, "M1w")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+    for module, name in ((bcpp.greedy, "ga_lo"), (bcpp.matching, "solve_mw"),
+                         (bcpp.bigpipe, "solve_big_pipeline"), (bcpp.blp, "solve_exact")):
+        monkeypatch.setattr(module, name, refuse)
+    for name in ALGORITHMS:
+        if name != "Mw":
+            with pytest.raises(ValueError, match=f"^only Mw goes on from a start, not '{name}'$"):
+                run_algorithm(instance, name, exact_nodes=1, start=start)
 
 
 def test_run_algorithm_returns_the_solvers_own_result(monkeypatch):
@@ -620,3 +634,31 @@ def test_bcpp_runs_on_the_standard_library_alone(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "A2 4\n[]\n"
+
+
+PUBLIC_NAMES = """
+ArcDigraph BarChart Bounds BppInstance BppSolution Evaluation FormatError
+Instance Matching PathCover Placement RunRecord SOLVERS Solved SuiteConfig
+SummaryRow UnionEdge WeightedGraph assemble_placement bigpipe blossom blp
+bpp_witness_placement build_arc_digraph build_union_graph compact
+dump_digraph dump_graph evaluate_packing export_lp form_big_matchings
+form_big_scan format_bpp_instance format_bpp_solution format_instance
+format_placement format_records_csv format_summary_csv ga_lo
+gen_bpp_fullbins gen_random generators greedy harness lex_order
+lower_bounds matching max_cardinality_matching max_weight_matching
+merge_union model oracle_opt parse_bpp parse_bpp_instance parse_config
+parse_instance path_cover run_algorithm run_suite solve_big_pipeline
+solve_exact solve_mw summarize transform_bpp unions
+""".split()
+
+
+def test_bcpp_public_names_are_pinned():
+    # every name without a leading underscore that ``import bcpp`` binds in a
+    # fresh interpreter (importing a submodule later binds it too), so adding
+    # or dropping one is a change to this list
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bcpp; "
+            "print(*(name for name in vars(bcpp) if not name.startswith('_')))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert sorted(proc.stdout.split()) == PUBLIC_NAMES

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
-                  build_union_graph, chart_rows, dump_graph, evaluate_packing,
+                  build_union_graph, dump_graph, evaluate_packing,
                   format_placement, gen_random, max_cardinality_matching,
                   max_weight_matching, oracle_opt, solve_mw)
 from bcpp import blossom
@@ -85,17 +85,20 @@ def test_matching_deterministic_for_canonical_input():
 
 
 def test_union_graph_single_heavy_pair():
-    g = build_union_graph(*chart_rows(inst((40, 45), (50, 50), (90, 90), den=100).charts))
+    instance = inst((40, 45), (50, 50), (90, 90), den=100)
+    g = build_union_graph(instance.rows, instance.den)
     assert [(e.u, e.v, e.weight) for e in g.edges] == [(1, 2, 2)]
 
 
 def test_union_graph_edgeless_when_everything_collides():
-    g = build_union_graph(*chart_rows(inst((9, 9), (8, 8), (9, 8)).charts))
+    instance = inst((9, 9), (8, 8), (9, 8))
+    g = build_union_graph(instance.rows, instance.den)
     assert g.edges == ()
 
 
 def test_union_graph_mixed_weights():
-    g = build_union_graph(*chart_rows(inst((3, 4), (5, 5), (6, 8)).charts))
+    instance = inst((3, 4), (5, 5), (6, 8))
+    g = build_union_graph(instance.rows, instance.den)
     assert [(e.u, e.v, e.weight) for e in g.edges] == [(1, 2, 2), (1, 3, 1)]
 
 
@@ -106,9 +109,9 @@ def a2_round_two_sample(n: int) -> list[BarChart]:
     2-unite."""
     pool = []
     for family in ("big", "arbitrary", "big_nonincreasing"):
-        charts = gen_random(n, 7, family, 10**6).charts
-        g = build_union_graph(*chart_rows(charts), two_unions_only=True)
-        pool += merge_along(charts, max_cardinality_matching(g))
+        instance = gen_random(n, 7, family, 10**6)
+        g = build_union_graph(instance.rows, instance.den, two_unions_only=True)
+        pool += merge_along(instance.charts, max_cardinality_matching(g))
     picked = random.Random(n).sample(pool, 150)
     return [BarChart(id=3 * k + 2, bars=c.bars, den=c.den) for k, c in enumerate(picked)]
 
@@ -147,7 +150,8 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
     # blossom builds from it, and each matcher chooses what the blossom
     # chooses on it, with w = 1 for cardinality
     for n in (5, 50, 200):
-        charts = gen_random(n, 7, family, 10**6).charts
+        instance = gen_random(n, 7, family, 10**6)
+        charts = instance.charts
         for two_unions_only in (False, True):
             expected = sorted(
                 UnionEdge(i.id, j.id, pw.weight, pw.left, pw.right)
@@ -156,7 +160,8 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
                 if pw.weight == 2 or pw.weight and not two_unions_only)
             index = {c.id: k for k, c in enumerate(charts)}
             reference = [(index[e.left], index[e.right], e.weight) for e in expected]
-            g = build_union_graph(*chart_rows(charts), two_unions_only=two_unions_only)
+            g = build_union_graph(instance.rows, instance.den,
+                                  two_unions_only=two_unions_only)
             assert g.edges == tuple(expected)
             assert g.pairs == reference
             assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, reference)
@@ -198,15 +203,9 @@ def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():
     assert merges > 100
 
 
-def test_union_graph_rejects_mixed_denominators():
-    charts = [BarChart(id=1, bars=(9, 9), den=10),
-              BarChart(id=2, bars=(50, 50), den=100)]
-    with pytest.raises(ValueError, match="share one denominator"):
-        chart_rows(charts)
-
-
 def test_dump_graph_format():
-    g = build_union_graph(*chart_rows(inst((3, 4), (5, 5), (6, 8)).charts))
+    instance = inst((3, 4), (5, 5), (6, 8))
+    g = build_union_graph(instance.rows, instance.den)
     assert dump_graph(g) == "1 2 2\n1 3 1\n"
 
 
@@ -243,7 +242,7 @@ def test_m1w_is_mw_first_round():
         assert m1w.unions == mw.unions[:1]
         # going on from round 1 gives Mw in every field, its rows included
         assert solve_mw(instance, start=m1w) == mw
-        rows, den = chart_rows(instance.charts)
+        rows, den = instance.rows, instance.den
         matched = max_weight_matching(build_union_graph(rows, den))
         assert m1w.unions == ((matched,) if matched.edges else ())
         one_round = assemble_placement(merge_matched(rows, matched))

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from bcpp import (BarChart, FormatError, Instance, compact, evaluate_packing,
-                  format_instance, format_placement, lower_bounds,
-                  parse_instance)
-from helpers import inst, mk
+from bcpp import (BarChart, BppInstance, BppSolution, FormatError, Instance,
+                  compact, evaluate_packing, format_instance, format_placement,
+                  lower_bounds, parse_instance, transform_bpp)
+from helpers import as_rows, inst, mk
 
 
 def test_evaluate_shared_cell():
@@ -117,6 +118,16 @@ def test_instance_text_round_trip():
     assert [c.bars for c in back.charts] == [(6, 3), (4, 5)]
     assert back.den == 10
     assert back.known_opt == 2
+    # rows are no field: made on the first read, they change no comparison,
+    # hash or repr, and a replaced or transformed instance makes its own
+    assert back.rows == as_rows(back.charts)[0]
+    assert (back, hash(back), repr(back)) == (instance, hash(instance), repr(instance))
+    assert instance.rows == back.rows and back == instance
+    other = replace(back, known_opt=3)
+    assert other != back and other.rows == as_rows(other.charts)[0]
+    bpp = transform_bpp(BppInstance(sizes=(6, 4, 5, 5, 3, 7), capacity=10),
+                        BppSolution(bins=((0, 1), (2, 3), (4, 5))))
+    assert bpp.n == 2 and bpp.rows == as_rows(bpp.charts)[0]
 
 
 def test_parse_instance_errors_carry_line_numbers():

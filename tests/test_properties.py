@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
-                  build_union_graph, chart_rows, compact, evaluate_packing,
+                  build_union_graph, compact, evaluate_packing,
                   form_big_matchings, form_big_scan, ga_lo, gen_random,
                   lower_bounds, max_cardinality_matching, max_weight_matching,
                   oracle_opt, solve_big_pipeline, solve_exact, solve_mw)
@@ -135,7 +135,7 @@ def test_union_rows_match_their_definitions_at_every_width(charts):
 
 @SWEEP
 @given(st.one_of(st.builds(lambda instance, form: row_charts(
-                               form(*chart_rows(instance.charts)), instance.den),
+                               form(instance.rows, instance.den), instance.den),
                            st.one_of(instances(), instances(big=True)),
                            st.sampled_from([lambda rows, den: rows,
                                             form_big_scan, form_big_matchings])),
@@ -164,7 +164,7 @@ def test_chain_matching_is_maximum_and_feasible(charts):
 def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
     # A1's and A2's layout of the cover paths equals merging each path by
     # 1-unions and concatenating the merged charts by id
-    formed = form(*chart_rows(instance.charts))
+    formed = form(instance.rows, instance.den)
     solved = solve_big_pipeline(formed, instance.den)
     reference = reference_big_pipeline(formed, instance.den)
     assert (solved.placement, solved.length) == (reference.placement, reference.length)
@@ -180,16 +180,19 @@ def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
 def test_merged_rows_follow_the_reference_merge(instance):
     # M1w and Mw merge rows, never charts: each round's graph, matching and
     # merge, and the layout, equal merging the charts by the reference merge
-    # along each matching and laying them out; so do A2's blossom rounds
+    # along each matching and laying them out; so do A2's blossom rounds.
+    # The instance's rows are the reference rows, made once on the first read
+    rows, charts = instance.rows, instance.charts
+    assert rows == as_rows(charts)[0]
     assert solve_mw(instance, max_rounds=1) == reference_mw(instance, max_rounds=1)
     reference = reference_mw(instance)
     assert solve_mw(instance) == reference
-    rows, charts = chart_rows(instance.charts)[0], instance.charts
+    assert instance.rows is rows
     for matching in reference.unions:
         rows, charts = merge_matched(rows, matching), merge_along(charts, matching)
         assert rows == list(as_rows(charts)[0])
     if not all(ch.is_big for ch in instance.charts):
-        assert (form_big_matchings(*chart_rows(instance.charts))
+        assert (form_big_matchings(instance.rows, instance.den)
                 == reference_blossom_formation(instance.charts))
 
 
@@ -203,7 +206,7 @@ def test_formed_tuples_are_their_origins_merged(instance, form):
     # each formed row is what merging its origins in id order by 2-unions
     # gives: the least origin id, two bars, the bar sums and every offset 0
     by_id = {c.id: c for c in instance.charts}
-    formed = form(*chart_rows(instance.charts))
+    formed = form(instance.rows, instance.den)
     assert [f[0] for f in formed] == sorted(f[0] for f in formed)
     assert sorted(oid for *_, origins in formed for oid, _ in origins) == list(by_id)
     for *row, width, origins in formed:
@@ -240,7 +243,7 @@ def test_m1w_length_is_a_function_of_the_chart_multiset(data):
 def test_m1w_length_is_the_width_less_the_matching_weight(instance, rnd):
     # one round merges each matched pair, saving its weight in cells, so the
     # length is fixed by the weight, whatever order the edges are listed in
-    g = build_union_graph(*chart_rows(instance.charts))
+    g = build_union_graph(instance.rows, instance.den)
     shuffled = WeightedGraph.from_pairs(g.vertices, rnd.sample(g.pairs, len(g.pairs)))
     width = sum(ch.width for ch in instance.charts)
     length = SOLVERS["M1w"](instance).length
@@ -268,7 +271,7 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     # charts 2-unite
     charts = instance.charts
     by_id = {c.id: c for c in charts}
-    rows = chart_rows(charts)
+    rows = instance.rows, instance.den
     pairs = _dominance_matching(*rows)
     graph = build_union_graph(*rows, two_unions_only=True)
     assert len(pairs) == len(max_cardinality_matching(graph).edges)
@@ -285,7 +288,7 @@ def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance, two_un
     # the pair scan writes the blossom's lists itself; they must be those the
     # validating builder makes from the edge list, so the matchers choose
     # what max_weight_edges chooses, and matching reads the graph only
-    g = build_union_graph(*chart_rows(instance.charts),
+    g = build_union_graph(instance.rows, instance.den,
                           two_unions_only=two_unions_only)
     n, pairs = len(g.vertices), g.pairs
     assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, pairs)
@@ -302,7 +305,7 @@ def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance, two_un
 @SWEEP
 @given(instances())
 def test_matchings_on_union_graphs_equal_brute_force(instance):
-    g = build_union_graph(*chart_rows(instance.charts))
+    g = build_union_graph(instance.rows, instance.den)
     best_weight, best_card = brute_force_matching(
         [(e.u, e.v, e.weight) for e in g.edges])
     assert max_weight_matching(g).total_weight == best_weight
