@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .model import ChartRow, Placement, Solved
+from .model import ChartRow, Placement, Solved, find
 from .matching import build_union_graph, max_cardinality_matching, merge_matched
 
 
@@ -173,34 +173,29 @@ def _chain_matching(g: ArcDigraph) -> tuple[list[int], list[int]]:
     Tail i may take any head of ``order[:reach[i]]`` but itself.
 
     The tails come by ascending reach, ties by position.  Each takes the free
-    head with the largest first bar in its prefix, found through links to
-    the next free head below, but passes over its own head, and over the
-    start of its own path, which would close a cycle, while a smaller head
-    is free.  A tail left only its own head swaps with the last matched tail
-    if that tail's prefix holds it.  Why this is maximum: let j be the last
-    tail left unmatched and S the tails taken up to j, whose prefixes lie in
-    j's.  Every head S can take is matched within S, for j found none free
-    but its own, which no other prefix in S holds: not the last matched
-    tail's, the largest matched one, nor an unmatched one's, whose tail
-    would have taken it.  So every matching leaves at least as many tails
-    of S unmatched as this one leaves in all, whichever free heads it took.
+    head with the largest first bar in its prefix, which ``model.find``
+    reaches by links to the next free head below, but passes over its own
+    head, and over the start of its own path, which would close a cycle,
+    while a smaller head is free.  A tail left only its own head swaps with
+    the last matched tail if that tail's prefix holds it.  Why this is
+    maximum: let j be the last tail left unmatched and S the tails taken up
+    to j, whose prefixes lie in j's.  Every head S can take is matched
+    within S, for j found none free but its own, which no other prefix in S
+    holds: not the last matched tail's, the largest matched one, nor an
+    unmatched one's, whose tail would have taken it.  So every matching
+    leaves at least as many tails of S unmatched as this one leaves in all,
+    whichever free heads it took.
     """
     order, reach, n = g.order, g.reach, len(g.vertices)
     # link[k + 1] leads to the last free head at or before order[k]; 0: none
     link = list(range(n + 1))
-
-    def find(k: int) -> int:
-        while link[k] != k:  # path halving, as in GA_LO's sweep
-            link[k] = k = link[link[k]]
-        return k
-
     start, end = list(range(n)), list(range(n))  # path ends' starts, starts' ends
     mate, last = [-1] * n, -1
     for i in sorted(range(n), key=reach.__getitem__):
-        k = find(reach[i])
+        k = find(link, reach[i])
         passed = k if k and order[k - 1] == start[i] else 0  # own, or a cycle
         if passed:
-            k = find(k - 1) or (0 if start[i] == i else k)
+            k = find(link, k - 1) or (0 if start[i] == i else k)
         if k:
             mate[i] = h = order[k - 1]
             start[end[h]], end[start[i]] = start[i], end[h]

@@ -16,8 +16,8 @@ none fits the sweep moves on to c + 1.  The first bars are non-increasing
 along the order, so the charts whose first bar fits at c form a suffix of
 it, found by one bisection; a forward scan over that suffix takes the first
 unplaced chart whose second bar fits too.  The scan skips placed charts
-through next-unplaced links, compressed on every lookup (a disjoint-set
-"find"), so it tests only unplaced charts.
+through next-unplaced links, which ``model.find`` follows and halves, so
+it tests only unplaced charts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import attrgetter
 
-from .model import Instance, Placement, Solved
+from .model import Instance, Placement, Solved, find
 
 
 def lex_order(instance: Instance) -> tuple[int, ...]:
@@ -44,11 +44,6 @@ def ga_lo(instance: Instance) -> Solved:
     # a placed position links to the next, and n stands for "none left"
     nxt = list(range(n + 1))
 
-    def find(pos: int) -> int:
-        while nxt[pos] != pos:  # path halving: each step skips a link ahead
-            nxt[pos] = pos = nxt[nxt[pos]]
-        return pos
-
     # occ[c] = numerator sum at cell c; occ[0] unused.  After k placements
     # no cell beyond 2k is occupied, so the next chart fits at 2k + 1 at the
     # latest and the sweep reads no cell past 2n.
@@ -58,12 +53,12 @@ def ga_lo(instance: Instance) -> Solved:
     cell = 1
     while len(placement) < n:
         room = den - occ[cell + 1]
-        pos = find(bisect_left(neg_firsts, occ[cell] - den))  # first bars fit
+        pos = find(nxt, bisect_left(neg_firsts, occ[cell] - den))  # first bars fit
         while pos < n:
             probes += 1
             if seconds[pos] <= room:
                 break
-            pos = find(pos + 1)
+            pos = find(nxt, pos + 1)
         else:
             cell += 1
             continue

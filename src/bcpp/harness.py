@@ -34,7 +34,7 @@ from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
                     lower_bounds, parse_instance, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved;
-# Mw also takes ``start=``, M1w's ``Solved``, to go on from round 2.
+# Mw also takes ``start=``, an earlier M1w or Mw ``Solved``, to go on from.
 # Every entry looks its solver up in its module when called, so a rebound
 # module attribute (a tracer's wrapper, a test's double) sees every call.
 SOLVERS = {
@@ -240,7 +240,7 @@ def run_algorithm(instance: Instance, name: str, exact_nodes: int = 0,
                   exact_time: float = 0.0, dump=None,
                   start: Solved | None = None) -> Solved:
     """Run one algorithm; returns its solver's own ``Solved``, unchanged.
-    ``start`` is M1w's ``Solved`` for Mw to go on from."""
+    ``start`` is an earlier M1w or Mw ``Solved`` for Mw to go on from."""
     if start is not None and name != "Mw":
         raise ValueError(f"only Mw goes on from a start, not {name!r}")
     if name == "EXACT":

@@ -146,15 +146,16 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
     M1w is ``max_rounds=1``: one matching on the raw charts.  ``rounds``
     counts built graphs including a final edgeless one, ``unions`` the
     matchings of the rounds before it, and ``rows`` are the rows the last
-    round left.  ``start``, M1w's ``Solved`` on the same instance, makes the
-    solve go on from round 2 with its rows and matching, so it equals a
-    solve from scratch in every field.  When ``dump`` is given, each graph
-    the call builds is passed to it as ``("round<k>", text)``.
+    round left.  ``start``, an earlier solve of the same instance (M1w's
+    blank ``rounds`` reads 1), makes it go on from there, equal to a solve
+    from scratch in every field.  When ``dump`` is given, each graph the
+    call builds is passed to it as ``("round<k>", text)``.
     """
     if start is None:
         rows, unions, rounds = instance.rows, [], 0
     else:
-        rows, unions, rounds = start.rows, list(start.unions), 1
+        rows, unions = start.rows, list(start.unions)
+        rounds = 1 if start.rounds is None else start.rounds
     # every round that built an edge merged, so an edgeless one leaves
     # rounds above len(unions) and ends the solve
     while rounds == len(unions) and (max_rounds is None or rounds < max_rounds):

@@ -53,6 +53,14 @@ def read_float(token: str) -> float:
     return float(token)
 
 
+def find(links: list[int], k: int) -> int:
+    """The first slot on the links from ``k`` that links to itself; each slot
+    passed is pointed two links on (path halving, Tarjan & van Leeuwen 1984)."""
+    while links[k] != k:
+        links[k] = k = links[links[k]]
+    return k
+
+
 @dataclass(frozen=True)
 class BarChart:
     """A chart of ``len(bars)`` unit-width bars; heights are ``bars[i]/den``."""

@@ -280,6 +280,16 @@ def test_pipeline_rejects_an_overfull_arc(monkeypatch):
         solve_big_pipeline(*as_rows(inst((6, 7), (7, 5)).charts))
 
 
+@pytest.mark.parametrize("paths", [((1, 2),), ((2,), (1, 2, 3))],
+                         ids=["a path dropped", "a chart listed twice"])
+def test_pipeline_rejects_a_cover_that_does_not_place_each_chart_once(
+        monkeypatch, paths):
+    # charts 1-2-3 chain by 1-unions, so only the count check can object
+    monkeypatch.setattr(bigpipe, "path_cover", lambda g: PathCover(paths))
+    with pytest.raises(ValueError, match="place every original chart once"):
+        solve_big_pipeline(*as_rows(inst((6, 2), (7, 2), (8, 2)).charts))
+
+
 def test_a1_and_a2_on_two_bar_input_merge_no_chart(monkeypatch):
     # A1's scan and A2's all-big round add bars; merge_union serves only the
     # blossom rounds, so A2 on input with a small chart is left out

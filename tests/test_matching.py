@@ -240,8 +240,11 @@ def test_m1w_is_mw_first_round():
         assert m1w.rounds == 1
         mw = solve_mw(instance)
         assert m1w.unions == mw.unions[:1]
-        # going on from round 1 gives Mw in every field, its rows included
+        # going on from round 1 gives Mw in every field, its rows included,
+        # and so does going on from any prefix of Mw's rounds, or all of them
         assert solve_mw(instance, start=m1w) == mw
+        for k in range(mw.rounds + 2):
+            assert solve_mw(instance, start=solve_mw(instance, max_rounds=k)) == mw
         rows, den = instance.rows, instance.den
         matched = max_weight_matching(build_union_graph(rows, den))
         assert m1w.unions == ((matched,) if matched.edges else ())
