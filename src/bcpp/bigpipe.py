@@ -3,8 +3,8 @@
 Both algorithms first turn the instance into big charts (at least one bar
 above 1/2), then chain the formed charts through 1-unions: a digraph holds
 an arc (i, j) whenever chart i's last bar and chart j's first bar fit into
-one cell, a path cover of that digraph is selected, and every path is laid
-out left to right, one cell shared per arc.  Each arc saves one strip cell.
+one cell, a path cover of that digraph is selected, and ``assemble_placement``
+lays every path out, one cell shared per arc.  Each arc saves one strip cell.
 
 The digraph is a chain graph: sorted by first bar, chart i's heads are a
 prefix less i, the charts whose first bar fits its cap ``den - last``, and
@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .model import ChartRow, Placement, Solved, find
+from .model import ChartRow, Solved, assemble_placement, find
 from .matching import build_union_graph, max_cardinality_matching, merge_matched
 
 
@@ -236,30 +236,11 @@ def path_cover(g: ArcDigraph) -> PathCover:
 
 def solve_big_pipeline(formed: list[ChartRow] | tuple[ChartRow, ...], den: int,
                        dump=None) -> Solved:
-    """Lay the formed rows out along the 1-union digraph's path cover: paths
-    by least chart id, each arc's two charts sharing a cell.  An overfull cell
-    raises ``ValueError`` naming it.  When ``dump`` is given, the arc list is
-    passed to it as ``("digraph", text)``.
-    """
+    """Cover the formed rows' 1-union digraph with paths and lay them out by
+    least chart id, the id a merged chart takes.  When ``dump`` is given, the
+    arc list is passed to it as ``("digraph", text)``."""
     digraph = build_arc_digraph(formed, den)
     if dump is not None:
         dump("digraph", dump_digraph(digraph))
-    cover = path_cover(digraph)
-
-    by_id = {f[0]: f for f in formed}
-    placement: Placement = {}
-    end = 0  # the last strip cell used
-    for path in sorted(cover.paths, key=min):  # a merged chart's id is its least
-        top, end = 0, end + 1  # the height in cell ``end`` the next chart shares
-        for cid in path:
-            _, first, _, _, last, width, origins = by_id[cid]
-            top += first
-            if top > den:
-                raise ValueError(f"strip cell {end} holds {top}/{den} > 1")
-            for oid, off in origins:
-                placement[oid] = end + off
-            top, end = last, end + width - 1
-    if (len(placement) != sum(len(f[6]) for f in formed)
-            or sum(map(len, cover.paths)) != len(formed)):
-        raise ValueError("the path cover must place every original chart once")
-    return Solved(placement=placement, length=end)
+    paths = sorted(path_cover(digraph).paths, key=min)
+    return Solved(*assemble_placement(paths, formed, den))

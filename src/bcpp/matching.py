@@ -148,14 +148,19 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
     matchings of the rounds before it, and ``rows`` are the rows the last
     round left.  ``start``, an earlier solve of the same instance (M1w's
     blank ``rounds`` reads 1), makes it go on from there, equal to a solve
-    from scratch in every field.  When ``dump`` is given, each graph the
-    call builds is passed to it as ``("round<k>", text)``.
+    from scratch in every field; rows not holding charts 1..n once raise
+    ``ValueError``, but a start from another instance with those ids is not
+    caught (a suite's audit still rejects its packing).  When ``dump`` is
+    given, each graph the call builds is passed to it as ``("round<k>", text)``.
     """
     if start is None:
         rows, unions, rounds = instance.rows, [], 0
     else:
         rows, unions = start.rows, list(start.unions)
         rounds = 1 if start.rounds is None else start.rounds
+        ids = [oid for row in rows for oid, _ in row[6]]
+        if len(ids) != instance.n or set(ids) != set(range(1, instance.n + 1)):
+            raise ValueError("start must hold the instance's charts 1..n once each")
     # every round that built an edge merged, so an edgeless one leaves
     # rounds above len(unions) and ends the solve
     while rounds == len(unions) and (max_rounds is None or rounds < max_rounds):
@@ -166,6 +171,5 @@ def solve_mw(instance: Instance, max_rounds: int | None = None,
         if graph.wt2:
             unions.append(max_weight_matching(graph))
             rows = merge_matched(rows, unions[-1])
-    return Solved(placement=assemble_placement(rows),
-                  length=sum(row[5] for row in rows),
+    return Solved(*assemble_placement([row[:1] for row in rows], rows, instance.den),
                   rounds=rounds, unions=tuple(unions), rows=tuple(rows))

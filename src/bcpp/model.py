@@ -233,16 +233,28 @@ def compact(instance: Instance, placement: Placement) -> Placement:
     return {cid: new_cell[pos] for cid, pos in placement.items()}
 
 
-def assemble_placement(rows: list[ChartRow]) -> Placement:
-    """Lay the rows out left to right, in the given order (ascending id, as
-    ``merge_matched`` returns them), placing each origin at its offset."""
+def assemble_placement(paths: list[tuple[int, ...]], rows: list[ChartRow],
+                       den: int) -> tuple[Placement, int]:
+    """Lay ``paths`` of row ids out, each from a new cell, each later row sharing
+    its first cell with the last of the row before; the placement and length.
+    An overfull cell, or paths not laying each row once, raise ``ValueError``."""
+    by_id = {row[0]: row for row in rows}
     placement: Placement = {}
-    base = 1
-    for *_, width, origins in rows:
-        for oid, off in origins:
-            placement[oid] = base + off
-        base += width
-    return placement
+    end = 0  # the last strip cell used
+    for path in paths:
+        top, end = 0, end + 1  # the height in cell ``end`` the next row shares
+        for cid in path:
+            _, first, _, _, last, width, origins = by_id[cid]
+            top += first
+            if top > den:
+                raise ValueError(f"strip cell {end} holds {top}/{den} > 1")
+            for oid, off in origins:
+                placement[oid] = end + off
+            top, end = last, end + width - 1
+    if (len(placement) != sum(len(row[6]) for row in rows)
+            or sum(map(len, paths)) != len(rows)):
+        raise ValueError("the path cover must place every original chart once")
+    return placement, end
 
 
 # --- instance / placement text formats -------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
                   build_union_graph, dump_graph, evaluate_packing,
-                  format_placement, gen_random, max_cardinality_matching,
+                  format_placement, ga_lo, gen_random, max_cardinality_matching,
                   max_weight_matching, oracle_opt, solve_mw)
 from bcpp import blossom
 from bcpp.matching import merge_matched
@@ -248,10 +248,19 @@ def test_m1w_is_mw_first_round():
         rows, den = instance.rows, instance.den
         matched = max_weight_matching(build_union_graph(rows, den))
         assert m1w.unions == ((matched,) if matched.edges else ())
-        one_round = assemble_placement(merge_matched(rows, matched))
-        assert m1w.placement == one_round
+        merged = merge_matched(rows, matched)
+        one_round = assemble_placement([r[:1] for r in merged], merged, den)
+        assert (m1w.placement, m1w.length) == one_round
         text.append(format_placement(m1w.placement))
     assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("start", [
+    solve_mw(gen_random(5, 2, "arbitrary", 10), max_rounds=1),  # charts 1-5 of 8
+    ga_lo(gen_random(8, 1, "arbitrary", 10))], ids=["fewer charts", "no rows"])
+def test_mw_refuses_a_start_that_does_not_hold_charts_1_to_n(start):
+    with pytest.raises(ValueError, match="charts 1..n once each"):
+        solve_mw(gen_random(8, 1, "arbitrary", 10), start=start)
 
 
 def test_mw_stops_when_edgeless():

@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 
 from bcpp import (BarChart, BppInstance, BppSolution, FormatError, Instance,
-                  compact, evaluate_packing, format_instance, format_placement,
-                  lower_bounds, parse_instance, transform_bpp)
-from helpers import as_rows, inst, mk
+                  assemble_placement, compact, evaluate_packing, format_instance,
+                  format_placement, gen_random, lower_bounds, parse_instance,
+                  solve_mw, transform_bpp)
+from helpers import as_rows, inst, mk, reference_layout, row_charts
 
 
 def test_evaluate_shared_cell():
@@ -37,6 +38,31 @@ def test_evaluate_rejects_unknown_and_missing_ids():
         evaluate_packing(instance, {1: 1})
     with pytest.raises(ValueError, match="chart 2: cell 0 is not positive"):
         evaluate_packing(instance, {1: 1, 2: 0})
+
+
+def test_assemble_placement_shares_one_cell_per_step_of_a_path():
+    rows = inst((6, 3), (4, 5), (7, 2)).rows
+    # chart 2's first bar shares chart 1's last cell (3 + 4 <= 10)
+    assert assemble_placement([(1, 2), (3,)], rows, 10) == ({1: 1, 2: 2, 3: 4}, 5)
+    with pytest.raises(ValueError, match="strip cell 4 holds 12/10 > 1"):
+        assemble_placement([(1,), (2, 3)], rows, 10)  # 5 + 7 in chart 2's last
+
+
+@pytest.mark.parametrize("paths", [[(1,), (2, 2)], [(1,), (2, 2), (3,)], [(1, 2)]],
+                         ids=["a row repeated in place of another",
+                              "a row repeated", "a row missed"])
+def test_assemble_placement_lays_each_row_once(paths):
+    with pytest.raises(ValueError, match="place every original chart once"):
+        assemble_placement(paths, inst((6, 3), (4, 5), (7, 2)).rows, 10)
+
+
+def test_assemble_placement_of_one_row_paths_is_left_to_right():
+    # Mw's merged rows, one per path: each from the cell after the last
+    for seed in range(6):
+        instance = gen_random(12, seed, "arbitrary", 20)
+        rows = solve_mw(instance).rows
+        assert assemble_placement([r[:1] for r in rows], rows, instance.den) == (
+            reference_layout(row_charts(rows, instance.den)), sum(r[5] for r in rows))
 
 
 def test_lower_bounds_big_pair():
