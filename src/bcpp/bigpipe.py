@@ -13,18 +13,14 @@ first bar, ties by position, and each position's ``reach``, the length of
 the prefix its cap admits; its ``arcs`` view is built on read.
 
 Both formations read and return ``ChartRow``s in ascending id, as
-``Instance.rows`` holds them.  A1 forms big charts in a single scan
-with a one-slot buffer: small charts are pairwise 2-unioned (always
-feasible, all four bars are at most 1/2) until the merge turns big, so at
-most one small chart survives.  A2 merges the pairs of maximum 2-union
-matchings until no pair unites.  On big two-bar charts the graph is
-bipartite and one greedy matching ends it: merged pairs have both bars
-above 1/2, and free charts cannot 2-unite.  Otherwise the exact blossom
-runs, round after round, and ``merge_matched`` merges the rows.  A 2-union
-of two-bar charts is two bars wide, holds the bar sums and keeps every
-origin at offset 0, so every formed row is two bars wide, which
-``solve_big_pipeline`` chains: A1 and A2 differ only in the formation their
-``harness.SOLVERS`` entry calls.
+``Instance.rows`` holds them, and refuse a row not two bars wide; a 2-union
+of two-bar charts is two bars wide, with the bar sums and every origin at
+offset 0.  A1 scans with a one-slot buffer: small charts are pairwise
+2-unioned (always feasible, all four bars are at most 1/2) until the merge
+turns big, so at most one small chart survives.  A2 merges the pairs of
+maximum 2-union matchings, each one greedy over the rows, until none unites;
+on big input one round ends it.  A1 and A2 differ only in the formation
+their ``harness.SOLVERS`` entry calls.
 
 The path cover comes from a maximum matching of tails to heads (the
 out-copy / in-copy split of the digraph): vertex-disjoint paths and cycles,
@@ -44,7 +40,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .model import ChartRow, Solved, assemble_placement, find
-from .matching import build_union_graph, max_cardinality_matching, merge_matched
+from .matching import build_union_graph  # noqa: F401, perfbench's tracer test reads it
 
 
 @dataclass(frozen=True)
@@ -101,54 +97,57 @@ def form_big_scan(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
     return tuple(formed)
 
 
-def _dominance_matching(rows: list[ChartRow], den: int) -> list[tuple[int, int]]:
-    """Maximum matching of the 2-union graph of big two-bar charts, as id
-    pairs (u, v) with u < v, given their rows.
-
-    Charts (a_i, b_i), (a_j, b_j) 2-unite iff a_i + a_j <= D and b_i + b_j
-    <= D, so each edge joins an F chart (a > D/2 >= b) to an S chart
-    (b > D/2 >= a).  The F charts come by ascending D - a_i, ties by id; each
-    lists, by (b_j, id), the S charts with a_j <= D - a_i, and takes the
-    free one with the largest b_j <= D - b_i.  It is maximum: let a maximum
-    matching M agree with the greedy before F chart i, which takes j.  Later
-    F charts admit every listed S chart in a, and a listed chart that fits i
-    has a b no larger than j's, so it fits wherever j fits.  If M gives i
-    another chart j' and j to a later k, k takes j'; if M leaves j free, i
-    takes j; if M leaves i free, i takes j from its mate, or M was not
-    maximum.  If the greedy leaves i free, no free chart fits i, so M leaves
-    it free too.  So a maximum matching agrees with the greedy on one more
-    chart, and by induction on all.
+def _dominance_matching(rows, den: int, big: bool = False) -> list[tuple[int, int]]:
+    """Maximum matching of the 2-union graph of two-bar rows, as id pairs
+    (u, v) with u < v.  Rows i, j 2-unite iff a_i + a_j <= D and b_i + b_j
+    <= D.  Takers come by ascending D - a_i, ties by id; before each turn
+    the rows with a_j <= D - a_i join a list by (b_j, id).  A free taker
+    leaves it and takes the free listed row with the largest b_j <= D - b_i.
+    Let a maximum matching M agree with the greedy before taker i, which
+    takes j.  Later takers admit every listed row in a, and a listed row
+    that fits i fits wherever j fits.  So if M gives i another row j' and j
+    to a later k, k takes j'; if M leaves j free, i takes j; if M leaves i
+    free, i takes j from its mate, or M was not maximum.  A taker left free
+    fits no row free then, nor, as the test is symmetric, a later taker; M
+    leaves it free too.  A row with a > D/2 takes its turn before every row
+    it fits, so it never joins.  With ``big`` each pair joins a > D/2 >= b
+    to b > D/2 >= a: only those take and join.
     """
-    firsts = sorted((den - a, i, den - b) for i, a, b, *_ in rows if 2 * b <= den < 2 * a)
-    seconds = sorted((a, b, j) for j, a, b, *_ in rows if 2 * a <= den < 2 * b)
-    listed: list[tuple[int, int]] = []  # (b, id) of the admitted S charts still free
-    pairs, k = [], 0
-    for cap_a, i, cap_b in firsts:
-        while k < len(seconds) and seconds[k][0] <= cap_a:
-            insort(listed, seconds[k][1:])
+    takers = sorted((den - a, i, den - b) for i, a, b, _, _, _, _ in rows
+                    if not big or 2 * b <= den < 2 * a)
+    joining = sorted((a, b, j) for j, a, b, _, _, _, _ in rows
+                     if 2 * a <= den and (not big or 2 * b > den))
+    listed, taken, pairs, k = [], set(), [], 0  # listed: (b, id) of free joined rows
+    for cap_a, i, cap_b in takers:
+        if i in taken:
+            continue
+        while k < len(joining) and joining[k][0] <= cap_a:
+            insort(listed, joining[k][1:])
             k += 1
+        if 2 * cap_a >= den:  # i has joined: a_i <= D - a_i
+            del listed[bisect_left(listed, (den - cap_b, i))]
         p = bisect_left(listed, (cap_b + 1,))
         if p:
-            j = listed.pop(p - 1)[1]
+            taken.add(j := listed.pop(p - 1)[1])
             pairs.append((min(i, j), max(i, j)))
     return pairs
 
 
 def form_big_matchings(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
-    """Merge the pairs of maximum 2-union matchings until no pair remains; on
-    big two-bar charts one greedy round sums each pair under the smaller id."""
-    if all(w == 2 and 2 * max(a, b) > den for _, a, b, _, _, w, _ in rows):
-        formed = {row[0]: row for row in rows}
-        for u, v in _dominance_matching(rows, den):
+    """Sum the pairs of maximum 2-union matchings under the smaller id until a
+    round finds none, or once on big input.  A row not two bars wide raises ValueError."""
+    big = all(w == 2 and 2 * max(a, b) > den for _, a, b, _, _, w, _ in rows)
+    if not big and (wide := [row[0] for row in rows if row[5] != 2]):
+        raise ValueError(f"chart {wide[0]}: A2 forms two-bar charts")
+    formed = {row[0]: row for row in rows}
+    while pairs := _dominance_matching(formed.values(), den, big):
+        for u, v in pairs:
             _, a, b, _, _, _, left = formed[u]
             _, c, d, _, _, _, right = formed.pop(v)
             formed[u] = (u, a + c, b + d, a + c, b + d, 2, left + right)
-        return tuple(formed.values())
-    graph = build_union_graph(rows, den, two_unions_only=True)
-    while graph.wt2:
-        rows = merge_matched(rows, max_cardinality_matching(graph))
-        graph = build_union_graph(rows, den, two_unions_only=True)
-    return tuple(rows)
+        if big:  # merged pairs have both bars above 1/2, free rows fit no other
+            break
+    return tuple(formed.values())
 
 
 def build_arc_digraph(formed: list[ChartRow] | tuple[ChartRow, ...],

@@ -84,8 +84,8 @@ def build_union_graph(rows: list[ChartRow], den: int,
     """Graph over rows in ascending id with one edge per pair that can unite.
 
     Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
-    With ``two_unions_only`` only the weight-2 edges are built, as A2's
-    formation rounds need, and ``heavy`` is ``adj``.
+    With ``two_unions_only`` only the weight-2 edges are built, the graph
+    whose maximum matchings A2's greedy finds, and ``heavy`` is ``adj``.
     """
     ranked = [(i, *row[1:5]) for i, row in enumerate(rows)]  # positions, not ids
     endpoint, wt2, adj = [], [], [[] for _ in rows]

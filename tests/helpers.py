@@ -350,14 +350,33 @@ def reference_mw(instance: Instance, max_rounds: int | None = None) -> Solved:
                   rounds=rounds, unions=tuple(unions), rows=as_rows(charts)[0])
 
 
-def reference_blossom_formation(charts) -> tuple[ChartRow, ...]:
-    """A2's formation on charts that are not all big, as it once ran: maximum
-    2-union matchings merged by the reference merge until none remains."""
+def reference_greedy_formation(charts) -> tuple[tuple[ChartRow, ...], list[tuple[int, int]]]:
+    """A2's formation on two-bar charts, written plainly: each round the
+    charts come by descending first bar, ties by id, and each one no pair
+    holds takes the chart no pair holds that 2-unites with it and has the
+    largest (second bar, id); the pairs merge by the reference merge, the
+    smaller id left, until a round finds none.  It keeps every unmatched
+    chart on offer, so it also checks that none is taken later.  Returns the
+    formed rows and, per round, the greedy's pair count beside the
+    cardinality blossom's on the round's 2-union graph."""
+    sizes = []
     while True:
+        by_id, paired = {c.id: c for c in charts}, set()
+        for i in sorted(charts, key=lambda c: (-c.bars[0], c.id)):
+            if i.id in paired:
+                continue
+            fits = [j for j in charts if j.id != i.id and j.id not in paired
+                    and union_feasible(i, j, 2)]
+            if fits:
+                j = max(fits, key=lambda c: (c.bars[1], c.id))
+                u, v = sorted((i.id, j.id))
+                by_id[u] = merge_charts(by_id[u], by_id.pop(v), 2)
+                paired |= {u, v}
         graph = build_union_graph(*as_rows(charts), two_unions_only=True)
-        if not graph.wt2:
-            return as_rows(charts)[0]
-        charts = merge_along(charts, max_cardinality_matching(graph))
+        sizes.append((len(paired) // 2, len(max_cardinality_matching(graph).edges)))
+        if not paired:
+            return as_rows(charts)[0], sizes
+        charts = sorted(by_id.values(), key=lambda c: c.id)
 
 
 def reference_big_pipeline(formed, den: int) -> Solved:

@@ -16,10 +16,10 @@ ALGORITHMS = ("GA_LO", "M1w", "Mw", "A1", "A2")
 
 # (family, n, seed) -> lengths in ALGORITHMS order, D = 10**6
 GOLDEN = {
-    ("arbitrary", 60, 3): (69, 74, 74, 76, 74),
-    ("arbitrary", 60, 4): (68, 71, 69, 69, 69),
-    ("arbitrary", 60, 6): (59, 64, 62, 64, 64),
-    ("arbitrary", 60, 10): (64, 70, 70, 65, 67),
+    ("arbitrary", 60, 3): (69, 74, 74, 76, 76),
+    ("arbitrary", 60, 4): (68, 71, 69, 69, 68),
+    ("arbitrary", 60, 6): (59, 64, 62, 64, 63),
+    ("arbitrary", 60, 10): (64, 70, 70, 65, 66),
     ("big", 80, 2): (119, 121, 121, 119, 121),
     ("big", 80, 6): (124, 124, 124, 124, 124),
     ("big", 80, 9): (125, 124, 124, 124, 124),

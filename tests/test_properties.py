@@ -3,10 +3,10 @@
 Instances have a denominator D from 2 to 100 and 1 to 8 charts; bars equal
 to D and repeated charts are drawn often.  The union rows are also checked
 on loose charts of widths 1 to 4, as unions leave them, A2's greedy
-formation on ``gen_random`` big charts, up to 40 at D <= 10, and the rows
-M1w, Mw and A2 merge against the reference merge on ``gen_random`` charts,
-up to 60.  Hypothesis runs derandomized, so every run checks the same
-examples.
+formation on ``gen_random`` charts of every family, up to 40 at D <= 10,
+and the rows M1w, Mw and A2 merge against the reference merge on
+``gen_random`` charts, up to 60.  Hypothesis runs derandomized, so every
+run checks the same examples.
 """
 
 from copy import deepcopy
@@ -25,7 +25,7 @@ from bcpp.bigpipe import _chain_matching, _dominance_matching
 from bcpp.matching import merge_matched
 from helpers import (as_rows, brute_force_matching, inst, merge_along, merge_charts,
                      naive_ga_lo, pair_weight, reference_big_pipeline,
-                     reference_bipartite_matching, reference_blossom_formation,
+                     reference_bipartite_matching, reference_greedy_formation,
                      reference_mw, row_charts, union_feasible)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -180,8 +180,10 @@ def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
 def test_merged_rows_follow_the_reference_merge(instance):
     # M1w and Mw merge rows, never charts: each round's graph, matching and
     # merge, and the layout, equal merging the charts by the reference merge
-    # along each matching and laying them out; so do A2's blossom rounds.
-    # The instance's rows are the reference rows, made once on the first read
+    # along each matching and laying them out.  A2's rounds equal the plain
+    # greedy merged by the reference merge, and each round matches as many
+    # pairs as the cardinality blossom.  The instance's rows are the
+    # reference rows, made once on the first read
     rows, charts = instance.rows, instance.charts
     assert rows == as_rows(charts)[0]
     assert solve_mw(instance, max_rounds=1) == reference_mw(instance, max_rounds=1)
@@ -191,9 +193,9 @@ def test_merged_rows_follow_the_reference_merge(instance):
     for matching in reference.unions:
         rows, charts = merge_matched(rows, matching), merge_along(charts, matching)
         assert rows == list(as_rows(charts)[0])
-    if not all(ch.is_big for ch in instance.charts):
-        assert (form_big_matchings(instance.rows, instance.den)
-                == reference_blossom_formation(instance.charts))
+    formed, sizes = reference_greedy_formation(instance.charts)
+    assert form_big_matchings(instance.rows, instance.den) == formed
+    assert all(greedy == blossom for greedy, blossom in sizes)
 
 
 @SWEEP
@@ -260,15 +262,17 @@ def test_mw_is_no_longer_than_m1w_in_every_order(data):
 
 
 @SWEEP
-@given(st.one_of(instances(big=True),
+@given(st.one_of(instances(), instances(big=True),
                  st.builds(gen_random, st.integers(2, 40), st.integers(1, 10**6),
-                           st.sampled_from(["big", "big_nonincreasing"]),
-                           st.sampled_from([10, 3, 4, 5, 6, 8]))))
+                           st.sampled_from(["arbitrary", "big", "big_nonincreasing"]),
+                           st.sampled_from([2, 3, 4, 5, 6, 7, 8, 10]))))
 @example(inst((9, 1), (8, 4), (1, 6), (1, 9), den=10))  # the smallest fitting b is one short
+@example(inst((3, 3), (3, 2), den=6))  # unless it leaves the list, chart 1 takes itself
 def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
-    # on big two-bar charts the greedy matches as many pairs as the blossom,
-    # each a feasible 2-union with the smaller id first, and no two formed
-    # charts 2-unite
+    # on two-bar charts the greedy matches as many pairs as the blossom, each
+    # a feasible 2-union with the smaller id first and each chart once; on
+    # big input its one-big-bar restriction makes the same pairs, and no two
+    # formed charts 2-unite
     charts = instance.charts
     by_id = {c.id: c for c in charts}
     rows = instance.rows, instance.den
@@ -278,7 +282,9 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     assert len({c for pair in pairs for c in pair}) == 2 * len(pairs)
     assert all(u < v and union_feasible(by_id[u], by_id[v], 2) for u, v in pairs)
     formed = form_big_matchings(*rows)
-    assert len(formed) == len(charts) - len(pairs)
+    if all(c.is_big for c in charts):
+        assert _dominance_matching(*rows, big=True) == pairs
+        assert len(formed) == len(charts) - len(pairs)
     assert build_union_graph(formed, instance.den, two_unions_only=True).pairs == []
 
 
