@@ -50,13 +50,10 @@ other) the failed pass is the last stage: it takes its type-1 delta and the
 call ends, where networkx's tracked rerun would build the same forest and
 take the same delta.  While every dual is still 2 the pass, which moved no
 mate or dual, is undone and the stage reruns tracked, scanning every edge for
-networkx's delta.  A stage with at most one single vertex that has an edge
-cannot augment and runs tracked.  Stages label from a list of the single
-vertices that have an edge, from which each augmentation drops its two ends.
-A vertex with no edge takes part in no stage.  Its dual stays W, at least the
-dual all single vertices share, so no delta or slack changes; the certificate
-gets 0, valid where no edge constrains.  The stages, the substages and every
-walk along blossom links have bounds; passing one raises ``ArithmeticError``.
+networkx's delta.  Each stage labels every single vertex S, as networkx
+does, so all single vertices share one dual.  The stages, the substages and
+every walk along blossom links have bounds; passing one raises
+``ArithmeticError``.
 
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
@@ -122,8 +119,6 @@ def edge_lists(n: int, edges: list[tuple[int, int, int]]) -> tuple[list, ...]:
 def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> list[int]:
     """``max_weight_edges`` on ``edge_lists``'s lists, unchecked and unchanged."""
     n = len(adj)
-    live = [v for v in range(n) if adj[v]]  # the vertices every stage reads
-
     mate = [-1] * n  # the matched edge out of each vertex, -1 if single
     top = max(wt2, default=0)
     dualvar = [top // 2] * n  # 2 u(v), from maxweight / 2
@@ -136,7 +131,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     label = bytearray(n)
     labeledge = [-1] * n
     bestedge = [-1] * n
-    # indexed by live blossom id, in creation order
+    # indexed by the id of each blossom not yet expanded, in creation order
     blossomdual: dict[int, int] = {}
     childs: dict[int, list[int]] = {}   # sub-blossoms, base first
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
@@ -316,18 +311,16 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
             blossombase[b] = v
 
     rerun = False
-    singles = live  # the live single vertices, ascending
-    # each augmenting stage matches two live singles and one final stage
+    # each augmenting stage matches two of the n vertices and one final stage
     # follows them, each run at most twice (tight, then tracked)
-    for _ in range(len(live) + 2):
+    for _ in range(n + 2):
         # a stage: label from the single vertices until an augmenting path
-        tracked = rerun or len(singles) <= 1
-        rerun = False
+        tracked, rerun = rerun, False
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
         mybestedges.clear()
         queue.clear()
-        for v in singles:
+        for v in [v for v in range(n) if mate[v] == -1]:
             if inblossom[v] == v:
                 label[v] = 1
                 labeledge[v] = -1
@@ -338,8 +331,8 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
 
         augmented = False
         # a substage after a type-3 delta augments or closes a blossom, which
-        # merges >= 3 of the <= len(live) top-level blossoms: <= len(live)/2 + 1
-        for _ in range(len(live) // 2 + 1):
+        # merges >= 3 of the <= n top-level blossoms: <= n/2 + 1
+        for _ in range(n // 2 + 1):
             # a substage: grow the labelled forest over tight edges
             while queue and not augmented:
                 v = queue.pop()
@@ -377,7 +370,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                         bs = slack(be) if be != -1 else 0
             if augmented:
                 break
-            if not tracked and min(dualvar) > 1:
+            if not tracked and min(dualvar, default=0) > 1:
                 rerun = True  # every dual is still 2: a type-3 delta may win
                 break
 
@@ -386,7 +379,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
             # S-blossoms (type 3), doubled like the duals
             delta = min(dualvar, default=0)
             deltaedge = -1
-            for b in chain(live, blossomdual):
+            for b in chain(range(n), blossomdual):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
                     d, odd = divmod(slack(bestedge[b]), 2)
                     if odd:
@@ -394,7 +387,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                     if d < delta:
                         delta, deltaedge = d, bestedge[b]
 
-            for v in live:
+            for v in range(n):
                 if label[inblossom[v]]:  # S down, T up
                     dualvar[v] += -delta if label[inblossom[v]] == 1 else delta
             for b in blossomdual:
@@ -409,7 +402,6 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
             raise ArithmeticError("blossom matching: a stage passed its delta bound")
 
         if augmented:
-            singles = [v for v in singles if mate[v] == -1]
             # end of a stage: expand the S-blossoms whose dual fell to zero
             for b in list(blossomdual):
                 if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
@@ -426,7 +418,6 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     else:
         raise ArithmeticError("blossom matching: the stages passed their bound")
 
-    dualvar = [d if adj[v] else 0 for v, d in enumerate(dualvar)]
     _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring)
     return sorted({e >> 1 for e in mate if e != -1})
 

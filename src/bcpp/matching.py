@@ -1,5 +1,8 @@
 """Union graphs, exact matchings, and the matching-driven packers M1w / Mw.
 
+The union graph and the blossom serve M1w and Mw only: A2 finds its maximum
+2-union matchings with ``bigpipe``'s greedy and builds no graph.
+
 Vertices are chart ids; an edge carries the best overlap (weight 2 or 1) a
 pair admits together with the orientation that realizes it.  A
 ``WeightedGraph`` is the input of ``blossom.match_edges``, the certified
@@ -79,17 +82,14 @@ class Matching:
         return sum(e.weight for e in self.edges)
 
 
-def build_union_graph(rows: list[ChartRow], den: int,
-                      two_unions_only: bool = False) -> WeightedGraph:
-    """Graph over rows in ascending id with one edge per pair that can unite.
+def build_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
+    """Graph over rows in ascending id with one edge per pair that can unite,
+    the graph of M1w's and Mw's rounds.
 
     Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
-    With ``two_unions_only`` only the weight-2 edges are built, the graph
-    whose maximum matchings A2's greedy finds, and ``heavy`` is ``adj``.
     """
     ranked = [(i, *row[1:5]) for i, row in enumerate(rows)]  # positions, not ids
-    endpoint, wt2, adj = [], [], [[] for _ in rows]
-    heavy = adj if two_unions_only else [[] for _ in rows]
+    endpoint, wt2, adj, heavy = [], [], [[] for _ in rows], [[] for _ in rows]
     for i, f0, f1, l2, l1 in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
         for j, g0, g1, m2, m1 in ranked[i + 1:]:
@@ -97,7 +97,7 @@ def build_union_graph(rows: list[ChartRow], den: int,
                 w, d = 4, 0
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left
                 w, d = 4, 1
-            elif two_unions_only or (g0 > cap_l1 and m1 > cap_f0):  # none built
+            elif g0 > cap_l1 and m1 > cap_f0:      # no union
                 continue
             else:                                  # 1-union, i left if it fits
                 w, d = 2, g0 > cap_l1
@@ -106,7 +106,7 @@ def build_union_graph(rows: list[ChartRow], den: int,
             wt2.append(w)
             adj[i].append(p)
             adj[j].append(p ^ 1)
-            if w == 4 and not two_unions_only:
+            if w == 4:
                 heavy[i].append(p)
                 heavy[j].append(p ^ 1)
     return WeightedGraph(tuple(r[0] for r in rows), endpoint, wt2, adj, heavy)
@@ -118,7 +118,10 @@ def max_weight_matching(g: WeightedGraph) -> Matching:
 
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
-    """Exact maximum-cardinality matching; total_weight still sums edge weights."""
+    """Exact maximum-cardinality matching; total_weight still sums edge weights.
+
+    No solver calls it: it is the tests' reference for A2's greedy, and a
+    name perfbench's tracer wraps."""
     ones = [2] * len(g.wt2)  # every weight 1, doubled, so every edge is heavy
     return Matching(tuple(map(g.edge, match_edges(g.endpoint, ones, g.adj, g.adj))))
 

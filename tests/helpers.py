@@ -36,6 +36,14 @@ def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
                                             for e in sorted(edges)])
 
 
+def two_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
+    """The union graph's 2-union edges alone, the graph whose maximum
+    matchings A2's greedy finds: ``build_union_graph``'s weight-2 pairs,
+    kept in order, so every edge is heavy."""
+    g = build_union_graph(rows, den)
+    return WeightedGraph.from_pairs(g.vertices, [p for p in g.pairs if p[2] == 2])
+
+
 def reference_bipartite_matching(lefts: list[int],
                                  adj: dict[int, list[int]]) -> dict[int, int]:
     """Hopcroft-Karp over dicts keyed by id, as ``bigpipe`` once ran it: an
@@ -372,7 +380,7 @@ def reference_greedy_formation(charts) -> tuple[tuple[ChartRow, ...], list[tuple
                 u, v = sorted((i.id, j.id))
                 by_id[u] = merge_charts(by_id[u], by_id.pop(v), 2)
                 paired |= {u, v}
-        graph = build_union_graph(*as_rows(charts), two_unions_only=True)
+        graph = two_union_graph(*as_rows(charts))
         sizes.append((len(paired) // 2, len(max_cardinality_matching(graph).edges)))
         if not paired:
             return as_rows(charts)[0], sizes

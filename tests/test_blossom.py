@@ -2,7 +2,7 @@
 
 networkx is imported only here: it is the reference the port was taken
 from, and the mates must equal its mates on the same graph, so that
-M1w, Mw and A2 keep their answers.  ``brute_force_matching`` in
+M1w and Mw keep their answers.  ``brute_force_matching`` in
 test_matching and C4 stays the independent check of exactness.
 """
 
@@ -20,7 +20,7 @@ import bcpp
 from bcpp import (UnionEdge, WeightedGraph, build_union_graph,
                   gen_random, max_cardinality_matching, max_weight_matching)
 from bcpp import blossom
-from helpers import union_graph
+from helpers import two_union_graph, union_graph
 
 
 def nx_pairs(g: WeightedGraph, cardinality: bool) -> set[frozenset[int]]:
@@ -103,19 +103,20 @@ def test_mates_equal_networkx_where_a_stage_is_rerun(n, edges):
 
 # sha256 of the edge indices the port chose before its stages first scanned
 # tight edges only, past the sizes networkx is compared at above; and of those
-# on A2's graph (2-unions only, every weight 1), where 260 of the 500 vertices
-# have no edge, chosen before the stages left such vertices out
-@pytest.mark.parametrize("family, n, cardinality, two_unions_only, digest", [
-    ("arbitrary", 400, False, False, "c9c56649562322b19c88681138ac0a269a562aa0766121eb6148498ba01b7060"),
-    ("arbitrary", 400, True, False, "06f484684513be3e18fe7b63e3ea949f63854303fd4f54a707df9274eeb8e07a"),
-    ("big", 500, False, False, "9f7405b43e2f75a3e894299dd2b54aad112c35e579eae28db8a244c7a427142b"),
-    ("big", 500, True, False, "2ab8932fba7ac3490b7743f5b93ee476aaed067e636a2bfcc5458580d8b7ee3e"),
-    ("big", 500, True, True, "c8b816aaa063154924190917438ba89b743e3a5a7ffad91def5122e2ea2e768d"),
+# on the 2-union graph A2's greedy is checked against (every weight 1), where
+# 260 of the 500 vertices have no edge, chosen before the stages ever left
+# such vertices out
+@pytest.mark.parametrize("family, n, cardinality, build, digest", [
+    ("arbitrary", 400, False, build_union_graph, "c9c56649562322b19c88681138ac0a269a562aa0766121eb6148498ba01b7060"),
+    ("arbitrary", 400, True, build_union_graph, "06f484684513be3e18fe7b63e3ea949f63854303fd4f54a707df9274eeb8e07a"),
+    ("big", 500, False, build_union_graph, "9f7405b43e2f75a3e894299dd2b54aad112c35e579eae28db8a244c7a427142b"),
+    ("big", 500, True, build_union_graph, "2ab8932fba7ac3490b7743f5b93ee476aaed067e636a2bfcc5458580d8b7ee3e"),
+    ("big", 500, True, two_union_graph, "c8b816aaa063154924190917438ba89b743e3a5a7ffad91def5122e2ea2e768d"),
 ], ids=["arbitrary-400", "arbitrary-400-cardinality", "big-500", "big-500-cardinality",
         "big-500-two-unions"])
-def test_mates_pinned_at_scale(family, n, cardinality, two_unions_only, digest):
+def test_mates_pinned_at_scale(family, n, cardinality, build, digest):
     instance = gen_random(n, 1, family, 10**6)
-    g = build_union_graph(instance.rows, instance.den, two_unions_only=two_unions_only)
+    g = build(instance.rows, instance.den)
     index = {x: i for i, x in enumerate(sorted(g.vertices))}
     edges = [(index[e.u], index[e.v], 1 if cardinality else e.weight)
              for e in sorted(g.edges)]
@@ -153,14 +154,14 @@ def test_chosen_edges_ignore_endpoint_order_on_random_graphs():
 
 
 def test_mates_equal_networkx_on_union_graphs():
-    # the last two are A2's 2-union graphs, where about half the vertices
-    # have no edge
-    for family, seed, two_unions_only in [
-            ("arbitrary", 1, False), ("arbitrary", 2, False), ("arbitrary", 3, False),
-            ("big", 1, False), ("big", 2, False), ("big", 1, True), ("big", 2, True)]:
+    # the last two keep only the 2-union edges, the graphs A2's greedy is
+    # checked against, where about half the vertices have no edge
+    full, two = build_union_graph, two_union_graph
+    for family, seed, build in [
+            ("arbitrary", 1, full), ("arbitrary", 2, full), ("arbitrary", 3, full),
+            ("big", 1, full), ("big", 2, full), ("big", 1, two), ("big", 2, two)]:
         instance = gen_random(200, seed, family, 10**6)
-        g = build_union_graph(instance.rows, instance.den,
-                              two_unions_only=two_unions_only)
+        g = build(instance.rows, instance.den)
         for cardinality in (False, True):
             assert our_pairs(g, cardinality) == nx_pairs(g, cardinality)
 

@@ -10,7 +10,8 @@ from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
 from bcpp import blossom
 from bcpp.matching import merge_matched
 from helpers import (as_rows, brute_force_matching, inst, merge_along,
-                     merge_charts, pair_weight, random_charts, union_graph)
+                     merge_charts, pair_weight, random_charts, two_union_graph,
+                     union_graph)
 
 
 def edge(u, v, w):
@@ -110,7 +111,7 @@ def a2_round_two_sample(n: int) -> list[BarChart]:
     pool = []
     for family in ("big", "arbitrary", "big_nonincreasing"):
         instance = gen_random(n, 7, family, 10**6)
-        g = build_union_graph(instance.rows, instance.den, two_unions_only=True)
+        g = two_union_graph(instance.rows, instance.den)
         pool += merge_along(instance.charts, max_cardinality_matching(g))
     picked = random.Random(n).sample(pool, 150)
     return [BarChart(id=3 * k + 2, bars=c.bars, den=c.den) for k, c in enumerate(picked)]
@@ -138,9 +139,6 @@ def test_union_graph_matches_pair_weight_on_every_pair():
         g = build_union_graph(*as_rows(charts))
         assert g.vertices == tuple(c.id for c in ordered)
         assert [(e.u, e.v, e.weight, e.left, e.right) for e in g.edges] == expected
-        two = build_union_graph(*as_rows(charts), two_unions_only=True)
-        assert two.vertices == g.vertices
-        assert two.edges == tuple(e for e in g.edges if e.weight == 2)
 
 
 @pytest.mark.parametrize("family", ["arbitrary", "big", "big_nonincreasing"])
@@ -152,16 +150,14 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
     for n in (5, 50, 200):
         instance = gen_random(n, 7, family, 10**6)
         charts = instance.charts
-        for two_unions_only in (False, True):
+        for build, least in ((build_union_graph, 1), (two_union_graph, 2)):
             expected = sorted(
                 UnionEdge(i.id, j.id, pw.weight, pw.left, pw.right)
                 for a, i in enumerate(charts) for j in charts[a + 1:]
-                for pw in [pair_weight(i, j)]
-                if pw.weight == 2 or pw.weight and not two_unions_only)
+                for pw in [pair_weight(i, j)] if pw.weight >= least)
             index = {c.id: k for k, c in enumerate(charts)}
             reference = [(index[e.left], index[e.right], e.weight) for e in expected]
-            g = build_union_graph(instance.rows, instance.den,
-                                  two_unions_only=two_unions_only)
+            g = build(instance.rows, instance.den)
             assert g.edges == tuple(expected)
             assert g.pairs == reference
             assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, reference)

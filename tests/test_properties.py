@@ -26,7 +26,7 @@ from bcpp.matching import merge_matched
 from helpers import (as_rows, brute_force_matching, inst, merge_along, merge_charts,
                      naive_ga_lo, pair_weight, reference_big_pipeline,
                      reference_bipartite_matching, reference_greedy_formation,
-                     reference_mw, row_charts, union_feasible)
+                     reference_mw, row_charts, two_union_graph, union_feasible)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -277,7 +277,7 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     by_id = {c.id: c for c in charts}
     rows = instance.rows, instance.den
     pairs = _dominance_matching(*rows)
-    graph = build_union_graph(*rows, two_unions_only=True)
+    graph = two_union_graph(*rows)
     assert len(pairs) == len(max_cardinality_matching(graph).edges)
     assert len({c for pair in pairs for c in pair}) == 2 * len(pairs)
     assert all(u < v and union_feasible(by_id[u], by_id[v], 2) for u, v in pairs)
@@ -285,17 +285,16 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     if all(c.is_big for c in charts):
         assert _dominance_matching(*rows, big=True) == pairs
         assert len(formed) == len(charts) - len(pairs)
-    assert build_union_graph(formed, instance.den, two_unions_only=True).pairs == []
+    assert two_union_graph(formed, instance.den).pairs == []
 
 
 @SWEEP
-@given(st.one_of(instances(), instances(big=True)), st.booleans())
-def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance, two_unions_only):
+@given(st.one_of(instances(), instances(big=True)))
+def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance):
     # the pair scan writes the blossom's lists itself; they must be those the
     # validating builder makes from the edge list, so the matchers choose
     # what max_weight_edges chooses, and matching reads the graph only
-    g = build_union_graph(instance.rows, instance.den,
-                          two_unions_only=two_unions_only)
+    g = build_union_graph(instance.rows, instance.den)
     n, pairs = len(g.vertices), g.pairs
     assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, pairs)
     before = deepcopy(g)
