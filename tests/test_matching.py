@@ -141,6 +141,27 @@ def test_union_graph_matches_pair_weight_on_every_pair():
         assert [(e.u, e.v, e.weight, e.left, e.right) for e in g.edges] == expected
 
 
+# sha256 of the repr of each list the pair scan writes, taken before the scan
+# had one branch per orientation
+@pytest.mark.parametrize("family, n, digests", [
+    ("arbitrary", 400, {
+        "endpoint": "b32a5aef4a7a867558bf15df2242a69eab190a370288c66c5169f3f1e6f23f54",
+        "wt2": "719dd9464b712c02126be8b0c98dbdcd2c78b9fcf70603f081da972c87f7b769",
+        "adj": "a31ebb8548b47a07527a0dfcb6267c7cbc3bb7b2526fdf5ebe43bf87521d45ab",
+        "heavy": "cc2b1579519c430a5b11631e2a6887ff868cb179f0a87b1e5cff72cddd44f2b3"}),
+    ("big", 500, {
+        "endpoint": "31467682646fbde606a8f01d54c9dc1e64cb0fed69d13043ea6ec660f1a45498",
+        "wt2": "032ec64fc935a5557578c870b37796f344bb9b2620f433713856749e0e158eac",
+        "adj": "dfc0a3cb2acd884b1b76586bdac0227b315873ffa630764c47195de8a4f73c10",
+        "heavy": "cc103c4acbe441b954af3670d8266afbca317e5b35e9063715fbe897abbbe2c4"}),
+], ids=["arbitrary-400", "big-500"])
+def test_union_graph_lists_pinned_at_scale(family, n, digests):
+    instance = gen_random(n, 1, family, 10**6)
+    g = build_union_graph(instance.rows, instance.den)
+    assert {name: hashlib.sha256(repr(getattr(g, name)).encode()).hexdigest()
+            for name in digests} == digests
+
+
 @pytest.mark.parametrize("family", ["arbitrary", "big", "big_nonincreasing"])
 def test_blossom_input_is_the_sorted_indexed_edge_list(family):
     # the reference list: every uniting pair by pair_weight as a UnionEdge,
