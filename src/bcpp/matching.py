@@ -88,27 +88,41 @@ def build_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
 
     Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
     """
-    ranked = [(i, *row[1:5]) for i, row in enumerate(rows)]  # positions, not ids
     endpoint, wt2, adj, heavy = [], [], [[] for _ in rows], [[] for _ in rows]
-    for i, f0, f1, l2, l1 in ranked:
+    # positions, not ids, with each position's two appends bound once
+    ranked = [(i, *row[1:5], adj[i].append, heavy[i].append) for i, row in enumerate(rows)]
+    weigh = wt2.append
+    p = 0  # the next edge's oriented edge from its left chart, 2k
+    for i, f0, f1, l2, l1, out_i, heavy_i in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
-        for j, g0, g1, m2, m1 in ranked[i + 1:]:
+        for j, g0, g1, m2, m1, out_j, heavy_j in ranked[i + 1:]:
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, i left
-                w, d = 4, 0
+                endpoint += i, j
+                weigh(4)
+                out_i(p)
+                out_j(p + 1)
+                heavy_i(p)
+                heavy_j(p + 1)
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left
-                w, d = 4, 1
-            elif g0 > cap_l1 and m1 > cap_f0:      # no union
+                endpoint += j, i
+                weigh(4)
+                out_i(p + 1)
+                out_j(p)
+                heavy_i(p + 1)
+                heavy_j(p)
+            elif g0 <= cap_l1:                     # 1-union, i left
+                endpoint += i, j
+                weigh(2)
+                out_i(p)
+                out_j(p + 1)
+            elif m1 <= cap_f0:                     # 1-union, j left
+                endpoint += j, i
+                weigh(2)
+                out_i(p + 1)
+                out_j(p)
+            else:                                  # no union
                 continue
-            else:                                  # 1-union, i left if it fits
-                w, d = 2, g0 > cap_l1
-            p = len(endpoint) + d  # the new edge oriented out of i
-            endpoint += (j, i) if d else (i, j)
-            wt2.append(w)
-            adj[i].append(p)
-            adj[j].append(p ^ 1)
-            if w == 4:
-                heavy[i].append(p)
-                heavy[j].append(p ^ 1)
+            p += 2
     return WeightedGraph(tuple(r[0] for r in rows), endpoint, wt2, adj, heavy)
 
 
