@@ -90,6 +90,7 @@ THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
+from bisect import bisect_right
 from itertools import chain
 
 
@@ -142,6 +143,13 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
 
     def slack(p: int) -> int:
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
+
+    def after(v: int, p: int, be: int) -> list[int]:
+        # v's edges after p in the rerun's flat part, before its first delta:
+        # every dual is 2, so light slacks are 2 and heavy ones 0, and a light
+        # edge can move nothing once v's blossom has a best edge
+        nbrs = (heavy if be != -1 else adj)[v]
+        return nbrs[bisect_right(nbrs, p):]
 
     def leaves(b: int) -> list[int]:
         # k <= n leaves under < k/2 blossoms of >= 3 children: < 2n pops
@@ -316,6 +324,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     for _ in range(n + 2):
         # a stage: label from the single vertices until an augmenting path
         tracked, rerun = rerun, False
+        flat = tracked  # a rerun starts where every dual is 2 (so top is 4)
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
         mybestedges.clear()
@@ -338,36 +347,44 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 v = queue.pop()
                 bv = inblossom[v]
                 dv = dualvar[v]
-                nbrs = adj[v] if tracked else tight[v]
+                be = bestedge[bv]  # with its slack bs, kept for the scan
+                bs = slack(be) if be != -1 else 0
+                nbrs = after(v, -1, be) if flat else adj[v] if tracked else tight[v]
                 if nbrs is None:
                     nbrs = tight[v] = [p for p in adj[v]
                                        if dv + dualvar[endpoint[p ^ 1]] <= wt2[p >> 1]]
-                be = bestedge[bv]  # with its slack bs, kept for the scan
-                bs = slack(be) if be != -1 else 0
-                for p in nbrs:
-                    w = endpoint[p ^ 1]
-                    bw = inblossom[w]
-                    if bw == bv:
-                        continue
-                    kslack = dv + dualvar[w] - wt2[p >> 1]
-                    if kslack > 0:
-                        # not tight: keep the least-slack edge to an S-blossom
-                        if label[bw] == 1 and (be == -1 or kslack < bs):
-                            bestedge[bv] = be = p
-                            bs = kslack
-                        continue
-                    if label[bw] == 0:
-                        assign_label(w, 2, p)
-                    elif label[bw] == 1:
-                        base = scan_blossom(v, w)
-                        if base == -1:
-                            augment_matching(p)
-                            augmented = True
-                            break
-                        add_blossom(base, p, tracked)
-                        bv = inblossom[v]
-                        be = bestedge[bv]
-                        bs = slack(be) if be != -1 else 0
+                while nbrs is not None:  # the flat part goes on from a switch
+                    scan, nbrs = nbrs, None
+                    for p in scan:
+                        w = endpoint[p ^ 1]
+                        bw = inblossom[w]
+                        if bw == bv:
+                            continue
+                        kslack = dv + dualvar[w] - wt2[p >> 1]
+                        if kslack > 0:
+                            # not tight: keep the least-slack edge to an S-blossom
+                            if label[bw] == 1 and (be == -1 or kslack < bs):
+                                bestedge[bv] = be = p
+                                bs = kslack
+                                if flat:
+                                    nbrs = after(v, p, be)
+                                    break
+                            continue
+                        if label[bw] == 0:
+                            assign_label(w, 2, p)
+                        elif label[bw] == 1:
+                            base = scan_blossom(v, w)
+                            if base == -1:
+                                augment_matching(p)
+                                augmented = True
+                                break
+                            add_blossom(base, p, tracked)
+                            bv = inblossom[v]
+                            be = bestedge[bv]
+                            bs = slack(be) if be != -1 else 0
+                            if flat:
+                                nbrs = after(v, p, be)
+                                break
             if augmented:
                 break
             if not tracked and min(dualvar, default=0) > 1:
@@ -394,6 +411,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 if blossomparent[b] == -1 and label[b]:
                     blossomdual[b] += delta if label[b] == 1 else -delta
             tight[:] = [None] * n
+            flat = False
 
             if deltaedge == -1:
                 break
