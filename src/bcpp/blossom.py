@@ -349,7 +349,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 dv = dualvar[v]
                 be = bestedge[bv]  # with its slack bs, kept for the scan
                 bs = slack(be) if be != -1 else 0
-                nbrs = after(v, -1, be) if flat else adj[v] if tracked else tight[v]
+                nbrs = (heavy if flat and be != -1 else adj)[v] if tracked else tight[v]
                 if nbrs is None:
                     nbrs = tight[v] = [p for p in adj[v]
                                        if dv + dualvar[endpoint[p ^ 1]] <= wt2[p >> 1]]
