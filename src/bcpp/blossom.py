@@ -457,10 +457,11 @@ def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> 
                 around[-1].add(v)
     if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
         fail("negative dual")
-    for k, w2 in enumerate(wt2):
-        i, j = endpoint[2 * k], endpoint[2 * k + 1]
-        s = dualvar[i] + dualvar[j] - w2
-        if s < 0 or mate[i] >> 1 == k:  # else the blossom duals, >= 0, keep s >= 0
+    ends = iter(endpoint)
+    for k, (i, j, w2) in enumerate(zip(ends, ends, wt2)):
+        if dualvar[i] + dualvar[j] < w2 or mate[i] >> 1 == k:
+            # else the blossom duals, >= 0, keep the slack >= 0
+            s = dualvar[i] + dualvar[j] - w2
             s += 2 * sum(blossomdual[b] for b in around[i] & around[j])
             if s < 0 or (s != 0 and mate[i] >> 1 == k):
                 fail(f"edge {k} has slack {s}")
