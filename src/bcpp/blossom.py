@@ -137,6 +137,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     childs: dict[int, list[int]] = {}   # sub-blossoms, base first
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
     mybestedges: dict[int, list[int]] = {}
+    leafs: dict[int, list[int]] = {}    # leaves(b)'s list, once walked
     queue: list[int] = []
     # adj[v] cut to slack <= 0; until the duals move, the heaviest edges
     tight: list = (heavy if top == 4 else adj)[:]
@@ -152,8 +153,11 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
         return nbrs[bisect_right(nbrs, p):]
 
     def leaves(b: int) -> list[int]:
-        # k <= n leaves under < k/2 blossoms of >= 3 children: < 2n pops
-        out = []
+        # cached until b rotates or is undone; k <= n leaves under < k/2
+        # blossoms of >= 3 children: < 2n pops
+        if b in leafs:
+            return leafs[b]
+        out = leafs[b] = []
         stack = list(childs[b])
         for _ in range(2 * n):
             if not stack:
@@ -230,9 +234,13 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
         childs[b] = path
         ring[b] = edgs
         blossomdual[b] = 0
-        for v in leaves(b):
-            if label[inblossom[v]] == 2:
-                queue.append(v)
+        out = leafs[b] = []  # leaves(b)'s walk order: the children's, last first
+        for c in reversed(path):
+            sub = leaves(c) if c >= n else [c]
+            if label[c] == 2:
+                queue.extend(sub)
+            out += sub
+        for v in out:
             inblossom[v] = b
         if not tracked:
             return
@@ -315,6 +323,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 mate[endpoint[q]] = q
                 mate[endpoint[q ^ 1]] = q ^ 1
             childs[b] = ch[i:] + ch[:i]
+            leafs.pop(b, None)
             ring[b] = ring[b][i:] + ring[b][:i]
             blossombase[b] = v
 
@@ -429,6 +438,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
             size, inblossom[:], blossomparent[:] = mark
             for b in range(size, len(blossombase)):
                 del childs[b], ring[b], blossomdual[b]
+                leafs.pop(b, None)
             for slots in (blossombase, label, labeledge, bestedge):
                 del slots[size:]
         else:
