@@ -121,7 +121,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     """``max_weight_edges`` on ``edge_lists``'s lists, unchecked and unchanged."""
     n = len(adj)
     mate = [-1] * n  # the matched edge out of each vertex, -1 if single
-    top = max(wt2, default=0)
+    top = 4 if 4 in wt2 else 2 if wt2 else 0  # the largest doubled weight
     dualvar = [top // 2] * n  # 2 u(v), from maxweight / 2
     inblossom = list(range(n))  # the top-level blossom of each vertex
     # by vertex or blossom id, grown as blossoms are created: label 0 free,
