@@ -100,15 +100,20 @@ def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
 
 
 def edge_lists(n: int, edges: list[tuple[int, int, int]]) -> tuple[list, ...]:
-    """``match_edges``'s lists from ``edges``, ``(i, j, weight)`` at most one per
-    pair; a loop, an endpoint outside ``0..n-1`` or a weight not 1 or 2 raises
-    ``ValueError``."""
+    """``match_edges``'s lists from ``edges``, ``(i, j, weight)`` ints; a loop,
+    a repeated pair, an endpoint outside ``0..n-1`` or not an int, or a weight
+    not the int 1 or 2 raises ``ValueError``."""
     endpoint, wt2, adj, heavy = [], [], [[] for _ in range(n)], [[] for _ in range(n)]
+    first: dict[tuple[int, int], int] = {}  # the first edge on each pair
     for k, (i, j, w) in enumerate(edges):
-        if w not in (1, 2):
-            raise ValueError(f"edge {k}: weights must be 1 or 2, not {w}")
+        if type(w) is not int or w not in (1, 2):
+            raise ValueError(f"edge {k}: weights must be 1 or 2, not {w!r}")
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"edge {k}: endpoints must be ints, not ({i!r}, {j!r})")
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge {k}: ({i}, {j}) is a loop or leaves 0..{n - 1}")
+        if (k0 := first.setdefault((min(i, j), max(i, j)), k)) != k:
+            raise ValueError(f"edge {k}: ({i}, {j}) repeats edge {k0}'s pair")
         endpoint += (i, j)
         wt2.append(2 * w)
         for lists in (adj, heavy) if w == 2 else (adj,):
@@ -144,13 +149,6 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
 
     def slack(p: int) -> int:
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
-
-    def after(v: int, p: int, be: int) -> list[int]:
-        # v's edges after p in the rerun's flat part, before its first delta:
-        # every dual is 2, so light slacks are 2 and heavy ones 0, and a light
-        # edge can move nothing once v's blossom has a best edge
-        nbrs = (heavy if be != -1 else adj)[v]
-        return nbrs[bisect_right(nbrs, p):]
 
     def leaves(b: int) -> list[int]:
         # cached until b rotates or is undone; k <= n leaves under < k/2
@@ -356,15 +354,18 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 v = queue.pop()
                 bv = inblossom[v]
                 dv = dualvar[v]
-                be = bestedge[bv]  # with its slack bs, kept for the scan
-                bs = slack(be) if be != -1 else 0
-                nbrs = (heavy if flat and be != -1 else adj)[v] if tracked else tight[v]
+                nbrs = adj[v] if tracked else tight[v]
                 if nbrs is None:
                     nbrs = tight[v] = [p for p in adj[v]
                                        if dv + dualvar[endpoint[p ^ 1]] <= wt2[p >> 1]]
-                while nbrs is not None:  # the flat part goes on from a switch
-                    scan, nbrs = nbrs, None
-                    for p in scan:
+                be = bestedge[bv]  # with its slack bs, kept for the scan
+                bs = slack(be) if be != -1 else 0
+                p = -1  # the flat part goes on after p in the list be selects
+                while p is not None and not augmented:
+                    if flat:
+                        nbrs = (heavy if be != -1 else adj)[v]
+                        nbrs = nbrs[bisect_right(nbrs, p):]
+                    for p in nbrs:
                         w = endpoint[p ^ 1]
                         bw = inblossom[w]
                         if bw == bv:
@@ -376,7 +377,6 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                                 bestedge[bv] = be = p
                                 bs = kslack
                                 if flat:
-                                    nbrs = after(v, p, be)
                                     break
                             continue
                         if label[bw] == 0:
@@ -392,8 +392,9 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                             be = bestedge[bv]
                             bs = slack(be) if be != -1 else 0
                             if flat:
-                                nbrs = after(v, p, be)
                                 break
+                    else:
+                        p = None
             if augmented:
                 break
             if not tracked and min(dualvar, default=0) > 1:

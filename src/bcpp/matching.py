@@ -91,33 +91,32 @@ def build_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
     endpoint, wt2, adj, heavy = [], [], [[] for _ in rows], [[] for _ in rows]
     # positions, not ids, with each position's two appends bound once
     ranked = [(i, *row[1:5], adj[i].append, heavy[i].append) for i, row in enumerate(rows)]
-    weigh = wt2.append
     p = 0  # the next edge's oriented edge from its left chart, 2k
     for i, f0, f1, l2, l1, out_i, heavy_i in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
         for j, g0, g1, m2, m1, out_j, heavy_j in ranked[i + 1:]:
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, i left
                 endpoint += i, j
-                weigh(4)
+                wt2.append(4)
                 out_i(p)
                 out_j(p + 1)
                 heavy_i(p)
                 heavy_j(p + 1)
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left
                 endpoint += j, i
-                weigh(4)
+                wt2.append(4)
                 out_i(p + 1)
                 out_j(p)
                 heavy_i(p + 1)
                 heavy_j(p)
             elif g0 <= cap_l1:                     # 1-union, i left
                 endpoint += i, j
-                weigh(2)
+                wt2.append(2)
                 out_i(p)
                 out_j(p + 1)
             elif m1 <= cap_f0:                     # 1-union, j left
                 endpoint += j, i
-                weigh(2)
+                wt2.append(2)
                 out_i(p + 1)
                 out_j(p)
             else:                                  # no union
