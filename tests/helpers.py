@@ -401,3 +401,37 @@ def reference_big_pipeline(formed, den: int) -> Solved:
         final.append(chart)
     return Solved(placement=reference_layout(final),
                   length=sum(c.width for c in final))
+
+
+def reference_certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual,
+                      ring) -> None:
+    """``blossom._certify`` as it once ran, each edge read by index: the
+    matching and the duals checked against the optimality conditions, with
+    the same messages."""
+    def fail(what: str) -> None:
+        raise ArithmeticError(f"blossom matching not optimal: {what}")
+
+    around = []  # the blossoms around each vertex whose dual is not 0
+    for v, e in enumerate(mate):
+        if e != -1 and (endpoint[e] != v or mate[endpoint[e ^ 1]] != e ^ 1):
+            fail(f"vertex {v} is not matched symmetrically")
+        if e == -1 and dualvar[v] != 0:
+            fail(f"single vertex {v} has dual {dualvar[v]}")
+        around.append(set())
+        while (v := blossomparent[v]) != -1:
+            if blossomdual[v]:
+                around[-1].add(v)
+    if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
+        fail("negative dual")
+    for k, w2 in enumerate(wt2):
+        i, j = endpoint[2 * k], endpoint[2 * k + 1]
+        s = dualvar[i] + dualvar[j] - w2
+        if s < 0 or mate[i] >> 1 == k:  # else the blossom duals, >= 0, keep s >= 0
+            s += 2 * sum(blossomdual[b] for b in around[i] & around[j])
+            if s < 0 or (s != 0 and mate[i] >> 1 == k):
+                fail(f"edge {k} has slack {s}")
+    for b, z in blossomdual.items():
+        if z > 0 and (len(ring[b]) % 2 == 0
+                      or any(mate[endpoint[e]] >> 1 != e >> 1
+                             for e in ring[b][1::2])):
+            fail(f"blossom {b} has dual {z} but is not full")

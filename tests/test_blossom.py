@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from copy import deepcopy
 
 import networkx as nx
 import pytest
@@ -20,7 +21,7 @@ import bcpp
 from bcpp import (UnionEdge, WeightedGraph, build_union_graph,
                   gen_random, max_cardinality_matching, max_weight_matching)
 from bcpp import blossom
-from helpers import two_union_graph, union_graph
+from helpers import reference_certify, two_union_graph, union_graph
 
 
 def nx_pairs(g: WeightedGraph, cardinality: bool) -> set[frozenset[int]]:
@@ -89,6 +90,19 @@ UNDONE_STAGES = [
     # only a zero type-3 delta finds it: the least-slack edges must still be
     # tracked after a stage's first delta
     (4, [(2, 0, 2), (0, 3, 1), (1, 3, 1), (2, 3, 2)]),
+    # before the rerun's first delta a vertex whose blossom has a best edge
+    # scans its heavy edges alone; here a blossom closed on such a scan has
+    # none, and the scan must go back to the light edges.  In the last two a
+    # light edge read there is the only best edge of the blossom that takes
+    # the delta, so a scan left on the heavy edges matches other pairs
+    (5, [(0, 1, 2), (0, 3, 2), (0, 4, 1), (1, 2, 2), (1, 4, 1), (2, 3, 1), (2, 4, 2),
+         (3, 4, 2)]),
+    (14, [(8, 11, 2), (9, 13, 2), (0, 1, 2), (2, 10, 2), (5, 9, 1), (6, 11, 2), (6, 8, 2),
+          (2, 5, 2), (3, 11, 2), (4, 9, 1), (1, 4, 2), (9, 10, 2), (5, 13, 2), (7, 12, 2),
+          (0, 7, 2), (3, 9, 2), (9, 11, 1), (4, 12, 2), (5, 7, 1)]),
+    (14, [(1, 5, 2), (3, 12, 2), (2, 4, 2), (4, 10, 2), (0, 9, 2), (1, 10, 2), (0, 4, 1),
+          (3, 8, 2), (7, 13, 2), (8, 9, 2), (0, 8, 1), (2, 5, 2), (6, 7, 2), (1, 7, 1),
+          (0, 12, 2), (0, 13, 2), (6, 11, 2), (0, 7, 1), (7, 11, 2)]),
 ]
 
 
@@ -258,6 +272,60 @@ def test_certificate_counts_the_dual_of_a_shared_blossom():
     blossom._certify(*FULL_TRIANGLE)
 
 
+def verdict(certify, state) -> str | None:
+    try:
+        certify(*deepcopy(state))
+    except ArithmeticError as e:
+        return str(e)
+    return None
+
+
+def perturbed(state, kind: str, rng: random.Random):
+    """The certificate's arguments with one vertex dual or blossom dual moved,
+    or one edge matched; unchanged if there is none to move."""
+    endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring = deepcopy(state)
+    if kind == "vertex dual" and dualvar:
+        dualvar[rng.randrange(len(dualvar))] += rng.choice((-2, -1, 1, 2))
+    elif kind == "blossom dual" and blossomdual:
+        blossomdual[rng.choice(sorted(blossomdual))] += rng.choice((-2, -1, 1, 2))
+    elif kind == "mate" and wt2:  # match edge k, its ends' mates left single
+        k = rng.randrange(len(wt2))
+        for p in (2 * k, 2 * k + 1):
+            if mate[endpoint[p]] != -1:
+                mate[endpoint[mate[endpoint[p]] ^ 1]] = -1
+        for p in (2 * k, 2 * k + 1):
+            mate[endpoint[p]] = p
+    return endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring
+
+
+def test_certificate_rejects_what_the_reference_rejects(monkeypatch):
+    # the end states of solved random graphs and union graphs, weighted and
+    # cardinality, each as it is and with one value moved: the certificate
+    # must accept and reject exactly as the per-edge reference does, with
+    # the same message
+    states = []
+    monkeypatch.setattr(blossom, "_certify", lambda *state: states.append(deepcopy(state)))
+    rng = random.Random(66)
+    graphs = [random_graph(rng, rng.randint(0, 16)) for _ in range(300)]
+    for family, seed in [("arbitrary", 1), ("arbitrary", 2), ("big", 1)]:
+        instance = gen_random(60, seed, family, 100)
+        graphs.append(build_union_graph(instance.rows, instance.den))
+    for g in graphs:
+        max_weight_matching(g)
+        max_cardinality_matching(g)
+    monkeypatch.undo()
+    seen = {kind: set() for kind in ("vertex dual", "blossom dual", "mate")}
+    for state in states:
+        assert verdict(blossom._certify, state) is verdict(reference_certify, state) is None
+        for kind in seen:
+            moved = perturbed(state, kind, rng)
+            message = verdict(reference_certify, moved)
+            assert verdict(blossom._certify, moved) == message, (kind, state)
+            seen[kind].add(message and message.split(":")[1].split()[0])
+    # every kind of move was rejected, and by more than one check
+    assert all(len(found - {None}) >= 2 for found in seen.values()), seen
+
+
 @pytest.mark.parametrize("weight", [0, 3, -1])
 def test_weights_other_than_one_and_two_are_rejected(weight):
     with pytest.raises(ValueError, match="weights must be 1 or 2"):
@@ -270,6 +338,20 @@ def test_weights_other_than_one_and_two_are_rejected(weight):
 def test_loops_and_endpoints_out_of_range_are_rejected(edges):
     with pytest.raises(ValueError, match=r"^edge 1: .* is a loop or leaves 0\.\.2$"):
         blossom.max_weight_edges(3, edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1), (1, 2, 1), (1, 2, 2)], r"^edge 2: \(1, 2\) repeats edge 1's pair$"),
+    ([(0, 1, 1), (1, 0, 2)], r"^edge 1: \(1, 0\) repeats edge 0's pair$"),
+    ([(0.0, 1, 1)], r"^edge 0: endpoints must be ints, not \(0\.0, 1\)$"),
+    ([(0, 1, 1), (1, "2", 1)], r"^edge 1: endpoints must be ints, not \(1, '2'\)$"),
+    ([(0, 1, 1.0)], r"^edge 0: weights must be 1 or 2, not 1\.0$"),
+    ([(0, 1, True)], r"^edge 0: weights must be 1 or 2, not True$"),
+], ids=["repeated-pair", "repeated-pair-reversed", "float-endpoint", "str-endpoint",
+        "float-weight", "bool-weight"])
+def test_repeated_pairs_and_values_not_ints_are_rejected(edges, message):
+    with pytest.raises(ValueError, match=message):
+        blossom.edge_lists(3, edges)
 
 
 @functools.cache
