@@ -11,7 +11,7 @@ reused), leaves in stack-pop order, ties to the first candidate.  The layout
 is new: vertices are ``0..n-1`` and blossoms get ids from ``n`` up, so every
 label, link and dual is a list slot.  Edge k has doubled weight ``wt2[k]``,
 its oriented edge ``p`` (2k or 2k + 1) runs ``endpoint[p] -> endpoint[p ^ 1]``,
-``adj[v]`` lists the ``p`` out of v as bare ints and ``heavy[v]`` those of
+``adj[v]`` lists the ``p`` out of v ascending and ``heavy[v]`` those of
 weight 2, as the union graph's pair scan writes them.  Vertex duals are
 doubled, so all arithmetic is exact.  Every call ends by checking the dual
 optimality conditions and raises ``ArithmeticError`` if one fails.
@@ -49,11 +49,13 @@ least 1, and it wins only below the least dual.  So once a dual is at most 1
 other) the failed pass is the last stage: it takes its type-1 delta and the
 call ends, where networkx's tracked rerun would build the same forest and
 take the same delta.  While every dual is still 2 the pass, which moved no
-mate or dual, is undone and the stage reruns tracked, scanning every edge for
-networkx's delta.  Each stage labels every single vertex S, as networkx
-does, so all single vertices share one dual.  The stages, the substages and
-every walk along blossom links have bounds; passing one raises
-``ArithmeticError``.
+mate or dual, is undone and the stage reruns tracked for networkx's delta.
+No blossom is left then, so until its first delta a light slack is 2 and a
+heavy one 0: once the scanned vertex's blossom has a best edge no light edge
+moves anything, and the scan goes on over ``heavy`` from the same edge (back
+over ``adj`` if a new blossom has none).  Each stage labels every single
+vertex S, as networkx does, so all single vertices share one dual.  Every
+loop and walk has a bound; passing one raises ``ArithmeticError``.
 
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
@@ -142,7 +144,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     childs: dict[int, list[int]] = {}   # sub-blossoms, base first
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
     mybestedges: dict[int, list[int]] = {}
-    leafs: dict[int, list[int]] = {}    # leaves(b)'s list, once walked
+    leafs: dict[int, list[int]] = {}    # leaves(b), until b rotates
     queue: list[int] = []
     # adj[v] cut to slack <= 0; until the duals move, the heaviest edges
     tight: list = (heavy if top == 4 else adj)[:]
@@ -151,11 +153,10 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
         return dualvar[endpoint[p]] + dualvar[endpoint[p ^ 1]] - wt2[p >> 1]
 
     def leaves(b: int) -> list[int]:
-        # cached until b rotates or is undone; k <= n leaves under < k/2
-        # blossoms of >= 3 children: < 2n pops
-        if b in leafs:
-            return leafs[b]
-        out = leafs[b] = []
+        # k <= n leaves under < k/2 blossoms of >= 3 children: < 2n pops
+        out = leafs.setdefault(b, [])  # empty unless cached: a blossom has >= 3 leaves
+        if out:
+            return out
         stack = list(childs[b])
         for _ in range(2 * n):
             if not stack:
@@ -363,8 +364,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 p = -1  # the flat part goes on after p in the list be selects
                 while p is not None and not augmented:
                     if flat:
-                        nbrs = (heavy if be != -1 else adj)[v]
-                        nbrs = nbrs[bisect_right(nbrs, p):]
+                        nbrs = (ps := (heavy if be != -1 else adj)[v])[bisect_right(ps, p):]
                     for p in nbrs:
                         w = endpoint[p ^ 1]
                         bw = inblossom[w]
@@ -438,8 +438,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
             # undo the tight pass, and rerun the stage tracked
             size, inblossom[:], blossomparent[:] = mark
             for b in range(size, len(blossombase)):
-                del childs[b], ring[b], blossomdual[b]
-                leafs.pop(b, None)
+                del childs[b], ring[b], blossomdual[b], leafs[b]
             for slots in (blossombase, label, labeledge, bestedge):
                 del slots[size:]
         else:
@@ -452,7 +451,9 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
 
 
 def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> None:
-    """Check the matching and the duals against the optimality conditions."""
+    """Check the matching and the duals against the optimality conditions.
+    Each edge is read once; the blossom duals, checked >= 0 first, are summed
+    only for a matched edge or one whose vertex duals fall short of it."""
     def fail(what: str) -> None:
         raise ArithmeticError(f"blossom matching not optimal: {what}")
 
@@ -468,10 +469,8 @@ def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> 
                 around[-1].add(v)
     if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
         fail("negative dual")
-    ends = iter(endpoint)
-    for k, (i, j, w2) in enumerate(zip(ends, ends, wt2)):
-        if dualvar[i] + dualvar[j] < w2 or mate[i] >> 1 == k:
-            # else the blossom duals, >= 0, keep the slack >= 0
+    for k, (i, j, w2) in enumerate(zip(endpoint[::2], endpoint[1::2], wt2)):
+        if dualvar[i] + dualvar[j] < w2 or mate[i] >> 1 == k:  # else z >= 0 keeps s >= 0
             s = dualvar[i] + dualvar[j] - w2
             s += 2 * sum(blossomdual[b] for b in around[i] & around[j])
             if s < 0 or (s != 0 and mate[i] >> 1 == k):

@@ -1,7 +1,5 @@
-"""Union graphs, exact matchings, and the matching-driven packers M1w / Mw.
-
-The union graph and the blossom serve M1w and Mw only: A2 finds its maximum
-2-union matchings with ``bigpipe``'s greedy and builds no graph.
+"""Union graphs, exact matchings, and the matching-driven packers M1w / Mw,
+their only users: A2 finds its 2-union matchings greedily and builds no graph.
 
 Vertices are chart ids; an edge carries the best overlap (weight 2 or 1) a
 pair admits together with the orientation that realizes it.  A
@@ -84,14 +82,11 @@ class Matching:
 
 def build_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
     """Graph over rows in ascending id with one edge per pair that can unite,
-    the graph of M1w's and Mw's rounds.
-
-    Edges match the tests' ``pair_weight`` on every pair, in (u, v) order.
-    """
-    endpoint, wt2, adj, heavy = [], [], [[] for _ in rows], [[] for _ in rows]
-    # positions, not ids, with each position's two appends bound once
+    the graph of M1w's and Mw's rounds; its edges match the tests'
+    ``pair_weight`` on every pair, in (u, v) order."""
+    # p = 2k for the next edge k; positions, not ids, with their appends bound
+    p, endpoint, wt2, adj, heavy = 0, [], [], [[] for _ in rows], [[] for _ in rows]
     ranked = [(i, *row[1:5], adj[i].append, heavy[i].append) for i, row in enumerate(rows)]
-    p = 0  # the next edge's oriented edge from its left chart, 2k
     for i, f0, f1, l2, l1, out_i, heavy_i in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
         for j, g0, g1, m2, m1, out_j, heavy_j in ranked[i + 1:]:
@@ -132,9 +127,7 @@ def max_weight_matching(g: WeightedGraph) -> Matching:
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
     """Exact maximum-cardinality matching; total_weight still sums edge weights.
-
-    No solver calls it: it is the tests' reference for A2's greedy, and a
-    name perfbench's tracer wraps."""
+    No solver calls it: the tests check A2's greedy by it, perfbench traces it."""
     ones = [2] * len(g.wt2)  # every weight 1, doubled, so every edge is heavy
     return Matching(tuple(map(g.edge, match_edges(g.endpoint, ones, g.adj, g.adj))))
 
