@@ -93,7 +93,7 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
 from bisect import bisect_right
-from itertools import chain
+from itertools import chain, count
 
 
 def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
@@ -355,16 +355,13 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 v = queue.pop()
                 bv = inblossom[v]
                 dv = dualvar[v]
-                nbrs = adj[v] if tracked else tight[v]
+                be = bestedge[bv]  # with its slack bs, kept for the scan
+                bs = slack(be) if be != -1 else 0
+                nbrs = (heavy if flat and be != -1 else adj)[v] if tracked else tight[v]
                 if nbrs is None:
                     nbrs = tight[v] = [p for p in adj[v]
                                        if dv + dualvar[endpoint[p ^ 1]] <= wt2[p >> 1]]
-                be = bestedge[bv]  # with its slack bs, kept for the scan
-                bs = slack(be) if be != -1 else 0
-                p = -1  # the flat part goes on after p in the list be selects
-                while p is not None and not augmented:
-                    if flat:
-                        nbrs = (ps := (heavy if be != -1 else adj)[v])[bisect_right(ps, p):]
+                while not augmented:  # the flat part goes on from a switch of lists
                     for p in nbrs:
                         w = endpoint[p ^ 1]
                         bw = inblossom[w]
@@ -376,7 +373,8 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                             if label[bw] == 1 and (be == -1 or kslack < bs):
                                 bestedge[bv] = be = p
                                 bs = kslack
-                                if flat:
+                                if flat:  # on over the heavy edges after p
+                                    nbrs = heavy[v][bisect_right(heavy[v], p):]
                                     break
                             continue
                         if label[bw] == 0:
@@ -391,10 +389,12 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                             bv = inblossom[v]
                             be = bestedge[bv]
                             bs = slack(be) if be != -1 else 0
-                            if flat:
+                            if flat:  # on after p, over all edges if be is -1
+                                ps = heavy[v] if be != -1 else adj[v]
+                                nbrs = ps[bisect_right(ps, p):]
                                 break
                     else:
-                        p = None
+                        break
             if augmented:
                 break
             if not tracked and min(dualvar, default=0) > 1:
@@ -451,9 +451,8 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
 
 
 def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> None:
-    """Check the matching and the duals against the optimality conditions.
-    Each edge is read once; the blossom duals, checked >= 0 first, are summed
-    only for a matched edge or one whose vertex duals fall short of it."""
+    """Check the matching and the duals against the optimality conditions: blossom
+    duals, >= 0, count only for a matched edge or one whose vertex duals fall short."""
     def fail(what: str) -> None:
         raise ArithmeticError(f"blossom matching not optimal: {what}")
 
@@ -469,7 +468,8 @@ def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> 
                 around[-1].add(v)
     if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
         fail("negative dual")
-    for k, (i, j, w2) in enumerate(zip(endpoint[::2], endpoint[1::2], wt2)):
+    ends = iter(endpoint)
+    for k, i, j, w2 in zip(count(), ends, ends, wt2):
         if dualvar[i] + dualvar[j] < w2 or mate[i] >> 1 == k:  # else z >= 0 keeps s >= 0
             s = dualvar[i] + dualvar[j] - w2
             s += 2 * sum(blossomdual[b] for b in around[i] & around[j])
