@@ -468,8 +468,7 @@ def _certify(endpoint, wt2, mate, dualvar, blossomparent, blossomdual, ring) -> 
                 around[-1].add(v)
     if min(dualvar, default=0) < 0 or min(blossomdual.values(), default=0) < 0:
         fail("negative dual")
-    ends = iter(endpoint)
-    for k, i, j, w2 in zip(count(), ends, ends, wt2):
+    for k, i, j, w2 in zip(count(), *[iter(endpoint)] * 2, wt2):  # endpoints in pairs
         if dualvar[i] + dualvar[j] < w2 or mate[i] >> 1 == k:  # else z >= 0 keeps s >= 0
             s = dualvar[i] + dualvar[j] - w2
             s += 2 * sum(blossomdual[b] for b in around[i] & around[j])

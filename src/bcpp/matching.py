@@ -84,36 +84,37 @@ def build_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
     """Graph over rows in ascending id with one edge per pair that can unite,
     the graph of M1w's and Mw's rounds; its edges match the tests'
     ``pair_weight`` on every pair, in (u, v) order."""
-    # p = 2k for the next edge k; positions, not ids, with their appends bound
+    # p = 2k for the next edge k; each row's own lists are looked up once
     p, endpoint, wt2, adj, heavy = 0, [], [], [[] for _ in rows], [[] for _ in rows]
-    ranked = [(i, *row[1:5], adj[i].append, heavy[i].append) for i, row in enumerate(rows)]
-    for i, f0, f1, l2, l1, out_i, heavy_i in ranked:
+    ranked = [(i, *row[1:5]) for i, row in enumerate(rows)]  # positions, not ids
+    for i, f0, f1, l2, l1 in ranked:
         cap_f0, cap_f1, cap_l2, cap_l1 = den - f0, den - f1, den - l2, den - l1
-        for j, g0, g1, m2, m1, out_j, heavy_j in ranked[i + 1:]:
+        adj_i, heavy_i = adj[i], heavy[i]
+        for j, g0, g1, m2, m1 in ranked[i + 1:]:
             if g0 <= cap_l2 and g1 <= cap_l1:      # 2-union, i left
                 endpoint += i, j
                 wt2.append(4)
-                out_i(p)
-                out_j(p + 1)
-                heavy_i(p)
-                heavy_j(p + 1)
+                adj_i.append(p)
+                adj[j].append(p + 1)
+                heavy_i.append(p)
+                heavy[j].append(p + 1)
             elif m2 <= cap_f0 and m1 <= cap_f1:    # 2-union, j left
                 endpoint += j, i
                 wt2.append(4)
-                out_i(p + 1)
-                out_j(p)
-                heavy_i(p + 1)
-                heavy_j(p)
+                adj_i.append(p + 1)
+                adj[j].append(p)
+                heavy_i.append(p + 1)
+                heavy[j].append(p)
             elif g0 <= cap_l1:                     # 1-union, i left
                 endpoint += i, j
                 wt2.append(2)
-                out_i(p)
-                out_j(p + 1)
+                adj_i.append(p)
+                adj[j].append(p + 1)
             elif m1 <= cap_f0:                     # 1-union, j left
                 endpoint += j, i
                 wt2.append(2)
-                out_i(p + 1)
-                out_j(p)
+                adj_i.append(p + 1)
+                adj[j].append(p)
             else:                                  # no union
                 continue
             p += 2
