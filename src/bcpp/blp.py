@@ -21,7 +21,7 @@ import math
 import time
 
 from .greedy import ga_lo, lex_order
-from .model import Instance, Solved, compact, lower_bounds
+from .model import Instance, Solved, compact, l2_bound, lower_bounds
 
 
 def export_lp(instance: Instance, horizon: int | None = None) -> str:
@@ -69,27 +69,27 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     never needs a cell beyond incumbent - 2).  The greedy solution seeds the
     incumbent.  A node is cut when the cells already occupied, plus the
     unplaced big bars that find no under-half cell among them, reach the
-    incumbent.  That test runs only while the area bound, which holds at
-    every node, is below the incumbent; once an incumbent meets it, every
+    incumbent.  The root bound, the larger of ``combined`` and
+    ``model.l2_bound``, holds at every node: the search returns with 0 nodes
+    when the greedy length meets it, and once an incumbent meets it every
     node is cut.  A limit of 0 means none (a negative, NaN or infinite one
     raises ``ValueError``), and with no limits the result is optimal; when a
-    limit expires the incumbent is returned with the bound proven before the
-    search.  The result's ``length`` and ``placement`` are the incumbent,
-    beside its ``lower_bound`` and ``node_count``.  The path is kept on an
-    explicit stack, so any n is within recursion limits.
+    limit expires the incumbent is returned with the root bound.  The
+    result's ``length`` and ``placement`` are the incumbent, beside its
+    ``lower_bound`` and ``node_count``.  The path is kept on an explicit
+    stack, so any n is within recursion limits.
     """
     for name, limit in (("time_limit", time_limit), ("node_limit", node_limit)):
         if not 0 <= limit < math.inf:  # nor is a NaN
             raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
     den = instance.den
-    bounds = lower_bounds(instance)
-    combined = bounds.combined
+    root = max(lower_bounds(instance).combined, l2_bound(instance))
 
     greedy = ga_lo(instance)
     best_len = greedy.length
     best_placement = greedy.placement  # GA_LO leaves no gap to compact
-    if best_len == combined:
+    if best_len == root:
         return Solved(placement=best_placement, length=best_len,
                       lower_bound=best_len, node_count=0)
 
@@ -104,9 +104,9 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     big_suffix = [0] * (n + 1)  # bars above 1/2 among charts order[k:]
     for k in range(n - 1, -1, -1):
         big_suffix[k] = big_suffix[k + 1] + sum(2 * h > den for h in order[k].bars)
-    # occupied + ceil((area - occupied*den) / den) is max(occupied, area_lb):
-    # the area term never moves, so it is tested once per incumbent
-    cut_at = best_len  # best_len > combined >= area_lb here; 0 cuts every node
+    # occupied + ceil((area - occupied*den) / den) is max(occupied, area_lb),
+    # and area_lb <= root, which never moves: so root is tested once per incumbent
+    cut_at = best_len  # best_len > root here; 0 cuts every node
 
     occ = [0] * (2 * n + 2)
     positions = [0] * n
@@ -135,12 +135,12 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
             if (node_limit and nodes >= node_limit
                     or time_limit and time.perf_counter() - start > time_limit):
                 return Solved(placement=best_placement, length=best_len,
-                              lower_bound=combined, node_count=nodes)
+                              lower_bound=root, node_count=nodes)
             used = occupied[k] + (oa == 0) + (ob == 0)
             if k + 1 == n:  # a full packing: keep it if it is shorter
                 if used < best_len:
                     best_len, last = used, used - 2
-                    cut_at = best_len if bounds.area_lb < best_len else 0
+                    cut_at = best_len if root < best_len else 0
                     positions[k] = pos
                     best_placement = compact(instance, dict(zip(ids, positions)))
                 pos += 1

@@ -20,8 +20,10 @@ rows on the first read and keeps them, for every heuristic to start from.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -216,6 +218,26 @@ def lower_bounds(instance: Instance) -> Bounds:
     big_lb = sum(1 for ch in instance.charts for h in ch.bars if 2 * h > instance.den)
     return Bounds(area_lb=area_lb, big_lb=big_lb,
                   combined=max(area_lb, big_lb, 2))
+
+
+def l2_bound(instance: Instance) -> int:
+    """Martello & Toth's L2 (Discrete Appl. Math. 1990) over the 2n bars:
+    each cell is a bin of size D.  For a K <= D/2, bars above D - K and bars
+    in (D/2, D - K] need a bin each, and bars in [K, D/2] fit only into the
+    latter's room or new bins.  K = 0 gives max(area, big), and past it only
+    sizes <= D/2 need trying: one sort, then bisection, O(m log m)."""
+    den = instance.den
+    sizes = sorted(h for ch in instance.charts for h in ch.bars)
+    prefix = [0, *accumulate(sizes)]
+    half = bisect_right(sizes, den // 2)  # sizes[half:] are above D/2
+    best = 0
+    for k in {0, *sizes[:half]}:
+        low = bisect_left(sizes, k)  # sizes[low:half] lie in [K, D/2]
+        top = bisect_right(sizes, den - k)  # sizes[half:top] lie in (D/2, D - K]
+        room = (top - half) * den - (prefix[top] - prefix[half])
+        rest = prefix[half] - prefix[low] - room
+        best = max(best, len(sizes) - half + max(0, -(-rest // den)))
+    return best
 
 
 def compact(instance: Instance, placement: Placement) -> Placement:

@@ -6,8 +6,10 @@ search/pruning code so tests compare two genuinely different routes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from bcpp import (ArcDigraph, BarChart, Instance, Matching, PathCover, Placement,
@@ -119,6 +121,22 @@ def literal_opt(instance: Instance) -> int:
         ev = evaluate_packing(instance, {i + 1: p for i, p in enumerate(pos)})
         if ev.feasible and ev.length < best:
             best = ev.length
+    return best
+
+
+def literal_l2(instance: Instance) -> int:
+    """Martello & Toth's L2 over the 2n bars, trying every K in 0..D/2 and
+    classifying every bar afresh for each."""
+    den = instance.den
+    bars = [h for ch in instance.charts for h in ch.bars]
+    best = 0
+    for k in range(den // 2 + 1):
+        fill_one = [h for h in bars if h > den - k]
+        own_bin = [h for h in bars if den - k >= h and 2 * h > den]
+        shared = [h for h in bars if 2 * h <= den and h >= k]
+        over = sum(shared) - sum(den - h for h in own_bin)
+        best = max(best, len(fill_one) + len(own_bin)
+                   + max(0, math.ceil(Fraction(over, den))))
     return best
 
 

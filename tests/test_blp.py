@@ -12,6 +12,7 @@ from bcpp import (evaluate_packing, export_lp, format_instance,
                   format_placement, ga_lo, gen_random, lower_bounds, oracle_opt,
                   parse_instance, solve_exact)
 from bcpp.cli import main
+from bcpp.model import l2_bound
 from helpers import inst, literal_opt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -231,34 +232,56 @@ def test_exact_rejects_a_negative_nan_or_infinite_limit():
             solve_exact(instance, **{name: limit})
 
 
+def digests(results):
+    """sha256 of the (length, placement) text and of the (status, bound,
+    nodes) text of ``results``: the answers apart from what proved them."""
+    answers = "".join(f"{r.length}\n{format_placement(r.placement)}"
+                      for r in results)
+    proofs = "".join(f"{r.status} {r.lower_bound} {r.node_count}\n"
+                     for r in results)
+    return (hashlib.sha256(answers.encode()).hexdigest(),
+            hashlib.sha256(proofs.encode()).hexdigest())
+
+
 def test_exact_search_matches_pinned_nodes_and_placements():
-    # status, lengths, node counts and placements of the recursive search,
-    # pinned before it moved onto an explicit stack
-    pinned = "7d1e51d6de1915bc8f04d804873bebfe8304cd710935f0704b854de5b7908b48"
-    text = []
+    # the answers are pinned as the recursive search gave them, before it
+    # moved onto an explicit stack; the proofs since the root bound took L2
+    results = []
     for trial in range(40):
         family = ("arbitrary", "big")[trial % 2]
         instance = gen_random(6 + trial % 7, 700 + trial, family,
                               20 + 30 * (trial % 3))
-        r = solve_exact(instance, node_limit=3000)
-        text.append(f"{r.status} {r.length} {r.lower_bound} "
-                    f"{r.node_count}\n{format_placement(r.placement)}")
-    assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
+        results.append(solve_exact(instance, node_limit=3000))
+    assert digests(results) == (
+        "79916ed2755e286c56a673a5aaae581352387492b0cba98c84a8ae9f8c498981",
+        "3666dddff120f160e8590848a8d3e32d1634d44c2baf0aab3e61222250bfb293")
 
 
 def test_exact_search_matches_pinned_results_at_bench_shapes():
     # arbitrary n=10 and big n=12 at D=100, the shapes and budgets the exact
-    # benchmark solves; pinned before the node loop was rewritten
-    pinned = "d95524c7e2e1d2629052758cf041a30251f73a1f8d251d6d573d92b79df1a800"
-    text = []
+    # benchmark solves; the answers are pinned as before the node loop was
+    # rewritten, the proofs since the root bound took L2
+    results = []
     for family, n in (("arbitrary", 10), ("big", 12)):
         for seed in range(1, 16):
             instance = gen_random(n, seed, family, 100)
-            for limit in (1, 7, 300, 5000):
-                r = solve_exact(instance, node_limit=limit)
-                text.append(f"{r.status} {r.length} {r.lower_bound} "
-                            f"{r.node_count}\n{format_placement(r.placement)}")
-    assert hashlib.sha256("".join(text).encode()).hexdigest() == pinned
+            results += (solve_exact(instance, node_limit=limit)
+                        for limit in (1, 7, 300, 5000))
+    assert digests(results) == (
+        "7a2d4cfbdd75a95f01f62bc66bec9a9b549d3e6e297ccec7f5c738f14b3b1547",
+        "6afeba30d992c677ada2c0f3c6e7ff4a9acd6e795f858f4264b2bcf0802dd4bd")
+
+
+def test_l2_bound_at_large_n_takes_under_ten_ms():
+    # one sort and a bisection sweep; the best of three runs rides out noise
+    instance = gen_random(1200, 2, "arbitrary", 10**6)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        bound = l2_bound(instance)
+        times.append(time.perf_counter() - t0)
+    assert bound == 1212 > lower_bounds(instance).combined
+    assert min(times) < 0.01
 
 
 def test_exact_node_limit_holds_at_large_n():

@@ -20,6 +20,7 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
 from bcpp.cli import main
 from bcpp.generators import FAMILIES
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
+from bcpp.model import l2_bound
 import cli_cases
 from helpers import inst
 
@@ -168,7 +169,9 @@ def test_run_suite_with_a_node_budget_stops_cleanly_at_large_n():
     records, _, errors = run_suite(cfg)  # run_suite audits the placement
     assert errors == []
     (rec,) = records
-    assert (rec.reference, rec.ref_kind) == (lower_bounds(instance).combined, "LB")
+    # the search stops at its budget and reports its root bound, above combined
+    root = max(lower_bounds(instance).combined, l2_bound(instance))
+    assert (rec.reference, rec.ref_kind) == (root, "LB") == (1212, "LB")
     assert rec.length > rec.reference and rec.rounds == 1000
 
 

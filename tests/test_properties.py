@@ -23,8 +23,9 @@ from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
 from bcpp import blossom
 from bcpp.bigpipe import _chain_matching, _dominance_matching
 from bcpp.matching import merge_matched
-from helpers import (as_rows, brute_force_matching, inst, merge_along, merge_charts,
-                     naive_ga_lo, pair_weight, reference_big_pipeline,
+from bcpp.model import l2_bound
+from helpers import (as_rows, brute_force_matching, inst, literal_l2, merge_along,
+                     merge_charts, naive_ga_lo, pair_weight, reference_big_pipeline,
                      reference_bipartite_matching, reference_greedy_formation,
                      reference_mw, row_charts, two_union_graph, union_feasible)
 
@@ -32,10 +33,10 @@ SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=15
 
 
 @st.composite
-def instances(draw, big: bool = False):
-    """An instance whose charts repeat a few drawn kinds; with ``big`` every
-    chart has a bar above D/2."""
-    den = draw(st.integers(2, 100))
+def instances(draw, big: bool = False, max_den: int = 100):
+    """An instance whose charts repeat a few drawn kinds, with D at most
+    ``max_den``; with ``big`` every chart has a bar above D/2."""
+    den = draw(st.integers(2, max_den))
     bar = st.one_of(st.just(den), st.integers(1, den))
     chart = st.tuples(bar, bar)
     if big:
@@ -77,6 +78,17 @@ def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
         after = evaluate_packing(instance, packed)
         assert after.feasible and after.length == length, name
         assert sorted(after.occupancy) == list(range(1, length + 1)), name
+
+
+@SWEEP
+@given(st.one_of(instances(), instances(big=True), instances(max_den=3)))
+def test_l2_bound_is_the_literal_bound_and_holds_below_every_length(instance):
+    bound = l2_bound(instance)
+    bounds = lower_bounds(instance)
+    assert bound == literal_l2(instance)
+    assert max(bounds.area_lb, bounds.big_lb) <= bound <= oracle_opt(instance)
+    for name, solve in SOLVERS.items():  # EXACT's length is the optimum
+        assert solve(instance).length >= bound, name
 
 
 @SWEEP
@@ -322,9 +334,11 @@ def test_matchings_on_union_graphs_equal_brute_force(instance):
 def test_a_node_limit_stops_the_same_search_early(instance, data):
     # the limited search is a prefix of the unlimited one: it counts the same
     # nodes up to the limit, its incumbent never worsens as the limit grows,
-    # and it claims only the combined bound unless it ran to the end
+    # and it claims only its root bound, max(combined, L2), which is at most
+    # the optimum, unless it ran to the end
     full = solve_exact(instance)
-    combined = lower_bounds(instance).combined
+    root = max(lower_bounds(instance).combined, l2_bound(instance))
+    assert root <= oracle_opt(instance)
     low = data.draw(st.integers(1, full.node_count + 1))  # limits on both sides of it
     high = data.draw(st.integers(low + 1, full.node_count + 2))
     lengths = []
@@ -332,7 +346,7 @@ def test_a_node_limit_stops_the_same_search_early(instance, data):
         r = solve_exact(instance, node_limit=limit)
         assert r.node_count == min(limit, full.node_count)
         if limit <= full.node_count:
-            assert r.lower_bound == combined
+            assert r.lower_bound == root
         else:
             assert r == full
         lengths.append(r.length)
