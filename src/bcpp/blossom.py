@@ -48,14 +48,17 @@ least 1, and it wins only below the least dual.  So once a dual is at most 1
 (from the start on a cardinality graph, and after the first delta on any
 other) the failed pass is the last stage: it takes its type-1 delta and the
 call ends, where networkx's tracked rerun would build the same forest and
-take the same delta.  While every dual is still 2 the pass, which moved no
-mate or dual, is undone and the stage reruns tracked for networkx's delta.
-No blossom is left then, so until its first delta a light slack is 2 and a
-heavy one 0: once the scanned vertex's blossom has a best edge no light edge
-moves anything, and the scan goes on over ``heavy`` from the same edge (back
-over ``adj`` if a new blossom has none).  Each stage labels every single
-vertex S, as networkx does, so all single vertices share one dual.  Every
-loop and walk has a bound; passing one raises ``ArithmeticError``.
+take the same delta.  While every dual is 2 no delta has come, so each
+earlier stage augmented and expanded its blossoms, all of dual 0: the pass
+began with none, and it is undone by resetting to no blossom.  The stage
+reruns tracked, rebuilds the pass's forest and so ends in a delta: it is the
+call's one tracked stage, the only one to keep least-slack edges, and until
+its first delta a light slack is 2 and a heavy one 0: once the scanned
+vertex's blossom has a best edge no light edge moves anything, and the scan
+goes on over ``heavy`` from the same edge (back over ``adj`` if a new blossom
+has none).  Each stage labels every single vertex S, as networkx does, so all
+single vertices share one dual.  Every loop and walk has a bound; passing one
+raises ``ArithmeticError``.
 
 Copyright (c) 2004-2025, NetworkX Developers
 Aric Hagberg <hagberg@lanl.gov>
@@ -143,7 +146,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
     blossomdual: dict[int, int] = {}
     childs: dict[int, list[int]] = {}   # sub-blossoms, base first
     ring: dict[int, list[int]] = {}     # ring[b][i] joins childs i and i+1
-    mybestedges: dict[int, list[int]] = {}
+    mybestedges: dict[int, list[int]] = {}  # only the one tracked stage's
     leafs: dict[int, list[int]] = {}    # leaves(b), until b rotates
     queue: list[int] = []
     # adj[v] cut to slack <= 0; until the duals move, the heaviest edges
@@ -247,11 +250,8 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
         # the first least.  Every edge listed runs out of b, as networkx's
         # lists do, and the duals do not move while a blossom is built.
         bestedgeto: dict[int, tuple[int, int]] = {}
-        for bv in path:
-            nblist = adj[bv] if bv < n else mybestedges.pop(bv, None)
-            if nblist is None:
-                nblist = [q for x in leaves(bv) for q in adj[x]]
-            for q in nblist:
+        for bv in path:  # a child blossom was made in this stage, so tracked
+            for q in adj[bv] if bv < n else mybestedges.pop(bv):
                 bj = inblossom[endpoint[q ^ 1]]
                 if bj != b and label[bj] == 1:
                     s = dualvar[endpoint[q]] + dualvar[endpoint[q ^ 1]] - wt2[q >> 1]
@@ -335,7 +335,6 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
         flat = tracked  # a rerun starts where every dual is 2 (so top is 4)
         label[:] = bytes(len(label))
         bestedge[:] = [-1] * len(bestedge)
-        mybestedges.clear()
         queue.clear()
         for v in [v for v in range(n) if mate[v] == -1]:
             if inblossom[v] == v:
@@ -344,7 +343,7 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 queue.append(v)
             else:  # the base of a blossom, its only single vertex
                 assign_label(v, 1, -1)
-        mark = None if tracked else (len(blossombase), inblossom[:], blossomparent[:])
+        size = len(blossombase)  # the slots to cut back to if the pass is undone
 
         augmented = False
         # a substage after a type-3 delta augments or closes a blossom, which
@@ -435,10 +434,10 @@ def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> 
                 if blossomdual.get(b) == 0 and blossomparent[b] == -1 and label[b] == 1:
                     expand_blossom(b)
         elif rerun:
-            # undo the tight pass, and rerun the stage tracked
-            size, inblossom[:], blossomparent[:] = mark
-            for b in range(size, len(blossombase)):
-                del childs[b], ring[b], blossomdual[b], leafs[b]
+            # undo the tight pass back to no blossom, and rerun the stage tracked
+            inblossom[:], blossomparent[:] = range(n), [-1] * size
+            for d in (childs, ring, blossomdual, leafs):
+                d.clear()
             for slots in (blossombase, label, labeledge, bestedge):
                 del slots[size:]
         else:

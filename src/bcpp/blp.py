@@ -69,13 +69,13 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     never needs a cell beyond incumbent - 2).  The greedy solution seeds the
     incumbent.  A node is cut when the cells already occupied, plus the
     unplaced big bars that find no under-half cell among them, reach the
-    incumbent.  The root bound, the larger of ``combined`` and
-    ``model.l2_bound``, holds at every node: the search returns with 0 nodes
-    when the greedy length meets it, and once an incumbent meets it every
-    node is cut.  A limit of 0 means none (a negative, NaN or infinite one
-    raises ``ValueError``), and with no limits the result is optimal; when a
-    limit expires the incumbent is returned with the root bound.  The
-    result's ``length`` and ``placement`` are the incumbent, beside its
+    incumbent.  The root bound, ``model.l2_bound`` (never below ``combined``),
+    holds at every node: the search returns with 0 nodes when the greedy
+    length meets it, and once an incumbent meets it every node is cut.  A
+    limit of 0 means none (a negative, NaN or infinite one raises
+    ``ValueError``), and with no limits the result is optimal; when a limit
+    expires the incumbent is returned with the root bound.  The result's
+    ``length`` and ``placement`` are the incumbent, beside its
     ``lower_bound`` and ``node_count``.  The path is kept on an explicit
     stack, so any n is within recursion limits.
     """
@@ -84,7 +84,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
             raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
     den = instance.den
-    root = max(lower_bounds(instance).combined, l2_bound(instance))
+    root = l2_bound(instance)
 
     greedy = ga_lo(instance)
     best_len = greedy.length
@@ -109,9 +109,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     cut_at = best_len  # best_len > root here; 0 cuts every node
 
     occ = [0] * (2 * n + 2)
-    positions = [0] * n
-    next_pos = [0] * n  # the cell chart k tries next
-    next_pos[0] = 1
+    cell = [1] * n  # the cell chart k sits in, or the one it tries next
     # with charts order[:k] placed: cells in use, and those under half full;
     # set on each place from depth k's, so unplacing only restores occ
     occupied = [0] * (n + 1)
@@ -120,7 +118,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     k = nodes = 0
     while k >= 0:
         a, b, room_a, room_b = rows[k]
-        pos = next_pos[k]
+        pos = cell[k]
         last = best_len - 2
         while pos <= last:
             oa = occ[pos]
@@ -141,8 +139,8 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
                 if used < best_len:
                     best_len, last = used, used - 2
                     cut_at = best_len if root < best_len else 0
-                    positions[k] = pos
-                    best_placement = compact(instance, dict(zip(ids, positions)))
+                    cell[k] = pos
+                    best_placement = compact(instance, dict(zip(ids, cell)))
                 pos += 1
                 continue
             na, nb = oa + a, ob + b
@@ -153,17 +151,17 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
                 pos += 1
                 continue
             occ[pos], occ[pos + 1] = na, nb
-            occupied[k + 1], big_slots[k + 1], positions[k] = used, slots, pos
+            occupied[k + 1], big_slots[k + 1], cell[k] = used, slots, pos
             k += 1
-            next_pos[k] = pos if same[k] else 1
+            cell[k] = pos if same[k] else 1
             break
         else:  # chart k tried every cell: back to k - 1
             k -= 1
             if k >= 0:
-                pos = positions[k]
+                pos = cell[k]
                 occ[pos] -= rows[k][0]
                 occ[pos + 1] -= rows[k][1]
-                next_pos[k] = pos + 1
+                cell[k] = pos + 1
     return Solved(placement=best_placement, length=best_len,
                   lower_bound=best_len, node_count=nodes)
 

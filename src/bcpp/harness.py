@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
 from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
-                    lower_bounds, parse_instance, read_int)
+                    l2_bound, lower_bounds, parse_instance, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved;
 # Mw also takes ``start=``, an earlier M1w or Mw ``Solved``, to go on from.
@@ -262,7 +262,7 @@ def audit(instance: Instance, solved: Solved) -> None:
 
 def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
     if cfg.reference == "auto" and instance.known_opt is not None:
-        bound = lower_bounds(instance).combined
+        bound = l2_bound(instance)
         if instance.known_opt < bound:
             raise ValueError(f"opt {instance.known_opt} is below the bound {bound}")
         return instance.known_opt, "OPT"

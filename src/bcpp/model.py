@@ -230,7 +230,7 @@ def l2_bound(instance: Instance) -> int:
     sizes = sorted(h for ch in instance.charts for h in ch.bars)
     prefix = [0, *accumulate(sizes)]
     half = bisect_right(sizes, den // 2)  # sizes[half:] are above D/2
-    best = 0
+    best = 2  # a chart fills 2 cells, so L2 is never below ``combined``
     for k in {0, *sizes[:half]}:
         low = bisect_left(sizes, k)  # sizes[low:half] lie in [K, D/2]
         top = bisect_right(sizes, den - k)  # sizes[half:top] lie in (D/2, D - K]

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 from copy import deepcopy
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -207,6 +208,22 @@ def test_degenerate_graphs(g):
     for cardinality in (False, True):
         assert our_pairs(g, cardinality) == nx_pairs(g, cardinality)
     assert max_weight_matching(g).total_weight == sum(e.weight for e in g.edges)
+
+
+def test_inputs_are_left_unchanged():
+    # the tight lists start as heavy[v] itself, and a cardinality call passes
+    # adj as heavy: no call may write through either, so a second call on
+    # the same lists chooses the same edges
+    for family in ("arbitrary", "big"):
+        for n, seed in product((5, 8, 10, 12, 20, 50, 100, 200), range(1, 6)):
+            instance = gen_random(n, seed, family, 100 if n < 50 else 10**6)
+            g = build_union_graph(instance.rows, instance.den)
+            for args in ((g.endpoint, g.wt2, g.adj, g.heavy),
+                         (g.endpoint, [2] * len(g.wt2), g.adj, g.adj)):
+                before = deepcopy(args)
+                chosen = blossom.match_edges(*args)
+                assert args == before, (family, n, seed)
+                assert blossom.match_edges(*args) == chosen, (family, n, seed)
 
 
 def test_certificate_runs_on_every_call(monkeypatch):

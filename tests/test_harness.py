@@ -232,10 +232,14 @@ def test_run_suite_rejects_an_opt_below_the_bound_and_keeps_the_rest(tmp_path):
                                                             known_opt=1)))
     (tmp_path / "ok.inst").write_text(format_instance(inst((5, 5), (5, 5),
                                                            known_opt=2)))
+    # combined 10, L2 and the optimum 11: an opt at combined is still too low
+    l2_low = replace(gen_random(8, 5, "big", 100), known_opt=10)
+    (tmp_path / "l2low.inst").write_text(format_instance(l2_low))
     cfg = SuiteConfig(instances=[str(tmp_path / "*.inst")], algorithms=("GA_LO",))
     records, _, errors = run_suite(cfg)
     assert [(r.label, r.reference, r.ref_kind) for r in records] == [("ok", 2, "OPT")]
     assert [(e.label, e.algorithm, e.message) for e in errors] == [
+        ("l2low", "-", "reference failed: opt 10 is below the bound 11"),
         ("low", "-", "reference failed: opt 1 is below the bound 2")]
 
 
