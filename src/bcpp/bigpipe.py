@@ -72,9 +72,9 @@ class PathCover:
 
 def form_big_scan(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
     """One pass in id order; sums buffered small charts' bars until a sum
-    passes D/2, as ``is_big`` decides.  The buffer and the new chart are both
-    small, so each sum is at most D without an overflow test.  The buffer keeps
-    its least id's slot, so the formed charts come in ascending id, the
+    passes D/2 (2 * bar > D on either bar).  The buffer and the new chart are
+    both small, so each sum is at most D without an overflow test.  The buffer
+    keeps its least id's slot, so the formed charts come in ascending id, the
     leftover buffer the only small one.  A row not two bars wide raises
     ``ValueError``."""
     formed: list[ChartRow] = []

@@ -99,36 +99,11 @@ from bisect import bisect_right
 from itertools import chain, count
 
 
-def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-    """Indices, ascending, of the edges in a maximum-weight matching of ``edges``."""
-    return match_edges(*edge_lists(n, edges))
-
-
-def edge_lists(n: int, edges: list[tuple[int, int, int]]) -> tuple[list, ...]:
-    """``match_edges``'s lists from ``edges``, ``(i, j, weight)`` ints; a loop,
-    a repeated pair, an endpoint outside ``0..n-1`` or not an int, or a weight
-    not the int 1 or 2 raises ``ValueError``."""
-    endpoint, wt2, adj, heavy = [], [], [[] for _ in range(n)], [[] for _ in range(n)]
-    first: dict[tuple[int, int], int] = {}  # the first edge on each pair
-    for k, (i, j, w) in enumerate(edges):
-        if type(w) is not int or w not in (1, 2):
-            raise ValueError(f"edge {k}: weights must be 1 or 2, not {w!r}")
-        if type(i) is not int or type(j) is not int:
-            raise ValueError(f"edge {k}: endpoints must be ints, not ({i!r}, {j!r})")
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge {k}: ({i}, {j}) is a loop or leaves 0..{n - 1}")
-        if (k0 := first.setdefault((min(i, j), max(i, j)), k)) != k:
-            raise ValueError(f"edge {k}: ({i}, {j}) repeats edge {k0}'s pair")
-        endpoint += (i, j)
-        wt2.append(2 * w)
-        for lists in (adj, heavy) if w == 2 else (adj,):
-            lists[i].append(2 * k)
-            lists[j].append(2 * k + 1)
-    return endpoint, wt2, adj, heavy
-
-
 def match_edges(endpoint: list[int], wt2: list[int], adj: list, heavy: list) -> list[int]:
-    """``max_weight_edges`` on ``edge_lists``'s lists, unchecked and unchanged."""
+    """Indices, ascending, of the edges in a maximum-weight matching of the
+    graph the four lists describe, laid out as the module docstring says.  The
+    lists are neither checked nor changed; a failed certificate or a loop past
+    its bound raises ``ArithmeticError``."""
     n = len(adj)
     mate = [-1] * n  # the matched edge out of each vertex, -1 if single
     top = 4 if 4 in wt2 else 2 if wt2 else 0  # the largest doubled weight

@@ -9,8 +9,7 @@ position ``endpoint[2k]`` in the ascending ``vertices`` to ``endpoint[2k + 1]``
 at doubled weight ``wt2[k]``; ``adj[i]`` lists the oriented edges ``p`` out
 of i (to ``endpoint[p ^ 1]``), ``heavy[i]`` those of weight 2, in (i, j)
 order of positions i < j, so ties resolve the same way on every run.  A
-``UnionEdge`` is made only for a matched edge, or for the ``edges`` and
-``pairs`` views.
+``UnionEdge`` is made only for a matched edge, or for the ``edges`` view.
 
 Pair classification reads only the first two and the last two bars of each
 chart.  A t-union overlaps the last t bars of the left chart with the first
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .blossom import edge_lists, match_edges
+from .blossom import match_edges
 from .model import ChartRow, Instance, Solved, assemble_placement
 from .unions import merge_union
 
@@ -52,15 +51,6 @@ class WeightedGraph:
     adj: list[list[int]]
     heavy: list[list[int]]
 
-    @classmethod
-    def from_pairs(cls, vertices, pairs: list[tuple[int, int, int]]) -> WeightedGraph:
-        """From ``(left, right, weight)`` over positions, checked by the blossom."""
-        return cls(tuple(vertices), *edge_lists(len(vertices), pairs))
-
-    @property
-    def pairs(self) -> list[tuple[int, int, int]]:
-        return [(*self.endpoint[2 * k:2 * k + 2], w >> 1) for k, w in enumerate(self.wt2)]
-
     def edge(self, k: int) -> UnionEdge:
         a, b = (self.vertices[x] for x in self.endpoint[2 * k:2 * k + 2])
         return UnionEdge(min(a, b), max(a, b), self.wt2[k] >> 1, a, b)
@@ -74,10 +64,6 @@ class WeightedGraph:
 @dataclass(frozen=True)
 class Matching:
     edges: tuple[UnionEdge, ...]
-
-    @property
-    def total_weight(self) -> int:
-        return sum(e.weight for e in self.edges)
 
 
 def build_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
@@ -127,7 +113,7 @@ def max_weight_matching(g: WeightedGraph) -> Matching:
 
 
 def max_cardinality_matching(g: WeightedGraph) -> Matching:
-    """Exact maximum-cardinality matching; total_weight still sums edge weights.
+    """Exact maximum-cardinality matching; its edges keep their union weights.
     No solver calls it: the tests check A2's greedy by it, perfbench traces it."""
     ones = [2] * len(g.wt2)  # every weight 1, doubled, so every edge is heavy
     return Matching(tuple(map(g.edge, match_edges(g.endpoint, ones, g.adj, g.adj))))

@@ -85,11 +85,6 @@ class BarChart:
     def width(self) -> int:
         return len(self.bars)
 
-    @property
-    def is_big(self) -> bool:
-        """True when some bar is strictly higher than 1/2."""
-        return 2 * max(self.bars) > self.den
-
 
 @dataclass(frozen=True)
 class Instance:

@@ -16,6 +16,7 @@ from bcpp import (ArcDigraph, BarChart, Instance, Matching, PathCover, Placement
                   Solved, UnionEdge, WeightedGraph, bigpipe, build_union_graph,
                   evaluate_packing, lex_order, max_cardinality_matching,
                   max_weight_matching)
+from bcpp.blossom import match_edges
 from bcpp.model import ChartRow
 
 
@@ -28,14 +29,61 @@ def inst(*bars: tuple[int, int], den: int = 10, **kwargs) -> Instance:
     return Instance(charts=charts, den=den, **kwargs)
 
 
+def is_big(chart: BarChart) -> bool:
+    """True when some bar is strictly higher than 1/2."""
+    return 2 * max(chart.bars) > chart.den
+
+
+def edge_lists(n: int, edges: list[tuple[int, int, int]]) -> tuple[list, ...]:
+    """``blossom.match_edges``'s lists from ``edges``, ``(i, j, weight)`` ints;
+    a loop, a repeated pair, an endpoint outside ``0..n-1`` or not an int, or a
+    weight not the int 1 or 2 raises ``ValueError``."""
+    endpoint, wt2, adj, heavy = [], [], [[] for _ in range(n)], [[] for _ in range(n)]
+    first: dict[tuple[int, int], int] = {}  # the first edge on each pair
+    for k, (i, j, w) in enumerate(edges):
+        if type(w) is not int or w not in (1, 2):
+            raise ValueError(f"edge {k}: weights must be 1 or 2, not {w!r}")
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"edge {k}: endpoints must be ints, not ({i!r}, {j!r})")
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge {k}: ({i}, {j}) is a loop or leaves 0..{n - 1}")
+        if (k0 := first.setdefault((min(i, j), max(i, j)), k)) != k:
+            raise ValueError(f"edge {k}: ({i}, {j}) repeats edge {k0}'s pair")
+        endpoint += (i, j)
+        wt2.append(2 * w)
+        for lists in (adj, heavy) if w == 2 else (adj,):
+            lists[i].append(2 * k)
+            lists[j].append(2 * k + 1)
+    return endpoint, wt2, adj, heavy
+
+
+def max_weight_edges(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+    """Indices, ascending, of the edges in a maximum-weight matching of ``edges``."""
+    return match_edges(*edge_lists(n, edges))
+
+
+def graph_from_pairs(vertices, pairs: list[tuple[int, int, int]]) -> WeightedGraph:
+    """From ``(left, right, weight)`` over positions, checked by ``edge_lists``."""
+    return WeightedGraph(tuple(vertices), *edge_lists(len(vertices), pairs))
+
+
+def graph_pairs(g: WeightedGraph) -> list[tuple[int, int, int]]:
+    """``g``'s edges as ``(left, right, weight)`` over positions, in order."""
+    return [(*g.endpoint[2 * k:2 * k + 2], w >> 1) for k, w in enumerate(g.wt2)]
+
+
+def total_weight(matching: Matching) -> int:
+    return sum(e.weight for e in matching.edges)
+
+
 def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
                 ) -> WeightedGraph:
     """A graph from hand-made edges: sorted, with ids mapped to positions,
     each pair listing its ``left`` chart first."""
     verts = tuple(sorted(vertices))
     index = {x: i for i, x in enumerate(verts)}
-    return WeightedGraph.from_pairs(verts, [(index[e.left], index[e.right], e.weight)
-                                            for e in sorted(edges)])
+    return graph_from_pairs(verts, [(index[e.left], index[e.right], e.weight)
+                                    for e in sorted(edges)])
 
 
 def two_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
@@ -43,7 +91,7 @@ def two_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
     matchings A2's greedy finds: ``build_union_graph``'s weight-2 pairs,
     kept in order, so every edge is heavy."""
     g = build_union_graph(rows, den)
-    return WeightedGraph.from_pairs(g.vertices, [p for p in g.pairs if p[2] == 2])
+    return graph_from_pairs(g.vertices, [p for p in graph_pairs(g) if p[2] == 2])
 
 
 def reference_bipartite_matching(lefts: list[int],

@@ -11,8 +11,8 @@ from bcpp import bigpipe, matching, unions
 from bcpp.bigpipe import dump_digraph
 from bcpp.harness import SOLVERS
 from helpers import (as_rows, brute_force_matching, brute_force_path_cover_arcs,
-                     check_path_cover, inst, mk, random_charts, row_charts,
-                     union_feasible)
+                     check_path_cover, inst, is_big, mk, random_charts,
+                     row_charts, union_feasible)
 
 
 def test_scan_merges_smalls_into_big():
@@ -21,14 +21,14 @@ def test_scan_merges_smalls_into_big():
     res = row_charts(form_big_scan(instance.rows, instance.den), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((7, 5), [1, 3]), ((6, 7), [2])]
-    assert all(c.is_big for c in res)
+    assert all(is_big(c) for c in res)
 
 
 def test_scan_keeps_all_big_input():
     instance = inst((9, 9), (8, 8))
     res = form_big_scan(instance.rows, instance.den)
     assert res == instance.rows
-    assert all(c.is_big for c in row_charts(res, 10))
+    assert all(is_big(c) for c in row_charts(res, 10))
 
 
 def test_scan_keeps_growing_buffer_until_big():
@@ -36,7 +36,7 @@ def test_scan_keeps_growing_buffer_until_big():
     res = row_charts(form_big_scan(instance.rows, instance.den), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((6, 6), [1, 2, 3])]
-    assert all(c.is_big for c in res)
+    assert all(is_big(c) for c in res)
 
 
 def test_scan_leftover_small():
@@ -44,7 +44,7 @@ def test_scan_leftover_small():
     instance = inst((2, 2), (6, 6))
     res = row_charts(form_big_scan(instance.rows, instance.den), 10)
     assert [c.bars for c in res[1:]] == [(6, 6)]
-    assert not res[0].is_big and res[0].bars == (2, 2)
+    assert not is_big(res[0]) and res[0].bars == (2, 2)
 
 
 def test_scan_refuses_a_chart_not_two_bars_wide():
@@ -66,7 +66,7 @@ def test_scan_emits_at_most_one_small():
     for trial in range(80):
         instance = gen_random(rng.randint(1, 12), trial, "arbitrary", 20)
         res = row_charts(form_big_scan(instance.rows, instance.den), 20)
-        assert sum(not c.is_big for c in res) <= 1
+        assert sum(not is_big(c) for c in res) <= 1
         total = sum(len(c.origins) for c in res)
         assert total == instance.n
 

@@ -22,7 +22,8 @@ import bcpp
 from bcpp import (UnionEdge, WeightedGraph, build_union_graph,
                   gen_random, max_cardinality_matching, max_weight_matching)
 from bcpp import blossom
-from helpers import reference_certify, two_union_graph, union_graph
+from helpers import (edge_lists, graph_pairs, max_weight_edges, reference_certify,
+                     total_weight, two_union_graph, union_graph)
 
 
 def nx_pairs(g: WeightedGraph, cardinality: bool) -> set[frozenset[int]]:
@@ -112,7 +113,7 @@ def test_mates_equal_networkx_where_a_stage_is_rerun(n, edges):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(n))
     nxg.add_weighted_edges_from(edges)
-    ours = {frozenset(edges[k][:2]) for k in blossom.max_weight_edges(n, edges)}
+    ours = {frozenset(edges[k][:2]) for k in max_weight_edges(n, edges)}
     assert ours == {frozenset(p) for p in nx.max_weight_matching(nxg)}
 
 
@@ -135,7 +136,7 @@ def test_mates_pinned_at_scale(family, n, cardinality, build, digest):
     index = {x: i for i, x in enumerate(sorted(g.vertices))}
     edges = [(index[e.u], index[e.v], 1 if cardinality else e.weight)
              for e in sorted(g.edges)]
-    chosen = blossom.max_weight_edges(len(index), edges)
+    chosen = max_weight_edges(len(index), edges)
     assert hashlib.sha256(repr(chosen).encode()).hexdigest() == digest
 
 
@@ -147,25 +148,25 @@ def assert_endpoint_order_is_free(n, edges, rng):
 
     for weights in (None, 1):  # as given, then cardinality
         given = [(i, j, weights or w) for i, j, w in edges]
-        chosen = blossom.max_weight_edges(n, given)
+        chosen = max_weight_edges(n, given)
         for flips in ([i > j for i, j, _ in given], [True] * len(given),
                       [rng.random() < 0.5 for _ in given]):
             oriented = [swap(*e, flip) for e, flip in zip(given, flips)]
-            assert blossom.max_weight_edges(n, oriented) == chosen
+            assert max_weight_edges(n, oriented) == chosen
 
 
 @pytest.mark.parametrize("family, n", [("arbitrary", 400), ("big", 500)])
 def test_chosen_edges_ignore_endpoint_order_at_scale(family, n):
     instance = gen_random(n, 1, family, 10**6)
     g = build_union_graph(instance.rows, instance.den)
-    assert_endpoint_order_is_free(len(g.vertices), g.pairs, random.Random(n))
+    assert_endpoint_order_is_free(len(g.vertices), graph_pairs(g), random.Random(n))
 
 
 def test_chosen_edges_ignore_endpoint_order_on_random_graphs():
     rng = random.Random(63)
     for _ in range(300):
         g = random_graph(rng, rng.randint(0, 16))
-        assert_endpoint_order_is_free(len(g.vertices), g.pairs, rng)
+        assert_endpoint_order_is_free(len(g.vertices), graph_pairs(g), rng)
 
 
 def test_mates_equal_networkx_on_union_graphs():
@@ -194,8 +195,8 @@ def test_edgeless_vertices_leave_the_chosen_edges_alone():
         for weights in (None, 1):
             given = [(i, j, weights or w) for i, j, w in edges]
             widened = [(i, j, weights or w) for i, j, w in wider]
-            assert (blossom.max_weight_edges(n + 6, widened)
-                    == blossom.max_weight_edges(n, given)), (n, edges, spread)
+            assert (max_weight_edges(n + 6, widened)
+                    == max_weight_edges(n, given)), (n, edges, spread)
 
 
 @pytest.mark.parametrize("g", [
@@ -207,7 +208,7 @@ def test_edgeless_vertices_leave_the_chosen_edges_alone():
 def test_degenerate_graphs(g):
     for cardinality in (False, True):
         assert our_pairs(g, cardinality) == nx_pairs(g, cardinality)
-    assert max_weight_matching(g).total_weight == sum(e.weight for e in g.edges)
+    assert total_weight(max_weight_matching(g)) == sum(e.weight for e in g.edges)
 
 
 def test_inputs_are_left_unchanged():
@@ -243,7 +244,7 @@ def test_certificate_rejects_a_wrong_matching(monkeypatch):
     # path 0-1-2 with weights 1, 2: the heavy edge alone is optimal; hand
     # the certificate the light outer edge instead
     edges = [(0, 1, 1), (1, 2, 2)]
-    assert blossom.max_weight_edges(3, edges) == [1]
+    assert max_weight_edges(3, edges) == [1]
     certify = blossom._certify
 
     def swap_mates(endpoint, wt2, mate, *rest):
@@ -252,7 +253,7 @@ def test_certificate_rejects_a_wrong_matching(monkeypatch):
 
     monkeypatch.setattr(blossom, "_certify", swap_mates)
     with pytest.raises(ArithmeticError, match="not optimal"):
-        blossom.max_weight_edges(3, edges)
+        max_weight_edges(3, edges)
 
 
 # hand-built certificate states, one per condition: (endpoint, wt2, mate,
@@ -346,7 +347,7 @@ def test_certificate_rejects_what_the_reference_rejects(monkeypatch):
 @pytest.mark.parametrize("weight", [0, 3, -1])
 def test_weights_other_than_one_and_two_are_rejected(weight):
     with pytest.raises(ValueError, match="weights must be 1 or 2"):
-        blossom.max_weight_edges(3, [(0, 1, 1), (1, 2, weight)])
+        max_weight_edges(3, [(0, 1, 1), (1, 2, weight)])
 
 
 @pytest.mark.parametrize("edges", [
@@ -354,7 +355,7 @@ def test_weights_other_than_one_and_two_are_rejected(weight):
 ], ids=["negative-endpoint", "endpoint-past-n", "loop"])
 def test_loops_and_endpoints_out_of_range_are_rejected(edges):
     with pytest.raises(ValueError, match=r"^edge 1: .* is a loop or leaves 0\.\.2$"):
-        blossom.max_weight_edges(3, edges)
+        max_weight_edges(3, edges)
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -368,7 +369,7 @@ def test_loops_and_endpoints_out_of_range_are_rejected(edges):
         "float-weight", "bool-weight"])
 def test_repeated_pairs_and_values_not_ints_are_rejected(edges, message):
     with pytest.raises(ValueError, match=message):
-        blossom.edge_lists(3, edges)
+        edge_lists(3, edges)
 
 
 @functools.cache

@@ -669,3 +669,35 @@ def test_bcpp_public_names_are_pinned():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, check=True, timeout=120)
     assert sorted(proc.stdout.split()) == PUBLIC_NAMES
+
+
+# each public class and its public members: fields, properties and methods,
+# less what it inherits from a builtin (a NamedTuple's count and index)
+PUBLIC_MEMBERS = """
+ArcDigraph arcs order reach vertices
+BarChart bars den id width
+Bounds area_lb big_lb combined
+BppInstance capacity sizes
+BppSolution bins
+Evaluation feasible length occupancy
+FormatError
+Instance charts den family known_opt label n rows
+Matching edges
+PathCover arc_count cycles_broken paths
+RunRecord abs_error algorithm elapsed_ms family label length n placement r_value ref_kind reference rounds
+Solved length lower_bound node_count placement probes rounds rows status unions
+SuiteConfig algorithms exact_nodes generate instances output reference summary timing
+SummaryRow algorithm count err_av err_max err_min family n r_mean r_sd
+UnionEdge left right u v weight
+WeightedGraph adj edge edges endpoint heavy vertices wt2
+"""
+
+
+def test_bcpp_public_class_members_are_pinned():
+    table = {name: members for name, *members in map(str.split, PUBLIC_MEMBERS.strip().split("\n"))}
+    assert sorted(table) == [n for n in PUBLIC_NAMES if type(getattr(bcpp, n)) is type]
+    for name, members in table.items():
+        cls = getattr(bcpp, name)
+        builtin = set().union(*(dir(b) for b in cls.__mro__[1:] if b.__module__ == "builtins"))
+        found = {*dir(cls), *getattr(cls, "__dataclass_fields__", ())} - builtin
+        assert sorted(m for m in found if not m.startswith("_")) == members, name

@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from bcpp import (BarChart, UnionEdge, WeightedGraph, assemble_placement,
-                  build_union_graph, dump_graph, evaluate_packing,
-                  format_placement, ga_lo, gen_random, max_cardinality_matching,
-                  max_weight_matching, oracle_opt, solve_mw)
-from bcpp import blossom
+from bcpp import (BarChart, UnionEdge, assemble_placement, build_union_graph,
+                  dump_graph, evaluate_packing, format_placement, ga_lo, gen_random,
+                  max_cardinality_matching, max_weight_matching, oracle_opt, solve_mw)
 from bcpp.matching import merge_matched
-from helpers import (as_rows, brute_force_matching, inst, merge_along,
-                     merge_charts, pair_weight, random_charts, two_union_graph,
+from helpers import (as_rows, brute_force_matching, edge_lists, graph_from_pairs,
+                     graph_pairs, inst, max_weight_edges, merge_along, merge_charts,
+                     pair_weight, random_charts, total_weight, two_union_graph,
                      union_graph)
 
 
@@ -25,14 +24,14 @@ def graph(n_vertices, edges):
 def test_triangle_takes_the_heavy_edge():
     g = graph(3, [edge(1, 2, 2), edge(2, 3, 1), edge(3, 1, 1)])
     m = max_weight_matching(g)
-    assert m.total_weight == 2
+    assert total_weight(m) == 2
     assert [(e.u, e.v) for e in m.edges] == [(1, 2)]
 
 
 def test_path_takes_both_end_edges():
     g = graph(4, [edge(1, 2, 2), edge(2, 3, 1), edge(3, 4, 2)])
     m = max_weight_matching(g)
-    assert m.total_weight == 4
+    assert total_weight(m) == 4
     assert [(e.u, e.v) for e in m.edges] == [(1, 2), (3, 4)]
 
 
@@ -62,7 +61,7 @@ def test_matchings_equal_brute_force_on_random_graphs():
         g = _random_graph(rng)
         plain = [(e.u, e.v, e.weight) for e in g.edges]
         best_weight, best_card = brute_force_matching(plain)
-        assert max_weight_matching(g).total_weight == best_weight
+        assert total_weight(max_weight_matching(g)) == best_weight
         assert len(max_cardinality_matching(g).edges) == best_card
 
 
@@ -180,12 +179,12 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
             reference = [(index[e.left], index[e.right], e.weight) for e in expected]
             g = build(instance.rows, instance.den)
             assert g.edges == tuple(expected)
-            assert g.pairs == reference
-            assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, reference)
+            assert graph_pairs(g) == reference
+            assert (g.endpoint, g.wt2, g.adj, g.heavy) == edge_lists(n, reference)
             for solve, cardinality in ((max_weight_matching, False),
                                        (max_cardinality_matching, True)):
                 given = [(i, j, 1 if cardinality else w) for i, j, w in reference]
-                chosen = blossom.max_weight_edges(n, given)
+                chosen = max_weight_edges(n, given)
                 assert solve(g).edges == tuple(expected[k] for k in chosen)
 
 
@@ -197,7 +196,7 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
 ], ids=["loop", "endpoint-past-n", "negative-endpoint", "weight-3"])
 def test_a_bad_hand_made_graph_is_rejected_when_built(pairs, message):
     with pytest.raises(ValueError, match=message):
-        WeightedGraph.from_pairs((4, 7, 9), pairs)
+        graph_from_pairs((4, 7, 9), pairs)
 
 
 def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():
@@ -320,7 +319,7 @@ def test_cell_saving_accounting():
         n = rng.randint(2, 9)
         instance = gen_random(n, 900 + trial, "arbitrary", 20)
         res = solve_mw(instance)
-        saved = sum(m.total_weight for m in res.unions)
+        saved = sum(total_weight(m) for m in res.unions)
         assert res.length == 2 * n - saved
         assert len(res.unions) == res.rounds - 1
         ev = evaluate_packing(instance, res.placement)

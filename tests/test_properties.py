@@ -15,19 +15,20 @@ from functools import reduce
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcpp import (SOLVERS, BarChart, WeightedGraph, build_arc_digraph,
-                  build_union_graph, compact, evaluate_packing,
-                  form_big_matchings, form_big_scan, ga_lo, gen_random,
-                  lower_bounds, max_cardinality_matching, max_weight_matching,
-                  oracle_opt, solve_big_pipeline, solve_exact, solve_mw)
-from bcpp import blossom
+from bcpp import (SOLVERS, BarChart, build_arc_digraph, build_union_graph,
+                  compact, evaluate_packing, form_big_matchings, form_big_scan,
+                  ga_lo, gen_random, lower_bounds, max_cardinality_matching,
+                  max_weight_matching, oracle_opt, solve_big_pipeline,
+                  solve_exact, solve_mw)
 from bcpp.bigpipe import _chain_matching, _dominance_matching
 from bcpp.matching import merge_matched
 from bcpp.model import l2_bound
-from helpers import (as_rows, brute_force_matching, inst, literal_l2, merge_along,
-                     merge_charts, naive_ga_lo, pair_weight, reference_big_pipeline,
-                     reference_bipartite_matching, reference_greedy_formation,
-                     reference_mw, row_charts, two_union_graph, union_feasible)
+from helpers import (as_rows, brute_force_matching, edge_lists, graph_from_pairs,
+                     graph_pairs, inst, is_big, literal_l2, max_weight_edges,
+                     merge_along, merge_charts, naive_ga_lo, pair_weight,
+                     reference_big_pipeline, reference_bipartite_matching,
+                     reference_greedy_formation, reference_mw, row_charts,
+                     total_weight, two_union_graph, union_feasible)
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -94,7 +95,7 @@ def test_l2_bound_is_the_literal_bound_and_holds_below_every_length(instance):
 @SWEEP
 @given(instances(big=True))
 def test_mw_is_within_three_halves_on_big_charts(instance):
-    assert all(ch.is_big for ch in instance.charts)
+    assert all(is_big(ch) for ch in instance.charts)
     assert 2 * SOLVERS["Mw"](instance).length <= 3 * oracle_opt(instance)
 
 
@@ -235,7 +236,7 @@ def test_formed_tuples_are_their_origins_merged(instance, form):
         small = [f for f in formed if 2 * max(f[1], f[2]) <= instance.den]
         assert len(small) <= 1
         for cid, *_, origins in small:
-            later = {c.id for c in instance.charts if c.id > cid and not c.is_big}
+            later = {c.id for c in instance.charts if c.id > cid and not is_big(c)}
             assert later <= {oid for oid, _ in origins}
 
 
@@ -258,11 +259,11 @@ def test_m1w_length_is_the_width_less_the_matching_weight(instance, rnd):
     # one round merges each matched pair, saving its weight in cells, so the
     # length is fixed by the weight, whatever order the edges are listed in
     g = build_union_graph(instance.rows, instance.den)
-    shuffled = WeightedGraph.from_pairs(g.vertices, rnd.sample(g.pairs, len(g.pairs)))
+    shuffled = graph_from_pairs(g.vertices, rnd.sample(graph_pairs(g), len(g.wt2)))
     width = sum(ch.width for ch in instance.charts)
     length = SOLVERS["M1w"](instance).length
-    assert length == width - max_weight_matching(g).total_weight
-    assert length == width - max_weight_matching(shuffled).total_weight
+    assert length == width - total_weight(max_weight_matching(g))
+    assert length == width - total_weight(max_weight_matching(shuffled))
 
 
 @SWEEP
@@ -294,10 +295,10 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     assert len({c for pair in pairs for c in pair}) == 2 * len(pairs)
     assert all(u < v and union_feasible(by_id[u], by_id[v], 2) for u, v in pairs)
     formed = form_big_matchings(*rows)
-    if all(c.is_big for c in charts):
+    if all(is_big(c) for c in charts):
         assert _dominance_matching(*rows, big=True) == pairs
         assert len(formed) == len(charts) - len(pairs)
-    assert two_union_graph(formed, instance.den).pairs == []
+    assert graph_pairs(two_union_graph(formed, instance.den)) == []
 
 
 @SWEEP
@@ -307,13 +308,13 @@ def test_the_scan_writes_what_the_blossom_builds_from_the_pairs(instance):
     # validating builder makes from the edge list, so the matchers choose
     # what max_weight_edges chooses, and matching reads the graph only
     g = build_union_graph(instance.rows, instance.den)
-    n, pairs = len(g.vertices), g.pairs
-    assert (g.endpoint, g.wt2, g.adj, g.heavy) == blossom.edge_lists(n, pairs)
+    n, pairs = len(g.vertices), graph_pairs(g)
+    assert (g.endpoint, g.wt2, g.adj, g.heavy) == edge_lists(n, pairs)
     before = deepcopy(g)
     for solve, cardinality in ((max_weight_matching, False),
                                (max_cardinality_matching, True)):
         listed = [(i, j, 1 if cardinality else w) for i, j, w in pairs]
-        chosen = blossom.max_weight_edges(n, listed)
+        chosen = max_weight_edges(n, listed)
         assert solve(g).edges == tuple(map(g.edge, chosen))
         assert solve(g) == solve(g)
     assert g == before
@@ -325,7 +326,7 @@ def test_matchings_on_union_graphs_equal_brute_force(instance):
     g = build_union_graph(instance.rows, instance.den)
     best_weight, best_card = brute_force_matching(
         [(e.u, e.v, e.weight) for e in g.edges])
-    assert max_weight_matching(g).total_weight == best_weight
+    assert total_weight(max_weight_matching(g)) == best_weight
     assert len(max_cardinality_matching(g).edges) == best_card
 
 
