@@ -41,20 +41,20 @@ def export_lp(instance: Instance, horizon: int | None = None) -> str:
     first_cells = range(1, horizon)  # legal first-bar cells
     out = ["Minimize", " obj: " + " + ".join(f"y_{j}" for j in cells),
            "Subject To"]
-    for ch in instance.charts:
-        terms = " + ".join(f"x_{ch.id}_{j}" for j in first_cells)
-        out.append(f" assign_{ch.id}: {terms} = 1")
+    for cid in range(1, instance.n + 1):
+        terms = " + ".join(f"x_{cid}_{j}" for j in first_cells)
+        out.append(f" assign_{cid}: {terms} = 1")
     for j in cells:
         terms = []
         if j in first_cells:
-            terms += [f"{ch.bars[0]} x_{ch.id}_{j}" for ch in instance.charts]
+            terms += [f"{h} x_{cid}_{j}" for cid, h in enumerate(instance.a, 1)]
         if j - 1 in first_cells:
-            terms += [f"{ch.bars[1]} x_{ch.id}_{j - 1}" for ch in instance.charts]
+            terms += [f"{h} x_{cid}_{j - 1}" for cid, h in enumerate(instance.b, 1)]
         out.append(f" cap_{j}: " + " + ".join(terms)
                    + f" - {instance.den} y_{j} <= 0")
     out.append("Binary")
-    for ch in instance.charts:
-        out.extend(f" x_{ch.id}_{j}" for j in first_cells)
+    for cid in range(1, instance.n + 1):
+        out.extend(f" x_{cid}_{j}" for j in first_cells)
     out.extend(f" y_{j}" for j in cells)
     out.append("End")
     return "\n".join(out) + "\n"
@@ -93,24 +93,24 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
         return Solved(placement=best_placement, length=best_len,
                       lower_bound=best_len, node_count=0)
 
-    order = [instance.charts[cid - 1] for cid in lex_order(instance)]
-    n = len(order)
-    ids = [c.id for c in order]
+    ids = lex_order(instance)
+    n = len(ids)
     # each chart's bars, and the most a cell may hold before each goes in
-    rows = [(a, b, den - a, den - b) for a, b in (c.bars for c in order)]
+    rows = [(a, b, den - a, den - b)
+            for a, b in ((instance.a[cid - 1], instance.b[cid - 1]) for cid in ids)]
     # identical charts take non-decreasing positions
-    same = [k > 0 and order[k - 1].bars == order[k].bars for k in range(n)]
+    same = [k > 0 and rows[k - 1] == rows[k] for k in range(n)]
     half = (den - 1) // 2  # a cell holding at most this is under half full
-    big_suffix = [0] * (n + 1)  # bars above 1/2 among charts order[k:]
+    big_suffix = [0] * (n + 1)  # bars above 1/2 among charts ids[k:]
     for k in range(n - 1, -1, -1):
-        big_suffix[k] = big_suffix[k + 1] + sum(2 * h > den for h in order[k].bars)
+        big_suffix[k] = big_suffix[k + 1] + sum(2 * h > den for h in rows[k][:2])
     # occupied + ceil((area - occupied*den) / den) is max(occupied, area_lb),
     # and area_lb <= root, which never moves: so root is tested once per incumbent
     cut_at = best_len  # best_len > root here; 0 cuts every node
 
     occ = [0] * (2 * n + 2)
     cell = [1] * n  # the cell chart k sits in, or the one it tries next
-    # with charts order[:k] placed: cells in use, and those under half full;
+    # with charts ids[:k] placed: cells in use, and those under half full;
     # set on each place from depth k's, so unplacing only restores occ
     occupied = [0] * (n + 1)
     big_slots = [0] * (n + 1)
@@ -178,9 +178,7 @@ def oracle_opt(instance: Instance) -> int:
     n = instance.n
     if n > 10:
         raise ValueError(f"oracle refuses n={n} > 10 charts")
-    den = instance.den
-    a = [ch.bars[0] for ch in instance.charts]
-    b = [ch.bars[1] for ch in instance.charts]
+    den, a, b = instance.den, instance.a, instance.b
 
     size = 1 << n
     a_sum = [0] * size

@@ -21,8 +21,8 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 
-from .model import (BarChart, FormatError, Instance, Placement, evaluate_packing,
-                    lower_bounds, read_int)
+from .model import (FormatError, Instance, Placement, evaluate_packing, lower_bounds,
+                    read_int)
 
 FAMILIES = ("arbitrary", "big", "big_nonincreasing")
 
@@ -40,20 +40,22 @@ def gen_random(n: int, seed: int, family: str, den: int = 10 ** 6) -> Instance:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     rng = _rng(f"{family}:{n}:{den}:{seed}")
-    charts = []
-    for cid in range(1, n + 1):
+    a, b = [], []
+    for _ in range(n):
         if family == "arbitrary":
-            bars = (rng.randint(1, den), rng.randint(1, den))
+            x, y = rng.randint(1, den), rng.randint(1, den)
         else:
             big_first = rng.randint(0, 1) == 0
             big = rng.randint(den // 2 + 1, den)
             other = rng.randint(1, den)
-            bars = (big, other) if big_first else (other, big)
-            if family == "big_nonincreasing" and bars[0] < bars[1]:
-                bars = (bars[1], bars[0])
-        charts.append(BarChart(id=cid, bars=bars, den=den))
-    label = f"{family}-n{n}-d{den}-s{seed}"
-    return Instance(charts=tuple(charts), den=den, label=label, family=family)
+            x, y = (big, other) if big_first else (other, big)
+            if family == "big_nonincreasing" and x < y:
+                x, y = y, x
+        a.append(x)
+        b.append(y)
+    a = tuple(a)  # frees the list before the next tuple: 8 MB less at n=10**6
+    return Instance(a=a, b=tuple(b), den=den, label=f"{family}-n{n}-d{den}-s{seed}",
+                    family=family)
 
 
 # --- bin packing side --------------------------------------------------------
@@ -148,29 +150,27 @@ def format_bpp_solution(sol: BppSolution) -> str:
 
 
 def _chain(bpp: BppInstance, sol: BppSolution,
-           ) -> tuple[tuple[BarChart, ...], Placement]:
-    """Charts of the chained construction with its own packing: bins ranked
-    by non-decreasing item count, and the chart pairing bins i and i+1
-    starts in cell i, giving length at most the bin count."""
+           ) -> tuple[tuple[int, ...], tuple[int, ...], Placement]:
+    """Bars ``a`` and ``b`` of the chained construction with its own packing:
+    bins ranked by non-decreasing item count, and the chart pairing bins i
+    and i+1 starts in cell i, giving length at most the bin count."""
     if len(sol.bins) < 2:
         raise ValueError("need at least two bins to pair items")
     ranked = sorted(range(len(sol.bins)),
                     key=lambda k: (len(sol.bins[k]), k))
     bins = [sorted(sol.bins[k]) for k in ranked]  # pair ascending item indices
-    charts: list[BarChart] = []
+    a, b = [], []
     witness: Placement = {}
     used_right = 0  # items of the current bin consumed as right bars
     for rank in range(len(bins) - 1):
         left_items = bins[rank][used_right:]
         right_items = bins[rank + 1][:len(left_items)]
         assert len(right_items) == len(left_items), "bins not rank-sorted"
-        for li, ri in zip(left_items, right_items):
-            cid = len(charts) + 1
-            charts.append(BarChart(id=cid, bars=(bpp.sizes[li], bpp.sizes[ri]),
-                                   den=bpp.capacity))
-            witness[cid] = rank + 1
+        a += [bpp.sizes[i] for i in left_items]
+        b += [bpp.sizes[i] for i in right_items]
+        witness.update((cid, rank + 1) for cid in range(len(witness) + 1, len(a) + 1))
         used_right = len(left_items)
-    return tuple(charts), witness
+    return tuple(a), tuple(b), witness
 
 
 def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instance:
@@ -179,9 +179,9 @@ def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instan
     length becomes ``known_opt`` only when it meets the combined lower
     bound, which proves it optimal; an overfull cell raises ``ValueError``.
     """
-    charts, witness = _chain(bpp, sol)
-    instance = Instance(charts=charts, den=bpp.capacity,
-                        label=label or f"bpp-c{bpp.capacity}-n{len(charts)}",
+    a, b, witness = _chain(bpp, sol)
+    instance = Instance(a=a, b=b, den=bpp.capacity,
+                        label=label or f"bpp-c{bpp.capacity}-n{len(a)}",
                         family="bpp")
     check = evaluate_packing(instance, witness)
     if not check.feasible:
@@ -194,7 +194,7 @@ def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instan
 def bpp_witness_placement(bpp: BppInstance, sol: BppSolution) -> Placement:
     """The chained construction's own packing, which ``transform_bpp``
     audits."""
-    return _chain(bpp, sol)[1]
+    return _chain(bpp, sol)[2]
 
 
 def gen_bpp_fullbins(num_bins: int, capacity: int, seed: int, max_parts: int = 4,

@@ -23,7 +23,6 @@ it tests only unplaced charts.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
 
 from .model import Instance, Placement, Solved, find
 
@@ -31,15 +30,15 @@ from .model import Instance, Placement, Solved, find
 def lex_order(instance: Instance) -> tuple[int, ...]:
     """Chart ids sorted by non-increasing (a, b), ties by ascending id: the
     ids are 1..n in slot order, and a reverse sort keeps ties in input order."""
-    return tuple(ch.id for ch in sorted(
-        instance.charts, key=attrgetter("bars"), reverse=True))
+    bars = list(zip(instance.a, instance.b)).__getitem__  # chart k + 1's (a, b)
+    return tuple(k + 1 for k in sorted(range(instance.n), key=bars, reverse=True))
 
 
 def ga_lo(instance: Instance) -> Solved:
-    den, n, charts = instance.den, instance.n, instance.charts
+    den, n, a, b = instance.den, instance.n, instance.a, instance.b
     order = lex_order(instance)
-    neg_firsts = [-charts[cid - 1].bars[0] for cid in order]  # non-decreasing
-    seconds = [charts[cid - 1].bars[1] for cid in order]
+    neg_firsts = [-a[cid - 1] for cid in order]  # non-decreasing
+    seconds = [b[cid - 1] for cid in order]
     # nxt leads from any position to the first unplaced one at or after it;
     # a placed position links to the next, and n stands for "none left"
     nxt = list(range(n + 1))

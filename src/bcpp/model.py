@@ -11,11 +11,11 @@ Chart ids are 1-based.  A placement maps each chart id to the cell of its
 first bar; the packing length counts occupied cells only, so placements may
 contain gaps.
 
-A ``BarChart`` is what parsing and generation make.  The heuristics merge
-and lay out flat ``ChartRow`` tuples instead: a t-union (t <= 2) reads no
-bar but a chart's first two and last two, so a row keeps those, its width
-and the original charts it holds.  ``Instance.rows`` makes an instance's
-rows on the first read and keeps them, for every heuristic to start from.
+An ``Instance`` is two bar tuples, ``a`` and ``b``, as in the paper's model;
+no solver builds a ``BarChart``.  The heuristics merge and lay out flat
+``ChartRow`` tuples: a t-union (t <= 2) reads no bar but a chart's first two
+and last two, so a row keeps those, its width and the original charts it
+holds.  ``Instance.rows`` makes them once, for every heuristic to start from.
 """
 
 from __future__ import annotations
@@ -88,37 +88,44 @@ class BarChart:
 
 @dataclass(frozen=True)
 class Instance:
-    """An ordered set of two-bar charts with ids 1..n and a shared denominator."""
+    """Two-bar charts 1..n: chart i's bars are ``a[i - 1]/den`` and ``b[i - 1]/den``."""
 
-    charts: tuple[BarChart, ...]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
     den: int
     label: str = ""
     family: str = ""
     known_opt: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.charts) < 1:
+        if len(self.a) < 1:
             raise ValueError("instance needs at least one chart")
-        if self.den < 2:
-            raise ValueError(f"denominator {self.den} must be at least 2")
-        for k, ch in enumerate(self.charts, start=1):
-            if ch.id != k:
-                raise ValueError(f"chart ids must be 1..n, got {ch.id} at slot {k}")
-            if ch.width != 2:
-                raise ValueError(f"chart {ch.id}: raw instances hold 2-bar charts only")
-            if ch.den != self.den:
-                raise ValueError(f"chart {ch.id}: denominator {ch.den} != {self.den}")
+        if len(self.a) != len(self.b):
+            raise ValueError(f"{len(self.a)} first bars but {len(self.b)} second bars")
+        if (den := self.den) < 2:
+            raise ValueError(f"denominator {den} must be at least 2")
+        for cid, (x, y) in enumerate(zip(self.a, self.b), start=1):
+            if not (0 < x <= den and 0 < y <= den):
+                raise ValueError(f"chart {cid}: bar height {y if 0 < x <= den else x}"
+                                 f"/{den} outside (0, 1]")
 
     @property
     def n(self) -> int:
-        return len(self.charts)
+        return len(self.a)
+
+    @property
+    def charts(self) -> tuple[BarChart, ...]:
+        """The charts as ``BarChart``s, built anew on each read; only the benchmark's
+        input writer and the tests read them (ROADMAP.md item 5 can drop it)."""
+        return tuple(BarChart(id=cid, bars=bars, den=self.den)
+                     for cid, bars in enumerate(zip(self.a, self.b), start=1))
 
     @cached_property
     def rows(self) -> tuple[ChartRow, ...]:
         """The charts as rows in id order, each its own origin at offset 0;
         not a field, so made on the first read, kept, and never compared."""
-        return tuple((c.id, a, b, a, b, 2, ((c.id, 0),))
-                     for c in self.charts for a, b in [c.bars])
+        return tuple((cid, a, b, a, b, 2, ((cid, 0),))
+                     for cid, (a, b) in enumerate(zip(self.a, self.b), start=1))
 
 
 # A placement assigns each chart id the 1-based cell of its first bar.
@@ -180,22 +187,19 @@ def evaluate_packing(instance: Instance, placement: Placement) -> Evaluation:
     feasible iff every cell sum is at most ``den``.  Empty cells between
     occupied ones do not count toward the length.
     """
-    ids = {ch.id for ch in instance.charts}
-    extra = set(placement) - ids
-    if extra:
+    ids = set(range(1, instance.n + 1))
+    if extra := set(placement) - ids:
         raise ValueError(f"placement references unknown chart ids {sorted(extra)}")
-    missing = ids - set(placement)
-    if missing:
+    if missing := ids - set(placement):
         raise ValueError(f"placement misses chart ids {sorted(missing)}")
 
     occupancy: dict[int, int] = {}
-    for ch in instance.charts:
-        pos = placement[ch.id]
+    for cid, (a, b) in enumerate(zip(instance.a, instance.b), start=1):
+        pos = placement[cid]
         if pos < 1:
-            raise ValueError(f"chart {ch.id}: cell {pos} is not positive")
-        for off, h in enumerate(ch.bars):
-            cell = pos + off
-            occupancy[cell] = occupancy.get(cell, 0) + h
+            raise ValueError(f"chart {cid}: cell {pos} is not positive")
+        occupancy[pos] = occupancy.get(pos, 0) + a
+        occupancy[pos + 1] = occupancy.get(pos + 1, 0) + b
 
     feasible = all(total <= instance.den for total in occupancy.values())
     return Evaluation(feasible=feasible, length=len(occupancy), occupancy=occupancy)
@@ -208,9 +212,8 @@ def lower_bounds(instance: Instance) -> Bounds:
     cell, so their count bounds the length.  Every chart is 2 bars wide, so
     one chart alone already occupies 2 cells.
     """
-    total = sum(h for ch in instance.charts for h in ch.bars)
-    area_lb = -(-total // instance.den)
-    big_lb = sum(1 for ch in instance.charts for h in ch.bars if 2 * h > instance.den)
+    area_lb = -(-(sum(instance.a) + sum(instance.b)) // instance.den)
+    big_lb = sum(1 for h in instance.a + instance.b if 2 * h > instance.den)
     return Bounds(area_lb=area_lb, big_lb=big_lb,
                   combined=max(area_lb, big_lb, 2))
 
@@ -222,7 +225,7 @@ def l2_bound(instance: Instance) -> int:
     latter's room or new bins.  K = 0 gives max(area, big), and past it only
     sizes <= D/2 need trying: one sort, then bisection, O(m log m)."""
     den = instance.den
-    sizes = sorted(h for ch in instance.charts for h in ch.bars)
+    sizes = sorted(instance.a + instance.b)
     prefix = [0, *accumulate(sizes)]
     half = bisect_right(sizes, den // 2)  # sizes[half:] are above D/2
     best = 2  # a chart fills 2 cells, so L2 is never below ``combined``
@@ -242,10 +245,8 @@ def compact(instance: Instance, placement: Placement) -> Placement:
     chart's bars stay adjacent; per-cell occupancy values are merely relabeled
     and both feasibility and length are preserved.
     """
-    occupied: set[int] = set()
-    for ch in instance.charts:
-        pos = placement[ch.id]
-        occupied.update(pos + off for off in range(ch.width))
+    occupied = {placement[cid] + off
+                for cid in range(1, instance.n + 1) for off in (0, 1)}
     new_cell = {cell: rank for rank, cell in enumerate(sorted(occupied), start=1)}
     return {cid: new_cell[pos] for cid, pos in placement.items()}
 
@@ -283,7 +284,7 @@ def assemble_placement(paths: list[tuple[int, ...]], rows: list[ChartRow],
 
 def format_instance(instance: Instance) -> str:
     lines = [f"{instance.n} {instance.den}"]
-    lines += [f"{ch.bars[0]} {ch.bars[1]}" for ch in instance.charts]
+    lines += [f"{x} {y}" for x, y in zip(instance.a, instance.b)]
     if instance.known_opt is not None:
         lines.append(f"opt {instance.known_opt}")
     return "\n".join(lines) + "\n"
@@ -302,18 +303,19 @@ def parse_instance(text: str, label: str = "") -> Instance:
     if len(lines) < n + 1:
         raise FormatError(f"line {len(lines)}: expected {n} chart lines")
 
-    charts = []
+    a, b = [], []
     for k in range(1, n + 1):
         parts = lines[k].split()
         if len(parts) != 2:
             raise FormatError(f"line {k + 1}: expected 'a_num b_num'")
         # two plain calls: unpacking a generator here slowed parsing by ~10%
-        a = read_int(parts[0], k + 1, "two integers")
-        b = read_int(parts[1], k + 1, "two integers")
-        try:
-            charts.append(BarChart(id=k, bars=(a, b), den=den))
-        except ValueError as exc:
-            raise FormatError(f"line {k + 1}: {exc}") from None
+        x = read_int(parts[0], k + 1, "two integers")
+        y = read_int(parts[1], k + 1, "two integers")
+        if not (0 < x <= den and 0 < y <= den):
+            raise FormatError(f"line {k + 1}: chart {k}: bar height "
+                              f"{y if 0 < x <= den else x}/{den} outside (0, 1]")
+        a.append(x)
+        b.append(y)
 
     known_opt = None
     for extra_no, raw in enumerate(lines[n + 1:], start=n + 2):
@@ -330,7 +332,7 @@ def parse_instance(text: str, label: str = "") -> Instance:
         else:
             raise FormatError(f"line {extra_no}: unexpected trailing line")
 
-    return Instance(charts=tuple(charts), den=den, label=label, known_opt=known_opt)
+    return Instance(a=tuple(a), b=tuple(b), den=den, label=label, known_opt=known_opt)
 
 
 def format_placement(placement: Placement) -> str:

@@ -25,8 +25,8 @@ def mk(cid: int, a: int, b: int, den: int = 10) -> BarChart:
 
 
 def inst(*bars: tuple[int, int], den: int = 10, **kwargs) -> Instance:
-    charts = tuple(mk(i + 1, a, b, den) for i, (a, b) in enumerate(bars))
-    return Instance(charts=charts, den=den, **kwargs)
+    return Instance(a=tuple(a for a, _ in bars), b=tuple(b for _, b in bars),
+                    den=den, **kwargs)
 
 
 def is_big(chart: BarChart) -> bool:
@@ -84,6 +84,19 @@ def union_graph(vertices, edges: list[UnionEdge] | tuple[UnionEdge, ...],
     index = {x: i for i, x in enumerate(verts)}
     return graph_from_pairs(verts, [(index[e.left], index[e.right], e.weight)
                                     for e in sorted(edges)])
+
+
+def random_union_graph(rng: random.Random, max_vertices: int = 10) -> WeightedGraph:
+    """A graph on 2 to ``max_vertices`` vertices 1..n: each pair is an edge
+    with probability 1/2, of weight 1 or 2, its smaller vertex on the left."""
+    n = rng.randint(2, max_vertices)
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < 0.5:
+                w = rng.choice([1, 2])
+                edges.append(UnionEdge(u=u, v=v, weight=w, left=u, right=v))
+    return union_graph(range(1, n + 1), edges)
 
 
 def two_union_graph(rows: list[ChartRow], den: int) -> WeightedGraph:
@@ -176,7 +189,7 @@ def literal_l2(instance: Instance) -> int:
     """Martello & Toth's L2 over the 2n bars, trying every K in 0..D/2 and
     classifying every bar afresh for each."""
     den = instance.den
-    bars = [h for ch in instance.charts for h in ch.bars]
+    bars = [*instance.a, *instance.b]
     best = 0
     for k in range(den // 2 + 1):
         fill_one = [h for h in bars if h > den - k]
@@ -192,18 +205,17 @@ def naive_ga_lo(instance: Instance) -> dict[int, int]:
     """Round-based greedy reference: rescan every unplaced chart per round."""
     den = instance.den
     order = lex_order(instance)
-    bars = {c.id: c.bars for c in instance.charts}
     occ: dict[int, int] = {}
 
     def leftmost(cid: int) -> int:
-        a, b = bars[cid]
+        a, b = instance.a[cid - 1], instance.b[cid - 1]
         c = 1
         while occ.get(c, 0) + a > den or occ.get(c + 1, 0) + b > den:
             c += 1
         return c
 
     def place(cid: int, cell: int) -> None:
-        a, b = bars[cid]
+        a, b = instance.a[cid - 1], instance.b[cid - 1]
         occ[cell] = occ.get(cell, 0) + a
         occ[cell + 1] = occ.get(cell + 1, 0) + b
 

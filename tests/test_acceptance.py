@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from bcpp import (SuiteConfig, UnionEdge, evaluate_packing,
+from bcpp import (SuiteConfig, evaluate_packing,
                   format_records_csv, ga_lo, gen_bpp_fullbins, gen_random,
                   lower_bounds, max_cardinality_matching, max_weight_matching,
                   oracle_opt, run_algorithm, run_suite, solve_big_pipeline,
@@ -18,7 +18,7 @@ from bcpp.blp import export_lp
 from bcpp.harness import GenSpec
 from bcpp.model import parse_instance
 
-from helpers import brute_force_matching, total_weight, union_graph
+from helpers import brute_force_matching, random_union_graph, total_weight
 
 APPROX = ("GA_LO", "M1w", "Mw", "A1", "A2")
 
@@ -82,16 +82,9 @@ def test_c4_matching_exactness_against_brute_force():
     t0 = time.perf_counter()
     rng = random.Random(1234)
     for _ in range(100):
-        n = rng.randint(2, 10)
-        edges = []
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if rng.random() < 0.5:
-                    w = rng.choice([1, 2])
-                    edges.append(UnionEdge(u=u, v=v, weight=w, left=u, right=v))
-        g = union_graph(range(1, n + 1), edges)
+        g = random_union_graph(rng)
         best_weight, best_card = brute_force_matching(
-            [(e.u, e.v, e.weight) for e in edges])
+            [(e.u, e.v, e.weight) for e in g.edges])
         assert total_weight(max_weight_matching(g)) == best_weight
         assert len(max_cardinality_matching(g).edges) == best_card
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,19 @@ from bcpp import (BppInstance, BppSolution, FormatError, bpp_witness_placement,
                   evaluate_packing, format_bpp_instance, format_bpp_solution,
                   gen_bpp_fullbins, gen_random, lower_bounds, oracle_opt,
                   parse_bpp, parse_bpp_instance, transform_bpp)
+
+
+def test_an_instance_holds_no_object_per_chart():
+    # two tuples of ints take about 80 bytes a chart, and a frozen BarChart
+    # per chart would take about 256
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        instance = gen_random(10 ** 4, 1, "arbitrary")
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 120 * instance.n, f"{grown / instance.n:.0f} bytes a chart"
 
 
 def test_family_constraints_hold():

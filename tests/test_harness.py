@@ -681,7 +681,7 @@ BppInstance capacity sizes
 BppSolution bins
 Evaluation feasible length occupancy
 FormatError
-Instance charts den family known_opt label n rows
+Instance a b charts den family known_opt label n rows
 Matching edges
 PathCover arc_count cycles_broken paths
 RunRecord abs_error algorithm elapsed_ms family label length n placement r_value ref_kind reference rounds

@@ -9,8 +9,8 @@ from bcpp import (BarChart, UnionEdge, assemble_placement, build_union_graph,
 from bcpp.matching import merge_matched
 from helpers import (as_rows, brute_force_matching, edge_lists, graph_from_pairs,
                      graph_pairs, inst, max_weight_edges, merge_along, merge_charts,
-                     pair_weight, random_charts, total_weight, two_union_graph,
-                     union_graph)
+                     pair_weight, random_charts, random_union_graph, total_weight,
+                     two_union_graph, union_graph)
 
 
 def edge(u, v, w):
@@ -45,20 +45,10 @@ def test_cycle_cardinality():
     assert len(max_cardinality_matching(g).edges) == 2
 
 
-def _random_graph(rng, max_vertices=10):
-    n = rng.randint(2, max_vertices)
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < 0.5:
-                edges.append(edge(u, v, rng.choice([1, 2])))
-    return graph(n, edges)
-
-
 def test_matchings_equal_brute_force_on_random_graphs():
     rng = random.Random(21)
     for _ in range(120):
-        g = _random_graph(rng)
+        g = random_union_graph(rng)
         plain = [(e.u, e.v, e.weight) for e in g.edges]
         best_weight, best_card = brute_force_matching(plain)
         assert total_weight(max_weight_matching(g)) == best_weight
@@ -68,7 +58,7 @@ def test_matchings_equal_brute_force_on_random_graphs():
 def test_matching_is_vertex_disjoint():
     rng = random.Random(22)
     for _ in range(50):
-        g = _random_graph(rng)
+        g = random_union_graph(rng)
         for m in (max_weight_matching(g), max_cardinality_matching(g)):
             seen = [x for e in m.edges for x in (e.u, e.v)]
             assert len(seen) == len(set(seen))
@@ -77,7 +67,7 @@ def test_matching_is_vertex_disjoint():
 def test_matching_deterministic_for_canonical_input():
     rng = random.Random(23)
     for _ in range(20):
-        g = _random_graph(rng)
+        g = random_union_graph(rng)
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
         g2 = union_graph(g.vertices, shuffled)

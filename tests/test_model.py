@@ -165,6 +165,9 @@ def test_parse_instance_errors_carry_line_numbers():
         parse_instance("2 10\n3 4\noops\n")
     with pytest.raises(FormatError, match="line 2"):
         parse_instance("1 10\n11 3\n")  # height above the denominator
+    with pytest.raises(FormatError,
+                       match=r"^line 3: chart 2: bar height 0/10 outside \(0, 1\]$"):
+        parse_instance("2 10\n3 4\n5 0\n")
     with pytest.raises(FormatError, match="line 4"):
         parse_instance("2 10\n3 4\n5 5\ntrailing junk\n")
     for opt in ("0", "-3"):
@@ -192,14 +195,16 @@ def test_chart_validation():
     with pytest.raises(ValueError, match="needs at least one bar"):
         BarChart(id=1, bars=(), den=10)
     bad_instances = {
-        (): "instance needs at least one chart",
-        (mk(2, 3, 3),): "chart ids must be 1..n, got 2 at slot 1",
-        (BarChart(id=1, bars=(3, 3, 3), den=10),): "chart 1: raw instances hold 2-bar",
-        (mk(1, 3, 3), mk(2, 3, 3, den=20)): "chart 2: denominator 20 != 10",
+        ((), ()): "instance needs at least one chart$",
+        ((3, 3), (3,)): "2 first bars but 1 second bars$",
+        ((3,), (3, 3)): "1 first bars but 2 second bars$",
+        ((3, 0), (3, 3)): r"chart 2: bar height 0/10 outside \(0, 1\]$",
+        ((3, 3), (3, 11)): r"chart 2: bar height 11/10 outside \(0, 1\]$",
+        ((3, 11), (3, 12)): r"chart 2: bar height 11/10 outside \(0, 1\]$",
     }
-    for charts, message in bad_instances.items():
+    for (a, b), message in bad_instances.items():
         with pytest.raises(ValueError, match=f"^{message}"):
-            Instance(charts=charts, den=10)
+            Instance(a=a, b=b, den=10)
     # every reader and generator needs D >= 2, so an Instance does too
     with pytest.raises(ValueError, match="^denominator 1 must be at least 2$"):
-        Instance(charts=(BarChart(id=1, bars=(1, 1), den=1),), den=1)
+        Instance(a=(1,), b=(1,), den=1)

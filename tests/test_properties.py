@@ -10,6 +10,7 @@ run checks the same examples.
 """
 
 from copy import deepcopy
+from dataclasses import replace
 from functools import reduce
 
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from bcpp import (SOLVERS, BarChart, build_arc_digraph, build_union_graph,
                   compact, evaluate_packing, form_big_matchings, form_big_scan,
+                  format_instance, parse_instance,
                   ga_lo, gen_random, lower_bounds, max_cardinality_matching,
                   max_weight_matching, oracle_opt, solve_big_pipeline,
                   solve_exact, solve_mw)
@@ -57,6 +59,19 @@ def chart_lists(draw):
     bars = draw(st.lists(st.lists(bar, min_size=1, max_size=4), max_size=8))
     charts = [BarChart(id=3 * k + 1, bars=tuple(b), den=den) for k, b in enumerate(bars)]
     return draw(st.permutations(charts))
+
+
+@SWEEP
+@given(st.one_of(instances(), instances(big=True), instances(max_den=3)),
+       st.one_of(st.none(), st.integers(1, 20)))
+def test_an_instance_is_its_two_bar_tuples(instance, known_opt):
+    instance = replace(instance, known_opt=known_opt)
+    bars = list(zip(instance.a, instance.b))
+    assert [(c.id, c.bars, c.den) for c in instance.charts] == [
+        (cid, pair, instance.den) for cid, pair in enumerate(bars, start=1)]
+    back = parse_instance(format_instance(instance))
+    assert (back.a, back.b, back.den, back.known_opt) == (
+        instance.a, instance.b, instance.den, known_opt)
 
 
 @SWEEP
