@@ -21,7 +21,7 @@ import math
 import time
 
 from .greedy import ga_lo, lex_order
-from .model import Instance, Solved, compact, l2_bound, lower_bounds
+from .model import Instance, Solved, compact, lower_bounds
 
 
 def export_lp(instance: Instance, horizon: int | None = None) -> str:
@@ -69,7 +69,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     never needs a cell beyond incumbent - 2).  The greedy solution seeds the
     incumbent.  A node is cut when the cells already occupied, plus the
     unplaced big bars that find no under-half cell among them, reach the
-    incumbent.  The root bound, ``model.l2_bound`` (never below ``combined``),
+    incumbent.  The root bound, ``lower_bounds(instance).combined`` (L2),
     holds at every node: the search returns with 0 nodes when the greedy
     length meets it, and once an incumbent meets it every node is cut.  A
     limit of 0 means none (a negative, NaN or infinite one raises
@@ -84,7 +84,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
             raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
     den = instance.den
-    root = l2_bound(instance)
+    root = lower_bounds(instance).combined
 
     greedy = ga_lo(instance)
     best_len = greedy.length

@@ -12,7 +12,7 @@ leftover items of each bin pair up with items of the next bin into one
 chart per pair, unused items of the last bin are dropped, and heights are
 item sizes over the bin capacity.  The chained construction places the
 bin-i/bin-(i+1) charts in cell i; ``transform_bpp`` records its length as
-the optimum only when it meets the instance's combined lower bound.
+the optimum only when it meets the instance's lower bound, L2.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ def _chain(bpp: BppInstance, sol: BppSolution,
 def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instance:
     """Build the packing instance of a bin-packing solution, dropping the
     unused items of the last bin.  The chained packing is audited, and its
-    length becomes ``known_opt`` only when it meets the combined lower
-    bound, which proves it optimal; an overfull cell raises ``ValueError``.
+    length becomes ``known_opt`` only when it meets the lower bound L2, which
+    proves it optimal; an overfull cell raises ``ValueError``.
     """
     a, b, witness = _chain(bpp, sol)
     instance = Instance(a=a, b=b, den=bpp.capacity,

@@ -4,8 +4,8 @@ A suite is described by a flat key=value config (see ``parse_config``); it
 names instance files and/or generator specs, the algorithms to run, and the
 reference policy.  Each (instance, algorithm) pair yields one RunRecord with
 the packing length, the reference value (known optimum when recorded, else
-an exact solve when enabled and it finishes, else the combined lower bound),
-the ratio R = length/reference and the absolute error length - reference.
+an exact solve when enabled and it finishes, else the lower bound L2), the
+ratio R = length/reference and the absolute error length - reference.
 
 A suite first resolves every instance's reference, then runs each algorithm
 over all instances in turn, M1w before Mw whatever the config order, so no
@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
 from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
-                    l2_bound, lower_bounds, parse_instance, read_int)
+                    lower_bounds, parse_instance, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved;
 # Mw also takes ``start=``, an earlier M1w or Mw ``Solved``, to go on from.
@@ -262,7 +262,7 @@ def audit(instance: Instance, solved: Solved) -> None:
 
 def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
     if cfg.reference == "auto" and instance.known_opt is not None:
-        bound = l2_bound(instance)
+        bound = lower_bounds(instance).combined
         if instance.known_opt < bound:
             raise ValueError(f"opt {instance.known_opt} is below the bound {bound}")
         return instance.known_opt, "OPT"

@@ -20,10 +20,9 @@ holds.  ``Instance.rows`` makes them once, for every heuristic to start from.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -206,36 +205,36 @@ def evaluate_packing(instance: Instance, placement: Placement) -> Evaluation:
 
 
 def lower_bounds(instance: Instance) -> Bounds:
-    """Two cheap combinatorial lower bounds and their maximum with 2.
+    """The length's lower bounds over the 2n bars, each cell a bin of size D.
 
-    area: total bar height rounded up.  big: bars above 1/2 cannot share a
-    cell, so their count bounds the length.  Every chart is 2 bars wide, so
-    one chart alone already occupies 2 cells.
+    area: total bar height rounded up.  big: the count of bars above 1/2,
+    which cannot share a cell.  combined: Martello & Toth's L2 (Discrete
+    Appl. Math. 1990), at least both and 2, a chart's cells.  For K <= D/2,
+    bars above D - K and bars in (D/2, D - K] need a bin each, and bars in
+    [K, D/2] fit only into the latter's room or new bins.  K = 0 gives
+    max(area, big); past it only sizes <= D/2 need trying, and as K grows
+    the cursor ``low`` rises and ``top`` falls: one sort, an O(n) sweep.
     """
-    area_lb = -(-(sum(instance.a) + sum(instance.b)) // instance.den)
-    big_lb = sum(1 for h in instance.a + instance.b if 2 * h > instance.den)
-    return Bounds(area_lb=area_lb, big_lb=big_lb,
-                  combined=max(area_lb, big_lb, 2))
-
-
-def l2_bound(instance: Instance) -> int:
-    """Martello & Toth's L2 (Discrete Appl. Math. 1990) over the 2n bars:
-    each cell is a bin of size D.  For a K <= D/2, bars above D - K and bars
-    in (D/2, D - K] need a bin each, and bars in [K, D/2] fit only into the
-    latter's room or new bins.  K = 0 gives max(area, big), and past it only
-    sizes <= D/2 need trying: one sort, then bisection, O(m log m)."""
     den = instance.den
     sizes = sorted(instance.a + instance.b)
-    prefix = [0, *accumulate(sizes)]
     half = bisect_right(sizes, den // 2)  # sizes[half:] are above D/2
-    best = 2  # a chart fills 2 cells, so L2 is never below ``combined``
-    for k in {0, *sizes[:half]}:
-        low = bisect_left(sizes, k)  # sizes[low:half] lie in [K, D/2]
-        top = bisect_right(sizes, den - k)  # sizes[half:top] lie in (D/2, D - K]
-        room = (top - half) * den - (prefix[top] - prefix[half])
-        rest = prefix[half] - prefix[low] - room
-        best = max(best, len(sizes) - half + max(0, -(-rest // den)))
-    return best
+    small = sum(sizes[:half])  # the sum of sizes[low:half], those in [K, D/2]
+    big = sum(sizes[half:])  # the sum of sizes[half:top], those in (D/2, D - K]
+    area_lb = -(-(small + big) // den)
+    big_lb, top = len(sizes) - half, len(sizes)
+    combined = max(area_lb, big_lb, 2)
+    # K = sizes[low], dropped from small once tried; a repeated size tries
+    # K again with less in small, which never raises the bound
+    for k in sizes[:half]:
+        while sizes[top - 1] > den - k:
+            top -= 1
+            big -= sizes[top]
+        # big_lb, plus the bins [K, D/2] fills past the room (D/2, D - K] leaves
+        need = big_lb - ((top - half) * den - big - small) // den
+        if need > combined:
+            combined = need
+        small -= k
+    return Bounds(area_lb=area_lb, big_lb=big_lb, combined=combined)
 
 
 def compact(instance: Instance, placement: Placement) -> Placement:

@@ -12,7 +12,6 @@ from bcpp import (evaluate_packing, export_lp, format_instance,
                   format_placement, ga_lo, gen_random, lower_bounds, oracle_opt,
                   parse_instance, solve_exact)
 from bcpp.cli import main
-from bcpp.model import l2_bound
 from helpers import inst, literal_opt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -272,15 +271,15 @@ def test_exact_search_matches_pinned_results_at_bench_shapes():
         "6afeba30d992c677ada2c0f3c6e7ff4a9acd6e795f858f4264b2bcf0802dd4bd")
 
 
-def test_l2_bound_at_large_n_takes_under_ten_ms():
-    # one sort and a bisection sweep; the best of three runs rides out noise
+def test_lower_bounds_at_large_n_take_under_ten_ms():
+    # one sort and a two-cursor sweep; the best of three runs rides out noise
     instance = gen_random(1200, 2, "arbitrary", 10**6)
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
-        bound = l2_bound(instance)
+        bounds = lower_bounds(instance)
         times.append(time.perf_counter() - t0)
-    assert bound == 1212 > lower_bounds(instance).combined
+    assert bounds.combined == 1212 > max(bounds.area_lb, bounds.big_lb) == 1207
     assert min(times) < 0.01
 
 

@@ -20,7 +20,6 @@ from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
 from bcpp.cli import main
 from bcpp.generators import FAMILIES
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
-from bcpp.model import l2_bound
 import cli_cases
 from helpers import inst
 
@@ -169,10 +168,24 @@ def test_run_suite_with_a_node_budget_stops_cleanly_at_large_n():
     records, _, errors = run_suite(cfg)  # run_suite audits the placement
     assert errors == []
     (rec,) = records
-    # the search stops at its budget and reports its root bound, above combined
-    root = max(lower_bounds(instance).combined, l2_bound(instance))
+    # the search stops at its budget and reports its root bound, combined
+    root = lower_bounds(instance).combined
     assert (rec.reference, rec.ref_kind) == (root, "LB") == (1212, "LB")
     assert rec.length > rec.reference and rec.rounds == 1000
+
+
+def test_an_lb_reference_is_one_bound_whatever_the_config():
+    # a search its budget stops reports the bound that reference = lb reads,
+    # so an instance's LB reference does not depend on the suite's config
+    generate = [GenSpec(family, 30, 10, 0, 10**6) for family in ("arbitrary", "big")]
+    by_bound, _, errors = run_suite(SuiteConfig(generate=generate, reference="lb"))
+    assert errors == []
+    by_search, _, errors = run_suite(SuiteConfig(generate=generate, exact_nodes=1))
+    assert errors == []
+    bound = {r.label: r.reference for r in by_bound}
+    bounded = {r.label: r.reference for r in by_search if r.ref_kind == "LB"}
+    assert len(bounded) == 16
+    assert bounded == {label: bound[label] for label in bounded}
 
 
 def test_records_csv_quotes_a_label_with_a_comma_or_a_quote(tmp_path):

@@ -24,7 +24,6 @@ from bcpp import (SOLVERS, BarChart, build_arc_digraph, build_union_graph,
                   solve_exact, solve_mw)
 from bcpp.bigpipe import _chain_matching, _dominance_matching
 from bcpp.matching import merge_matched
-from bcpp.model import l2_bound
 from helpers import (as_rows, brute_force_matching, edge_lists, graph_from_pairs,
                      graph_pairs, inst, is_big, literal_l2, max_weight_edges,
                      merge_along, merge_charts, naive_ga_lo, pair_weight,
@@ -99,8 +98,8 @@ def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
 @SWEEP
 @given(st.one_of(instances(), instances(big=True), instances(max_den=3)))
 def test_l2_bound_is_the_literal_bound_and_holds_below_every_length(instance):
-    bound = l2_bound(instance)
     bounds = lower_bounds(instance)
+    bound = bounds.combined
     assert bound == max(literal_l2(instance), 2)  # a chart fills 2 cells
     assert max(bounds.area_lb, bounds.big_lb) <= bound <= oracle_opt(instance)
     for name, solve in SOLVERS.items():  # EXACT's length is the optimum
@@ -350,10 +349,10 @@ def test_matchings_on_union_graphs_equal_brute_force(instance):
 def test_a_node_limit_stops_the_same_search_early(instance, data):
     # the limited search is a prefix of the unlimited one: it counts the same
     # nodes up to the limit, its incumbent never worsens as the limit grows,
-    # and it claims only its root bound, max(combined, L2), which is at most
-    # the optimum, unless it ran to the end
+    # and it claims only its root bound, combined (L2), which is at most the
+    # optimum, unless it ran to the end
     full = solve_exact(instance)
-    root = max(lower_bounds(instance).combined, l2_bound(instance))
+    root = lower_bounds(instance).combined
     assert root <= oracle_opt(instance)
     low = data.draw(st.integers(1, full.node_count + 1))  # limits on both sides of it
     high = data.draw(st.integers(low + 1, full.node_count + 2))
