@@ -7,9 +7,9 @@ from bcpp import (BarChart, UnionEdge, assemble_placement, build_union_graph,
                   dump_graph, evaluate_packing, format_placement, ga_lo, gen_random,
                   max_cardinality_matching, max_weight_matching, oracle_opt, solve_mw)
 from bcpp.matching import merge_matched
-from helpers import (as_rows, brute_force_matching, edge_lists, graph_pairs, inst,
-                     max_weight_edges, merge_along, merge_charts, pair_weight,
-                     random_charts, random_union_graph, total_weight,
+from helpers import (as_rows, brute_force_matching, edge_lists, graph_from_pairs,
+                     graph_pairs, inst, max_weight_edges, merge_along, merge_charts,
+                     pair_weight, random_charts, random_union_graph, total_weight,
                      two_union_graph, union_graph)
 
 
@@ -176,6 +176,17 @@ def test_blossom_input_is_the_sorted_indexed_edge_list(family):
                 given = [(i, j, 1 if cardinality else w) for i, j, w in reference]
                 chosen = max_weight_edges(n, given)
                 assert solve(g).edges == tuple(expected[k] for k in chosen)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1, 1), (1, 1, 2)], r"^edge 1: \(1, 1\) is a loop or leaves 0\.\.2$"),
+    ([(0, 1, 1), (1, 3, 1)], r"^edge 1: \(1, 3\) is a loop or leaves 0\.\.2$"),
+    ([(0, 1, 1), (-1, 0, 2)], r"^edge 1: \(-1, 0\) is a loop or leaves 0\.\.2$"),
+    ([(0, 1, 1), (1, 2, 3)], r"^edge 1: weights must be 1 or 2, not 3$"),
+], ids=["loop", "endpoint-past-n", "negative-endpoint", "weight-3"])
+def test_a_bad_hand_made_graph_is_rejected_when_built(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_pairs((4, 7, 9), pairs)
 
 
 def test_merge_matched_merges_each_matched_pair_and_keeps_the_rest():
