@@ -12,15 +12,14 @@ the prefixes nest.  An ``ArcDigraph`` holds ``order``, the positions by
 first bar, ties by position, and each position's ``reach``, the length of
 the prefix its cap admits; its ``arcs`` view is built on read.
 
-Both formations read and return ``ChartRow``s in ascending id, as
-``Instance.rows`` holds them, and refuse a row not two bars wide; a 2-union
-of two-bar charts is two bars wide, with the bar sums and every origin at
-offset 0.  A1 scans with a one-slot buffer: small charts are pairwise
-2-unioned (always feasible, all four bars are at most 1/2) until the merge
-turns big, so at most one small chart survives.  A2 merges the pairs of
-maximum 2-union matchings, each one greedy over the rows, until none unites;
-on big input one round ends it.  A1 and A2 differ only in the formation
-their ``harness.SOLVERS`` entry calls.
+Both formations take the instance and return ``ChartRow``s in ascending
+id, as ``Instance.rows`` holds them; a 2-union of two-bar charts is two bars
+wide, with the bar sums and every origin at offset 0.  A1 scans with a
+one-slot buffer: small charts are pairwise 2-unioned (always feasible, all
+four bars are at most 1/2) until the merge turns big, so at most one small
+chart survives.  A2 merges the pairs of maximum 2-union matchings, each one
+greedy over the rows, until none unites; on big input one round ends it.
+A1 and A2 differ only in the formation their ``harness.SOLVERS`` entry calls.
 
 The path cover comes from a maximum matching of tails to heads (the
 out-copy / in-copy split of the digraph): vertex-disjoint paths and cycles,
@@ -39,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .model import ChartRow, Solved, assemble_placement, find
+from .model import ChartRow, Instance, Solved, assemble_placement, find
 from .matching import build_union_graph  # noqa: F401, perfbench's tracer test reads it
 
 
@@ -70,19 +69,16 @@ class PathCover:
         return sum(len(p) - 1 for p in self.paths)
 
 
-def form_big_scan(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
-    """One pass in id order; sums buffered small charts' bars until a sum
-    passes D/2 (2 * bar > D on either bar).  The buffer and the new chart are
-    both small, so each sum is at most D without an overflow test.  The buffer
-    keeps its least id's slot, so the formed charts come in ascending id, the
-    leftover buffer the only small one.  A row not two bars wide raises
-    ``ValueError``."""
-    formed: list[ChartRow] = []
+def form_big_scan(instance: Instance) -> tuple[ChartRow, ...]:
+    """One pass over the instance's rows in id order; sums buffered small
+    charts' bars until a sum passes D/2 (2 * bar > D on either bar).  The
+    buffer and the new chart are both small, so each sum is at most D without
+    an overflow test.  The buffer keeps its least id's slot, so the formed
+    charts come in ascending id, the leftover buffer the only small one."""
+    den, formed = instance.den, []
     slot = -1  # the buffer's index; -1: none
-    for row in rows:
-        cid, a, b, _, _, width, origins = row
-        if width != 2:
-            raise ValueError(f"chart {cid}: A1 forms two-bar charts")
+    for row in instance.rows:
+        _, a, b, _, _, _, origins = row
         small = 2 * a <= den and 2 * b <= den
         if small and slot >= 0:
             kept, c, d, _, _, _, before = formed[slot]
@@ -133,13 +129,12 @@ def _dominance_matching(rows, den: int, big: bool = False) -> list[tuple[int, in
     return pairs
 
 
-def form_big_matchings(rows: list[ChartRow], den: int) -> tuple[ChartRow, ...]:
-    """Sum the pairs of maximum 2-union matchings under the smaller id until a
-    round finds none, or once on big input.  A row not two bars wide raises ValueError."""
-    big = all(w == 2 and 2 * max(a, b) > den for _, a, b, _, _, w, _ in rows)
-    if not big and (wide := [row[0] for row in rows if row[5] != 2]):
-        raise ValueError(f"chart {wide[0]}: A2 forms two-bar charts")
-    formed = {row[0]: row for row in rows}
+def form_big_matchings(instance: Instance) -> tuple[ChartRow, ...]:
+    """Sum the pairs of maximum 2-union matchings of the instance's rows under
+    the smaller id until a round finds none, or once on big input."""
+    den = instance.den
+    big = all(2 * max(a, b) > den for a, b in zip(instance.a, instance.b))
+    formed = {row[0]: row for row in instance.rows}
     while pairs := _dominance_matching(formed.values(), den, big):
         for u, v in pairs:
             _, a, b, _, _, _, left = formed[u]

@@ -26,7 +26,6 @@ import io
 import os
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import bigpipe, blp, greedy, matching
 from .generators import FAMILIES, gen_random
@@ -34,9 +33,10 @@ from .model import (FormatError, Instance, Placement, Solved, evaluate_packing,
                     lower_bounds, parse_instance, read_int)
 
 # The heuristics by name, each called as solver(instance, dump=None) -> Solved;
-# Mw also takes ``start=``, an earlier M1w or Mw ``Solved``, to go on from.
-# Every entry looks its solver up in its module when called, so a rebound
-# module attribute (a tracer's wrapper, a test's double) sees every call.
+# Mw also takes ``start=``, an earlier M1w or Mw ``Solved``, to go on from, and
+# A1 and A2 cover the rows their formation makes from the instance.  Every
+# entry looks its solver up in its module when called, so a rebound module
+# attribute (a tracer's wrapper, a test's double) sees every call.
 SOLVERS = {
     "GA_LO": lambda inst, dump=None: greedy.ga_lo(inst),
     # the CSV rounds column holds Mw's rounds; M1w's cell stays blank
@@ -45,9 +45,9 @@ SOLVERS = {
     "Mw": lambda inst, dump=None, start=None: matching.solve_mw(
         inst, dump=dump, start=start),
     "A1": lambda inst, dump=None: bigpipe.solve_big_pipeline(
-        bigpipe.form_big_scan(inst.rows, inst.den), inst.den, dump=dump),
+        bigpipe.form_big_scan(inst), inst.den, dump=dump),
     "A2": lambda inst, dump=None: bigpipe.solve_big_pipeline(
-        bigpipe.form_big_matchings(inst.rows, inst.den), inst.den, dump=dump),
+        bigpipe.form_big_matchings(inst), inst.den, dump=dump),
 }
 
 ALGORITHMS = (*SOLVERS, "EXACT")
@@ -65,7 +65,7 @@ class RunRecord:
     length: int
     reference: int
     ref_kind: str  # OPT | LB
-    r_value: Fraction
+    r_value: float
     abs_error: int
     elapsed_ms: float | None
     rounds: int | None
@@ -306,7 +306,7 @@ def run_suite(cfg: SuiteConfig, base_dir: str = ".",
                 records.append(RunRecord(
                     label=instance.label, n=instance.n, family=instance.family,
                     algorithm=name, length=length, reference=reference,
-                    ref_kind=ref_kind, r_value=Fraction(length, reference),
+                    ref_kind=ref_kind, r_value=length / reference,
                     abs_error=length - reference,
                     elapsed_ms=elapsed if cfg.timing else None,
                     rounds=solved.node_count if name == "EXACT" else solved.rounds,
@@ -331,7 +331,7 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     for (family, n, algorithm) in sorted(groups):
         recs = groups[(family, n, algorithm)]
         errs = [r.abs_error for r in recs]
-        ratios = [float(r.r_value) for r in recs]
+        ratios = [r.r_value for r in recs]
         mean_r = sum(ratios) / len(ratios)
         var_r = sum((x - mean_r) ** 2 for x in ratios) / len(ratios)
         rows.append(SummaryRow(
@@ -353,7 +353,7 @@ def _csv_text(rows) -> str:
 def format_records_csv(records: list[RunRecord]) -> str:
     return _csv_text([CSV_COLUMNS, *((
         r.label, r.n, r.family, r.algorithm, r.length, r.reference, r.ref_kind,
-        f"{float(r.r_value):.6f}", r.abs_error,
+        f"{r.r_value:.6f}", r.abs_error,
         None if r.elapsed_ms is None else f"{r.elapsed_ms:.3f}", r.rounds)
         for r in records)])
 

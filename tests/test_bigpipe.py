@@ -18,7 +18,7 @@ from helpers import (as_rows, brute_force_matching, brute_force_path_cover_arcs,
 def test_scan_merges_smalls_into_big():
     # the merged chart keeps the slot of its least id
     instance = inst((3, 2), (6, 7), (4, 3))
-    res = row_charts(form_big_scan(instance.rows, instance.den), 10)
+    res = row_charts(form_big_scan(instance), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((7, 5), [1, 3]), ((6, 7), [2])]
     assert all(is_big(c) for c in res)
@@ -26,14 +26,14 @@ def test_scan_merges_smalls_into_big():
 
 def test_scan_keeps_all_big_input():
     instance = inst((9, 9), (8, 8))
-    res = form_big_scan(instance.rows, instance.den)
+    res = form_big_scan(instance)
     assert res == instance.rows
     assert all(is_big(c) for c in row_charts(res, 10))
 
 
 def test_scan_keeps_growing_buffer_until_big():
     instance = inst((2, 2), (1, 1), (3, 3))
-    res = row_charts(form_big_scan(instance.rows, instance.den), 10)
+    res = row_charts(form_big_scan(instance), 10)
     assert [(c.bars, [oid for oid, _ in c.origins]) for c in res] == [
         ((6, 6), [1, 2, 3])]
     assert all(is_big(c) for c in res)
@@ -42,30 +42,16 @@ def test_scan_keeps_growing_buffer_until_big():
 def test_scan_leftover_small():
     # the leftover keeps the slot of its least id, before the later big chart
     instance = inst((2, 2), (6, 6))
-    res = row_charts(form_big_scan(instance.rows, instance.den), 10)
+    res = row_charts(form_big_scan(instance), 10)
     assert [c.bars for c in res[1:]] == [(6, 6)]
     assert not is_big(res[0]) and res[0].bars == (2, 2)
-
-
-def test_scan_refuses_a_chart_not_two_bars_wide():
-    for bars in ((4,), (4, 4, 4)):
-        with pytest.raises(ValueError, match="chart 2: A1 forms two-bar charts"):
-            form_big_scan(*as_rows([mk(1, 3, 3), BarChart(2, bars, 10)]))
-
-
-def test_matchings_formation_refuses_a_chart_not_two_bars_wide():
-    # A2's greedy reads the first two bars as the whole chart
-    for bars in ((4,), (4, 4, 4)):
-        for other in ((3, 3), (9, 2)):
-            with pytest.raises(ValueError, match="chart 2: A2 forms two-bar charts"):
-                form_big_matchings(*as_rows([mk(1, *other), BarChart(2, bars, 10)]))
 
 
 def test_scan_emits_at_most_one_small():
     rng = random.Random(41)
     for trial in range(80):
         instance = gen_random(rng.randint(1, 12), trial, "arbitrary", 20)
-        res = row_charts(form_big_scan(instance.rows, instance.den), 20)
+        res = row_charts(form_big_scan(instance), 20)
         assert sum(not is_big(c) for c in res) <= 1
         total = sum(len(c.origins) for c in res)
         assert total == instance.n
@@ -73,27 +59,19 @@ def test_scan_emits_at_most_one_small():
 
 def test_matchings_formation_keeps_a_small():
     instance = inst((4, 4), (4, 4), (4, 4))
-    out = row_charts(form_big_matchings(instance.rows, instance.den), 10)
+    out = row_charts(form_big_matchings(instance), 10)
     assert sorted(c.bars for c in out) == [(4, 4), (8, 8)]
 
 
 def test_matchings_formation_all_big_fixed_point():
     instance = inst((9, 9), (8, 8))
-    assert form_big_matchings(instance.rows, instance.den) == instance.rows
+    assert form_big_matchings(instance) == instance.rows
 
 
 def test_matchings_formation_boundary_pair():
     instance = inst((5, 5), (5, 5))
-    out = row_charts(form_big_matchings(instance.rows, instance.den), 10)
+    out = row_charts(form_big_matchings(instance), 10)
     assert [c.bars for c in out] == [(10, 10)]
-
-
-def test_matchings_formation_idempotent():
-    rng = random.Random(42)
-    for trial in range(40):
-        instance = gen_random(rng.randint(1, 10), trial, "arbitrary", 20)
-        once = form_big_matchings(instance.rows, instance.den)
-        assert form_big_matchings(list(once), 20) == once
 
 
 def test_arc_digraph_examples():
@@ -144,8 +122,8 @@ def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
     for family in ("arbitrary", "big", "big_nonincreasing"):
         for n in (5, 50, 200):
             instance = gen_random(n, 7, family, 10**6)
-            rows = instance.rows, instance.den
-            for formed in (rows[0], form_big_scan(*rows), form_big_matchings(*rows)):
+            for formed in (instance.rows, form_big_scan(instance),
+                           form_big_matchings(instance)):
                 assert (build_arc_digraph(formed, 10**6).arcs
                         == _brute_force_arcs(row_charts(formed, 10**6)))
 
@@ -154,8 +132,8 @@ def test_arc_digraph_rejects_mixed_denominators():
     # 50/100 + 9/10 > 1, although the numerators sum to 59 <= 100
     charts = [BarChart(id=1, bars=(9, 9), den=10),
               BarChart(id=2, bars=(50, 50), den=100)]
-    # the digraph and the formations take D as data, so the reference maker
-    # of their rows refuses them, as Instance does (test_chart_validation)
+    # the digraph takes D as data, so the reference maker of its rows
+    # refuses them, as Instance does (test_chart_validation)
     with pytest.raises(ValueError, match="share one denominator"):
         as_rows(charts)
 
@@ -245,8 +223,7 @@ def test_path_cover_is_pinned():
         for seed in range(1, 21):
             instance = gen_random(n, seed, family)
             for form in (form_big_scan, form_big_matchings):
-                cover = path_cover(build_arc_digraph(form(instance.rows, instance.den),
-                                                     10**6))
+                cover = path_cover(build_arc_digraph(form(instance), 10**6))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
@@ -260,8 +237,7 @@ def test_path_cover_is_pinned_at_benchmark_scale():
         for seed in (1, 2, 3):
             instance = gen_random(n, seed, family, 10**6)
             for form in (form_big_scan, form_big_matchings):
-                cover = path_cover(build_arc_digraph(form(instance.rows, instance.den),
-                                                     10**6))
+                cover = path_cover(build_arc_digraph(form(instance), 10**6))
                 covers.append((cover.paths, cover.cycles_broken))
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == pinned
 
@@ -278,7 +254,7 @@ def test_pipeline_all_big_chain():
 
 def test_pipeline_a2_merges_boundary_pair():
     instance = inst((5, 5), (5, 5))
-    res = solve_big_pipeline(form_big_matchings(instance.rows, instance.den), 10)
+    res = solve_big_pipeline(form_big_matchings(instance), 10)
     assert res.length == 2
 
 
@@ -307,7 +283,7 @@ def test_a1_and_a2_on_two_bar_input_merge_no_chart(monkeypatch):
     expected = [SOLVERS[variant](instance) for instance, variant in cases]
     form = {"A1": form_big_scan, "A2": form_big_matchings}
     assert {v for instance, v in cases
-            if len(form[v](instance.rows, instance.den)) < instance.n} == {
+            if len(form[v](instance)) < instance.n} == {
         "A1", "A2"}  # both formations merge
 
     def refuse(*args, **kwargs):
@@ -331,8 +307,7 @@ def test_pipeline_accounting_identity():
         n = rng.randint(1, 12)
         family = rng.choice(["arbitrary", "big"])
         instance = gen_random(n, trial, family, 20)
-        rows = instance.rows, instance.den
-        formed = {"A1": form_big_scan(*rows), "A2": form_big_matchings(*rows)}
+        formed = {"A1": form_big_scan(instance), "A2": form_big_matchings(instance)}
         for variant in ("A1", "A2"):
             res = SOLVERS[variant](instance)
             formation_unions = instance.n - len(formed[variant])

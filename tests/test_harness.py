@@ -1,9 +1,9 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -209,7 +209,7 @@ def test_run_suite_known_opt_reference(tmp_path):
     rec = records[0]
     assert rec.ref_kind == "OPT"
     assert rec.reference == 2
-    assert rec.r_value == Fraction(1)
+    assert rec.r_value == 1.0
     assert rec.family == ""  # a file's family cell is empty, opt line or not
 
 
@@ -532,7 +532,7 @@ def test_mw_solves_alone_where_m1w_failed_its_checks(monkeypatch):
 def _record(label, algorithm, length, reference, n=5):
     return RunRecord(label=label, n=n, family="arbitrary",
                      algorithm=algorithm, length=length, reference=reference,
-                     ref_kind="LB", r_value=Fraction(length, reference),
+                     ref_kind="LB", r_value=length / reference,
                      abs_error=length - reference, elapsed_ms=None,
                      rounds=None, placement={})
 
@@ -714,3 +714,58 @@ def test_bcpp_public_class_members_are_pinned():
         builtin = set().union(*(dir(b) for b in cls.__mro__[1:] if b.__module__ == "builtins"))
         found = {*dir(cls), *getattr(cls, "__dataclass_fields__", ())} - builtin
         assert sorted(m for m in found if not m.startswith("_")) == members, name
+
+
+# each public function and its parameters with their defaults, in signature
+# syntax less annotations, so a new parameter or default is a change here
+PUBLIC_PARAMETERS = """
+assemble_placement (paths, rows, den)
+bpp_witness_placement (bpp, sol)
+build_arc_digraph (formed, den)
+build_union_graph (rows, den)
+compact (instance, placement)
+dump_digraph (g)
+dump_graph (g)
+evaluate_packing (instance, placement)
+export_lp (instance, horizon=None)
+form_big_matchings (instance)
+form_big_scan (instance)
+format_bpp_instance (bpp)
+format_bpp_solution (sol)
+format_instance (instance)
+format_placement (placement)
+format_records_csv (records)
+format_summary_csv (rows)
+ga_lo (instance)
+gen_bpp_fullbins (num_bins, capacity, seed, max_parts=4)
+gen_random (n, seed, family, den=1000000)
+lex_order (instance)
+lower_bounds (instance)
+max_cardinality_matching (g)
+max_weight_matching (g)
+merge_union (left, right, t)
+oracle_opt (instance)
+parse_bpp (instance_text, solution_text)
+parse_bpp_instance (text)
+parse_config (text)
+parse_instance (text, label='')
+path_cover (g)
+run_algorithm (instance, name, exact_nodes=0, exact_time=0.0, dump=None, start=None)
+run_suite (cfg, base_dir='.')
+solve_big_pipeline (formed, den, dump=None)
+solve_exact (instance, time_limit=0.0, node_limit=0)
+solve_mw (instance, max_rounds=None, dump=None, start=None)
+summarize (records)
+transform_bpp (bpp, sol, label='')
+"""
+
+
+def test_bcpp_public_function_parameters_are_pinned():
+    table = dict(line.split(" ", 1) for line in PUBLIC_PARAMETERS.strip().split("\n"))
+    assert sorted(table) == [n for n in PUBLIC_NAMES if inspect.isfunction(getattr(bcpp, n))]
+    for name, pinned in table.items():
+        sig = inspect.signature(getattr(bcpp, name))
+        bare = sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty)
+        assert str(bare) == pinned, name

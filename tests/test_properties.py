@@ -87,8 +87,8 @@ def test_every_solver_packs_feasibly_at_or_above_every_bound(instance):
     for name, (length, placement) in results.items():
         check = evaluate_packing(instance, placement)
         assert check.feasible and check.length == length, name
-        assert length >= max(opt, bounds.area_lb, bounds.big_lb,
-                             bounds.combined), name
+        assert bounds.combined >= max(bounds.area_lb, bounds.big_lb), name
+        assert length >= max(opt, bounds.combined), name
         packed = compact(instance, placement)
         after = evaluate_packing(instance, packed)
         assert after.feasible and after.length == length, name
@@ -161,10 +161,9 @@ def test_union_rows_match_their_definitions_at_every_width(charts):
 
 
 @SWEEP
-@given(st.one_of(st.builds(lambda instance, form: row_charts(
-                               form(instance.rows, instance.den), instance.den),
+@given(st.one_of(st.builds(lambda instance, form: row_charts(form(instance), instance.den),
                            st.one_of(instances(), instances(big=True)),
-                           st.sampled_from([lambda rows, den: rows,
+                           st.sampled_from([lambda instance: instance.rows,
                                             form_big_scan, form_big_matchings])),
                  chart_lists()))
 @example(inst((7, 2), (4, 1), (4, 5), den=7).charts)  # needs the swap
@@ -191,7 +190,7 @@ def test_chain_matching_is_maximum_and_feasible(charts):
 def test_pipeline_lays_out_what_merging_every_path_would(instance, form):
     # A1's and A2's layout of the cover paths equals merging each path by
     # 1-unions and concatenating the merged charts by id
-    formed = form(instance.rows, instance.den)
+    formed = form(instance)
     solved = solve_big_pipeline(formed, instance.den)
     reference = reference_big_pipeline(formed, instance.den)
     assert (solved.placement, solved.length) == (reference.placement, reference.length)
@@ -221,7 +220,7 @@ def test_merged_rows_follow_the_reference_merge(instance):
         rows, charts = merge_matched(rows, matching), merge_along(charts, matching)
         assert rows == list(as_rows(charts)[0])
     formed, sizes = reference_greedy_formation(instance.charts)
-    assert form_big_matchings(instance.rows, instance.den) == formed
+    assert form_big_matchings(instance) == formed
     assert all(greedy == blossom for greedy, blossom in sizes)
 
 
@@ -235,7 +234,7 @@ def test_formed_tuples_are_their_origins_merged(instance, form):
     # each formed row is what merging its origins in id order by 2-unions
     # gives: the least origin id, two bars, the bar sums and every offset 0
     by_id = {c.id: c for c in instance.charts}
-    formed = form(instance.rows, instance.den)
+    formed = form(instance)
     assert [f[0] for f in formed] == sorted(f[0] for f in formed)
     assert sorted(oid for *_, origins in formed for oid, _ in origins) == list(by_id)
     for *row, width, origins in formed:
@@ -308,7 +307,7 @@ def test_dominance_matching_is_maximum_and_ends_the_formation(instance):
     assert len(pairs) == len(max_cardinality_matching(graph).edges)
     assert len({c for pair in pairs for c in pair}) == 2 * len(pairs)
     assert all(u < v and union_feasible(by_id[u], by_id[v], 2) for u, v in pairs)
-    formed = form_big_matchings(*rows)
+    formed = form_big_matchings(instance)
     if all(is_big(c) for c in charts):
         assert _dominance_matching(*rows, big=True) == pairs
         assert len(formed) == len(charts) - len(pairs)

@@ -42,7 +42,7 @@ def test_every_counter_reads_a_real_result():
     instance = gen_random(8, 6, "arbitrary", 100)  # EXACT expands 41 nodes
     rows = instance.rows, instance.den
     graph = build_union_graph(*rows)
-    digraph = build_arc_digraph(form_big_scan(*rows), instance.den)
+    digraph = build_arc_digraph(form_big_scan(instance), instance.den)
     results = {
         "matching.build_union_graph": graph,
         "matching.max_weight_matching": max_weight_matching(graph),
