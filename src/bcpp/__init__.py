@@ -15,8 +15,7 @@ from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,
                       path_cover, solve_big_pipeline)
 from .blp import export_lp, oracle_opt, solve_exact
-from .generators import (BppInstance, BppSolution, bpp_witness_placement,
-                         format_bpp_instance, format_bpp_solution,
+from .generators import (BppInstance, format_bpp_instance, format_bpp_solution,
                          gen_bpp_fullbins, gen_random, parse_bpp,
                          parse_bpp_instance, transform_bpp)
 from .harness import (SOLVERS, RunRecord, SuiteConfig, SummaryRow,

@@ -74,9 +74,7 @@ class BppInstance:
                 raise ValueError(f"item {k}: size {s} outside (0, capacity]")
 
 
-@dataclass(frozen=True)
-class BppSolution:
-    bins: tuple[tuple[int, ...], ...]
+Bins = tuple[tuple[int, ...], ...]  # a bin-packing solution: item indices per bin
 
 
 def parse_bpp_instance(text: str) -> BppInstance:
@@ -101,8 +99,7 @@ def parse_bpp_instance(text: str) -> BppInstance:
     return BppInstance(sizes=tuple(sizes), capacity=capacity)
 
 
-def parse_bpp(instance_text: str, solution_text: str,
-              ) -> tuple[BppInstance, BppSolution]:
+def parse_bpp(instance_text: str, solution_text: str) -> tuple[BppInstance, Bins]:
     """Parse a bin-packing instance and a solution, checking each solution
     line as it is read; bin count and item coverage are checked last."""
     bpp = parse_bpp_instance(instance_text)
@@ -134,7 +131,7 @@ def parse_bpp(instance_text: str, solution_text: str,
     if len(seen) != len(bpp.sizes):
         missing = sorted(set(range(len(bpp.sizes))) - set(seen))
         raise FormatError(f"line {len(lines)}: solution misses items {missing}")
-    return bpp, BppSolution(bins=tuple(bins))
+    return bpp, tuple(bins)
 
 
 def format_bpp_instance(bpp: BppInstance) -> str:
@@ -143,29 +140,27 @@ def format_bpp_instance(bpp: BppInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_bpp_solution(sol: BppSolution) -> str:
-    lines = [str(len(sol.bins))]
-    lines += [" ".join(str(i) for i in items) for items in sol.bins]
+def format_bpp_solution(bins: Bins) -> str:
+    lines = [str(len(bins))]
+    lines += [" ".join(str(i) for i in items) for items in bins]
     return "\n".join(lines) + "\n"
 
 
-def _chain(bpp: BppInstance, sol: BppSolution,
+def _chain(bpp: BppInstance, bins: Bins,
            ) -> tuple[tuple[int, ...], tuple[int, ...], Placement]:
     """Bars ``a`` and ``b`` of the chained construction with its own packing:
     bins ranked by non-decreasing item count, and the chart pairing bins i
     and i+1 starts in cell i, giving length at most the bin count."""
-    if len(sol.bins) < 2:
+    if len(bins) < 2:
         raise ValueError("need at least two bins to pair items")
-    ranked = sorted(range(len(sol.bins)),
-                    key=lambda k: (len(sol.bins[k]), k))
-    bins = [sorted(sol.bins[k]) for k in ranked]  # pair ascending item indices
+    # a stable sort keeps tied bins in order; pair ascending item indices
+    ranked = [sorted(items) for items in sorted(bins, key=len)]
     a, b = [], []
     witness: Placement = {}
     used_right = 0  # items of the current bin consumed as right bars
-    for rank in range(len(bins) - 1):
-        left_items = bins[rank][used_right:]
-        right_items = bins[rank + 1][:len(left_items)]
-        assert len(right_items) == len(left_items), "bins not rank-sorted"
+    for rank in range(len(ranked) - 1):
+        left_items = ranked[rank][used_right:]
+        right_items = ranked[rank + 1][:len(left_items)]
         a += [bpp.sizes[i] for i in left_items]
         b += [bpp.sizes[i] for i in right_items]
         witness.update((cid, rank + 1) for cid in range(len(witness) + 1, len(a) + 1))
@@ -173,13 +168,13 @@ def _chain(bpp: BppInstance, sol: BppSolution,
     return tuple(a), tuple(b), witness
 
 
-def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instance:
+def transform_bpp(bpp: BppInstance, bins: Bins, label: str = "") -> Instance:
     """Build the packing instance of a bin-packing solution, dropping the
     unused items of the last bin.  The chained packing is audited, and its
     length becomes ``known_opt`` only when it meets the lower bound L2, which
     proves it optimal; an overfull cell raises ``ValueError``.
     """
-    a, b, witness = _chain(bpp, sol)
+    a, b, witness = _chain(bpp, bins)
     instance = Instance(a=a, b=b, den=bpp.capacity,
                         label=label or f"bpp-c{bpp.capacity}-n{len(a)}",
                         family="bpp")
@@ -191,14 +186,8 @@ def transform_bpp(bpp: BppInstance, sol: BppSolution, label: str = "") -> Instan
     return instance
 
 
-def bpp_witness_placement(bpp: BppInstance, sol: BppSolution) -> Placement:
-    """The chained construction's own packing, which ``transform_bpp``
-    audits."""
-    return _chain(bpp, sol)[2]
-
-
 def gen_bpp_fullbins(num_bins: int, capacity: int, seed: int, max_parts: int = 4,
-                     ) -> tuple[BppInstance, BppSolution]:
+                     ) -> tuple[BppInstance, Bins]:
     """Random bin-packing instance built from exactly-full bins, with those
     bins as its solution.
 
@@ -222,4 +211,4 @@ def gen_bpp_fullbins(num_bins: int, capacity: int, seed: int, max_parts: int = 4
     for k, (b, _) in enumerate(items):
         bins[b].append(k)
     return (BppInstance(sizes=tuple(size for _, size in items), capacity=capacity),
-            BppSolution(bins=tuple(map(tuple, bins))))
+            tuple(map(tuple, bins)))

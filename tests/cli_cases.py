@@ -65,8 +65,8 @@ HARD = {"hard.inst": "3 10\n5 9\n7 2\n7 4\n"}  # greedy packs 5, the bound is 4
 FULL = {"full.bpp": "4\n10\n6\n4\n5\n5\n", "full.sol": "2\n0 1\n2 3\n",  # full bins
         "spaced.bpp": "4 \n10\n6\n4\n5\n5\n"}
 FULL_INST = "2 10\n6 5\n4 5\nopt 2\n"
-_bpp, _sol = gen_bpp_fullbins(5, 100, 1)  # its planted full bins prove opt 5
-PLANTED = {"g.bpp": format_bpp_instance(_bpp), "g.sol": format_bpp_solution(_sol)}
+_bpp, _bins = gen_bpp_fullbins(5, 100, 1)  # its planted full bins prove opt 5
+PLANTED = {"g.bpp": format_bpp_instance(_bpp), "g.sol": format_bpp_solution(_bins)}
 N6 = "6 20\n6 18\n6 20\n2 13\n12 10\n10 18\n12 8\n"
 N6_S4 = "6 20\n5 20\n15 4\n9 9\n5 1\n9 9\n10 10\n"
 N3_NAME = "arbitrary-n3-d1000000-s0.inst"
@@ -268,6 +268,10 @@ CASES = {
             out="2 charts, opt not proven -> c.inst\n"),
         refused("bpp-import d.bpp d.sol --out d.inst",
                 "denominator 1 must be at least 2"),
+        # the chained construction pairs the items of one bin with the next
+        refused("bpp-import one.bpp one.sol --out one.inst",
+                "need at least two bins to pair items",
+                adds={"one.bpp": "2\n10\n6\n4\n", "one.sol": "1\n0 1\n"}),
         # no --label: --out, or else the instance file's stem, names the output
         misused("bpp-import b.bpp b.sol --label x",
                 "bcpp: error: unrecognized arguments: --label x"),

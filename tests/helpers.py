@@ -381,6 +381,20 @@ def reference_layout(charts) -> Placement:
     return placement
 
 
+def chained_witness(bins) -> Placement:
+    """The chained construction's packing, from its definition: with bins
+    ranked by item count, rank r holds |bin r| minus the charts of rank
+    r - 1, numbered on from them, and each of its charts starts in cell
+    r + 1."""
+    placement: Placement = {}
+    count = 0
+    for rank, size in enumerate(sorted(map(len, bins))[:-1]):
+        count = size - count
+        first = len(placement) + 1
+        placement.update(dict.fromkeys(range(first, first + count), rank + 1))
+    return placement
+
+
 def as_rows(charts) -> tuple[tuple[ChartRow, ...], int]:
     """Charts of any width, merged ones with their origins, as the rows the
     solvers read, in ascending id, and their shared denominator: the

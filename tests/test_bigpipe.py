@@ -128,7 +128,7 @@ def test_arc_digraph_successors_equal_brute_force_on_formed_charts():
                         == _brute_force_arcs(row_charts(formed, 10**6)))
 
 
-def test_arc_digraph_rejects_mixed_denominators():
+def test_as_rows_refuses_mixed_denominators():
     # 50/100 + 9/10 > 1, although the numerators sum to 59 <= 100
     charts = [BarChart(id=1, bars=(9, 9), den=10),
               BarChart(id=2, bars=(50, 50), den=100)]

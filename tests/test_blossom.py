@@ -392,3 +392,9 @@ def test_import_does_not_load_networkx():
 def test_import_does_not_load_scipy():
     # HiGHS, through scipy, checks the exported model in test_blp only
     assert "scipy" not in loaded_by_import()
+
+
+@pytest.mark.parametrize("module", ["fractions", "decimal"])
+def test_import_does_not_load_exact_number_types(module):
+    # every height and capacity is an int numerator over an int D
+    assert module not in loaded_by_import()

@@ -4,10 +4,11 @@ import tracemalloc
 
 import pytest
 
-from bcpp import (BppInstance, BppSolution, FormatError, bpp_witness_placement,
-                  evaluate_packing, format_bpp_instance, format_bpp_solution,
-                  gen_bpp_fullbins, gen_random, lower_bounds, oracle_opt,
-                  parse_bpp, parse_bpp_instance, transform_bpp)
+from bcpp import (BppInstance, FormatError, evaluate_packing, format_bpp_instance,
+                  format_bpp_solution, gen_bpp_fullbins, gen_random, lower_bounds,
+                  oracle_opt, parse_bpp, parse_bpp_instance, transform_bpp)
+from bcpp.generators import _chain
+from helpers import chained_witness
 
 
 def test_an_instance_holds_no_object_per_chart():
@@ -59,12 +60,12 @@ def test_generation_validates_arguments():
 
 
 def test_parse_bpp_round_trip():
-    bpp, sol = parse_bpp("3\n10\n6\n5\n4\n", "2\n0\n1 2\n")
+    bpp, bins = parse_bpp("3\n10\n6\n5\n4\n", "2\n0\n1 2\n")
     assert bpp.sizes == (6, 5, 4)
     assert bpp.capacity == 10
-    assert sol.bins == ((0,), (1, 2))
+    assert bins == ((0,), (1, 2))
     assert format_bpp_instance(bpp) == "3\n10\n6\n5\n4\n"
-    assert format_bpp_solution(sol) == "2\n0\n1 2\n"
+    assert format_bpp_solution(bins) == "2\n0\n1 2\n"
 
 
 def test_parse_bpp_detects_missing_item():
@@ -103,14 +104,15 @@ def test_bpp_errors_name_their_own_line():
 
 def test_transform_chained_bins():
     bpp = BppInstance(sizes=(6, 5, 4, 3, 3, 2), capacity=10)
-    sol = BppSolution(bins=((0,), (1, 2), (3, 4, 5)))
-    instance = transform_bpp(bpp, sol)
+    bins = ((0,), (1, 2), (3, 4, 5))
+    instance = transform_bpp(bpp, bins)
     assert [c.bars for c in instance.charts] == [(6, 5), (4, 3)]
     assert instance.den == 10
-    witness = bpp_witness_placement(bpp, sol)
+    witness = chained_witness(bins)
+    assert witness == _chain(bpp, bins)[2] == {1: 1, 2: 2}
     ev = evaluate_packing(instance, witness)
     assert ev.feasible
-    assert ev.length == len(sol.bins)
+    assert ev.length == len(bins)
     # the witness takes 3 cells against a bound of 2, and 2 is the optimum,
     # so nothing is proved and no opt is recorded
     assert (lower_bounds(instance).combined, oracle_opt(instance)) == (2, 2)
@@ -118,8 +120,7 @@ def test_transform_chained_bins():
 
 
 def test_transform_two_singleton_bins():
-    instance = transform_bpp(BppInstance(sizes=(5, 5), capacity=10),
-                             BppSolution(bins=((0,), (1,))))
+    instance = transform_bpp(BppInstance(sizes=(5, 5), capacity=10), ((0,), (1,)))
     assert [c.bars for c in instance.charts] == [(5, 5)]
     # a single chart always occupies two cells, so the construction length
     # meets the width bound and is the recorded optimum
@@ -130,53 +131,53 @@ def test_transform_rejects_an_overfull_bin():
     # bin (1, 2) holds 5 + 6 > 10, and the chained packing puts both in cell 2
     with pytest.raises(ValueError, match="overfills a cell"):
         transform_bpp(BppInstance(sizes=(6, 5, 6, 3, 3, 2), capacity=10),
-                      BppSolution(bins=((0,), (1, 2), (3, 4, 5))))
+                      ((0,), (1, 2), (3, 4, 5)))
 
 
 def test_transform_needs_two_bins():
     with pytest.raises(ValueError, match="two bins"):
-        transform_bpp(BppInstance(sizes=(5,), capacity=10),
-                      BppSolution(bins=((0,),)))
+        transform_bpp(BppInstance(sizes=(5,), capacity=10), ((0,),))
 
 
 def test_transform_heights_bounded_by_capacity():
     rng = random.Random(62)
     for seed in range(30):
-        bpp, sol = gen_bpp_fullbins(rng.randint(2, 8), rng.choice([20, 50, 75]),
-                                    seed)
-        instance = transform_bpp(bpp, sol)
+        bpp, bins = gen_bpp_fullbins(rng.randint(2, 8), rng.choice([20, 50, 75]),
+                                     seed)
+        instance = transform_bpp(bpp, bins)
         assert instance.known_opt is not None
         assert all(h <= bpp.capacity for c in instance.charts for h in c.bars)
-        witness = bpp_witness_placement(bpp, sol)
+        witness = chained_witness(bins)
+        assert witness == _chain(bpp, bins)[2]
         assert evaluate_packing(instance, witness).feasible
 
 
 def test_transform_chart_count_identity():
     rng = random.Random(63)
     for seed in range(30):
-        bpp, sol = gen_bpp_fullbins(rng.randint(2, 8), 50, 100 + seed)
-        counts = sorted(len(b) for b in sol.bins)
+        bpp, bins = gen_bpp_fullbins(rng.randint(2, 8), 50, 100 + seed)
+        counts = sorted(len(b) for b in bins)
         residual = 0
         expected = 0
         for c in counts[:-1]:
             residual = c - residual
             expected += residual
-        instance = transform_bpp(bpp, sol)
+        instance = transform_bpp(bpp, bins)
         assert instance.n == expected
 
 
 def test_fullbin_generator_area_bound():
     for seed in range(20):
-        bpp, sol = gen_bpp_fullbins(7, 100, seed)
+        bpp, bins = gen_bpp_fullbins(7, 100, seed)
         assert sum(bpp.sizes) == 7 * 100
-        assert gen_bpp_fullbins(7, 100, seed) == (bpp, sol)
+        assert gen_bpp_fullbins(7, 100, seed) == (bpp, bins)
         # the planted bins are an optimal solution: each item once, each bin
         # full, as many bins as the area bound
-        assert sorted(i for b in sol.bins for i in b) == list(range(len(bpp.sizes)))
-        assert all(sum(bpp.sizes[i] for i in b) == 100 for b in sol.bins)
-        assert len(sol.bins) == 7 == -(-sum(bpp.sizes) // bpp.capacity)
+        assert sorted(i for b in bins for i in b) == list(range(len(bpp.sizes)))
+        assert all(sum(bpp.sizes[i] for i in b) == 100 for b in bins)
+        assert len(bins) == 7 == -(-sum(bpp.sizes) // bpp.capacity)
         assert parse_bpp(format_bpp_instance(bpp),
-                         format_bpp_solution(sol)) == (bpp, sol)
+                         format_bpp_solution(bins)) == (bpp, bins)
     # the sizes drawn before the generator returned its bins, pinned
     text = "".join(f"{b} {c} {s} {p}: {gen_bpp_fullbins(b, c, s, p)[0].sizes}\n"
                    for b in range(1, 7) for c in (2, 3, 12, 100, 10 ** 6)
@@ -187,9 +188,9 @@ def test_fullbin_generator_area_bound():
 
 def test_transformed_witness_respects_lower_bound():
     for seed in range(20):
-        bpp, sol = gen_bpp_fullbins(5, 50, 200 + seed, max_parts=2)
-        instance = transform_bpp(bpp, sol)
-        n_bins = len(sol.bins)
+        bpp, bins = gen_bpp_fullbins(5, 50, 200 + seed, max_parts=2)
+        instance = transform_bpp(bpp, bins)
+        n_bins = len(bins)
         assert lower_bounds(instance).combined <= n_bins
 
 
@@ -201,10 +202,10 @@ def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():
     # it meets the combined bound: here it does on every instance.
     full = dropped = 0
     for s in range(200):
-        bpp, sol = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
-        instance = transform_bpp(bpp, sol)
+        bpp, bins = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
+        instance = transform_bpp(bpp, bins)
         assert instance.n <= 8  # keeps the oracle calls small
-        n_bins = len(sol.bins)
+        n_bins = len(bins)
         opt = oracle_opt(instance)
         assert instance.known_opt == opt
         if 2 * instance.n == len(bpp.sizes):

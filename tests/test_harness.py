@@ -12,11 +12,10 @@ import bcpp.blp
 import bcpp.greedy
 import bcpp.harness
 import bcpp.matching
-from bcpp import (BppSolution, FormatError, SuiteConfig, format_instance,
-                  format_records_csv, format_summary_csv, gen_bpp_fullbins,
-                  gen_random, lower_bounds, oracle_opt, parse_config,
-                  run_algorithm, run_suite, solve_exact, summarize,
-                  transform_bpp)
+from bcpp import (FormatError, SuiteConfig, format_instance, format_records_csv,
+                  format_summary_csv, gen_bpp_fullbins, gen_random, lower_bounds,
+                  oracle_opt, parse_config, run_algorithm, run_suite, solve_exact,
+                  summarize, transform_bpp)
 from bcpp.cli import main
 from bcpp.generators import FAMILIES
 from bcpp.harness import ALGORITHMS, GenSpec, RunRecord
@@ -220,9 +219,9 @@ def test_every_opt_reference_on_tiny_bpp_files_is_the_optimum(tmp_path):
     written = {}
     for s in range(40):
         bpp, full = gen_bpp_fullbins(2 + s % 3, 12 + s % 7, s, max_parts=2 + s % 3)
-        singles = BppSolution(tuple((i,) for i in range(len(bpp.sizes))))
-        for kind, sol in (("full", full), ("single", singles)):
-            instance = transform_bpp(bpp, sol, label=f"{kind}-{s}")
+        singles = tuple((i,) for i in range(len(bpp.sizes)))
+        for kind, bins in (("full", full), ("single", singles)):
+            instance = transform_bpp(bpp, bins, label=f"{kind}-{s}")
             if instance.n <= 7:
                 written[instance.label] = instance
                 (tmp_path / f"{instance.label}.inst").write_text(
@@ -657,18 +656,18 @@ def test_bcpp_runs_on_the_standard_library_alone(tmp_path):
 
 
 PUBLIC_NAMES = """
-ArcDigraph BarChart Bounds BppInstance BppSolution Evaluation FormatError
-Instance Matching PathCover Placement RunRecord SOLVERS Solved SuiteConfig
+ArcDigraph BarChart Bounds BppInstance Evaluation FormatError Instance
+Matching PathCover Placement RunRecord SOLVERS Solved SuiteConfig
 SummaryRow UnionEdge WeightedGraph assemble_placement bigpipe blossom blp
-bpp_witness_placement build_arc_digraph build_union_graph compact
-dump_digraph dump_graph evaluate_packing export_lp form_big_matchings
-form_big_scan format_bpp_instance format_bpp_solution format_instance
-format_placement format_records_csv format_summary_csv ga_lo
-gen_bpp_fullbins gen_random generators greedy harness lex_order
-lower_bounds matching max_cardinality_matching max_weight_matching
-merge_union model oracle_opt parse_bpp parse_bpp_instance parse_config
-parse_instance path_cover run_algorithm run_suite solve_big_pipeline
-solve_exact solve_mw summarize transform_bpp unions
+build_arc_digraph build_union_graph compact dump_digraph dump_graph
+evaluate_packing export_lp form_big_matchings form_big_scan
+format_bpp_instance format_bpp_solution format_instance format_placement
+format_records_csv format_summary_csv ga_lo gen_bpp_fullbins gen_random
+generators greedy harness lex_order lower_bounds matching
+max_cardinality_matching max_weight_matching merge_union model oracle_opt
+parse_bpp parse_bpp_instance parse_config parse_instance path_cover
+run_algorithm run_suite solve_big_pipeline solve_exact solve_mw summarize
+transform_bpp unions
 """.split()
 
 
@@ -691,7 +690,6 @@ ArcDigraph arcs order reach vertices
 BarChart bars den id width
 Bounds area_lb big_lb combined
 BppInstance capacity sizes
-BppSolution bins
 Evaluation feasible length occupancy
 FormatError
 Instance a b charts den family known_opt label n rows
@@ -720,7 +718,6 @@ def test_bcpp_public_class_members_are_pinned():
 # syntax less annotations, so a new parameter or default is a change here
 PUBLIC_PARAMETERS = """
 assemble_placement (paths, rows, den)
-bpp_witness_placement (bpp, sol)
 build_arc_digraph (formed, den)
 build_union_graph (rows, den)
 compact (instance, placement)
@@ -731,7 +728,7 @@ export_lp (instance, horizon=None)
 form_big_matchings (instance)
 form_big_scan (instance)
 format_bpp_instance (bpp)
-format_bpp_solution (sol)
+format_bpp_solution (bins)
 format_instance (instance)
 format_placement (placement)
 format_records_csv (records)
@@ -756,7 +753,7 @@ solve_big_pipeline (formed, den, dump=None)
 solve_exact (instance, time_limit=0.0, node_limit=0)
 solve_mw (instance, max_rounds=None, dump=None, start=None)
 summarize (records)
-transform_bpp (bpp, sol, label='')
+transform_bpp (bpp, bins, label='')
 """
 
 

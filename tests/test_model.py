@@ -3,10 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from bcpp import (BarChart, BppInstance, BppSolution, FormatError, Instance,
-                  assemble_placement, compact, evaluate_packing, format_instance,
-                  format_placement, gen_random, lower_bounds, parse_instance,
-                  solve_mw, transform_bpp)
+from bcpp import (BarChart, BppInstance, FormatError, Instance, assemble_placement,
+                  compact, evaluate_packing, format_instance, format_placement,
+                  gen_random, lower_bounds, parse_instance, solve_mw, transform_bpp)
 from helpers import as_rows, inst, mk, reference_layout, row_charts
 
 
@@ -152,7 +151,7 @@ def test_instance_text_round_trip():
     other = replace(back, known_opt=3)
     assert other != back and other.rows == as_rows(other.charts)[0]
     bpp = transform_bpp(BppInstance(sizes=(6, 4, 5, 5, 3, 7), capacity=10),
-                        BppSolution(bins=((0, 1), (2, 3), (4, 5))))
+                        ((0, 1), (2, 3), (4, 5)))
     assert bpp.n == 2 and bpp.rows == as_rows(bpp.charts)[0]
 
 

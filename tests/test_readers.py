@@ -104,9 +104,9 @@ def bpp_instance_case(rng):
 
 def bpp_solution_case(rng):
     # the planted bins are full, so any extra item overflows
-    bpp, sol = gen_bpp_fullbins(rng.randint(2, 4), rng.randint(2, 12),
-                                rng.randrange(10 ** 6), max_parts=rng.randint(2, 4))
-    bins = [list(b) for b in sol.bins]
+    bpp, planted = gen_bpp_fullbins(rng.randint(2, 4), rng.randint(2, 12),
+                                    rng.randrange(10 ** 6), max_parts=rng.randint(2, 4))
+    bins = [list(b) for b in planted]
     rng.shuffle(bins)
     for items in bins:
         rng.shuffle(items)
