@@ -65,19 +65,18 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     """Branch-and-bound over chart placements.
 
     Charts are branched in greedy lexicographic order with ascending cells,
-    bounded by the current incumbent (a strictly better compacted packing
-    never needs a cell beyond incumbent - 2).  The greedy solution seeds the
-    incumbent.  A node is cut when the cells already occupied, plus the
-    unplaced big bars that find no under-half cell among them, reach the
-    incumbent.  The root bound, ``lower_bounds(instance).combined`` (L2),
-    holds at every node: the search returns with 0 nodes when the greedy
-    length meets it, and once an incumbent meets it every node is cut.  A
-    limit of 0 means none (a negative, NaN or infinite one raises
-    ``ValueError``), and with no limits the result is optimal; when a limit
-    expires the incumbent is returned with the root bound.  The result's
-    ``length`` and ``placement`` are the incumbent, beside its
-    ``lower_bound`` and ``node_count``.  The path is kept on an explicit
-    stack, so any n is within recursion limits.
+    bounded by the incumbent, which the greedy solution seeds (a strictly
+    better compacted packing never needs a cell beyond incumbent - 2).  A node
+    is cut when the cells already occupied, plus the unplaced big bars that
+    find no under-half cell among them, reach the incumbent.  The root bound,
+    ``lower_bounds(instance).combined`` = max(L2, adjacency), holds at every
+    node: the search returns with 0 nodes when the greedy length meets it, and
+    once an incumbent meets it every node is cut.  A limit of 0 means none (a
+    negative, NaN or infinite one raises ``ValueError``), and with no limits
+    the result is optimal; when a limit expires the incumbent is returned with
+    the root bound.  The result's ``length`` and ``placement`` are the
+    incumbent, beside its ``lower_bound`` and ``node_count``.  The path is
+    kept on an explicit stack, so any n is within recursion limits.
     """
     for name, limit in (("time_limit", time_limit), ("node_limit", node_limit)):
         if not 0 <= limit < math.inf:  # nor is a NaN

@@ -12,7 +12,7 @@ leftover items of each bin pair up with items of the next bin into one
 chart per pair, unused items of the last bin are dropped, and heights are
 item sizes over the bin capacity.  The chained construction places the
 bin-i/bin-(i+1) charts in cell i; ``transform_bpp`` records its length as
-the optimum only when it meets the instance's lower bound, L2.
+the optimum only when it meets ``combined`` = max(L2, adjacency).
 """
 
 from __future__ import annotations
@@ -153,6 +153,9 @@ def _chain(bpp: BppInstance, bins: Bins,
     and i+1 starts in cell i, giving length at most the bin count."""
     if len(bins) < 2:
         raise ValueError("need at least two bins to pair items")
+    items = sorted(i for items in bins for i in items)  # each below the next
+    if bad := [i for i, j in zip(items, items[1:] + [len(bpp.sizes)]) if not 0 <= i < j]:
+        raise ValueError(f"item {bad[0]} is out of range or repeated")
     # a stable sort keeps tied bins in order; pair ascending item indices
     ranked = [sorted(items) for items in sorted(bins, key=len)]
     a, b = [], []
@@ -171,8 +174,8 @@ def _chain(bpp: BppInstance, bins: Bins,
 def transform_bpp(bpp: BppInstance, bins: Bins, label: str = "") -> Instance:
     """Build the packing instance of a bin-packing solution, dropping the
     unused items of the last bin.  The chained packing is audited, and its
-    length becomes ``known_opt`` only when it meets the lower bound L2, which
-    proves it optimal; an overfull cell raises ``ValueError``.
+    length becomes ``known_opt`` only when it meets ``combined`` = max(L2,
+    adjacency), which proves it optimal; an overfull cell raises ``ValueError``.
     """
     a, b, witness = _chain(bpp, bins)
     instance = Instance(a=a, b=b, den=bpp.capacity,

@@ -3,9 +3,9 @@
 A suite is described by a flat key=value config (see ``parse_config``); it
 names instance files and/or generator specs, the algorithms to run, and the
 reference policy.  Each (instance, algorithm) pair yields one RunRecord with
-the packing length, the reference value (known optimum when recorded, else
-an exact solve when enabled and it finishes, else the lower bound L2), the
-ratio R = length/reference and the absolute error length - reference.
+the packing length, the reference (known optimum when recorded, else an exact
+solve when enabled and it finishes, else the lower bound ``combined`` = max(L2,
+adjacency)), the ratio R = length/reference and the error length - reference.
 
 A suite first resolves every instance's reference, then runs each algorithm
 over all instances in turn, M1w before Mw whatever the config order, so no

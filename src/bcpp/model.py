@@ -20,7 +20,7 @@ holds.  ``Instance.rows`` makes them once, for every heuristic to start from.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -204,20 +204,48 @@ def evaluate_packing(instance: Instance, placement: Placement) -> Evaluation:
     return Evaluation(feasible=feasible, length=len(occupancy), occupancy=occupancy)
 
 
+def _adjacent(tails, partners, starts: list[int], den: int) -> int:
+    """nu by ``lower_bounds``' sweep; it uses sorted ``starts`` up, partners as (y, x)."""
+    partners, k, nu = sorted([(x, y) for y, x in partners]), 0, 0
+    for x, y in sorted(tails, reverse=True):
+        while k < len(partners) and partners[k][0] <= den - x:
+            insort(starts, partners[k][1])
+            k += 1
+        if p := bisect_right(starts, den - y):
+            del starts[p - 1]
+            nu += 1
+    return nu
+
+
 def lower_bounds(instance: Instance) -> Bounds:
     """The length's lower bounds over the 2n bars, each cell a bin of size D.
 
     area: total bar height rounded up.  big: the count of bars above 1/2,
-    which cannot share a cell.  combined: Martello & Toth's L2 (Discrete
-    Appl. Math. 1990), at least both and 2, a chart's cells.  For K <= D/2,
-    bars above D - K and bars in (D/2, D - K] need a bin each, and bars in
-    [K, D/2] fit only into the latter's room or new bins.  K = 0 gives
-    max(area, big); past it only sizes <= D/2 need trying, and as K grows
-    the cursor ``low`` rises and ``top`` falls: one sort, an O(n) sweep.
+    which cannot share a cell.  combined: the largest of 2, a chart's cells,
+    L2 and adjacency.  L2 (Martello & Toth, Discrete Appl. Math. 1990): for
+    K <= D/2, bars above D - K and bars in (D/2, D - K] need a bin each, and
+    bars in [K, D/2] fit only into the latter's room or new bins.  K = 0 gives
+    max(area, big); past it only sizes <= D/2 need trying, and as K grows the
+    cursor ``low`` rises and ``top`` falls: one sort, an O(n) sweep.
+
+    Adjacency: the length is big plus the cells with no big bar.  A BS chart i
+    (only a_i big) in cell c meets at most one big bar in c + 1: a_j of a
+    chart starting there, b_i + a_j <= D, or b_k of an SB chart (only b_k big)
+    also in c, a_i + a_k <= D and b_i + b_k <= D.  BS charts start in distinct
+    cells, so |BS| - nu cells hold none, nu a maximum matching of them to such
+    bars; SB charts and the cells before them mirror it.  Tail i fits the
+    points (0, a_j) and (a_k, b_k) up to (D - a_i, D - b_i), and its own (0,
+    a_i): an edge more never lowers nu.  By ascending first cap, each tail
+    takes the free point that fits it with the largest y.  If a maximum
+    matching M agrees before tail i, which takes p, but gives i p' and p to a
+    later k, k fits p' (in x as i does, in y below p): swap them; if M leaves
+    p or i free, give i p.  A tail left free fits no free point, in M too.
+    Without partners Hall's count over the starts is exact, and with them no
+    lower: a side is swept only if that count passes.
     """
-    den = instance.den
-    sizes = sorted(instance.a + instance.b)
-    half = bisect_right(sizes, den // 2)  # sizes[half:] are above D/2
+    den, h = instance.den, instance.den // 2
+    sizes = sorted((firsts := sorted(instance.a)) + (seconds := sorted(instance.b)))
+    half = bisect_right(sizes, h)  # sizes[half:] are above D/2
     small = sum(sizes[:half])  # the sum of sizes[low:half], those in [K, D/2]
     big = sum(sizes[half:])  # the sum of sizes[half:top], those in (D/2, D - K]
     area_lb = -(-(small + big) // den)
@@ -234,6 +262,16 @@ def lower_bounds(instance: Instance) -> Bounds:
         if need > combined:
             combined = need
         small -= k
+    bs = [(x, y) for x, y in zip(instance.a, instance.b) if y <= h < x]
+    sb = [(y, x) for x, y in zip(instance.a, instance.b) if x <= h < y]  # as (b, a)
+    for tails, partners, bars in ((bs, sb, firsts), (sb, bs, seconds)):
+        if big_lb + len(tails) > combined:
+            starts, caps = bars[bisect_right(bars, h):], sorted(den - y for _, y in tails)
+            fits = map(bisect_right, [starts] * len(caps), caps)  # starts under each cap
+            free = max(k - c for k, c in enumerate(fits, 1))
+            if partners and big_lb + free > combined:
+                free = len(tails) - _adjacent(tails, partners, starts, den)
+            combined = max(combined, big_lb + free)
     return Bounds(area_lb=area_lb, big_lb=big_lb, combined=combined)
 
 

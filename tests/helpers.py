@@ -201,6 +201,30 @@ def literal_l2(instance: Instance) -> int:
     return best
 
 
+def literal_adjacency(instance: Instance) -> int:
+    """The adjacency bound from its argument, over an explicit bipartite
+    graph: the bars above D/2, plus the BS charts (only the first bar above
+    D/2) that a maximum matching leaves with no big bar in their next cell,
+    or the SB charts (only the second) left with none in the cell before,
+    whichever are more.  BS chart i's next cell may hold the first bar of a
+    chart j whose first bar is big, b_i + a_j <= D, i itself included, or
+    the second bar of an SB chart k that starts beside i, a_i + a_k <= D and
+    b_i + b_k <= D; the SB side is the same over the charts reversed."""
+    den = instance.den
+    unmatched = 0
+    for a, b in ((instance.a, instance.b), (instance.b, instance.a)):
+        charts = list(zip(a, b))
+        big_first = [j for j, (x, _) in enumerate(charts) if 2 * x > den]
+        bs = [i for i in big_first if 2 * charts[i][1] <= den]
+        sb = [k for k, (x, y) in enumerate(charts) if 2 * x <= den < 2 * y]
+        adj = {i: [("start", j) for j in big_first if charts[i][1] + a[j] <= den]
+               + [("partner", k) for k in sb
+                  if charts[i][0] + a[k] <= den and charts[i][1] + b[k] <= den]
+               for i in bs}
+        unmatched = max(unmatched, len(bs) - len(reference_bipartite_matching(bs, adj)))
+    return sum(2 * h > den for h in instance.a + instance.b) + unmatched
+
+
 def naive_ga_lo(instance: Instance) -> dict[int, int]:
     """Round-based greedy reference: rescan every unplaced chart per round."""
     den = instance.den

@@ -109,9 +109,9 @@ def test_c5_mean_error_ordering_at_n200():
 
 def test_c6_big_family_ratio_band_at_n500():
     # The band was measured against an area-style bound, so R uses area_lb.
-    # `combined` (L2) is not the reference: on this family it is big_lb or one
-    # more, nearly tight (mean R against it is 1.0009), and no correct packing
-    # could reach the band against it.
+    # `combined` (max(L2, adjacency)) is not the reference: on this family it
+    # is big_lb or one more, nearly tight (mean R against it is 1.0004, and
+    # 1.0009 against L2 alone), and no correct packing could reach the band.
     ratios = []
     combined_ratios = []
     slowest = 0.0

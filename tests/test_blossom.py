@@ -1,6 +1,7 @@
 """The blossom port against networkx, which it must match mate for mate.
 
-networkx is imported only here: it is the reference the port was taken
+networkx is imported here, and in test_properties for the adjacency
+bound's matching: it is the reference the port was taken
 from, and the mates must equal its mates on the same graph, so that
 M1w and Mw keep their answers.  ``brute_force_matching`` in
 test_matching and C4 stays the independent check of exactness.

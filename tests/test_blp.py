@@ -244,7 +244,8 @@ def digests(results):
 
 def test_exact_search_matches_pinned_nodes_and_placements():
     # the answers are pinned as the recursive search gave them, before it
-    # moved onto an explicit stack; the proofs since the root bound took L2
+    # moved onto an explicit stack; the proofs since the root bound became
+    # combined = max(L2, adjacency), which proves 9 more of them
     results = []
     for trial in range(40):
         family = ("arbitrary", "big")[trial % 2]
@@ -253,13 +254,13 @@ def test_exact_search_matches_pinned_nodes_and_placements():
         results.append(solve_exact(instance, node_limit=3000))
     assert digests(results) == (
         "79916ed2755e286c56a673a5aaae581352387492b0cba98c84a8ae9f8c498981",
-        "3666dddff120f160e8590848a8d3e32d1634d44c2baf0aab3e61222250bfb293")
+        "6d96c8aebd520c2ad80e866244f1138bb63d8e727a74ac75c6d267d3c4bc236c")
 
 
 def test_exact_search_matches_pinned_results_at_bench_shapes():
     # arbitrary n=10 and big n=12 at D=100, the shapes and budgets the exact
     # benchmark solves; the answers are pinned as before the node loop was
-    # rewritten, the proofs since the root bound took L2
+    # rewritten, the proofs since the root bound became max(L2, adjacency)
     results = []
     for family, n in (("arbitrary", 10), ("big", 12)):
         for seed in range(1, 16):
@@ -268,7 +269,7 @@ def test_exact_search_matches_pinned_results_at_bench_shapes():
                         for limit in (1, 7, 300, 5000))
     assert digests(results) == (
         "7a2d4cfbdd75a95f01f62bc66bec9a9b549d3e6e297ccec7f5c738f14b3b1547",
-        "6afeba30d992c677ada2c0f3c6e7ff4a9acd6e795f858f4264b2bcf0802dd4bd")
+        "05a2b13b0ed9990adbe157f8b28dbf3d0c298ccc1e8c1b5b44e966ae4f43d399")
 
 
 def test_lower_bounds_at_large_n_take_under_ten_ms():

@@ -134,6 +134,15 @@ def test_transform_rejects_an_overfull_bin():
                       ((0,), (1, 2), (3, 4, 5)))
 
 
+@pytest.mark.parametrize("bins, item", [(((0,), (0,)), 0), (((0,), (1,), (0, 1)), 0),
+                                        (((0,), (7,)), 7), (((-1,), (1,)), -1)])
+def test_transform_rejects_an_item_out_of_range_or_repeated(bins, item):
+    # parse_bpp checks a solution it reads, but bins built in code reach
+    # transform_bpp directly: these once recorded opt 2, or raised IndexError
+    with pytest.raises(ValueError, match=f"^item {item} is out of range or repeated$"):
+        transform_bpp(BppInstance(sizes=(5, 5), capacity=10), bins)
+
+
 def test_transform_needs_two_bins():
     with pytest.raises(ValueError, match="two bins"):
         transform_bpp(BppInstance(sizes=(5,), capacity=10), ((0,),))
