@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 
-from .greedy import ga_lo, lex_order
+from .greedy import ga_lo
 from .model import Instance, Solved, compact, lower_bounds
 
 
@@ -64,7 +64,8 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
                 node_limit: int = 0) -> Solved:
     """Branch-and-bound over chart placements.
 
-    Charts are branched in greedy lexicographic order with ascending cells,
+    Charts are branched largest first (non-increasing a + b, then a, then id:
+    the largest fail soonest, as in Martello & Toth's MTP) in ascending cells,
     bounded by the incumbent, which the greedy solution seeds (a strictly
     better compacted packing never needs a cell beyond incumbent - 2).  A node
     is cut when the cells already occupied, plus the unplaced big bars that
@@ -82,7 +83,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
         if not 0 <= limit < math.inf:  # nor is a NaN
             raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
-    den = instance.den
+    den, n = instance.den, instance.n
     root = lower_bounds(instance).combined
 
     greedy = ga_lo(instance)
@@ -92,12 +93,12 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
         return Solved(placement=best_placement, length=best_len,
                       lower_bound=best_len, node_count=0)
 
-    ids = lex_order(instance)
-    n = len(ids)
+    ids = sorted(range(1, n + 1), reverse=True, key=lambda c: (  # ties keep id order
+        instance.a[c - 1] + instance.b[c - 1], instance.a[c - 1]))
     # each chart's bars, and the most a cell may hold before each goes in
     rows = [(a, b, den - a, den - b)
             for a, b in ((instance.a[cid - 1], instance.b[cid - 1]) for cid in ids)]
-    # identical charts take non-decreasing positions
+    # identical charts, adjacent in ids, take non-decreasing positions
     same = [k > 0 and rows[k - 1] == rows[k] for k in range(n)]
     half = (den - 1) // 2  # a cell holding at most this is under half full
     big_suffix = [0] * (n + 1)  # bars above 1/2 among charts ids[k:]

@@ -262,8 +262,12 @@ def lower_bounds(instance: Instance) -> Bounds:
         if need > combined:
             combined = need
         small -= k
-    bs = [(x, y) for x, y in zip(instance.a, instance.b) if y <= h < x]
-    sb = [(y, x) for x, y in zip(instance.a, instance.b) if x <= h < y]  # as (b, a)
+    bs, sb = [], []  # charts with only the first bar big, and only the second as (b, a)
+    for x, y in zip(instance.a, instance.b):
+        if y <= h < x:
+            bs.append((x, y))
+        elif x <= h < y:
+            sb.append((y, x))
     for tails, partners, bars in ((bs, sb, firsts), (sb, bs, seconds)):
         if big_lb + len(tails) > combined:
             starts, caps = bars[bisect_right(bars, h):], sorted(den - y for _, y in tails)

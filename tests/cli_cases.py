@@ -118,8 +118,8 @@ CASES = {
     "solve_exact_reads_a_zero_limit_as_none": [
         Row(f"solve hard.inst -a EXACT {limit}", adds=HARD, out=out)
         for limit, out in (("--node-limit 1", "bounded 5 4 1 {ms}\n"),
-                           ("--node-limit 0", "optimal 4 4 5 {ms}\n"),
-                           ("--time-limit 0", "optimal 4 4 5 {ms}\n"))],
+                           ("--node-limit 0", "optimal 4 4 8 {ms}\n"),
+                           ("--time-limit 0", "optimal 4 4 8 {ms}\n"))],
     # 3 charts over the greedy horizon of 4 cells: 3 * 3 x's and 4 y's
     "solve_lp_export_and_dumps": [
         Row("solve three.inst -a Mw --lp-export m.lp --dump-graphs dd",

@@ -243,9 +243,9 @@ def digests(results):
 
 
 def test_exact_search_matches_pinned_nodes_and_placements():
-    # the answers are pinned as the recursive search gave them, before it
-    # moved onto an explicit stack; the proofs since the root bound became
-    # combined = max(L2, adjacency), which proves 9 more of them
+    # pinned since the search branches on the largest charts first, which
+    # proves 37 of the 40 (36 in lexicographic order); no length moved, and
+    # 9 placements moved at their lengths
     results = []
     for trial in range(40):
         family = ("arbitrary", "big")[trial % 2]
@@ -253,14 +253,16 @@ def test_exact_search_matches_pinned_nodes_and_placements():
                               20 + 30 * (trial % 3))
         results.append(solve_exact(instance, node_limit=3000))
     assert digests(results) == (
-        "79916ed2755e286c56a673a5aaae581352387492b0cba98c84a8ae9f8c498981",
-        "6d96c8aebd520c2ad80e866244f1138bb63d8e727a74ac75c6d267d3c4bc236c")
+        "fb589b5bda8dc33425b9917ab1ef38b5290a4edca8b6c28358b3302d3d2e2a5f",
+        "df3348a8785311ecd84b919fea67331c62e363e73a53d43dfc098fafbf824c59")
+    assert sum(r.status == "optimal" for r in results) == 37
 
 
 def test_exact_search_matches_pinned_results_at_bench_shapes():
     # arbitrary n=10 and big n=12 at D=100, the shapes and budgets the exact
-    # benchmark solves; the answers are pinned as before the node loop was
-    # rewritten, the proofs since the root bound became max(L2, adjacency)
+    # benchmark solves; pinned since the search branches on the largest charts
+    # first, which proves 62 of the 120 (56 in lexicographic order); the 6
+    # lengths that moved, all shorter, are of searches the budget had stopped
     results = []
     for family, n in (("arbitrary", 10), ("big", 12)):
         for seed in range(1, 16):
@@ -268,8 +270,9 @@ def test_exact_search_matches_pinned_results_at_bench_shapes():
             results += (solve_exact(instance, node_limit=limit)
                         for limit in (1, 7, 300, 5000))
     assert digests(results) == (
-        "7a2d4cfbdd75a95f01f62bc66bec9a9b549d3e6e297ccec7f5c738f14b3b1547",
-        "05a2b13b0ed9990adbe157f8b28dbf3d0c298ccc1e8c1b5b44e966ae4f43d399")
+        "418a84856b10dd8713bbdf2eb59490afbcf2acf9addaaa0d37012836aec25f5b",
+        "0ff79f7c129f8b78069704ec37d6598c257e998d639bc20f4bbf5c638f2cb5a4")
+    assert sum(r.status == "optimal" for r in results) == 62
 
 
 def test_lower_bounds_at_large_n_take_under_ten_ms():

@@ -157,7 +157,7 @@ def test_exact_status_and_reference_follow_the_bound():
     # a node limit of 0 is no limit: the search runs to its end
     res = solve_exact(instance, node_limit=0)
     assert (res.status, res.length, res.lower_bound, res.node_count) == (
-        "optimal", 19, 19, 98)
+        "optimal", 19, 19, 88)
 
 
 def test_run_suite_with_a_node_budget_stops_cleanly_at_large_n():
