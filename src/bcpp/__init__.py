@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .model import (BarChart, Bounds, Evaluation, FormatError, Instance,
+from .model import (BarChart, Evaluation, FormatError, Instance,
                     Placement, Solved, assemble_placement, compact,
                     evaluate_packing, format_instance, format_placement,
                     lower_bounds, parse_instance)
@@ -15,8 +15,7 @@ from .bigpipe import (ArcDigraph, PathCover, build_arc_digraph,
                       dump_digraph, form_big_matchings, form_big_scan,
                       path_cover, solve_big_pipeline)
 from .blp import export_lp, oracle_opt, solve_exact
-from .generators import (BppInstance, format_bpp_instance, format_bpp_solution,
-                         gen_bpp_fullbins, gen_random, parse_bpp,
+from .generators import (BppInstance, gen_bpp_fullbins, gen_random, parse_bpp,
                          parse_bpp_instance, transform_bpp)
 from .harness import (SOLVERS, RunRecord, SuiteConfig, SummaryRow,
                       format_records_csv, format_summary_csv, parse_config,

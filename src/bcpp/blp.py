@@ -35,7 +35,7 @@ def export_lp(instance: Instance, horizon: int | None = None) -> str:
     """
     if horizon is None:
         horizon = ga_lo(instance).length
-    if horizon < lower_bounds(instance).combined:
+    if horizon < lower_bounds(instance):
         raise ValueError(f"horizon {horizon} below the combined lower bound")
     cells = range(1, horizon + 1)
     first_cells = range(1, horizon)  # legal first-bar cells
@@ -70,7 +70,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
     better compacted packing never needs a cell beyond incumbent - 2).  A node
     is cut when the cells already occupied, plus the unplaced big bars that
     find no under-half cell among them, reach the incumbent.  The root bound,
-    ``lower_bounds(instance).combined`` = max(L2, adjacency), holds at every
+    ``lower_bounds(instance)`` = max(L2, adjacency), holds at every
     node: the search returns with 0 nodes when the greedy length meets it, and
     once an incumbent meets it every node is cut.  A limit of 0 means none (a
     negative, NaN or infinite one raises ``ValueError``), and with no limits
@@ -84,7 +84,7 @@ def solve_exact(instance: Instance, time_limit: float = 0.0,
             raise ValueError(f"{name} must be at least 0 and finite, got {limit}")
     start = time.perf_counter()
     den, n = instance.den, instance.n
-    root = lower_bounds(instance).combined
+    root = lower_bounds(instance)
 
     greedy = ga_lo(instance)
     best_len = greedy.length

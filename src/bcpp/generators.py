@@ -134,18 +134,6 @@ def parse_bpp(instance_text: str, solution_text: str) -> tuple[BppInstance, Bins
     return bpp, tuple(bins)
 
 
-def format_bpp_instance(bpp: BppInstance) -> str:
-    lines = [str(len(bpp.sizes)), str(bpp.capacity)]
-    lines += [str(s) for s in bpp.sizes]
-    return "\n".join(lines) + "\n"
-
-
-def format_bpp_solution(bins: Bins) -> str:
-    lines = [str(len(bins))]
-    lines += [" ".join(str(i) for i in items) for items in bins]
-    return "\n".join(lines) + "\n"
-
-
 def _chain(bpp: BppInstance, bins: Bins,
            ) -> tuple[tuple[int, ...], tuple[int, ...], Placement]:
     """Bars ``a`` and ``b`` of the chained construction with its own packing:
@@ -184,7 +172,7 @@ def transform_bpp(bpp: BppInstance, bins: Bins, label: str = "") -> Instance:
     check = evaluate_packing(instance, witness)
     if not check.feasible:
         raise ValueError("the chained packing overfills a cell")
-    if check.length == lower_bounds(instance).combined:
+    if check.length == lower_bounds(instance):
         instance = replace(instance, known_opt=check.length)
     return instance
 

@@ -262,14 +262,14 @@ def audit(instance: Instance, solved: Solved) -> None:
 
 def _resolve_reference(instance: Instance, cfg: SuiteConfig) -> tuple[int, str]:
     if cfg.reference == "auto" and instance.known_opt is not None:
-        bound = lower_bounds(instance).combined
+        bound = lower_bounds(instance)
         if instance.known_opt < bound:
             raise ValueError(f"opt {instance.known_opt} is below the bound {bound}")
         return instance.known_opt, "OPT"
     if cfg.reference == "auto" and cfg.exact_nodes:
         res = blp.solve_exact(instance, node_limit=cfg.exact_nodes)
         return res.lower_bound, "OPT" if res.status == "optimal" else "LB"
-    return lower_bounds(instance).combined, "LB"
+    return lower_bounds(instance), "LB"
 
 
 def run_suite(cfg: SuiteConfig, base_dir: str = ".",

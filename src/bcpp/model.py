@@ -115,7 +115,7 @@ class Instance:
     @property
     def charts(self) -> tuple[BarChart, ...]:
         """The charts as ``BarChart``s, built anew on each read; only the benchmark's
-        input writer and the tests read them (ROADMAP.md item 5 can drop it)."""
+        input writer and the tests read them (ROADMAP.md item 1 can drop it)."""
         return tuple(BarChart(id=cid, bars=bars, den=self.den)
                      for cid, bars in enumerate(zip(self.a, self.b), start=1))
 
@@ -172,13 +172,6 @@ class Solved:
         return "optimal" if self.length == self.lower_bound else "bounded"
 
 
-@dataclass(frozen=True)
-class Bounds:
-    area_lb: int
-    big_lb: int
-    combined: int
-
-
 def evaluate_packing(instance: Instance, placement: Placement) -> Evaluation:
     """Evaluate feasibility and length of ``placement`` on ``instance``.
 
@@ -217,16 +210,16 @@ def _adjacent(tails, partners, starts: list[int], den: int) -> int:
     return nu
 
 
-def lower_bounds(instance: Instance) -> Bounds:
-    """The length's lower bounds over the 2n bars, each cell a bin of size D.
+def lower_bounds(instance: Instance) -> int:
+    """The length's lower bound over the 2n bars, each cell a bin of size D.
 
-    area: total bar height rounded up.  big: the count of bars above 1/2,
-    which cannot share a cell.  combined: the largest of 2, a chart's cells,
-    L2 and adjacency.  L2 (Martello & Toth, Discrete Appl. Math. 1990): for
-    K <= D/2, bars above D - K and bars in (D/2, D - K] need a bin each, and
-    bars in [K, D/2] fit only into the latter's room or new bins.  K = 0 gives
-    max(area, big); past it only sizes <= D/2 need trying, and as K grows the
-    cursor ``low`` rises and ``top`` falls: one sort, an O(n) sweep.
+    This is ``combined``, the largest of 2, a chart's cells, L2 and adjacency,
+    never below area (total bar height rounded up) or big (the bars above 1/2,
+    which cannot share a cell).  L2 (Martello & Toth, Discrete Appl. Math.
+    1990): for K <= D/2, bars above D - K and bars in (D/2, D - K] need a bin
+    each, and bars in [K, D/2] fit only into the latter's room or new bins.
+    K = 0 gives max(area, big); past it only sizes <= D/2 need trying, and as
+    K grows the cursor ``low`` rises and ``top`` falls: one sort, an O(n) sweep.
 
     Adjacency: the length is big plus the cells with no big bar.  A BS chart i
     (only a_i big) in cell c meets at most one big bar in c + 1: a_j of a
@@ -276,7 +269,7 @@ def lower_bounds(instance: Instance) -> Bounds:
             if partners and big_lb + free > combined:
                 free = len(tails) - _adjacent(tails, partners, starts, den)
             combined = max(combined, big_lb + free)
-    return Bounds(area_lb=area_lb, big_lb=big_lb, combined=combined)
+    return combined
 
 
 def compact(instance: Instance, placement: Placement) -> Placement:

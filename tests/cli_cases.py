@@ -26,7 +26,8 @@ import tempfile
 from typing import NamedTuple
 
 import bcpp
-from bcpp import format_bpp_instance, format_bpp_solution, gen_bpp_fullbins
+from bcpp import gen_bpp_fullbins
+from helpers import format_bpp_instance, format_bpp_solution
 
 
 class Link(NamedTuple):

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from bcpp import (ArcDigraph, BarChart, Instance, Matching, PathCover, Placement,
-                  Solved, UnionEdge, WeightedGraph, bigpipe, build_union_graph,
-                  evaluate_packing, lex_order, max_cardinality_matching,
-                  max_weight_matching)
+from bcpp import (ArcDigraph, BarChart, BppInstance, Instance, Matching, PathCover,
+                  Placement, Solved, UnionEdge, WeightedGraph, bigpipe,
+                  build_union_graph, evaluate_packing, lex_order,
+                  max_cardinality_matching, max_weight_matching)
 from bcpp.blossom import match_edges
 from bcpp.model import ChartRow
 
@@ -183,6 +183,16 @@ def literal_opt(instance: Instance) -> int:
         if ev.feasible and ev.length < best:
             best = ev.length
     return best
+
+
+def area_lb(instance: Instance) -> int:
+    """The area bound: the total bar height, rounded up to whole cells."""
+    return math.ceil(Fraction(sum(instance.a) + sum(instance.b), instance.den))
+
+
+def big_lb(instance: Instance) -> int:
+    """The count of bars above 1/2, no two of which share a cell."""
+    return sum(2 * h > instance.den for h in instance.a + instance.b)
 
 
 def literal_l2(instance: Instance) -> int:
@@ -403,6 +413,22 @@ def reference_layout(charts) -> Placement:
             placement[oid] = base + off
         base += ch.width
     return placement
+
+
+def format_bpp_instance(bpp: BppInstance) -> str:
+    """A bin-packing instance as ``parse_bpp_instance`` reads it: the item
+    count, the capacity, then one size a line."""
+    lines = [str(len(bpp.sizes)), str(bpp.capacity)]
+    lines += [str(s) for s in bpp.sizes]
+    return "\n".join(lines) + "\n"
+
+
+def format_bpp_solution(bins) -> str:
+    """A bin-packing solution as ``parse_bpp`` reads it: the bin count, then
+    each bin's item indices on one line."""
+    lines = [str(len(bins))]
+    lines += [" ".join(str(i) for i in items) for items in bins]
+    return "\n".join(lines) + "\n"
 
 
 def chained_witness(bins) -> Placement:

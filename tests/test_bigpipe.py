@@ -316,7 +316,7 @@ def test_pipeline_accounting_identity():
             assert res.length == expect
             ev = evaluate_packing(instance, res.placement)
             assert ev.feasible and ev.length == res.length
-            assert res.length >= lower_bounds(instance).combined
+            assert res.length >= lower_bounds(instance)
 
 
 def test_a2_at_twenty_thousand_charts_stays_in_its_time_budget():
@@ -330,4 +330,4 @@ def test_a2_at_twenty_thousand_charts_stays_in_its_time_budget():
     assert time.perf_counter() - start < 1.5
     ev = evaluate_packing(instance, res.placement)
     assert ev.feasible and ev.length == res.length
-    assert res.length >= lower_bounds(instance).combined
+    assert res.length >= lower_bounds(instance)

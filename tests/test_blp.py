@@ -12,7 +12,7 @@ from bcpp import (evaluate_packing, export_lp, format_instance,
                   format_placement, ga_lo, gen_random, lower_bounds, oracle_opt,
                   parse_instance, solve_exact)
 from bcpp.cli import main
-from helpers import inst, literal_opt
+from helpers import area_lb, big_lb, inst, literal_opt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -50,7 +50,7 @@ def test_default_horizon_admits_greedy_length():
         instance = gen_random(seed % 5 + 1, seed, "arbitrary", 20)
         horizon = ga_lo(instance).length
         assert export_lp(instance) == export_lp(instance, horizon=horizon)
-        assert horizon >= lower_bounds(instance).combined
+        assert horizon >= lower_bounds(instance)
 
 
 def test_model_rejects_bad_horizons():
@@ -218,7 +218,7 @@ def test_exact_respects_node_limit():
     res = solve_exact(instance, node_limit=1)
     assert res.status == "bounded"
     assert res.lower_bound <= 4 <= res.length
-    assert res.lower_bound >= lower_bounds(instance).combined
+    assert res.lower_bound >= lower_bounds(instance)
 
 
 def test_exact_rejects_a_negative_nan_or_infinite_limit():
@@ -281,9 +281,9 @@ def test_lower_bounds_at_large_n_take_under_ten_ms():
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
-        bounds = lower_bounds(instance)
+        bound = lower_bounds(instance)
         times.append(time.perf_counter() - t0)
-    assert bounds.combined == 1212 > max(bounds.area_lb, bounds.big_lb) == 1207
+    assert bound == 1212 > max(area_lb(instance), big_lb(instance)) == 1207
     assert min(times) < 0.01
 
 

@@ -4,11 +4,11 @@ import tracemalloc
 
 import pytest
 
-from bcpp import (BppInstance, FormatError, evaluate_packing, format_bpp_instance,
-                  format_bpp_solution, gen_bpp_fullbins, gen_random, lower_bounds,
-                  oracle_opt, parse_bpp, parse_bpp_instance, transform_bpp)
+from bcpp import (BppInstance, FormatError, evaluate_packing, gen_bpp_fullbins,
+                  gen_random, lower_bounds, oracle_opt, parse_bpp, parse_bpp_instance,
+                  transform_bpp)
 from bcpp.generators import _chain
-from helpers import chained_witness
+from helpers import chained_witness, format_bpp_instance, format_bpp_solution
 
 
 def test_an_instance_holds_no_object_per_chart():
@@ -115,7 +115,7 @@ def test_transform_chained_bins():
     assert ev.length == len(bins)
     # the witness takes 3 cells against a bound of 2, and 2 is the optimum,
     # so nothing is proved and no opt is recorded
-    assert (lower_bounds(instance).combined, oracle_opt(instance)) == (2, 2)
+    assert (lower_bounds(instance), oracle_opt(instance)) == (2, 2)
     assert instance.known_opt is None
 
 
@@ -200,7 +200,7 @@ def test_transformed_witness_respects_lower_bound():
         bpp, bins = gen_bpp_fullbins(5, 50, 200 + seed, max_parts=2)
         instance = transform_bpp(bpp, bins)
         n_bins = len(bins)
-        assert lower_bounds(instance).combined <= n_bins
+        assert lower_bounds(instance) <= n_bins
 
 
 def test_bpp_optimum_is_the_bin_count_unless_items_are_dropped():

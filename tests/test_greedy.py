@@ -53,7 +53,7 @@ def test_feasible_and_above_lower_bound():
         instance = gen_random(seed % 9 + 1, seed, "arbitrary", 20)
         res = ga_lo(instance)
         assert evaluate_packing(instance, res.placement).feasible
-        assert res.length >= lower_bounds(instance).combined
+        assert res.length >= lower_bounds(instance)
 
 
 def test_two_opt_plus_one_bound_at_desk_scale():

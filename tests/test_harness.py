@@ -168,7 +168,7 @@ def test_run_suite_with_a_node_budget_stops_cleanly_at_large_n():
     assert errors == []
     (rec,) = records
     # the search stops at its budget and reports its root bound, combined
-    root = lower_bounds(instance).combined
+    root = lower_bounds(instance)
     assert (rec.reference, rec.ref_kind) == (root, "LB") == (1212, "LB")
     assert rec.length > rec.reference and rec.rounds == 1000
 
@@ -656,18 +656,17 @@ def test_bcpp_runs_on_the_standard_library_alone(tmp_path):
 
 
 PUBLIC_NAMES = """
-ArcDigraph BarChart Bounds BppInstance Evaluation FormatError Instance
-Matching PathCover Placement RunRecord SOLVERS Solved SuiteConfig
-SummaryRow UnionEdge WeightedGraph assemble_placement bigpipe blossom blp
+ArcDigraph BarChart BppInstance Evaluation FormatError Instance Matching
+PathCover Placement RunRecord SOLVERS Solved SuiteConfig SummaryRow
+UnionEdge WeightedGraph assemble_placement bigpipe blossom blp
 build_arc_digraph build_union_graph compact dump_digraph dump_graph
 evaluate_packing export_lp form_big_matchings form_big_scan
-format_bpp_instance format_bpp_solution format_instance format_placement
-format_records_csv format_summary_csv ga_lo gen_bpp_fullbins gen_random
-generators greedy harness lex_order lower_bounds matching
-max_cardinality_matching max_weight_matching merge_union model oracle_opt
-parse_bpp parse_bpp_instance parse_config parse_instance path_cover
-run_algorithm run_suite solve_big_pipeline solve_exact solve_mw summarize
-transform_bpp unions
+format_instance format_placement format_records_csv format_summary_csv
+ga_lo gen_bpp_fullbins gen_random generators greedy harness lex_order
+lower_bounds matching max_cardinality_matching max_weight_matching
+merge_union model oracle_opt parse_bpp parse_bpp_instance parse_config
+parse_instance path_cover run_algorithm run_suite solve_big_pipeline
+solve_exact solve_mw summarize transform_bpp unions
 """.split()
 
 
@@ -688,7 +687,6 @@ def test_bcpp_public_names_are_pinned():
 PUBLIC_MEMBERS = """
 ArcDigraph arcs order reach vertices
 BarChart bars den id width
-Bounds area_lb big_lb combined
 BppInstance capacity sizes
 Evaluation feasible length occupancy
 FormatError
@@ -727,8 +725,6 @@ evaluate_packing (instance, placement)
 export_lp (instance, horizon=None)
 form_big_matchings (instance)
 form_big_scan (instance)
-format_bpp_instance (bpp)
-format_bpp_solution (bins)
 format_instance (instance)
 format_placement (placement)
 format_records_csv (records)

@@ -6,7 +6,7 @@ import pytest
 from bcpp import (BarChart, BppInstance, FormatError, Instance, assemble_placement,
                   compact, evaluate_packing, format_instance, format_placement,
                   gen_random, lower_bounds, parse_instance, solve_mw, transform_bpp)
-from helpers import as_rows, inst, mk, reference_layout, row_charts
+from helpers import area_lb, as_rows, big_lb, inst, mk, reference_layout, row_charts
 
 
 def test_evaluate_shared_cell():
@@ -65,18 +65,18 @@ def test_assemble_placement_of_one_row_paths_is_left_to_right():
 
 
 def test_lower_bounds_big_pair():
-    b = lower_bounds(inst((6, 6), (6, 6)))
-    assert (b.area_lb, b.big_lb, b.combined) == (3, 4, 4)
+    i = inst((6, 6), (6, 6))
+    assert (area_lb(i), big_lb(i), lower_bounds(i)) == (3, 4, 4)
 
 
 def test_lower_bounds_single_small():
-    b = lower_bounds(inst((2, 2)))
-    assert (b.area_lb, b.big_lb, b.combined) == (1, 0, 2)
+    i = inst((2, 2))
+    assert (area_lb(i), big_lb(i), lower_bounds(i)) == (1, 0, 2)
 
 
 def test_lower_bounds_chainable_bigs():
-    b = lower_bounds(inst((9, 1), (8, 3)))
-    assert (b.area_lb, b.big_lb, b.combined) == (3, 2, 3)
+    i = inst((9, 1), (8, 3))
+    assert (area_lb(i), big_lb(i), lower_bounds(i)) == (3, 2, 3)
 
 
 def test_translation_covariance():

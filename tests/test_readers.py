@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from bcpp import (FormatError, format_bpp_instance, gen_bpp_fullbins,
-                  parse_bpp, parse_bpp_instance, parse_instance)
+from bcpp import (FormatError, gen_bpp_fullbins, parse_bpp, parse_bpp_instance,
+                  parse_instance)
 from bcpp.model import read_float, read_int
+from helpers import format_bpp_instance
 
 # an underscore or a non-ASCII digit, which int() alone reads, is no integer
 BAD_TOKENS = ("x", "1.5", "0x1", "--2", "1e3", "7/10", "opt", "1_0", "１０", "١٠")
